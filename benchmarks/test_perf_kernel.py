@@ -1,23 +1,24 @@
-"""Benchmark: the :mod:`repro.kernel` execution kernel vs the reference path.
+"""Benchmark: the :mod:`repro.kernel` execution kernel vs the oracle.
 
 Times four workloads — a 2-thread message-passing test, a 3-thread
 write-to-read-causality test, a full-library verdict sweep, and the
 Section 6 RCU-implementation verification (the package's heaviest single
 run) — under
 
-* the *reference* configuration: frozenset-of-pairs relations, naive
-  enumerate-then-filter checking, statement-walking cat interpreter;
-* the *kernel* configuration (the default): integer-indexed bitset
-  relations, per-trace incremental checking, and the relational bytecode
-  VM (:mod:`repro.kernel.vm`), single process.
+* the *reference* configuration, the oracle (``REPRO_ORACLE=1``):
+  frozenset-of-pairs relations, naive enumerate-then-filter checking,
+  the statement-walking cat evaluator, no symbolic pre-pass;
+* the *kernel* configuration, production (the default): integer-indexed
+  bitset relations, per-trace incremental checking, and the relational
+  bytecode VM (:mod:`repro.kernel.vm`), single process.
 
-The litmus and sweep rows run the cat-loaded LKMM (the interpreter
-pipeline the VM accelerates); the RCU row keeps the native
+The litmus and sweep rows run the cat-loaded LKMM (the cat pipeline the
+VM accelerates); the RCU row keeps the native
 :class:`LinuxKernelModel` used by the Section 6 tooling.  Every row
 reports timings split into
 
 * ``seconds_setup_*`` — model load plus one warm-up run (cat parse,
-  check-plan compile, bytecode lowering, cache priming);
+  IR compile, bytecode lowering, cache priming);
 * ``seconds_solve_*`` — best of ``SOLVE_ROUNDS`` steady-state runs, which
   is what ``speedup`` compares.
 
@@ -44,7 +45,7 @@ import time
 from pathlib import Path
 
 from repro.cat import load_model
-from repro.herd import run_litmus, verdicts
+from repro.herd import run_litmus, run_litmus_many, verdicts
 from repro.kernel import config as kconfig
 from repro.kernel.bitrel import _popcount, _popcount_fallback
 from repro.litmus import library
@@ -73,16 +74,6 @@ MAX_GUARD_OVERHEAD = 0.03
 SOLVE_ROUNDS = 5
 
 
-def _reference():
-    return (
-        kconfig.use_backend(kconfig.FROZENSET),
-        kconfig.use_incremental(False),
-        kconfig.use_check_plan(False),
-        kconfig.use_vm(False),
-        kconfig.use_static_verdict(False),
-    )
-
-
 def _measure(setup, run):
     """``(setup_result, seconds_setup, run_result, seconds_solve)``.
 
@@ -105,16 +96,11 @@ def _measure(setup, run):
 
 
 def _both_configs(setup, run):
-    """Run one workload under the kernel and the reference configuration."""
-    _, setup_fast, fast, solve_fast = _measure(setup, run)
-    contexts = _reference()
-    try:
-        for ctx in contexts:
-            ctx.__enter__()
+    """Run one workload in production and under the oracle."""
+    with kconfig.use_oracle(False):
+        _, setup_fast, fast, solve_fast = _measure(setup, run)
+    with kconfig.use_oracle():
         _, setup_ref, reference, solve_ref = _measure(setup, run)
-    finally:
-        for ctx in reversed(contexts):
-            ctx.__exit__(None, None, None)
     return (fast, setup_fast, solve_fast), (reference, setup_ref, solve_ref)
 
 
@@ -226,9 +212,29 @@ def _isa2_chain(threads):
 CHAIN_SIZES = (3, 4, 5, 6)
 
 
+def _enumerated_table(models, programs):
+    """The verdict table by enumeration alone, with the early exit and
+    verdict-only skipping that :func:`repro.herd.verdicts` defaults to."""
+    table = {}
+    for program in programs:
+        results = run_litmus_many(
+            models,
+            program,
+            require_sc_per_location=True,
+            stop_when_decided=True,
+            verdict_only=True,
+        )
+        table[program.name] = {
+            name: result.verdict for name, result in results.items()
+        }
+    return table
+
+
 def _run_static_prepass():
-    """The symbolic pre-pass isolated: every other kernel layer fixed at
-    its default, static verdicts on vs off.
+    """The symbolic pre-pass isolated on the production kernel:
+    :func:`repro.herd.verdicts` (pre-pass, then enumeration) against
+    :func:`repro.herd.run_litmus_many` (enumeration only, same early
+    exit), which never consults the prover.
 
     The timed workload is the ISA2 fence-chain family, where the
     asymmetry the pre-pass exploits is structural: enumeration must
@@ -241,17 +247,22 @@ def _run_static_prepass():
 
     programs = [_isa2_chain(n) for n in CHAIN_SIZES]
 
-    def setup():
-        models = [load_model("lkmm")]
-        verdicts(models, programs, require_sc_per_location=True)
-        return models
-
     def run(models):
         return verdicts(models, programs, require_sc_per_location=True)
 
-    _, setup_on, fast, solve_on = _measure(setup, run)
-    with kconfig.use_static_verdict(False):
-        _, setup_off, plain, solve_off = _measure(setup, run)
+    def run_plain(models):
+        return _enumerated_table(models, programs)
+
+    def warmed(runner):
+        def setup():
+            models = [load_model("lkmm")]
+            runner(models)
+            return models
+
+        return setup
+
+    _, setup_on, fast, solve_on = _measure(warmed(run), run)
+    _, setup_off, plain, solve_off = _measure(warmed(run_plain), run_plain)
     assert fast == plain  # the pre-pass is observationally invisible
     assert all(
         fast[program.name]["LKMM"] == "Forbid" for program in programs
@@ -264,11 +275,7 @@ def _run_static_prepass():
         )
     decided = collector.counters.get("static.decided", 0)
     assert decided > 0, "the pre-pass decided nothing on the library"
-    with kconfig.use_static_verdict(False):
-        off_table = verdicts(
-            [load_model("lkmm")], library_programs,
-            require_sc_per_location=True,
-        )
+    off_table = _enumerated_table([load_model("lkmm")], library_programs)
     assert on_table == off_table
     return {
         "test": (
@@ -481,7 +488,7 @@ def test_kernel_speedup(benchmark):
 
     RESULT_FILE.write_text(json.dumps(rows, indent=2) + "\n")
     print_table(
-        "Execution kernel vs reference backend",
+        "Execution kernel vs the oracle",
         [
             "test",
             "candidates",

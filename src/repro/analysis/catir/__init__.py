@@ -8,9 +8,10 @@ hash-consed relational IR and builds three things on top of it:
   ``repro-lint`` reports alongside the surface lint;
 * :mod:`repro.analysis.catir.diff` — structural model-to-model
   comparison (``repro-lint --diff-models``);
-* :mod:`repro.analysis.catir.plan` — the compiled check plan that
-  :class:`repro.cat.eval.CatModel` executes by default
-  (``REPRO_CHECK_PLAN=0`` restores the statement-walking interpreter).
+* :mod:`repro.analysis.catir.plan` — the lowering to the bytecode VM
+  (:mod:`repro.kernel.vm`) that :class:`repro.cat.eval.CatModel`
+  executes in production (``REPRO_ORACLE=1`` selects the statement
+  walker instead).
 
 Module map: :mod:`~repro.analysis.catir.ir` (interned nodes and smart
 constructors), :mod:`~repro.analysis.catir.facts` (ground truths about

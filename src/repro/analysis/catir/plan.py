@@ -1,293 +1,28 @@
-"""The check plan: executing a compiled model over candidate executions.
+"""Lowering a compiled cat model to the relational bytecode of the VM.
 
-A :class:`CheckPlan` is the constant-folded, CSE'd execution front end for
-:class:`repro.cat.eval.CatModel` (ROADMAP item 5).  Compilation has
-already inlined every non-recursive ``let`` and function application and
-*interned* the result, so the roots of all checks form one shared
-subexpression DAG: a node like ``po-loc`` that five checks mention is a
-single object, evaluated once per candidate — and, when it cannot depend
-on the execution witness (``rf``/``co``), once per *trace skeleton* via
-:meth:`CandidateExecution.shared_memo`, exactly like the interpreter's
-invariance analysis but at sub-expression rather than ``let`` granularity.
-
-Evaluation is demand-driven over the DAG (the schedule is the implicit
-postorder of the lazy walk; :attr:`CheckPlan.schedule` exposes the
-explicit order for inspection and tests).  Recursive groups are solved as
-simultaneous least fixpoints with the same Gauss–Seidel iteration as the
-interpreter; while a group is in flux, nodes that read it are memoised
-per iteration only.
-
-Verdict equivalence with the interpreter is by construction — both paths
-funnel every check through :func:`repro.cat.eval.check_axiom` with the
-same axiom label — and is pinned by the golden snapshot under
-``REPRO_CHECK_PLAN`` in both settings.
+Compilation (:mod:`repro.analysis.catir.compile`) has already inlined
+every non-recursive ``let`` and function application and *interned* the
+result, so the roots of all checks form one shared subexpression DAG: a
+node like ``po-loc`` that five checks mention is a single object.
+:func:`lower_plan` turns that DAG into a :class:`repro.kernel.vm.VMProgram`
+once per model; :class:`repro.cat.eval.CatModel` then runs every
+candidate through :func:`repro.kernel.vm.run_checks`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.cat.eval import (
-    CatError,
-    builtin_environment,
-    check_axiom,
-)
-from repro.executions.candidate import CandidateExecution
-from repro.kernel import config as _config
+from repro.cat.eval import CatError
 from repro.kernel import vm as _vm
-from repro.model import AxiomViolation
-from repro.obs import core as _obs
-from repro.relations import EventSet, Relation
 
 from repro.analysis.catir import ir
-from repro.analysis.catir.compile import CompiledCheck, CompiledModel
+from repro.analysis.catir.compile import CompiledModel
 
-#: Process-unique plan tokens for shared-memo keys (mirrors eval's
-#: _MODEL_TOKENS; id() is unsafe because it is recyclable).
-_PLAN_TOKENS = itertools.count()
-
-
-class CheckPlan:
-    """An executable plan for one compiled model."""
-
-    def __init__(self, compiled: CompiledModel):
-        self.compiled = compiled
-        self.name = compiled.name
-        self.token = next(_PLAN_TOKENS)
-        #: Postorder over the union of all check-root DAGs (rec bodies
-        #: walked once per group).  Shared nodes appear exactly once —
-        #: the CSE the interning bought us, made visible.
-        self.schedule: List[ir.Node] = []
-        #: node -> stable position in the schedule (shared-memo key part).
-        self.index: Dict[ir.Node, int] = {}
-        seen_groups = set()
-        stack: List[Tuple[ir.Node, bool]] = []
-
-        def walk(root: ir.Node) -> None:
-            stack.append((root, False))
-            while stack:
-                node, expanded = stack.pop()
-                if node in self.index:
-                    continue
-                if expanded:
-                    if node not in self.index:
-                        self.index[node] = len(self.schedule)
-                        self.schedule.append(node)
-                    continue
-                stack.append((node, True))
-                if node.kind == "rec":
-                    # Bodies scheduled after the rec node: the fixpoint
-                    # starts each binding at the empty relation, so a rec
-                    # reference is well-defined before its bodies.
-                    if node.group_id not in seen_groups:
-                        seen_groups.add(node.group_id)
-                        for body in ir.group_of(node).bodies:
-                            stack.append((body, False))
-                else:
-                    for op in reversed(node.operands):
-                        stack.append((op, False))
-
-        for check in compiled.checks:
-            walk(check.root)
-        self.checks: Tuple[CompiledCheck, ...] = compiled.checks
-        #: Lazily lowered relational bytecode (repro.kernel.vm); ``None``
-        #: after a failed attempt means "not lowerable, use the evaluator".
-        self._vm_program = None
-        self._vm_tried = False
-
-    def vm_program(self):
-        """The plan lowered to a :class:`repro.kernel.vm.VMProgram`, or
-        ``None`` when some construct cannot be lowered (the demand-driven
-        evaluator remains the executable specification)."""
-        if not self._vm_tried:
-            self._vm_tried = True
-            try:
-                self._vm_program = lower_plan(self)
-            except CatError:
-                self._vm_program = None
-        return self._vm_program
-
-    def run(
-        self, execution: CandidateExecution, model_name: str
-    ) -> Tuple[List[AxiomViolation], List[AxiomViolation]]:
-        """Evaluate every check; returns ``(violations, flags)`` with the
-        exact axiom labels and witnesses the interpreter would produce."""
-        if _config.vm_enabled() and _config.use_bitset():
-            program = self.vm_program()
-            if program is not None:
-                outcome = _vm.run_checks(program, execution, model_name)
-                if outcome is not None:
-                    return outcome
-        evaluator = _PlanEvaluator(self, execution)
-        violations: List[AxiomViolation] = []
-        flags: List[AxiomViolation] = []
-        for check in self.checks:
-            if check.root.varying:
-                violation = self._run_check(
-                    check, evaluator, model_name
-                )
-            else:
-                violation = execution.shared_memo(
-                    ("catir", self.token, "check", check.index),
-                    lambda c=check: self._run_check(
-                        c, evaluator, model_name
-                    ),
-                )
-            if violation is not None:
-                (flags if check.flag else violations).append(violation)
-        return violations, flags
-
-    def _run_check(
-        self,
-        check: CompiledCheck,
-        evaluator: "_PlanEvaluator",
-        model_name: str,
-    ) -> Optional[AxiomViolation]:
-        with _obs.span(f"cat.check.{model_name}.{check.label}"):
-            value = evaluator.eval(check.root)
-            return check_axiom(
-                check.kind, check.label, check.negated, value
-            )
-
-
-class _PlanEvaluator:
-    """Demand-driven evaluation of the interned DAG for one execution."""
-
-    def __init__(self, plan: CheckPlan, execution: CandidateExecution):
-        self.plan = plan
-        self.x = execution
-        self.universe = execution.universe
-        self.env = builtin_environment(execution)
-        #: node -> value, for nodes outside any in-flux rec group.
-        self.values: Dict[ir.Node, object] = {}
-        #: rec node -> settled fixpoint value.
-        self.solutions: Dict[ir.Node, Relation] = {}
-        #: rec node -> current approximation (during solving only).
-        self.current: Dict[ir.Node, Relation] = {}
-        self.solving: frozenset = frozenset()
-        self.iter_memo: Dict[ir.Node, object] = {}
-
-    def eval(self, node: ir.Node):
-        if node.kind == "rec":
-            value = self.solutions.get(node)
-            if value is not None:
-                return value
-            value = self.current.get(node)
-            if value is not None:
-                return value
-            self._solve(ir.group_of(node))
-            return self.solutions[node]
-        if self.solving and (node.rec_ids & self.solving):
-            # Depends on a group still being iterated: cache only within
-            # the current Gauss-Seidel sweep.
-            memo = self.iter_memo
-        else:
-            memo = self.values
-        if node in memo:
-            return memo[node]
-        if not node.varying:
-            value = self.x.shared_memo(
-                ("catir", self.plan.token, self.plan.index[node]),
-                lambda: self._compute(node),
-            )
-        else:
-            value = self._compute(node)
-        memo[node] = value
-        return value
-
-    def _solve(self, group: ir.RecGroup) -> None:
-        empty = Relation((), self.universe)
-        for rec_node in group.rec_nodes:
-            self.current[rec_node] = empty
-        outer = self.solving
-        self.solving = outer | {group.gid}
-        try:
-            changed = True
-            while changed:
-                changed = False
-                self.iter_memo = {}
-                for rec_node, body in zip(group.rec_nodes, group.bodies):
-                    new = self.eval(body)
-                    if not isinstance(new, Relation):
-                        new = self._as_relation(new)
-                    if new != self.current[rec_node]:
-                        self.current[rec_node] = new
-                        changed = True
-        finally:
-            self.solving = outer
-            self.iter_memo = {}
-        for rec_node in group.rec_nodes:
-            self.solutions[rec_node] = self.current.pop(rec_node)
-
-    @staticmethod
-    def _as_relation(value):
-        if isinstance(value, EventSet):
-            return value.identity()
-        return value
-
-    def _compute(self, node: ir.Node):
-        kind = node.kind
-        if kind == "base":
-            try:
-                return self.env[node.name]
-            except KeyError:  # pragma: no cover - compiler validates names
-                raise CatError(
-                    f"unbound identifier {node.name!r}"
-                ) from None
-        if kind == "empty":
-            if node.sort == ir.SET:
-                return EventSet((), self.universe)
-            return Relation((), self.universe)
-        ops = [self.eval(op) for op in node.operands]
-        if kind == "union":
-            out = ops[0]
-            for value in ops[1:]:
-                out = out | value
-            return out
-        if kind == "inter":
-            out = ops[0]
-            for value in ops[1:]:
-                out = out & value
-            return out
-        if kind == "diff":
-            return ops[0] - ops[1]
-        if kind == "seq":
-            out = ops[0]
-            for value in ops[1:]:
-                out = out.sequence(value)
-            return out
-        if kind == "cartesian":
-            return ops[0].product(ops[1])
-        if kind == "compl":
-            return ops[0].complement()
-        if kind == "inverse":
-            return ops[0].inverse()
-        if kind == "opt":
-            return ops[0].optional()
-        if kind == "plus":
-            return ops[0].transitive_closure()
-        if kind == "star":
-            return ops[0].reflexive_transitive_closure()
-        if kind == "setid":
-            return ops[0].identity()
-        if kind == "domain":
-            return ops[0].domain()
-        if kind == "range":
-            return ops[0].range()
-        if kind == "fencerel":
-            # Same definition as the interpreter: events separated in po
-            # by a fence from the given set.
-            fence_set = ops[0]
-            before = self.x.po.restrict(range_=fence_set)
-            after = self.x.po.restrict(domain=fence_set)
-            return before.sequence(after)
-        raise CatError(
-            f"check plan cannot evaluate node kind {kind!r}"
-        )  # pragma: no cover
-
-
-# -- bytecode lowering ---------------------------------------------------
+#: Process-unique program tokens (the VM's prelude-cache key; id() is
+#: unsafe because it is recyclable).
+_PROGRAM_TOKENS = itertools.count()
 
 #: node kind -> (relation opcode, set opcode) for the sort-polymorphic
 #: binary operators.
@@ -308,18 +43,18 @@ _UNARY_OPS = {
 }
 
 
-def lower_plan(plan: CheckPlan) -> "_vm.VMProgram":
-    """Lower a check plan to relational bytecode.
+def lower_plan(compiled: CompiledModel) -> "_vm.VMProgram":
+    """Lower a compiled model to relational bytecode.
 
     Register allocation is by node identity over the interned DAG, so the
-    CSE the plan already has carries over: a shared node is computed by
+    CSE that interning bought carries over: a shared node is computed by
     exactly one instruction.  Instructions split into the trace-invariant
     *prelude* (``node.varying`` false — runs once per skeleton) and the
     per-candidate *main* stream; nodes inside an in-flux ``let rec`` group
     go to that group's :data:`~repro.kernel.vm.FIXPOINT` segment instead,
-    preserving the evaluator's Gauss–Seidel sweep semantics (a node shared
-    by two bodies lands in the segment of the first body that needs it,
-    exactly like the per-sweep ``iter_memo``).
+    re-run on every Gauss–Seidel sweep (a node shared by two bodies lands
+    in the segment of the first body that needs it, computed once per
+    sweep).  Raises :class:`CatError` for a construct it cannot lower.
     """
     names: Dict[str, int] = {}
     registers: Dict[ir.Node, int] = {}
@@ -389,8 +124,8 @@ def lower_plan(plan: CheckPlan) -> "_vm.VMProgram":
             )
             stream.append((opcode, register, operand_regs[0], 0))
         elif kind == "fencerel":
-            # The evaluator composes po restricted to the fence set; give
-            # the fused opcode its po operand explicitly.
+            # fencerel(S) composes po restricted to S; give the fused
+            # opcode its po operand explicitly.
             po_register = visit(ir.base("po", ir.REL))
             stream.append(
                 (_vm.FENCEREL, register, po_register, operand_regs[0])
@@ -441,7 +176,7 @@ def lower_plan(plan: CheckPlan) -> "_vm.VMProgram":
         stream.append((_vm.FIXPOINT, 0, tuple(segments), 0))
 
     checks = []
-    for check in plan.checks:
+    for check in compiled.checks:
         register = visit(check.root)
         checks.append(
             _vm.VMCheck(
@@ -456,8 +191,8 @@ def lower_plan(plan: CheckPlan) -> "_vm.VMProgram":
         )
 
     return _vm.VMProgram(
-        plan.token,
-        plan.name,
+        next(_PROGRAM_TOKENS),
+        compiled.name,
         tuple(names),
         tuple(prelude),
         tuple(main),
@@ -465,7 +200,3 @@ def lower_plan(plan: CheckPlan) -> "_vm.VMProgram":
         next(counter),
     )
 
-
-def build_plan(compiled: CompiledModel) -> CheckPlan:
-    """Compile a :class:`CompiledModel` into an executable plan."""
-    return CheckPlan(compiled)

@@ -13,8 +13,9 @@ The pipeline (ISSUE: symbolic static analysis over the relational IR):
 
 Everything is sound by construction: Forbid is a proof over every
 condition-satisfying execution, Allow is a kernel-confirmed witness,
-and anything else falls back to full enumeration.  The pre-pass is
-gated by ``REPRO_STATIC_VERDICT`` (:mod:`repro.kernel.config`).
+and anything else falls back to full enumeration.  The pre-pass runs
+in production and is skipped by the oracle configuration
+(``REPRO_ORACLE=1``, :mod:`repro.kernel.config`).
 """
 
 from repro.analysis.symbolic.footprint import (

@@ -34,6 +34,7 @@ from repro.executions.candidate import CandidateExecution
 from repro.executions.derived import crit_relation
 from repro.guard import core as _guard
 from repro.kernel import config as _config
+from repro.kernel import vm as _vm
 from repro.model import AxiomViolation, Model, ModelResult
 from repro.obs import core as _obs
 from repro.relations import EventSet, Relation
@@ -228,12 +229,12 @@ def check_axiom(
 ) -> Optional[AxiomViolation]:
     """Verdict for one check over an already-evaluated value.
 
-    Shared by the statement-walking interpreter and the compiled check
-    plan (:mod:`repro.analysis.catir.plan`), so the two paths cannot
-    diverge on witness construction or negation handling.  ``empty`` on
-    an event set keeps set semantics (each stray event is its own
-    ``(e, e)`` witness); ``acyclic``/``irreflexive`` coerce a set to its
-    identity relation first, as herd does.
+    Shared by the statement walker and the bytecode VM
+    (:mod:`repro.kernel.vm`), so the two paths cannot diverge on witness
+    construction or negation handling.  ``empty`` on an event set keeps
+    set semantics (each stray event is its own ``(e, e)`` witness);
+    ``acyclic``/``irreflexive`` coerce a set to its identity relation
+    first, as herd does.
     """
     if kind == "empty":
         if isinstance(value, EventSet):
@@ -390,18 +391,19 @@ class CatModel(Model):
         self._token = next(_MODEL_TOKENS)
         self._flat: Optional[List] = None
         self._invariance: Optional[List] = None
-        #: Lazily built compiled check plan (None = unavailable); see
-        #: :meth:`_check_plan`.
-        self._plan = None
-        self._plan_tried = False
+        #: Lazily lowered VM bytecode (None = does not lower); see
+        #: :meth:`_vm_program`.
+        self._program = None
+        self._program_tried = False
 
     def __getstate__(self):
-        # Plans hold process-global interned IR nodes whose identity-based
-        # sharing must not cross a pickle boundary (parallel shard
-        # workers); each process rebuilds its own plan on first check.
+        # A program's token keys per-skeleton VM state and is unique only
+        # within its process, so it must not cross a pickle boundary
+        # (parallel shard workers); each process lowers its own program
+        # on first check.
         state = self.__dict__.copy()
-        state["_plan"] = None
-        state["_plan_tried"] = False
+        state["_program"] = None
+        state["_program_tried"] = False
         return state
 
     @classmethod
@@ -437,11 +439,29 @@ class CatModel(Model):
     def check(self, execution: CandidateExecution) -> ModelResult:
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one per-candidate model check
-        if _config.check_plan_enabled():
-            plan = self._check_plan()
-            if plan is not None:
-                violations, flags = plan.run(execution, self.name)
-                return self._result(violations, flags)
+        if not _config.oracle():
+            program = self._vm_program()
+            if program is None:
+                reason = "unlowerable"
+            else:
+                try:
+                    violations, flags = _vm.run_checks(
+                        program, execution, self.name
+                    )
+                except _vm.Unavailable:
+                    reason = "unavailable"
+                else:
+                    return self._result(violations, flags)
+            if _obs.ENABLED:
+                _obs.count(f"cat.fallback.{reason}")
+        return self._walk(execution)
+
+    def _walk(self, execution: CandidateExecution) -> ModelResult:
+        """The statement walker: evaluate the cat text top to bottom.
+
+        This is the oracle, and the production fallback for a model that
+        does not lower to bytecode or an execution the VM cannot index.
+        """
         evaluator = _Evaluator(execution)
         env = builtin_environment(execution)
         violations: List[AxiomViolation] = []
@@ -478,23 +498,24 @@ class CatModel(Model):
         result.flags = flags  # informational, does not affect the verdict
         return result
 
-    def _check_plan(self):
-        """The compiled check plan, or None when the model does not
-        compile.  A compile failure is not an error here: the interpreter
+    def _vm_program(self):
+        """The model lowered to VM bytecode, or None when it does not
+        lower.  A compile failure is not an error here: the walker
         evaluates all value bindings eagerly, so its first ``check()``
         raises the equivalent :class:`CatError` — falling back keeps the
         two paths observably identical."""
-        if not self._plan_tried:
-            self._plan_tried = True
+        if not self._program_tried:
+            self._program_tried = True
             from repro.analysis.catir.compile import compile_statements
-            from repro.analysis.catir.plan import build_plan
+            from repro.analysis.catir.plan import lower_plan
 
             try:
-                compiled = compile_statements(self._flattened(), self.name)
-                self._plan = build_plan(compiled)
+                self._program = lower_plan(
+                    compile_statements(self._flattened(), self.name)
+                )
             except CatError:
-                self._plan = None
-        return self._plan
+                self._program = None
+        return self._program
 
     def _bind(
         self,

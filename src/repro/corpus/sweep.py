@@ -32,7 +32,6 @@ from repro.corpus.generate import CorpusTest
 from repro.guard import Budget, SweepJournal, guard
 from repro.hardware import CompileError, compile_program, get_arch
 from repro.herd import INCONCLUSIVE, verdict_row
-from repro.kernel import config as _config
 from repro.litmus.parser import parse_litmus
 from repro.obs import core as _obs
 
@@ -94,18 +93,16 @@ def sweep_row(
     safepoint rather than blowing the row's time allowance.
     """
     sweep_kwargs = dict(
-        keep_states=False,
-        stop_when_decided=_config.vm_enabled(),
-        verdict_only=_config.vm_enabled(),
+        keep_states=False, stop_when_decided=True, verdict_only=True
     )
     direct = [spec for spec in specs if spec.arch is None]
     compiled = [spec for spec in specs if spec.arch is not None]
     row: Dict[str, str] = {}
 
     def _judge() -> None:
-        # verdict_row runs the symbolic pre-pass per model (gated on
-        # REPRO_STATIC_VERDICT); statically decided columns skip their
-        # candidate enumeration entirely.
+        # verdict_row runs the symbolic pre-pass per model (production
+        # only); statically decided columns skip their candidate
+        # enumeration entirely.
         if direct:
             row.update(
                 verdict_row(

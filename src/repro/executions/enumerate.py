@@ -18,8 +18,8 @@ pruned, which also discards the spurious values the fixpoint of step 1 may
 over-approximate.
 
 Two performance mechanisms (both from :mod:`repro.kernel`, both
-behaviour-preserving, both on by default — ``REPRO_INCREMENTAL=0``
-restores the naive path):
+behaviour-preserving, both off in the oracle configuration —
+``REPRO_ORACLE=1`` restores the naive enumerate-then-filter path):
 
 * the trace-invariant structure of step 3 — events, base relations, and
   everything derivable from them — is computed once per trace combination
@@ -222,7 +222,7 @@ def _executions_of_traces(
         for location in locations
     ]
 
-    incremental = _config.incremental_enabled()
+    incremental = not _config.oracle()
     shared: Optional[TraceSkeleton] = None
     if incremental:
         shared = TraceSkeleton(universe)

@@ -272,17 +272,18 @@ def verdict_row(
 ) -> Dict[str, str]:
     """One verdict-table row, with the symbolic pre-pass.
 
-    When ``REPRO_STATIC_VERDICT`` is on, each model first consults the
-    critical-cycle prover (:func:`repro.analysis.symbolic.
-    static_verdict`); statically decided cells skip enumeration
-    entirely, and the remaining models share a single candidate sweep.
-    The pre-pass is sound — a static Forbid is a proof, a static Allow a
-    kernel-confirmed witness — so the row is identical either way (see
+    In production each model first consults the critical-cycle prover
+    (:func:`repro.analysis.symbolic.static_verdict`); statically decided
+    cells skip enumeration entirely, and the remaining models share a
+    single candidate sweep.  The oracle configuration (``REPRO_ORACLE=1``)
+    skips the pre-pass and enumerates every cell.  The pre-pass is sound —
+    a static Forbid is a proof, a static Allow a kernel-confirmed
+    witness — so the row is identical either way (see
     ``tests/test_static_verdicts.py``).
     """
     row: Dict[str, str] = {}
     pending = list(models)
-    if _config.static_verdict_enabled():
+    if not _config.oracle():
         from repro.analysis.symbolic import static_verdict
 
         pending = []
@@ -315,42 +316,49 @@ def verdicts(
     """Verdict table: ``{test name: {model name: Allow/Forbid}}``.
 
     Each program is enumerated once, for all models together.  ``jobs > 1``
-    distributes whole programs over that many worker processes.
+    distributes whole programs over that many worker processes
+    (:func:`repro.kernel.parallel.verdicts_parallel`); this function owns
+    the driver policy for both paths, so they scan the same candidate
+    prefixes and their merged counters agree (``tests/test_obs.py``).
 
-    Only verdicts are exposed, so the candidate sweep early-exits once
-    every verdict is final (first witness for ``exists`` tests) and the
-    model check is skipped for candidates that cannot influence the
-    verdict (``verdict_only``) — part of the kernel-v2 batching, hence
-    gated on ``REPRO_KERNEL_VM`` so the opt-out lane reproduces the
-    exhaustive scan.  The defaults are resolved *here*, before the
-    serial/parallel split, keeping both paths (and their observability
-    counters) identical.
+    Only verdicts are exposed, so by default the candidate sweep
+    early-exits once every verdict is final (``stop_when_decided``:
+    first witness for ``exists`` tests) and the model check is skipped
+    for candidates that cannot influence the verdict (``verdict_only``).
 
     ``journal`` checkpoints each completed row as it lands
     (:class:`repro.guard.SweepJournal`): programs already journaled are
     skipped, so an interrupted sweep resumes instead of restarting.
     ``Inconclusive`` rows are reported but never journaled — they reflect
-    the budget, not the test.
+    the budget, not the test.  The table keeps the input program order.
     """
-    kwargs.setdefault("stop_when_decided", _config.vm_enabled())
-    kwargs.setdefault("verdict_only", _config.vm_enabled())
-    if jobs > 1 and len(programs) > 1:
+    kwargs.setdefault("stop_when_decided", True)
+    kwargs.setdefault("verdict_only", True)
+    table: Dict[str, Dict[str, str]] = {}
+    pending: List[Program] = []
+    for program in programs:
+        done = journal.completed(program.name) if journal is not None else None
+        if done is not None:
+            if _obs.ENABLED:
+                _obs.count("guard.journal_skips")
+            table[program.name] = done
+        else:
+            pending.append(program)
+
+    def land(name: str, row: Dict[str, str]) -> None:
+        table[name] = row
+        if journal is not None and INCONCLUSIVE not in row.values():
+            journal.record(name, row)
+
+    if jobs > 1 and len(pending) > 1:
         from repro.kernel.parallel import verdicts_parallel
 
-        return verdicts_parallel(
-            models, programs, jobs, journal=journal, **kwargs
-        )
-    table: Dict[str, Dict[str, str]] = {}
-    for program in programs:
-        if journal is not None:
-            done = journal.completed(program.name)
-            if done is not None:
-                if _obs.ENABLED:
-                    _obs.count("guard.journal_skips")
-                table[program.name] = done
-                continue
-        row = verdict_row(models, program, **kwargs)
-        table[program.name] = row
-        if journal is not None and INCONCLUSIVE not in row.values():
-            journal.record(program.name, row)
-    return table
+        verdicts_parallel(models, pending, jobs, land, **kwargs)
+    else:
+        for program in pending:
+            land(program.name, verdict_row(models, program, **kwargs))
+    return {
+        program.name: table[program.name]
+        for program in programs
+        if program.name in table
+    }

@@ -9,50 +9,25 @@ A performance layer under the public ``Relation``/``EventSet``/
 * :mod:`repro.kernel.skeleton` — per-trace incremental checking: the
   trace-invariant structure of candidate executions, computed once per
   trace combination and shared across all rf×co candidates;
-* :mod:`repro.kernel.vm` — the relational bytecode VM: each compiled
-  check plan is lowered once to a flat instruction array over numbered
+* :mod:`repro.kernel.vm` — the relational bytecode VM: each compiled cat
+  model is lowered once to a flat instruction array over numbered
   registers of raw bitset values; trace-invariant registers are computed
-  once per skeleton and shared by reference across rf×co siblings
-  (``REPRO_KERNEL_VM=1|0``, default on);
+  once per skeleton and shared by reference across rf×co siblings;
 * :mod:`repro.kernel.parallel` — a ``multiprocessing`` driver sharding
   trace combinations (and whole programs) over a worker pool, surfaced as
   ``--jobs N`` on the CLIs and ``jobs=N`` on the ``run_litmus``/
   ``verdicts`` APIs; pools persist across programs so spawn and model
   compile costs amortise over a library sweep;
-* :mod:`repro.kernel.config` — backend selection
-  (``REPRO_RELATION_BACKEND=bitset|frozenset``, default ``bitset``) and
-  the incremental/plan/VM switches (``REPRO_INCREMENTAL``,
-  ``REPRO_CHECK_PLAN``, ``REPRO_KERNEL_VM``).
+* :mod:`repro.kernel.config` — the one switch, ``REPRO_ORACLE``: unset,
+  the kernel runs production (all of the above plus the symbolic
+  pre-pass); set, it runs the oracle (frozenset relations, naive
+  enumerate-then-filter, the statement-walking cat evaluator, no
+  pre-pass).
 
-The original frozenset implementation is retained as the reference
-backend; ``tests/test_kernel_equiv.py`` asserts observational equivalence
-between every backend/driver combination.
+``tests/test_kernel_equiv.py`` asserts that production and the oracle
+are observationally equivalent.
 """
 
-from repro.kernel.config import (
-    BITSET,
-    FROZENSET,
-    backend,
-    incremental_enabled,
-    set_backend,
-    set_incremental,
-    set_vm,
-    use_backend,
-    use_incremental,
-    use_vm,
-    vm_enabled,
-)
+from repro.kernel.config import oracle, set_oracle, use_oracle
 
-__all__ = [
-    "BITSET",
-    "FROZENSET",
-    "backend",
-    "incremental_enabled",
-    "set_backend",
-    "set_incremental",
-    "set_vm",
-    "use_backend",
-    "use_incremental",
-    "use_vm",
-    "vm_enabled",
-]
+__all__ = ["oracle", "set_oracle", "use_oracle"]

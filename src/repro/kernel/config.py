@@ -1,52 +1,28 @@
-"""Runtime configuration of the execution kernel.
+"""Runtime configuration of the execution kernel: one switch.
 
-Two independent switches, each settable via environment variable or
-programmatically (context managers, used by the equivalence tests and the
-benchmark harness):
+The kernel runs in exactly one of two configurations:
 
-* ``REPRO_RELATION_BACKEND`` — ``bitset`` (default) selects the
-  integer-indexed adjacency-bitset representation of
-  :class:`repro.relations.Relation`; ``frozenset`` selects the original
-  pure-Python frozenset-of-pairs reference implementation.
-* ``REPRO_INCREMENTAL`` — ``1`` (default) enables per-trace incremental
-  checking: the trace-invariant structure of a candidate execution is
-  computed once per trace combination and shared across all rf×co
-  candidates, and coherence-order permutations are pruned incrementally
-  against ``acyclic(po-loc | com)``.  ``0`` restores the original
-  behaviour (everything recomputed per candidate, complete candidates
-  filtered after construction).
-* ``REPRO_CHECK_PLAN`` — ``1`` (default) lets :class:`repro.cat.eval.
-  CatModel` execute checks through the compiled check plan of
-  :mod:`repro.analysis.catir.plan` (shared-subexpression DAG, invariant
-  sub-expressions memoised on the trace skeleton).  ``0`` forces the
-  original statement-walking interpreter.  Models that the plan compiler
-  cannot handle fall back to the interpreter automatically either way.
-* ``REPRO_KERNEL_VM`` — ``1`` (default) lowers each check plan to the
-  relational bytecode of :mod:`repro.kernel.vm` and executes candidates
-  through the register VM (trace-invariant registers computed once per
-  skeleton, word-packed bitset values, no per-node memo dictionaries);
-  it also arms the batched drivers (``verdicts`` early-exit, persistent
-  worker pools).  ``0`` restores the demand-driven plan evaluator and
-  the exhaustive drivers exactly as they behaved before the VM existed.
-  The VM needs the ``bitset`` backend; under ``frozenset`` it falls back
-  to the plan evaluator per execution.
-* ``REPRO_STATIC_VERDICT`` — ``1`` (default) lets the batched drivers
-  (:func:`repro.herd.verdicts`, the corpus sweep) consult the symbolic
-  critical-cycle prover of :mod:`repro.analysis.symbolic` before
-  enumerating candidate executions; statically decided (model, test)
-  cells skip enumeration entirely.  ``0`` disables the pre-pass, making
-  every verdict go through full enumeration again.
+* **production** (the default) — bitset relations
+  (:mod:`repro.kernel.bitrel`), incremental per-trace checking with
+  coherence pruning (:mod:`repro.kernel.skeleton`), cat checks executed
+  by the relational bytecode VM (:mod:`repro.kernel.vm`), and the
+  symbolic critical-cycle pre-pass in :func:`repro.herd.verdict_row`;
+* **oracle** (``REPRO_ORACLE=1``, or :func:`use_oracle`) — the small
+  reference path: frozenset-of-pairs relations, naive
+  enumerate-then-filter, the statement-walking cat evaluator of
+  :mod:`repro.cat.eval`, and no pre-pass.
+
+The oracle is the executable specification of production: verdicts,
+witness counts and final-state sets are identical under both (see
+``tests/test_kernel_equiv.py`` and the oracle CI lane, which runs the
+whole tier-1 suite with ``REPRO_ORACLE=1``).
 
 The environment is re-read on every query (with a last-value parse cache,
 so the hot :class:`~repro.relations.Relation` constructor pays one dict
-lookup and one comparison): tests can toggle backends per-case with
-``monkeypatch.setenv`` and no subprocess.  Programmatic settings
-(:func:`set_backend` / the context managers) are process-local *overrides*
+lookup and one comparison): tests can toggle the configuration per case
+with ``monkeypatch.setenv`` and no subprocess.  Programmatic settings
+(:func:`set_oracle` / :func:`use_oracle`) are process-local *overrides*
 that take precedence over the environment until cleared.
-
-Both switches are observational no-ops: verdicts, witness counts and
-final-state sets are identical under every combination (see
-``tests/test_kernel_equiv.py``).
 """
 
 from __future__ import annotations
@@ -55,204 +31,45 @@ import os
 from contextlib import contextmanager
 from typing import Optional
 
-BITSET = "bitset"
-FROZENSET = "frozenset"
+_FALSY = ("", "0", "false", "no", "off")
 
-_BACKENDS = (BITSET, FROZENSET)
+#: Programmatic override; ``None`` means "defer to the environment".
+_override: Optional[bool] = None
 
-_FALSY = ("0", "false", "no", "off")
-
-#: Programmatic overrides; ``None`` means "defer to the environment".
-_backend_override: Optional[str] = None
-_incremental_override: Optional[bool] = None
-_check_plan_override: Optional[bool] = None
-_vm_override: Optional[bool] = None
-_static_verdict_override: Optional[bool] = None
-
-#: Last-raw-value parse caches: (raw env string or None, parsed value).
-_backend_env_cache = ("\0unset", BITSET)
-_incremental_env_cache = ("\0unset", True)
-_check_plan_env_cache = ("\0unset", True)
-_vm_env_cache = ("\0unset", True)
-_static_verdict_env_cache = ("\0unset", True)
+#: Last-raw-value parse cache: (raw env string or None, parsed value).
+_env_cache = ("\0unset", False)
 
 
-def _env_backend() -> str:
-    global _backend_env_cache
-    raw = os.environ.get("REPRO_RELATION_BACKEND")
-    cached_raw, cached_value = _backend_env_cache
+def _env_oracle() -> bool:
+    global _env_cache
+    raw = os.environ.get("REPRO_ORACLE")
+    cached_raw, cached_value = _env_cache
     if raw == cached_raw:
         return cached_value
-    value = BITSET if raw is None else raw.strip().lower()
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_RELATION_BACKEND={value!r}: expected one of {_BACKENDS}"
-        )
-    _backend_env_cache = (raw, value)
+    value = raw is not None and raw.strip().lower() not in _FALSY
+    _env_cache = (raw, value)
     return value
 
 
-def _env_incremental() -> bool:
-    global _incremental_env_cache
-    raw = os.environ.get("REPRO_INCREMENTAL")
-    cached_raw, cached_value = _incremental_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _incremental_env_cache = (raw, value)
-    return value
+def oracle() -> bool:
+    """True when the kernel runs the reference oracle configuration."""
+    if _override is not None:
+        return _override
+    return _env_oracle()
 
 
-def backend() -> str:
-    """The active relation backend name (``bitset`` or ``frozenset``)."""
-    if _backend_override is not None:
-        return _backend_override
-    return _env_backend()
-
-
-def use_bitset() -> bool:
-    return backend() == BITSET
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Set a process-local backend override; ``None`` defers to the env."""
-    global _backend_override
-    if name is not None and name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}: expected one of {_BACKENDS}")
-    _backend_override = name
-
-
-def incremental_enabled() -> bool:
-    if _incremental_override is not None:
-        return _incremental_override
-    return _env_incremental()
-
-
-def set_incremental(enabled: Optional[bool]) -> None:
+def set_oracle(enabled: Optional[bool]) -> None:
     """Set a process-local override; ``None`` defers to the environment."""
-    global _incremental_override
-    _incremental_override = None if enabled is None else bool(enabled)
-
-
-def _env_check_plan() -> bool:
-    global _check_plan_env_cache
-    raw = os.environ.get("REPRO_CHECK_PLAN")
-    cached_raw, cached_value = _check_plan_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _check_plan_env_cache = (raw, value)
-    return value
-
-
-def check_plan_enabled() -> bool:
-    if _check_plan_override is not None:
-        return _check_plan_override
-    return _env_check_plan()
-
-
-def set_check_plan(enabled: Optional[bool]) -> None:
-    """Set a process-local override; ``None`` defers to the environment."""
-    global _check_plan_override
-    _check_plan_override = None if enabled is None else bool(enabled)
-
-
-def _env_vm() -> bool:
-    global _vm_env_cache
-    raw = os.environ.get("REPRO_KERNEL_VM")
-    cached_raw, cached_value = _vm_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _vm_env_cache = (raw, value)
-    return value
-
-
-def vm_enabled() -> bool:
-    if _vm_override is not None:
-        return _vm_override
-    return _env_vm()
-
-
-def set_vm(enabled: Optional[bool]) -> None:
-    """Set a process-local override; ``None`` defers to the environment."""
-    global _vm_override
-    _vm_override = None if enabled is None else bool(enabled)
-
-
-def _env_static_verdict() -> bool:
-    global _static_verdict_env_cache
-    raw = os.environ.get("REPRO_STATIC_VERDICT")
-    cached_raw, cached_value = _static_verdict_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _static_verdict_env_cache = (raw, value)
-    return value
-
-
-def static_verdict_enabled() -> bool:
-    if _static_verdict_override is not None:
-        return _static_verdict_override
-    return _env_static_verdict()
-
-
-def set_static_verdict(enabled: Optional[bool]) -> None:
-    """Set a process-local override; ``None`` defers to the environment."""
-    global _static_verdict_override
-    _static_verdict_override = None if enabled is None else bool(enabled)
+    global _override
+    _override = None if enabled is None else bool(enabled)
 
 
 @contextmanager
-def use_backend(name: str):
-    """Temporarily select a relation backend (for tests and benchmarks)."""
-    previous = _backend_override
-    set_backend(name)
+def use_oracle(enabled: bool = True):
+    """Temporarily select the oracle (or, with ``False``, production)."""
+    previous = _override
+    set_oracle(enabled)
     try:
         yield
     finally:
-        set_backend(previous)
-
-
-@contextmanager
-def use_incremental(enabled: bool):
-    """Temporarily enable/disable incremental checking."""
-    previous = _incremental_override
-    set_incremental(enabled)
-    try:
-        yield
-    finally:
-        set_incremental(previous)
-
-
-@contextmanager
-def use_check_plan(enabled: bool):
-    """Temporarily enable/disable the compiled check plan."""
-    previous = _check_plan_override
-    set_check_plan(enabled)
-    try:
-        yield
-    finally:
-        set_check_plan(previous)
-
-
-@contextmanager
-def use_vm(enabled: bool):
-    """Temporarily enable/disable the relational bytecode VM."""
-    previous = _vm_override
-    set_vm(enabled)
-    try:
-        yield
-    finally:
-        set_vm(previous)
-
-
-@contextmanager
-def use_static_verdict(enabled: bool):
-    """Temporarily enable/disable the symbolic verdict pre-pass."""
-    previous = _static_verdict_override
-    set_static_verdict(enabled)
-    try:
-        yield
-    finally:
-        set_static_verdict(previous)
+        set_oracle(previous)

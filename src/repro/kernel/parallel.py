@@ -14,9 +14,9 @@ candidate_executions_sharded`), so parallelism needs no communication:
 
 Workers re-enumerate their shard from the pickled
 :class:`~repro.litmus.ast.Program` — events are never pickled between
-processes.  The parent's backend configuration is replicated into each
-worker explicitly (an initializer, not environment inheritance), so
-``use_backend``/``use_incremental`` contexts apply to parallel runs too.
+processes.  The parent's kernel configuration (production or oracle) is
+replicated into each worker explicitly (an initializer, not environment
+inheritance), so a ``use_oracle`` context applies to parallel runs too.
 
 **Fault tolerance** (:func:`fault_tolerant_map`, the single submission
 path): pools are :class:`concurrent.futures.ProcessPoolExecutor` objects,
@@ -96,11 +96,7 @@ class WorkerPoolError(RuntimeError):
 
 
 def _init_worker(
-    backend: str,
-    incremental: bool,
-    check_plan: bool,
-    vm: bool,
-    static_verdict: bool,
+    oracle: bool,
     observing: bool,
     fault_spec: Optional[str],
 ) -> None:
@@ -111,22 +107,14 @@ def _init_worker(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    _config.set_backend(backend)
-    _config.set_incremental(incremental)
-    _config.set_check_plan(check_plan)
-    _config.set_vm(vm)
-    _config.set_static_verdict(static_verdict)
+    _config.set_oracle(oracle)
     _WORKER_OBSERVING = observing
     _faults.mark_worker_process(fault_spec)
 
 
 def _pool_config() -> tuple:
     return (
-        _config.backend(),
-        _config.incremental_enabled(),
-        _config.check_plan_enabled(),
-        _config.vm_enabled(),
-        _config.static_verdict_enabled(),
+        _config.oracle(),
         _obs.enabled(),
         _faults.raw_spec(),
     )
@@ -146,6 +134,7 @@ class WorkerPool:
     def __init__(self, jobs: int):
         self.jobs = jobs
         self._dead = False
+        self._started = False
         self._executor = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=multiprocessing.get_context(),
@@ -154,7 +143,21 @@ class WorkerPool:
         )
 
     def submit(self, fn: Callable, *args):
-        return self._executor.submit(fn, *args)
+        if self._started:
+            return self._executor.submit(fn, *args)
+        # The first submit forks the workers.  A forked worker runs the
+        # parent's SIGINT handler until its initializer ignores SIGINT, so
+        # ignore it in the parent across the fork: a stray Ctrl-C then
+        # cannot kill a worker that is still starting.
+        self._started = True
+        try:
+            previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        except ValueError:  # not the main thread: signals stay as they are
+            return self._executor.submit(fn, *args)
+        try:
+            return self._executor.submit(fn, *args)
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
     def map(self, fn: Callable, tasks: Sequence) -> List:
         futures = [self.submit(fn, task) for task in tasks]
@@ -207,8 +210,8 @@ def worker_pool(jobs: int) -> WorkerPool:
 #: Long-lived pools keyed by (jobs, kernel config): spawning workers and
 #: re-compiling models in them dominates small parallel runs, so pools
 #: persist across run_litmus_many programs — a library sweep pays the
-#: spawn and per-worker model/plan/bytecode compile cost once, not once
-#: per test.  Bounded LRU; a config change (different key) rotates the
+#: spawn and per-worker model/bytecode compile cost once, not once per
+#: test.  Bounded LRU; a config change (different key) rotates the
 #: stale pool out and terminates it.
 _PERSISTENT_POOLS: "OrderedDict[tuple, WorkerPool]" = OrderedDict()
 _PERSISTENT_POOL_LIMIT = 2
@@ -592,74 +595,33 @@ def verdicts_parallel(
     models: List,
     programs: List,
     jobs: int,
-    journal=None,
-    budget: Optional["_guard_core.Budget"] = None,
+    on_row: Callable[[str, Dict[str, str]], None],
     **kwargs,
-) -> Dict[str, Dict[str, str]]:
-    """The :func:`repro.herd.verdicts` table, one program per pool task.
+) -> None:
+    """Judge ``programs`` one per pool task for :func:`repro.herd.verdicts`.
 
-    The early-exit/verdict-only defaults match :func:`repro.herd.verdicts`
-    exactly (for callers that come here directly), so serial and
-    distributed sweeps scan the same candidate prefixes, check the same
-    candidates, and their merged counters agree (``tests/test_obs.py``).
-
-    Completed rows are checkpointed to ``journal`` as they land (in
-    completion order — the journal is an unordered set of rows), already
-    journaled programs are skipped, and lost workers are retried; an
-    interrupted sweep therefore resumes instead of restarting.
+    ``on_row(name, row)`` receives each :func:`repro.herd.verdict_row`
+    as it lands (in completion order), after the worker's observability
+    report has been absorbed; lost workers are retried.  Defaults,
+    journal and output order are the caller's.
     """
-    from repro.herd import INCONCLUSIVE
-
-    kwargs.setdefault("stop_when_decided", _config.vm_enabled())
-    kwargs.setdefault("verdict_only", _config.vm_enabled())
-    jobs = max(1, int(jobs))
-    budget = _ambient_budget(budget)
-
-    table: Dict[str, Dict[str, str]] = {}
-    to_run = []
-    for program in programs:
-        done = journal.completed(program.name) if journal is not None else None
-        if done is not None:
-            if _obs.ENABLED:
-                _obs.count("guard.journal_skips")
-            table[program.name] = done
-        else:
-            to_run.append(program)
-
-    tasks = [(models, program, kwargs, budget) for program in to_run]
+    budget = _ambient_budget(None)
+    tasks = [(models, program, kwargs, budget) for program in programs]
 
     def checkpoint(index: int, outcome) -> None:
         (name, row), report = outcome
         if report is not None:
             _obs.absorb(report)
-        if journal is not None and INCONCLUSIVE not in row.values():
-            journal.record(name, row)
+        on_row(name, row)
 
-    if jobs == 1 or len(tasks) <= 1:
-        outcomes = []
-        for index, task in enumerate(tasks):
-            outcome = _run_program(task)
-            checkpoint(index, outcome)
-            outcomes.append(outcome)
-        rows = [result for result, _ in outcomes]
-    else:
-        if _obs.ENABLED:
-            _obs.gauge("parallel.jobs", jobs)
-            _obs.count("parallel.program_batches")
-        with _obs.span("parallel.verdicts"):
-            outcomes = fault_tolerant_map(
-                _run_program,
-                tasks,
-                min(jobs, len(tasks)),
-                task_timeout=shard_deadline(budget),
-                on_result=checkpoint,
-            )
-        rows = [result for result, _ in outcomes]
-    for name, row in rows:
-        table[name] = row
-    # Preserve input program order in the returned table.
-    return {
-        program.name: table[program.name]
-        for program in programs
-        if program.name in table
-    }
+    if _obs.ENABLED:
+        _obs.gauge("parallel.jobs", jobs)
+        _obs.count("parallel.program_batches")
+    with _obs.span("parallel.verdicts"):
+        fault_tolerant_map(
+            _run_program,
+            tasks,
+            min(jobs, len(tasks)),
+            task_timeout=shard_deadline(budget),
+            on_result=checkpoint,
+        )

@@ -1,13 +1,14 @@
 """The relational bytecode VM: batched cross-candidate check execution.
 
-:mod:`repro.analysis.catir.plan` lowers each :class:`CheckPlan` once into
-a :class:`VMProgram` — a flat array of instructions over numbered
-registers — and this module executes it per candidate.  Registers hold
-*raw* bitset values (a relation is a list of ``n`` Python ints, row ``i``
-the successor bitmask of event ``i``; an event set is a single mask), so
-the per-candidate hot loop runs word-parallel integer arithmetic with no
-:class:`~repro.relations.Relation` wrappers, no per-node memo
-dictionaries and no dynamic dispatch beyond one opcode test.
+:func:`repro.analysis.catir.plan.lower_plan` lowers each compiled cat
+model once into a :class:`VMProgram` — a flat array of instructions over
+numbered registers — and this module executes it per candidate.
+Registers hold *raw* bitset values (a relation is a list of ``n`` Python
+ints, row ``i`` the successor bitmask of event ``i``; an event set is a
+single mask), so the per-candidate hot loop runs word-parallel integer
+arithmetic with no :class:`~repro.relations.Relation` wrappers, no
+per-node memo dictionaries and no dynamic dispatch beyond one opcode
+test.
 
 The program is split into two instruction streams:
 
@@ -22,15 +23,19 @@ The program is split into two instruction streams:
   of the prelude register file.
 
 ``let rec`` groups become one :data:`FIXPOINT` meta-instruction whose
-per-binding body segments re-run each Gauss–Seidel sweep, mirroring the
-plan evaluator's iteration (bodies in group order, a shared node
-recomputed once per sweep in the segment that first needs it) so the
-fixpoints are value-identical.
+per-binding body segments re-run each Gauss–Seidel sweep (bodies in group
+order, a shared node recomputed once per sweep in the segment that first
+needs it) until no binding changes: the same least fixpoint the statement
+walker computes.
 
 Verdicts funnel through :func:`repro.cat.eval.check_axiom` exactly like
-the interpreter and the plan evaluator: the final raw value is wrapped
-back into a :class:`Relation`/:class:`EventSet` only when a check needs a
-witness (the all-clear fast paths answer on the raw rows).
+the statement walker: the final raw value is wrapped back into a
+:class:`Relation`/:class:`EventSet` only when a check needs a witness
+(the all-clear fast paths answer on the raw rows).
+
+This is the production evaluator; the walker is the oracle
+(``REPRO_ORACLE=1``) and the fallback when a model does not lower or
+:func:`run_checks` raises :class:`Unavailable`.
 
 Per-opcode execution counts are published as ``vm.op.<NAME>`` counters
 when an observability collector is installed (``repro-herd --bench``).
@@ -38,7 +43,7 @@ when an observability collector is installed (``repro-herd --bench``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.events import FENCE, READ, WRITE
 from repro.guard import core as _guard
@@ -100,8 +105,8 @@ OPNAMES = {
 
 class Unavailable(Exception):
     """Raised when a base relation has no dense form over the candidate's
-    canonical event index (frozenset backend, or stranger events); the
-    caller falls back to the plan evaluator for this execution."""
+    canonical event index (frozenset relations, or stranger events); the
+    caller falls back to the statement walker for this execution."""
 
 
 #: Cached prelude slot marking "this skeleton cannot run the VM".
@@ -126,13 +131,13 @@ class VMCheck:
 
 
 class VMProgram:
-    """One lowered check plan: two instruction streams plus the checks."""
+    """One lowered model: two instruction streams plus the checks."""
 
     __slots__ = ("token", "name", "names", "prelude", "main", "checks",
                  "n_regs")
 
     def __init__(self, token, name, names, prelude, main, checks, n_regs):
-        #: The owning plan's token (shared-memo / prelude-cache key).
+        #: Process-unique token (the prelude-cache key).
         self.token = token
         self.name = name
         #: Base identifiers referenced by LOAD_BASE, by operand index.
@@ -172,7 +177,7 @@ def base_value(name: str, execution, index):
     """The raw value (rows or mask) of one builtin base identifier.
 
     Only the bases a model actually references are computed — unlike the
-    interpreter's eager environment, which builds every tag set per
+    walker's eager environment, which builds every tag set per
     skeleton whether or not the model mentions it.
     """
     attr = _REL_ATTRS.get(name)
@@ -394,8 +399,7 @@ def _judge(check: VMCheck, raw, index, universe):
     extract from the same rows).  Everything else — negated checks,
     ``empty``/``irreflexive`` violations — is wrapped back into the
     relation layer and funnelled through :func:`check_axiom`, so those
-    witnesses are constructed by exactly the same code as the
-    interpreter and the plan evaluator.
+    witnesses are constructed by exactly the same code as the walker's.
     """
     kind = check.kind
     if not check.negated:
@@ -465,22 +469,19 @@ def _build_prelude(program: VMProgram, execution, index, model_name):
 
 def run_checks(
     program: VMProgram, execution, model_name: str
-) -> Optional[Tuple[List, List]]:
+) -> Tuple[List, List]:
     """Execute the program for one candidate.
 
-    Returns ``(violations, flags)`` exactly as ``CheckPlan.run`` would,
-    or ``None`` when this execution has no dense relations (the caller
-    falls back to the plan evaluator).
+    Returns ``(violations, flags)`` exactly as the statement walker would
+    produce them; raises :class:`Unavailable` when this execution has no
+    dense relations.
     """
     if _guard.ACTIVE:
         _guard._current.tick()  # budget safepoint: one per-candidate VM run
     index = index_for(execution.universe)
     skeleton = execution._shared
     if skeleton is None:
-        try:
-            state = _build_prelude(program, execution, index, model_name)
-        except Unavailable:
-            return None
+        state = _build_prelude(program, execution, index, model_name)
     else:
         cache = skeleton.vm_state
         state = cache.get(program.token)
@@ -493,13 +494,10 @@ def run_checks(
         elif _obs.ENABLED:
             _obs.count("vm.prelude_hits")
         if state is _UNAVAILABLE:
-            return None
+            raise Unavailable
     base_regs, invariant_violations = state
     regs = base_regs.copy()
-    try:
-        _execute(program.main, regs, execution, program.names, index, None)
-    except Unavailable:
-        return None
+    _execute(program.main, regs, execution, program.names, index, None)
     violations: List = []
     flags: List = []
     observing = _obs.ENABLED

@@ -9,11 +9,12 @@ counting exercises observable:
   included), and aggregate flat-by-name into (count, total, max) triples;
 * **counters / gauges** — ``obs.count("enumerate.candidates")`` tallies
   the search: candidates enumerated vs pruned, cache hits vs misses,
-  model checks, axiom violations;
+  model checks, axiom violations, and production checks that fell back
+  from the bytecode VM to the statement walker
+  (``cat.fallback.unlowerable`` / ``cat.fallback.unavailable``);
 * **RunReport** — the serialisable summary, mergeable across
   :mod:`repro.kernel.parallel` workers, exported as a human ``--profile``
-  table or ``--trace-json`` JSON, and accumulated into ``BENCH_obs.json``
-  by ``benchmarks/record.py``.
+  table or ``--trace-json`` JSON.
 
 Everything is off by default and near-free when off: instrument first,
 pay only when a :func:`collect` block is active.

@@ -7,7 +7,7 @@ each and the parent folds them together — which is what makes the
 "serial totals == merged parallel totals" property of the counters
 testable (``tests/test_obs.py``).
 
-JSON schema (``repro-herd --trace-json``, ``BENCH_obs.json`` entries)::
+JSON schema (``repro-herd --trace-json``)::
 
     {
       "counters": {"enumerate.candidates": 96, ...},

@@ -11,15 +11,15 @@ Relations are immutable; every operator returns a new relation.  Both kinds
 of value carry a *universe* (the event set of the candidate execution) so
 that complement (`~r`) and reflexive closure (`r?`) are well defined.
 
-Two interchangeable backends implement the operators (selected by
-:mod:`repro.kernel.config`, default ``bitset``):
+Two interchangeable backends implement the operators, one per kernel
+configuration (:mod:`repro.kernel.config`):
 
-* **bitset** — events are mapped to dense indices ``0..n-1`` once per
-  universe and the relation is held as adjacency bitmask rows
-  (:mod:`repro.kernel.bitrel`); operators are word-parallel integer
-  arithmetic.  ``pairs`` is materialised lazily on demand.
-* **frozenset** — the original reference implementation over
-  ``frozenset`` of event pairs.
+* **bitset** (production) — events are mapped to dense indices
+  ``0..n-1`` once per universe and the relation is held as adjacency
+  bitmask rows (:mod:`repro.kernel.bitrel`); operators are word-parallel
+  integer arithmetic.  ``pairs`` is materialised lazily on demand.
+* **frozenset** (the oracle, ``REPRO_ORACLE=1``) — the original reference
+  implementation over ``frozenset`` of event pairs.
 
 Both produce identical results (``tests/test_kernel_equiv.py``); the
 frozenset backend is kept as the executable specification of the bitset
@@ -110,7 +110,7 @@ class EventSet:
 
     def product(self, other: "EventSet") -> "Relation":
         """``S * T`` in cat: the cartesian product."""
-        if _config.use_bitset():
+        if not _config.oracle():
             try:
                 index = index_for(self.universe)
                 self_mask = index.mask_of(self.events)
@@ -148,7 +148,7 @@ class Relation:
         self._pairs: Optional[FrozenSet[Pair]] = None
         self._dense: Optional[DenseRelation] = None
         self._succ: Optional[Dict[Event, Set[Event]]] = None
-        if _config.use_bitset():
+        if not _config.oracle():
             if not isinstance(pairs, (frozenset, set, list, tuple)):
                 pairs = list(pairs)
             try:
@@ -186,7 +186,7 @@ class Relation:
         bitset backend is active.  ``None`` when unavailable."""
         if self._dense is not None:
             return self._dense
-        if not _config.use_bitset():
+        if _config.oracle():
             return None
         try:
             self._dense = DenseRelation.from_pairs(

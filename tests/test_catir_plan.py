@@ -1,7 +1,9 @@
-"""Check-plan equivalence: the compiled plan of
-:mod:`repro.analysis.catir.plan` must produce verdicts, axiom labels,
-witness shapes, and flags identical to the statement-walking interpreter,
-under both relation backends, with ``REPRO_CHECK_PLAN`` as the opt-out."""
+"""Lowered-program equivalence: the bytecode that
+:mod:`repro.analysis.catir.plan` lowers each model to must produce
+verdicts, axiom labels, witness shapes, and flags identical to the
+statement walker, for every bundled model and for small models that
+exercise each cat construct the lowering handles; ``REPRO_ORACLE`` is
+the opt-out."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import pytest
 from repro.cat import CatModel, CatError, load_model
 from repro.executions import candidate_executions
 from repro.herd import verdicts
+from repro.kernel import vm
 from repro.kernel import config
+from repro.obs import core as obs
 from repro.litmus import library
 
 PROGRAMS = [
@@ -30,13 +34,16 @@ def available_programs():
     return [name for name in PROGRAMS if name in names]
 
 
-def result_fingerprint(model, execution):
-    result = model.check(execution)
+def fingerprint(result):
     return (
         result.allowed,
         [(v.axiom, v.kind, bool(v.witness)) for v in result.violations],
         [(f.axiom, f.kind) for f in result.flags],
     )
+
+
+def result_fingerprint(model, execution):
+    return fingerprint(model.check(execution))
 
 
 def model_fingerprints(model, program, limit=40):
@@ -48,15 +55,22 @@ def model_fingerprints(model, program, limit=40):
     return out
 
 
+def production_and_oracle(model, program):
+    """Fingerprints of the same candidates through the VM and through the
+    statement walker (the oracle's evaluator)."""
+    with config.use_oracle(False):
+        with_plan = model_fingerprints(model, program)
+    with config.use_oracle():
+        without = model_fingerprints(model, program)
+    return with_plan, without
+
+
 @pytest.mark.parametrize("model_name", MODELS)
 def test_bundled_models_plan_equivalence(model_name):
     model = load_model(model_name)
     for prog_name in available_programs():
         program = library.get(prog_name)
-        with config.use_check_plan(True):
-            with_plan = model_fingerprints(model, program)
-        with config.use_check_plan(False):
-            without = model_fingerprints(model, program)
+        with_plan, without = production_and_oracle(model, program)
         assert with_plan == without, f"{model_name} / {prog_name}"
 
 
@@ -91,52 +105,59 @@ CUSTOM_SOURCES = {
 
 @pytest.mark.parametrize("label", sorted(CUSTOM_SOURCES))
 def test_custom_model_plan_equivalence(label):
-    program = library.get("MP+wmb+rmb")
-    source = CUSTOM_SOURCES[label]
-    with config.use_check_plan(True):
-        model = CatModel.from_source(source, name=f"plan-{label}")
-        with_plan = model_fingerprints(model, program)
-    with config.use_check_plan(False):
-        model = CatModel.from_source(source, name=f"interp-{label}")
-        without = model_fingerprints(model, program)
+    model = CatModel.from_source(CUSTOM_SOURCES[label], name=f"plan-{label}")
+    assert model._vm_program() is not None, "every construct lowers"
+    with_plan, without = production_and_oracle(
+        model, library.get("MP+wmb+rmb")
+    )
     assert with_plan == without
 
 
 @pytest.mark.parametrize("backend", ["bitset", "frozenset"])
 def test_plan_equivalence_across_backends(backend):
+    """The walker agrees with the VM on both relation backends: on bitset
+    relations it is the production fallback, on frozenset the oracle."""
     program = library.get("SB")
     model = load_model("lkmm")
-    with config.use_backend(backend):
-        with config.use_check_plan(True):
-            with_plan = model_fingerprints(model, program)
-        with config.use_check_plan(False):
-            without = model_fingerprints(model, program)
+    with config.use_oracle(False):
+        executions = list(candidate_executions(program))[:40]
+        with_plan = [result_fingerprint(model, x) for x in executions]
+    with config.use_oracle(backend == "frozenset"):
+        executions = list(candidate_executions(program))[:40]
+        without = [fingerprint(model._walk(x)) for x in executions]
     assert with_plan == without
 
 
 class TestOptOut:
     def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_PLAN", "0")
-        assert not config.check_plan_enabled()
-        monkeypatch.setenv("REPRO_CHECK_PLAN", "1")
-        assert config.check_plan_enabled()
-        monkeypatch.delenv("REPRO_CHECK_PLAN")
-        assert config.check_plan_enabled()  # default on
+        """REPRO_ORACLE=1 routes checks to the walker: no bytecode runs."""
+        model = CatModel.from_source("acyclic po as ok", name="env-opt-out")
+        execution = next(iter(candidate_executions(library.get("SB"))))
+        monkeypatch.setenv("REPRO_ORACLE", "1")
+        with obs.collect() as collector:
+            assert model.check(execution).allowed
+        assert "vm.runs" not in collector.counters
+        monkeypatch.setenv("REPRO_ORACLE", "0")
+        with obs.collect() as collector:
+            assert model.check(execution).allowed
+        assert collector.counters["vm.runs"] == 1
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_PLAN", "0")
-        with config.use_check_plan(True):
-            assert config.check_plan_enabled()
-        assert not config.check_plan_enabled()
+        model = CatModel.from_source("acyclic po as ok", name="override")
+        execution = next(iter(candidate_executions(library.get("SB"))))
+        monkeypatch.setenv("REPRO_ORACLE", "1")
+        with config.use_oracle(False), obs.collect() as collector:
+            assert model.check(execution).allowed
+        assert collector.counters["vm.runs"] == 1
 
     def test_interpreter_used_when_disabled(self):
         model = CatModel.from_source("acyclic po as ok", name="opt-out")
         program = library.get("SB")
         execution = next(iter(candidate_executions(program)))
-        with config.use_check_plan(False):
+        with config.use_oracle():
             assert model.check(execution).allowed
-        # The plan was never built on the disabled path.
-        assert model._plan is None and not model._plan_tried
+        # The model was never lowered on the oracle path.
+        assert model._program is None and not model._program_tried
 
 
 class TestPlanStructure:
@@ -145,22 +166,25 @@ class TestPlanStructure:
             "let a = po | rf\nacyclic a as one\nirreflexive a ; a as two",
             name="cse",
         )
-        with config.use_check_plan(True):
-            plan = model._check_plan()
-        assert plan is not None
-        union_nodes = [n for n in plan.schedule if n.kind == "union"]
-        assert len(union_nodes) == 1  # `po | rf` appears once in the DAG
+        program = model._vm_program()
+        assert program is not None
+        unions = [
+            instr
+            for instr in program.prelude + program.main
+            if instr[0] == vm.UNION_REL
+        ]
+        assert len(unions) == 1  # `po | rf` is computed once
 
     def test_uncompilable_model_falls_back(self):
-        # The plan cannot compile an unbound name; check() falls back to
-        # the interpreter, which raises the same CatError it always did.
+        # The model cannot compile an unbound name; check() falls back to
+        # the walker, which raises the same CatError it always did.
         model = CatModel.from_source("acyclic nonesuch as broken")
         program = library.get("SB")
         execution = next(iter(candidate_executions(program)))
-        with config.use_check_plan(True):
+        with config.use_oracle(False):
             with pytest.raises(CatError, match="unbound identifier"):
                 model.check(execution)
-        assert model._plan is None and model._plan_tried
+        assert model._program is None and model._program_tried
 
     def test_model_pickles_without_plan(self):
         import pickle
@@ -168,22 +192,22 @@ class TestPlanStructure:
         model = load_model("tso")
         program = library.get("SB")
         execution = next(iter(candidate_executions(program)))
-        with config.use_check_plan(True):
+        with config.use_oracle(False):
             before = result_fingerprint(model, execution)
         clone = pickle.loads(pickle.dumps(model))
-        assert clone._plan is None and not clone._plan_tried
-        with config.use_check_plan(True):
+        assert clone._program is None and not clone._program_tried
+        with config.use_oracle(False):
             assert result_fingerprint(clone, execution) == before
 
 
 def test_golden_style_verdicts_match():
-    """The headline acceptance shape: library verdict tables computed by
-    both paths coincide (the full 57x4 table runs in the golden suite,
-    which CI exercises with the plan on and off)."""
+    """The headline acceptance shape: library verdict tables computed in
+    production and under the oracle coincide (the full 57x4 table runs
+    in the golden suite, which CI exercises in both configurations)."""
     programs = [library.get(name) for name in available_programs()]
     models = [load_model(name) for name in ("lkmm", "c11", "tso", "sc")]
-    with config.use_check_plan(True):
+    with config.use_oracle(False):
         with_plan = verdicts(models, programs)
-    with config.use_check_plan(False):
+    with config.use_oracle():
         without = verdicts(models, programs)
     assert with_plan == without

@@ -4,9 +4,10 @@
 sample of the deterministic corpus stream with the full 6-model verdict
 row locked per test (regenerated only by
 ``benchmarks/regen_golden_corpus.py``).  This suite re-judges every
-frozen test and demands exact equality — under whatever relation
-backend and VM lane the environment selects, which is the point: the
-golden verdicts must not depend on either.
+frozen test and demands exact equality — in whichever kernel
+configuration the environment selects (production, or the oracle under
+``REPRO_ORACLE=1``), which is the point: the golden verdicts must not
+depend on it.
 
 Failures name the exact drifted cells.  To bless an intentional model
 or semantics change::

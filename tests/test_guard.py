@@ -15,7 +15,7 @@ from repro.guard import (
 )
 from repro.guard import core as guard_core
 from repro.herd import ALLOW, FORBID, INCONCLUSIVE, RunResult, run_litmus, verdicts
-from repro.kernel.config import use_backend
+from repro.kernel.config import use_oracle
 from repro.litmus import library
 from repro.litmus.parser import parse_litmus
 
@@ -220,20 +220,20 @@ def test_generous_budget_leaves_verdicts_untouched():
 )
 def test_candidate_budget_is_deterministic_across_backends(limit, name):
     """The same Budget + test stops after the same candidate prefix and
-    with identical provenance under both relation backends."""
+    with identical provenance in production and under the oracle."""
     program = library.get(name)
     snapshots = []
-    for backend in ("bitset", "frozenset"):
-        with use_backend(backend):
+    for oracle in (False, True):
+        with use_oracle(oracle):
             result = run_litmus(SC, program, budget=Budget(max_candidates=limit))
         interruption = (
             None if result.interrupted is None else result.interrupted.to_dict()
         )
         if interruption is not None:
             interruption.pop("elapsed_s")  # wall time is not deterministic
-            # Tick totals include backend-specific safepoints (the VM
-            # check only runs under bitset); the determinism contract is
-            # exact candidate counting.
+            # Tick totals include configuration-specific safepoints (the
+            # VM check only runs in production); the determinism contract
+            # is exact candidate counting.
             interruption.pop("states")
         snapshots.append(
             (

@@ -1,14 +1,16 @@
-"""Equivalence of the :mod:`repro.kernel` fast paths with the reference path.
+"""Equivalence of the production kernel with the oracle.
 
-The performance layer must be invisible: the integer-indexed (bitset)
-relation backend, the incremental per-trace checking, and the parallel
-driver all have to produce exactly the results of the plain
-frozenset-of-pairs implementation.  This suite checks that three ways:
+The performance layer must be invisible: production (bitset relations,
+incremental per-trace checking, the bytecode VM, the symbolic pre-pass)
+and the parallel driver all have to produce exactly the results of the
+oracle (``REPRO_ORACLE=1``: frozenset-of-pairs relations, naive
+enumerate-then-filter, the statement walker).  This suite checks that
+three ways:
 
 * property tests driving every relation operator through both backends on
   random relations;
-* whole litmus runs (native and cat LKMM) compared across backend,
-  incremental, and jobs configurations — verdicts, candidate/allowed/
+* whole litmus runs (native and cat LKMM) compared between production,
+  the oracle and the parallel driver — verdicts, candidate/allowed/
   witness counts, and final-state sets must be identical;
 * unit tests for the bitset primitives themselves.
 """
@@ -66,10 +68,11 @@ def _rel(indices):
 
 
 def _both(op):
-    """Evaluate ``op`` under the bitset and the frozenset backend."""
-    with kconfig.use_backend(kconfig.BITSET):
+    """Evaluate ``op`` in production (bitset) and in the oracle
+    (frozenset)."""
+    with kconfig.use_oracle(False):
         fast = op()
-    with kconfig.use_backend(kconfig.FROZENSET):
+    with kconfig.use_oracle():
         reference = op()
     return fast, reference
 
@@ -240,15 +243,11 @@ class TestWholeRunEquivalence:
     def test_backends_and_incremental_agree(self, models, name):
         program = library.get(name)
         for model in models:
-            with kconfig.use_backend(kconfig.BITSET), kconfig.use_incremental(
-                True
-            ):
+            with kconfig.use_oracle(False):
                 fast = _summary(
                     run_litmus(model, program, require_sc_per_location=True)
                 )
-            with kconfig.use_backend(
-                kconfig.FROZENSET
-            ), kconfig.use_incremental(False):
+            with kconfig.use_oracle():
                 reference = _summary(
                     run_litmus(model, program, require_sc_per_location=True)
                 )
@@ -260,9 +259,9 @@ class TestWholeRunEquivalence:
         # skeleton sharing alone must not change anything either.
         program = library.get(name)
         model = models[0]
-        with kconfig.use_incremental(True):
+        with kconfig.use_oracle(False):
             fast = _summary(run_litmus(model, program))
-        with kconfig.use_incremental(False):
+        with kconfig.use_oracle():
             reference = _summary(run_litmus(model, program))
         assert fast == reference
 
@@ -282,9 +281,9 @@ class TestWholeRunEquivalence:
                 )
             ]
 
-        with kconfig.use_incremental(True):
+        with kconfig.use_oracle(False):
             fast = stream()
-        with kconfig.use_incremental(False):
+        with kconfig.use_oracle():
             reference = stream()
         assert fast == reference
 
@@ -305,17 +304,17 @@ class TestWholeRunEquivalence:
         assert seq == par
 
     def test_library_verdicts_agree_across_configs(self):
-        # The whole litmus library: kernel defaults vs reference backend
-        # vs parallel driver must produce one verdict table.
+        # The whole litmus library: production vs the oracle vs the
+        # parallel driver must produce one verdict table, for the native
+        # and the cat LKMM.
         programs = library.all_tests()
-        models = [LinuxKernelModel()]
-        fast = verdicts(models, programs, require_sc_per_location=True)
-        parallel = verdicts(
-            models, programs, jobs=2, require_sc_per_location=True
-        )
-        with kconfig.use_backend(kconfig.FROZENSET), kconfig.use_incremental(
-            False
-        ):
+        models = [LinuxKernelModel(), load_model("lkmm")]
+        with kconfig.use_oracle(False):
+            fast = verdicts(models, programs, require_sc_per_location=True)
+            parallel = verdicts(
+                models, programs, jobs=2, require_sc_per_location=True
+            )
+        with kconfig.use_oracle():
             reference = verdicts(
                 models, programs, require_sc_per_location=True
             )
@@ -335,13 +334,13 @@ class TestWholeRunEquivalence:
         monkeypatch.setattr(herd, "candidate_executions_sharded", counting)
         programs = [library.get("SB"), library.get("MP+wmb+rmb")]
         models = [LinuxKernelModel(), load_model("lkmm")]
-        with kconfig.use_static_verdict(False):
+        with kconfig.use_oracle():
             verdicts(models, programs)
         assert sorted(calls) == ["MP+wmb+rmb", "SB"]
-        # With the symbolic pre-pass on, statically decided cells skip
-        # the enumeration — never add one.
+        # With the symbolic pre-pass on (production), statically decided
+        # cells skip the enumeration — never add one.
         calls.clear()
-        with kconfig.use_static_verdict(True):
+        with kconfig.use_oracle(False):
             verdicts(models, programs)
         assert len(calls) <= 2 and set(calls) <= {"MP+wmb+rmb", "SB"}
 

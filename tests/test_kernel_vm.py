@@ -5,24 +5,22 @@ trace-invariant registers, the verdict-table early exit / verdict-only
 candidate skipping, and persistent worker pools.  None of them may change
 a single observable result:
 
-* a four-way property test runs random diy-generated litmus tests under
-  the VM, the check-plan interpreter (``REPRO_KERNEL_VM=0``), the
-  statement walker (``REPRO_CHECK_PLAN=0``) and the frozenset reference
-  backend, demanding identical run summaries;
-* the frozen golden verdict table must hold with the VM on *and* off;
+* a property test runs random diy-generated litmus tests in production
+  and under the oracle (``REPRO_ORACLE=1``: frozenset relations, naive
+  enumeration, the statement walker), demanding identical run summaries;
 * per-candidate ``ModelResult``s (violations, witnesses included) must be
-  identical between the VM and the plan evaluator;
+  identical between the VM and the statement walker;
 * the sweep accelerations (early exit, verdict-only skipping) must keep
   every verdict while provably scanning less;
 * unit tests pin the lowered program shape, the popcount fallback and
   persistent-pool reuse.
+
+The frozen golden verdict table runs in production in the default tier-1
+run and under the oracle in the oracle CI lane
+(``tests/test_golden_verdicts.py``).
 """
 
 from __future__ import annotations
-
-import json
-from contextlib import ExitStack
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -38,26 +36,6 @@ from repro.kernel import vm
 from repro.kernel.bitrel import _popcount, _popcount_fallback
 from repro.litmus import library
 from repro.obs import core as obs
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "verdicts_golden.json"
-
-#: The four equivalence lanes: each disables one more layer.
-CONFIGS = {
-    "vm": (kconfig.BITSET, True, True, True),
-    "plan": (kconfig.BITSET, True, True, False),
-    "walker": (kconfig.BITSET, True, False, False),
-    "reference": (kconfig.FROZENSET, False, False, False),
-}
-
-
-def _configured(name: str) -> ExitStack:
-    backend, incremental, check_plan, use_vm = CONFIGS[name]
-    stack = ExitStack()
-    stack.enter_context(kconfig.use_backend(backend))
-    stack.enter_context(kconfig.use_incremental(incremental))
-    stack.enter_context(kconfig.use_check_plan(check_plan))
-    stack.enter_context(kconfig.use_vm(use_vm))
-    return stack
 
 
 def _summary(model, program):
@@ -80,8 +58,7 @@ def lkmm_cat():
 
 
 def test_lowered_program_streams(lkmm_cat):
-    plan = lkmm_cat._check_plan()
-    program = plan.vm_program()
+    program = lkmm_cat._vm_program()
     assert program is not None
     assert program.prelude, "lkmm has trace-invariant structure"
     assert program.main, "lkmm has rf/co-dependent structure"
@@ -101,14 +78,17 @@ def test_lowered_program_streams(lkmm_cat):
     assert {"rf", "co"} <= main_loads
     # lkmm's let-rec rcu group lowers to a fixpoint meta-instruction.
     assert any(instr[0] == vm.FIXPOINT for instr in program.main)
-    # Checks keep the plan's order and labels.
+    # Checks keep the cat file's order and labels.
+    from repro.analysis.catir.compile import compile_statements
+
+    compiled = compile_statements(lkmm_cat._flattened(), lkmm_cat.name)
     assert [c.label for c in program.checks] == [
-        c.label for c in plan.checks
+        c.label for c in compiled.checks
     ]
 
 
 def test_program_describe_smoke(lkmm_cat):
-    text = lkmm_cat._check_plan().vm_program().describe()
+    text = lkmm_cat._vm_program().describe()
     assert "prelude" in text and "main" in text
 
 
@@ -117,31 +97,40 @@ def test_program_describe_smoke(lkmm_cat):
 
 @pytest.mark.parametrize("name", ["MP+wmb+rmb", "WRC+wmb+acq", "IRIW+mbs"])
 def test_vm_model_results_identical(lkmm_cat, name):
-    """Violations — axiom names, kinds *and* witnesses — match the plan
-    evaluator on every candidate, not just the allowed bit."""
+    """Violations — axiom names, kinds *and* witnesses — match the
+    statement walker on every candidate, not just the allowed bit."""
     program = library.get(name)
-    for execution in candidate_executions(program):
-        with _configured("vm"):
+    with kconfig.use_oracle(False):
+        for execution in candidate_executions(program):
             fast = lkmm_cat.check(execution)
-        with _configured("plan"):
-            reference = lkmm_cat.check(execution)
-        assert fast.allowed == reference.allowed
-        assert fast.violations == reference.violations
+            reference = lkmm_cat._walk(execution)
+            assert fast.allowed == reference.allowed
+            assert fast.violations == reference.violations
 
 
-def test_vm_unavailable_on_frozenset_backend(lkmm_cat):
-    """With frozenset relations there are no dense rows: the VM declines
-    and the plan evaluator answers, identically."""
+def test_vm_unavailable_on_frozenset_backend(lkmm_cat, monkeypatch):
+    """With frozenset relations there are no dense rows: the VM raises
+    Unavailable.  A production check that meets Unavailable falls back
+    to the statement walker — counted, and with the oracle's answer."""
     program = library.get("MP+wmb+rmb")
-    with kconfig.use_backend(kconfig.FROZENSET):
-        with kconfig.use_vm(True):
-            vm_on = _summary(lkmm_cat, program)
-        with kconfig.use_vm(False):
-            vm_off = _summary(lkmm_cat, program)
-    assert vm_on == vm_off
+    lowered = lkmm_cat._vm_program()
+    with kconfig.use_oracle():
+        executions = list(candidate_executions(program))
+        with pytest.raises(vm.Unavailable):
+            vm.run_checks(lowered, executions[0], lkmm_cat.name)
+        oracle = [lkmm_cat.check(x).allowed for x in executions]
+
+    def unavailable(*args):
+        raise vm.Unavailable
+
+    monkeypatch.setattr(vm, "run_checks", unavailable)
+    with kconfig.use_oracle(False), obs.collect() as collector:
+        fallback = [lkmm_cat.check(x).allowed for x in executions]
+    assert fallback == oracle
+    assert collector.counters["cat.fallback.unavailable"] == len(executions)
 
 
-# -- random litmus tests: four-way equivalence -------------------------------
+# -- random litmus tests: production == oracle -------------------------------
 
 
 @st.composite
@@ -157,39 +146,17 @@ def edge_cycles(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-def test_random_cycles_four_way_equivalence(edges):
+def test_random_cycles_production_matches_oracle(edges):
     try:
         program = generate(edges)
     except CycleError:
         assume(False)
     model = load_model("lkmm")
-    summaries = {}
-    for name in CONFIGS:
-        with _configured(name):
-            summaries[name] = _summary(model, program)
-    assert (
-        summaries["vm"]
-        == summaries["plan"]
-        == summaries["walker"]
-        == summaries["reference"]
-    )
-
-
-# -- golden snapshot under both VM lanes -------------------------------------
-
-
-@pytest.mark.parametrize("vm_lane", [False, True])
-def test_golden_verdicts_both_vm_lanes(vm_lane):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    models = [load_model(name) for name in golden["models"]]
-    programs = [library.get(name) for name in sorted(library.all_names())]
-    with kconfig.use_vm(vm_lane):
-        computed = verdicts(
-            models,
-            programs,
-            require_sc_per_location=golden["require_sc_per_location"],
-        )
-    assert computed == golden["verdicts"]
+    with kconfig.use_oracle(False):
+        production = _summary(model, program)
+    with kconfig.use_oracle():
+        oracle = _summary(model, program)
+    assert production == oracle
 
 
 # -- sweep accelerations ------------------------------------------------------
@@ -232,17 +199,6 @@ def test_early_exit_stops_at_first_witness(lkmm_cat):
     assert fast.candidates < full.candidates
 
 
-def test_verdicts_gate_on_vm_switch(lkmm_cat):
-    """REPRO_KERNEL_VM=0 restores the exhaustive PR 4 sweep: same
-    verdicts, full candidate scan."""
-    programs = [library.get("MP+wmb+rmb"), library.get("WRC+wmb+acq")]
-    with kconfig.use_vm(True):
-        fast = verdicts([lkmm_cat], programs)
-    with kconfig.use_vm(False):
-        slow = verdicts([lkmm_cat], programs)
-    assert fast == slow
-
-
 # -- observability -------------------------------------------------------------
 
 
@@ -250,7 +206,7 @@ def test_vm_counters_published(lkmm_cat):
     # 2+2W has one trace skeleton and four rf x co candidates, so the
     # shared prelude register file must be hit by the three siblings.
     program = library.get("2+2W")
-    with _configured("vm"), obs.collect() as collector:
+    with kconfig.use_oracle(False), obs.collect() as collector:
         run_litmus(lkmm_cat, program)
     counters = collector.counters
     assert counters.get("vm.runs", 0) > 0

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.herd import run_litmus, verdicts
-from repro.kernel.parallel import run_litmus_parallel, verdicts_parallel
+from repro.kernel.parallel import run_litmus_parallel
 from repro.litmus import library
 from repro.lkmm import LinuxKernelModel
 from repro.obs import RunReport
@@ -315,7 +315,7 @@ class TestShardingExactness:
         with obs.collect() as serial:
             serial_table = verdicts([lkmm], programs)
         with obs.collect() as parallel:
-            parallel_table = verdicts_parallel([lkmm], programs, jobs=2)
+            parallel_table = verdicts([lkmm], programs, jobs=2)
         assert serial_table == parallel_table
         assert exact_counters(serial.report()) == exact_counters(
             parallel.report()
@@ -332,11 +332,11 @@ class TestShardingExactness:
             for name in collector.report().counters
             if name.startswith(CACHE_PREFIXES)
         ]
-        # The kernel caches only run under the fast configuration; when
+        # The kernel caches only run in production; when
         # they do, their counters exist (the suite would silently lose
         # coverage if instrumentation was dropped) but are not part of
         # exact_counters().
-        if config.use_bitset() and config.incremental_enabled():
+        if not config.oracle():
             assert cache_keys
         assert not any(
             name.startswith(CACHE_PREFIXES)

@@ -8,8 +8,8 @@ This suite holds the three guarantees the ISSUE demands:
 * **soundness** — a statically decided cell NEVER contradicts the
   kernel: every ``Decided-*`` cell must equal the enumerated verdict in
   ``tests/data/verdicts_golden.json``, and over the 500-test golden
-  corpus every decision must match the locked sweep rows, under both
-  relation backends;
+  corpus every decision must match the locked sweep rows, in production
+  and under the oracle;
 * **coverage** — at least 40% of the library is decided under LKMM,
   Forbid proofs enumerate zero candidates, and the drivers surface the
   ``static.decided`` counter;
@@ -45,7 +45,9 @@ REGEN_HINT = (
     "review the diff"
 )
 
-BACKENDS = (kconfig.BITSET, kconfig.FROZENSET)
+#: Both kernel configurations, named for the relation backend each runs
+#: on: production (bitset) and the oracle (frozenset).
+BACKENDS = {"bitset": False, "frozenset": True}
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +88,12 @@ def test_decided_cells_match_enumerated_golden(snapshot, golden):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_library_decisions_are_stable(snapshot, backend):
-    """Drift guard, under both relation backends: the prover reproduces
+    """Drift guard, in both kernel configurations: the prover reproduces
     the frozen decided/unknown map cell for cell."""
     models = _models(snapshot)
     rsl = snapshot["require_sc_per_location"]
     drifted = []
-    with kconfig.use_backend(backend):
+    with kconfig.use_oracle(BACKENDS[backend]):
         for test_name in sorted(snapshot["static"]):
             program = library.get(test_name)
             for model in models:
@@ -174,10 +176,10 @@ def _corpus_cells():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_corpus_decisions_match_locked_rows(backend):
     """Soundness over the golden stress corpus: 500 generated tests,
-    the full 6-model battery, both relation backends — a static decision
-    must equal the locked enumerated verdict every single time."""
+    the full 6-model battery, both kernel configurations — a static
+    decision must equal the locked enumerated verdict every single time."""
     contradictions = []
-    with kconfig.use_backend(backend):
+    with kconfig.use_oracle(BACKENDS[backend]):
         for name, spec, program, expected in _corpus_cells():
             decision = decide(
                 _model(spec.key), program, require_sc_per_location=True

@@ -161,8 +161,8 @@ def test_forbidden_chain_is_proved_without_enumeration(threads):
     assert decision.verdict == "Forbid"
     assert decision.reason == "critical-cycle"
     assert collector.counters.get("enumerate.candidates", 0) == 0
-    # The proof never contradicts the kernel.
-    with kconfig.use_static_verdict(False):
+    # The proof never contradicts the oracle's full enumeration.
+    with kconfig.use_oracle():
         result = run_litmus(model, program, require_sc_per_location=True)
     assert result.verdict == "Forbid"
 
@@ -176,6 +176,6 @@ def test_allowed_chain_witness_matches_kernel():
     assert decision is not None
     assert decision.verdict == "Allow"
     assert decision.reason == "witness-confirmed"
-    with kconfig.use_static_verdict(False):
+    with kconfig.use_oracle():
         result = run_litmus(model, program, require_sc_per_location=True)
     assert result.verdict == "Allow"
