@@ -1,12 +1,13 @@
 """Symbolic critical-cycle prover: litmus verdicts before enumeration.
 
-The pipeline (ISSUE: symbolic static analysis over the relational IR):
+The pipeline:
 
 1. :mod:`.skeleton` — the trace-invariant event structure of a test;
 2. :mod:`.footprint` — communication edges pinned by the final-state
    condition, plus the coherence scenarios still open;
-3. :mod:`.match` — under-approximating path-match entailment against
-   the compiled cat IR;
+3. :mod:`.match` — must/may bitset evaluation of the compiled cat IR
+   over all skeleton events; an axiom is violated when its ``must``
+   closure has a diagonal bit;
 4. :mod:`.prover` — the decision procedure (:func:`static_verdict`),
    consumed by :func:`repro.herd.verdicts` and the corpus sweep;
 5. :mod:`.tables` — per-model order tables over the diy edge shapes.
@@ -24,7 +25,7 @@ from repro.analysis.symbolic.footprint import (
     resolve_footprint,
     scenarios,
 )
-from repro.analysis.symbolic.match import EdgeSet, Matcher, violated_check
+from repro.analysis.symbolic.match import EdgeSet, MustMay, violated_check
 from repro.analysis.symbolic.prover import (
     StaticDecision,
     compiled_model,
@@ -43,7 +44,7 @@ from repro.analysis.symbolic.tables import order_table, ordered_shapes
 __all__ = [
     "EdgeSet",
     "Footprint",
-    "Matcher",
+    "MustMay",
     "ProgramSkeleton",
     "SkelEvent",
     "StaticDecision",

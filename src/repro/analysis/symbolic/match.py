@@ -1,37 +1,52 @@
-"""Path-matching entailment over the relational IR.
+"""Must/may entailment over the relational IR, for a whole skeleton.
 
-Given a *position sequence* — skeleton events laid out along a candidate
-critical cycle (or a straight line, for the order tables) — the
-:class:`Matcher` decides whether a pair of positions is **provably** a
-member of a compiled cat expression (:mod:`repro.analysis.catir.ir`) in
-every candidate execution where the supplied communication edges hold.
+Given the skeleton events of a litmus test and the communication edges
+one condition-footprint scenario pins, :class:`MustMay` evaluates
+compiled cat expressions (:mod:`repro.analysis.catir.ir`) bottom-up into
+pairs of n×n bitset matrices over those events: ``must`` holds only
+pairs provably in the relation in *every* execution carrying the edges,
+``may`` every pair that can be in it in *some* such execution.  Event
+sets become a pair of masks the same way.  Each IR node is evaluated
+once per scenario, memoised by node identity.
 
-Everything is an *under-approximation* of real membership: ``match``
-returns True only when the pair is certainly in the relation, ``refute``
-returns True only when it certainly is not, and set membership is
-three-valued.  A query the engine cannot settle simply fails, which makes
-the prover built on top fall back to enumeration — never lie.
+Why a whole-skeleton evaluation is sound: every skeleton event occurs
+in every execution (:mod:`.skeleton`), so a cycle among ``must`` pairs
+is a cycle of the real relation in every execution under consideration.
+A check is violated when ``must`` of an ``irreflexive`` root, or the
+``must`` closure of an ``acyclic`` root, has a diagonal bit — the
+critical-cycle test of Herding Cats, phrased as a boolean matrix
+question about the axioms (Akgün et al.).
 
-The proof rules compose through the positions themselves: a sequential
-composition ``a ; b`` over span ``(i, j)`` looks for an intermediate
-position, closures run a forward-chaining DP, and the one relation whose
-natural witness is *not* a position — ``fr = rf^-1 ; co``, whose middle
-event is the read's (possibly initial) coherence predecessor — is fused
-structurally: a ``rf^-1 ; co`` operand pair may consume a span as a
-single known from-read edge.
-
-Soundness of each base fact:
+Base facts (exact on skeleton pairs unless noted):
 
 * ``po`` — positions carry their thread and trace index; thread_sem
   emits events in program order, so ``same tid ∧ earlier index`` is
   exactly po.
 * ``addr``/``data``/``ctrl`` — the skeleton's dependency sets replicate
   thread_sem's taint computation index for index.
-* ``rf``/``co``/``fr`` — only pairs the caller pinned from the condition
-  footprint (present in every execution under consideration).
-* ``fencerel(S)`` — an unconditional fence of a matching tag sits
-  po-between the endpoints in the skeleton, hence in every trace.
-* ``int``/``ext``/``loc``/``id`` — structural facts of the events.
+* ``rf``/``co`` — ``must`` is the pairs the caller pinned from the
+  condition footprint; ``may`` is everything.
+* ``int``/``ext``/``loc``/``id`` — structural facts of the events;
+  ``rmw`` is empty (the skeleton fragment has no RMWs); ``crit`` and
+  unknown names prove nothing.
+* sets — kinds and tags are exact, ``IW`` is empty (initial writes are
+  never skeleton events), anything else is unknown.
+
+Operators: ``union``/``inter`` combine pointwise, ``diff`` is
+``must(a) & ~may(b)``, ``compl`` swaps ``must`` and ``may`` under
+negation, ``inverse`` transposes, ``opt`` adds the identity, ``setid``/
+``cartesian``/``fencerel`` come from set masks, ``seq`` is a row
+product, ``plus``/``star`` close ``must`` transitively, and ``rec``
+groups iterate ``must`` from empty (every iterate is sound, so the
+result never depends on a proof of itself).  ``may`` stays *full* for
+``seq``, ``plus``, ``star`` and ``rec``: their intermediate events can be
+initial writes, which are not skeleton events, so a ``may`` over
+skeleton intermediates alone would be unsound.
+
+The one relation whose natural witness is *not* a skeleton event —
+``fr = rf^-1 ; co``, whose middle event is the read's (possibly initial)
+coherence predecessor — is fused structurally: a ``rf^-1 ; co`` operand
+pair in a ``seq`` also contributes the pinned from-read edges.
 """
 
 from __future__ import annotations
@@ -40,12 +55,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cat import TAG_SETS
 from repro.events import FENCE, READ, WRITE
+from repro.kernel.bitrel import closure_rows, inverse_rows, sequence_rows
 
 from repro.analysis.catir import ir
-from repro.analysis.symbolic.skeleton import ProgramSkeleton, SkelEvent
+from repro.analysis.symbolic.skeleton import SkelEvent
 
 Key = Tuple[int, int]
 Pair = Tuple[Key, Key]
+Rows = List[int]
 
 
 class EdgeSet:
@@ -81,344 +98,299 @@ class EdgeSet:
         return hash((self.rf, self.co, self.fr))
 
 
-class Matcher:
-    """Entailment queries over one position sequence.
+def _is_fr_fusion(first: ir.Node, second: ir.Node) -> bool:
+    return (
+        first.kind == "inverse"
+        and first.operands[0].kind == "base"
+        and first.operands[0].name == "rf"
+        and second.kind == "base"
+        and second.name == "co"
+    )
 
-    ``positions`` is the sequence of skeleton events; when ``period`` is
-    set, index arithmetic is modulo that period (the sequence represents
-    a cycle and spans may wrap exactly once — queries use indices up to
-    ``2 * period``).  Matchers are cheap and short-lived: one per
-    (cycle, edge scenario).
-    """
 
-    def __init__(
-        self,
-        skeleton: Optional[ProgramSkeleton],
-        edges: EdgeSet,
-        positions: Sequence[SkelEvent],
-        period: Optional[int] = None,
-    ):
-        self.skeleton = skeleton
+class MustMay:
+    """The ``(must, may)`` value of IR nodes over one event list and one
+    edge scenario.  Relations are row lists (row ``i`` is a bitmask of
+    the successors of ``events[i]``), sets are masks."""
+
+    def __init__(self, events: Sequence[SkelEvent], edges: EdgeSet):
+        self.events = list(events)
+        n = self.n = len(self.events)
+        self.full = (1 << n) - 1
+        self.zero: Rows = [0] * n
+        self.everything: Rows = [self.full] * n
+        self.identity: Rows = [1 << i for i in range(n)]
         self.edges = edges
-        self.period = period
-        if period is not None:
-            # Double the ring so any rotation's full wrap is addressable.
-            self.positions = list(positions) * 2
-        else:
-            self.positions = list(positions)
-        self._memo: Dict[Tuple[int, int, int], bool] = {}
+        self._where = {event.key: i for i, event in enumerate(self.events)}
+        self._memo: Dict[int, tuple] = {}
+        #: rec group id -> ids of memoised nodes that read the group.
+        self._readers: Dict[int, List[int]] = {}
+        self._bases: Dict[str, Tuple[Rows, Rows]] = {}
 
-    # -- position helpers --------------------------------------------------
+    # -- helpers -----------------------------------------------------------
 
-    def at(self, i: int) -> SkelEvent:
-        return self.positions[i]
+    def _rows_of(self, pairs) -> Rows:
+        where = self._where
+        rows = [0] * self.n
+        for a, b in pairs:
+            if a in where and b in where:
+                rows[where[a]] |= 1 << where[b]
+        return rows
 
-    def same_event(self, i: int, j: int) -> bool:
-        if self.period is None:
-            return i == j
-        return (j - i) % self.period == 0
+    def _group_masks(self, attr: str) -> Rows:
+        """Row ``i``: the events sharing ``events[i].<attr>``."""
+        groups: Dict[object, int] = {}
+        for event, bit in zip(self.events, self.identity):
+            value = getattr(event, attr)
+            groups[value] = groups.get(value, 0) | bit
+        return [groups[getattr(event, attr)] for event in self.events]
 
-    def span_limit(self) -> int:
-        """The largest meaningful span length."""
-        return self.period if self.period is not None \
-            else len(self.positions) - 1
+    def _mask_where(self, test) -> int:
+        return sum(1 << i for i, event in enumerate(self.events)
+                   if test(event))
 
-    def _fences_between(self, a: SkelEvent, b: SkelEvent) -> List[SkelEvent]:
-        if self.skeleton is not None:
-            return self.skeleton.fences_between(a, b)
-        # Order-table mode: interposed fences are themselves positions.
-        return [
-            event
-            for event in self.positions
-            if event.kind == FENCE and event.tid == a.tid
-            and a.index < event.index < b.index
-        ]
+    def _diag(self, mask: int) -> Rows:
+        return [bit if mask & bit else 0 for bit in self.identity]
 
-    # -- set membership (three-valued) ------------------------------------
+    # -- public queries ----------------------------------------------------
 
-    def in_set(self, node: ir.Node, event: SkelEvent) -> Optional[bool]:
+    def must(self, node: ir.Node) -> Rows:
+        """Pairs provably in ``node`` in every execution."""
+        return self.relation(node)[0]
+
+    def relation(self, node: ir.Node) -> Tuple[Rows, Rows]:
+        """``(must, may)`` rows of a relation-sorted node."""
+        key = id(node)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._relation(node)
+            self._memo[key] = value
+            if node.kind != "rec":
+                for gid in node.rec_ids:
+                    self._readers.setdefault(gid, []).append(key)
+        return value
+
+    def event_set(self, node: ir.Node) -> Tuple[int, int]:
+        """``(must, may)`` masks of a set-sorted node."""
+        key = id(node)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._set(node)
+            self._memo[key] = value
+        return value
+
+    # -- sets ----------------------------------------------------------------
+
+    def _set(self, node: ir.Node) -> Tuple[int, int]:
         kind = node.kind
+        full = self.full
         if kind == "base":
             name = node.name
             if name == "_":
-                return True
-            if name == "R":
-                return event.kind == READ
-            if name == "W":
-                return event.kind == WRITE
-            if name == "M":
-                return event.kind in (READ, WRITE)
-            if name == "F":
-                return event.kind == FENCE
+                return full, full
+            if name in ("R", "W", "F", "M"):
+                kinds = {"R": (READ,), "W": (WRITE,), "F": (FENCE,),
+                         "M": (READ, WRITE)}[name]
+                mask = self._mask_where(lambda e: e.kind in kinds)
+                return mask, mask
             if name == "IW":
-                return False  # initial writes are never skeleton events
+                return 0, 0
             tag = TAG_SETS.get(name)
             if tag is not None:
-                return event.tag == tag
-            return None
+                mask = self._mask_where(lambda e: e.tag == tag)
+                return mask, mask
+            return 0, full
         if kind == "empty":
-            return False
-        if kind == "union":
-            saw_unknown = False
-            for op in node.operands:
-                member = self.in_set(op, event)
-                if member:
-                    return True
-                if member is None:
-                    saw_unknown = True
-            return None if saw_unknown else False
-        if kind == "inter":
-            saw_unknown = False
-            for op in node.operands:
-                member = self.in_set(op, event)
-                if member is False:
-                    return False
-                if member is None:
-                    saw_unknown = True
-            return None if saw_unknown else True
+            return 0, 0
+        if kind in ("union", "inter"):
+            values = [self.event_set(op) for op in node.operands]
+            must, may = values[0]
+            for op_must, op_may in values[1:]:
+                if kind == "union":
+                    must, may = must | op_must, may | op_may
+                else:
+                    must, may = must & op_must, may & op_may
+            return must, may
         if kind == "diff":
-            lhs = self.in_set(node.operands[0], event)
-            rhs = self.in_set(node.operands[1], event)
-            if lhs is False or rhs is True:
-                return False
-            if lhs is True and rhs is False:
-                return True
-            return None
-        return None  # domain/range/compl/rec: unknown
+            a_must, a_may = self.event_set(node.operands[0])
+            b_must, b_may = self.event_set(node.operands[1])
+            return a_must & ~b_may, a_may & ~b_must
+        return 0, full  # domain/range/compl: unknown
 
-    # -- pair membership ---------------------------------------------------
+    # -- relations -----------------------------------------------------------
 
-    def match(self, node: ir.Node, i: int, j: int) -> bool:
-        """True only when ``(positions[i], positions[j])`` is provably in
-        ``node`` for every execution carrying this matcher's edges."""
-        key = (id(node), i, j)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        # Seed False so a recursive proof that needs itself is rejected
-        # (a sound least-fixpoint under-approximation for rec groups).
-        self._memo[key] = False
-        result = self._match(node, i, j)
-        self._memo[key] = result
-        return result
+    def _base(self, name: str) -> Tuple[Rows, Rows]:
+        value = self._bases.get(name)
+        if value is None:
+            value = self._bases[name] = self._compute_base(name)
+        return value
 
-    def _match(self, node: ir.Node, i: int, j: int) -> bool:
-        a, b = self.at(i), self.at(j)
-        kind = node.kind
-        if kind == "base":
-            return self._match_base(node.name, i, j, a, b)
-        if kind == "empty":
-            return False
-        if kind == "rec":
-            bodies = ir.group_of(node).bodies
-            return bool(bodies) and self.match(bodies[node.pos], i, j)
-        if kind == "union":
-            return any(self.match(op, i, j) for op in node.operands)
-        if kind == "inter":
-            return all(self.match(op, i, j) for op in node.operands)
-        if kind == "diff":
-            return self.match(node.operands[0], i, j) and self.refute(
-                node.operands[1], i, j
-            )
-        if kind == "compl":
-            return self.refute(node.operands[0], i, j)
-        if kind == "inverse":
-            return self._match_inverse(node.operands[0], i, j)
-        if kind == "opt":
-            return self.same_event(i, j) or self.match(node.operands[0], i, j)
-        if kind == "star":
-            return self.same_event(i, j) or self._plus(node.operands[0], i, j)
-        if kind == "plus":
-            return self._plus(node.operands[0], i, j)
-        if kind == "setid":
-            return self.same_event(i, j) and (
-                self.in_set(node.operands[0], a) is True
-            )
-        if kind == "cartesian":
-            return (
-                self.in_set(node.operands[0], a) is True
-                and self.in_set(node.operands[1], b) is True
-            )
-        if kind == "fencerel":
-            return self._fencerel(node.operands[0], i, j, a, b)
-        if kind == "seq":
-            return self._seq(node.operands, i, j)
-        return False
-
-    def _match_base(self, name: str, i: int, j: int,
-                    a: SkelEvent, b: SkelEvent) -> bool:
+    def _compute_base(self, name: str) -> Tuple[Rows, Rows]:
+        events = self.events
         if name == "po":
-            return a.tid == b.tid and a.index < b.index
-        if name == "rf":
-            return (a.key, b.key) in self.edges.rf
-        if name == "co":
-            return (a.key, b.key) in self.edges.co
-        if name == "addr":
-            return a.tid == b.tid and a.index in b.addr_deps
-        if name == "data":
-            return a.tid == b.tid and a.index in b.data_deps
-        if name == "ctrl":
-            return a.tid == b.tid and a.index in b.ctrl_deps
-        if name == "int":
-            return a.tid == b.tid
-        if name == "ext":
-            return a.tid != b.tid
-        if name == "loc":
-            return a.loc is not None and a.loc == b.loc
-        if name == "id":
-            return self.same_event(i, j)
-        return False  # rmw, crit, unknown bases: no provable pairs
+            rows = [
+                sum(bit for b, bit in zip(events, self.identity)
+                    if b.tid == a.tid and b.index > a.index)
+                for a in events
+            ]
+        elif name in ("addr", "data", "ctrl"):
+            rows = [0] * self.n
+            for b, bit in zip(events, self.identity):
+                for index in getattr(b, f"{name}_deps"):
+                    source = self._where.get((b.tid, index))
+                    if source is not None:
+                        rows[source] |= bit
+        elif name == "int":
+            rows = self._group_masks("tid")
+        elif name == "ext":
+            rows = [self.full & ~row for row in self._group_masks("tid")]
+        elif name == "loc":
+            rows = [
+                row if event.loc is not None else 0
+                for event, row in zip(events, self._group_masks("loc"))
+            ]
+        elif name == "id":
+            rows = self.identity
+        elif name == "rmw":
+            rows = self.zero
+        elif name in ("rf", "co", "fr"):
+            # Pinned edges; ``fr`` is not a cat builtin, only the fusion
+            # in ``_seq`` reads it.
+            return self._rows_of(getattr(self.edges, name)), self.everything
+        else:
+            return self.zero, self.everything  # crit, unknown: no proofs
+        return rows, rows
 
-    def _match_inverse(self, operand: ir.Node, i: int, j: int) -> bool:
-        a, b = self.at(i), self.at(j)
-        if operand.kind == "base":
-            if operand.name == "rf":
-                return (b.key, a.key) in self.edges.rf
-            if operand.name == "co":
-                return (b.key, a.key) in self.edges.co
-            if operand.name == "po":
-                # po^-1 along a forward span is only the degenerate case.
-                return False
-        return False
-
-    def _fencerel(self, sets: ir.Node, i: int, j: int,
-                  a: SkelEvent, b: SkelEvent) -> bool:
-        if a.tid != b.tid or a.index >= b.index:
-            return False
-        return any(
-            self.in_set(sets, fence) is True
-            for fence in self._fences_between(a, b)
-        )
-
-    def _is_fr_fusion(self, first: ir.Node, second: ir.Node) -> bool:
-        return (
-            first.kind == "inverse"
-            and first.operands[0].kind == "base"
-            and first.operands[0].name == "rf"
-            and second.kind == "base"
-            and second.name == "co"
-        )
-
-    def _seq(self, operands: Tuple[ir.Node, ...], i: int, j: int) -> bool:
-        # states[t] = positions reachable after consuming operands[:t].
-        count = len(operands)
-        states: List[set] = [set() for _ in range(count + 1)]
-        states[0].add(i)
-        for t, op in enumerate(operands):
-            fused = t + 1 < count and self._is_fr_fusion(op, operands[t + 1])
-            for p in list(states[t]):
-                for q in range(p, j + 1):
-                    if self.match(op, p, q):
-                        states[t + 1].add(q)
-                    if fused and q > p and (
-                        (self.at(p).key, self.at(q).key) in self.edges.fr
-                    ):
-                        states[t + 2].add(q)
-        return j in states[count]
-
-    def _plus(self, op: ir.Node, i: int, j: int) -> bool:
-        # Forward-chaining closure: chains of >= 1 step, intermediate
-        # positions strictly between i and j.
-        reach = [False] * (j - i + 1)
-        for q in range(i, j + 1):
-            if self.match(op, i, q):
-                reach[q - i] = True
-        if reach[j - i]:
-            return True
-        changed = True
-        while changed and not reach[j - i]:
-            changed = False
-            for p in range(i, j + 1):
-                if not reach[p - i]:
-                    continue
-                for q in range(p + 1, j + 1):
-                    if not reach[q - i] and self.match(op, p, q):
-                        reach[q - i] = True
-                        changed = True
-        return reach[j - i]
-
-    # -- definite non-membership ------------------------------------------
-
-    def refute(self, node: ir.Node, i: int, j: int) -> bool:
-        """True only when the pair is provably *not* in ``node``."""
-        a, b = self.at(i), self.at(j)
+    def _relation(self, node: ir.Node) -> Tuple[Rows, Rows]:
         kind = node.kind
         if kind == "base":
-            name = node.name
-            if name == "id":
-                return not self.same_event(i, j)
-            if name == "int":
-                return a.tid != b.tid
-            if name == "ext":
-                return a.tid == b.tid
-            if name == "loc":
-                return a.loc is None or b.loc is None or a.loc != b.loc
-            if name == "po":
-                # Exact: po is precisely same-thread program order.
-                return not (a.tid == b.tid and a.index < b.index)
-            if name in ("addr", "data", "ctrl"):
-                deps = getattr(b, f"{name}_deps")
-                return not (a.tid == b.tid and a.index in deps)
-            if name == "rmw":
-                return True  # the skeleton fragment contains no RMWs
-            return False  # rf/co/crit: pins are a subset, can't refute
+            return self._base(node.name)
         if kind == "empty":
-            return True
-        if kind == "union":
-            return all(self.refute(op, i, j) for op in node.operands)
-        if kind == "inter":
-            return any(self.refute(op, i, j) for op in node.operands)
+            return self.zero, self.zero
+        if kind == "rec":
+            return self._rec(node)
+        if kind in ("union", "inter"):
+            values = [self.relation(op) for op in node.operands]
+            must, may = values[0]
+            for op_must, op_may in values[1:]:
+                if kind == "union":
+                    must = [x | y for x, y in zip(must, op_must)]
+                    may = [x | y for x, y in zip(may, op_may)]
+                else:
+                    must = [x & y for x, y in zip(must, op_must)]
+                    may = [x & y for x, y in zip(may, op_may)]
+            return must, may
         if kind == "diff":
-            return self.refute(node.operands[0], i, j) or self.match(
-                node.operands[1], i, j
+            a_must, a_may = self.relation(node.operands[0])
+            b_must, b_may = self.relation(node.operands[1])
+            return (
+                [x & ~y for x, y in zip(a_must, b_may)],
+                [x & ~y for x, y in zip(a_may, b_must)],
             )
         if kind == "compl":
-            return self.match(node.operands[0], i, j)
+            must, may = self.relation(node.operands[0])
+            full = self.full
+            return [full & ~y for y in may], [full & ~x for x in must]
+        if kind == "inverse":
+            must, may = self.relation(node.operands[0])
+            return inverse_rows(must), inverse_rows(may)
         if kind == "opt":
-            return not self.same_event(i, j) and self.refute(
-                node.operands[0], i, j
+            must, may = self.relation(node.operands[0])
+            ident = self.identity
+            return (
+                [x | i for x, i in zip(must, ident)],
+                [x | i for x, i in zip(may, ident)],
+            )
+        if kind == "plus":
+            return closure_rows(self.must(node.operands[0])), self.everything
+        if kind == "star":
+            closed = closure_rows(self.must(node.operands[0]))
+            return (
+                [x | i for x, i in zip(closed, self.identity)],
+                self.everything,
             )
         if kind == "setid":
-            return not self.same_event(i, j) or (
-                self.in_set(node.operands[0], a) is False
-            )
+            must, may = self.event_set(node.operands[0])
+            return self._diag(must), self._diag(may)
         if kind == "cartesian":
+            a_must, a_may = self.event_set(node.operands[0])
+            b_must, b_may = self.event_set(node.operands[1])
             return (
-                self.in_set(node.operands[0], a) is False
-                or self.in_set(node.operands[1], b) is False
+                [b_must if a_must & bit else 0 for bit in self.identity],
+                [b_may if a_may & bit else 0 for bit in self.identity],
             )
         if kind == "fencerel":
-            if a.tid != b.tid or a.index >= b.index:
-                return True
-            return all(
-                self.in_set(node.operands[0], fence) is False
-                for fence in self._fences_between(a, b)
+            # po ; [S] ; po — every fence is a skeleton event.
+            po = self._base("po")[0]
+            must, may = self.event_set(node.operands[0])
+            return (
+                sequence_rows([row & must for row in po], po),
+                sequence_rows([row & may for row in po], po),
             )
-        return False  # seq/plus/star/rec/inverse: not refutable here
+        if kind == "seq":
+            return self._seq(node.operands), self.everything
+        return self.zero, self.everything
+
+    def _seq(self, operands: Tuple[ir.Node, ...]) -> Rows:
+        # reach[t] = pairs (start, p) with p reached after operands[:t].
+        count = len(operands)
+        reach = [self.zero] * (count + 1)
+        reach[0] = self.identity
+        for t, op in enumerate(operands):
+            current = reach[t]
+            if not any(current):
+                continue  # nothing to extend: skip evaluating ``op``
+            step = sequence_rows(current, self.must(op))
+            reach[t + 1] = [x | y for x, y in zip(reach[t + 1], step)]
+            if t + 1 < count and _is_fr_fusion(op, operands[t + 1]):
+                reach[t + 2] = sequence_rows(current, self._base("fr")[0])
+        return reach[count]
+
+    def _rec(self, node: ir.Node) -> Tuple[Rows, Rows]:
+        group = ir.group_of(node)
+        if not group.bodies:
+            return self.zero, self.everything
+        keys = [id(rec_node) for rec_node in group.rec_nodes]
+        for key in keys:
+            self._memo[key] = (self.zero, self.everything)
+        changed = True
+        while changed:
+            for key in self._readers.pop(group.gid, ()):
+                self._memo.pop(key, None)
+            changed = False
+            news = [self.must(body) for body in group.bodies]
+            for key, new in zip(keys, news):
+                old = self._memo[key][0]
+                merged = [x | y for x, y in zip(old, new)]
+                if merged != old:
+                    self._memo[key] = (merged, self.everything)
+                    changed = True
+        return self._memo[id(node)]
 
 
-def violated_check(matcher: Matcher, checks) -> Optional[str]:
-    """The label of a non-flag acyclic/irreflexive check the cycle
-    provably violates, or None.
+def _has_diagonal(rows: Rows) -> bool:
+    return any(row >> i & 1 for i, row in enumerate(rows))
 
-    For ``acyclic r`` (irreflexive ``r+``) the goal is a full wrap of the
-    ring inside ``r+``; for ``irreflexive r`` the wrap — or a reflexive
-    pair at a single position — inside ``r`` itself.
+
+def violated_check(
+    events: Sequence[SkelEvent], edges: EdgeSet, checks
+) -> Optional[str]:
+    """The label of the first non-flag acyclic/irreflexive check that
+    every execution carrying ``edges`` violates, or None.
+
+    ``acyclic r`` is violated when the ``must`` closure of ``r`` has a
+    diagonal bit, ``irreflexive r`` when ``must(r)`` itself has one.
     """
-    period = matcher.period
-    assert period is not None, "violated_check needs a cyclic matcher"
+    values = MustMay(events, edges)
     for check in checks:
         if check.flag or check.negated:
             continue
         if check.kind == "acyclic":
-            target = ir.plus(check.root)
-            for k in range(period):
-                if matcher.match(target, k, k + period):
-                    return check.label
+            rows = closure_rows(values.must(check.root))
         elif check.kind == "irreflexive":
-            for k in range(period):
-                if matcher.match(check.root, k, k) or matcher.match(
-                    check.root, k, k + period
-                ):
-                    return check.label
+            rows = values.must(check.root)
+        else:
+            continue
+        if _has_diagonal(rows):
+            return check.label
     return None

@@ -9,11 +9,14 @@ it *statically*, before (and usually instead of) enumerating the
 candidate-execution space:
 
 * **Forbid** — the condition body is unsatisfiable over the skeleton
-  (``unsat-condition``), or every coherence scenario of every
-  condition-satisfying execution contains a cycle provably inside an
-  acyclicity axiom of the model (``critical-cycle``).  Both facts are
-  established by under-approximating entailment (:mod:`.match`), so a
-  Forbid is a proof, not a heuristic.
+  (``unsat-condition``), or in every coherence scenario of every
+  condition-satisfying execution some acyclicity axiom of the model
+  provably has a cycle (``critical-cycle``).  The cycle test evaluates
+  each axiom once per scenario over *all* skeleton events, as a ``must``
+  bitset matrix whose closure has a diagonal bit (:mod:`.match`), so no
+  cycle is enumerated and none is too long to find.  Both facts are
+  under-approximations of the real relations, so a Forbid is a proof,
+  not a heuristic.
 * **Allow** — a witness candidate synthesised from the condition
   footprint (threads restricted to traces matching the pinned register
   values) satisfies the condition and is *confirmed by the kernel
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.cat import CatError
 from repro.guard import core as _guard
 from repro.litmus.ast import Program
-from repro.litmus.outcomes import Exists, Forall, NotExists
+from repro.litmus.outcomes import Exists, NotExists
 from repro.model import Model
 from repro.obs import core as _obs
 
@@ -45,7 +48,7 @@ from repro.analysis.symbolic.footprint import (
     resolve_footprint,
     scenarios,
 )
-from repro.analysis.symbolic.match import EdgeSet, Key, Matcher, violated_check
+from repro.analysis.symbolic.match import EdgeSet, violated_check
 from repro.analysis.symbolic.skeleton import (
     ProgramSkeleton,
     Unsupported,
@@ -55,9 +58,8 @@ from repro.analysis.symbolic.skeleton import (
 ALLOW = "Allow"
 FORBID = "Forbid"
 
-#: Caps on the static search itself (the point is to be *cheap*).
-MAX_CYCLES = 128
-MAX_CYCLE_LEN = 12
+#: Cap on the candidates the witness search examines (the point is to be
+#: *cheap*).
 MAX_WITNESS_CANDIDATES = 256
 
 
@@ -102,186 +104,18 @@ def compiled_model(model: Model) -> Optional[CompiledModel]:
 
 
 # ---------------------------------------------------------------------------
-# Cycle enumeration
-
-
-def _communication_cycles(
-    skeleton: ProgramSkeleton,
-    edges: EdgeSet,
-    max_cycles: int = MAX_CYCLES,
-    max_len: int = MAX_CYCLE_LEN,
-) -> Iterator[List[Key]]:
-    """Candidate critical cycles: alternating communication steps (from
-    ``edges``) and forward program-order steps between their endpoints.
-
-    Consecutive po steps are never taken (po is transitive, so such a
-    cycle is subsumed by a shorter one), and each cycle is emitted once,
-    anchored at its smallest participating key.
-    """
-    comm: Dict[Key, set] = {}
-    for a, b in edges.rf | edges.co | edges.fr:
-        comm.setdefault(a, set()).add(b)
-        comm.setdefault(b, set())
-    nodes = sorted(comm)
-    po_next: Dict[Key, List[Key]] = {
-        a: [b for b in nodes if b[0] == a[0] and b[1] > a[1]] for a in nodes
-    }
-    emitted = 0
-
-    def walk(
-        start: Key, current: Key, path: List[Key], last_po: bool, first_po: bool
-    ) -> Iterator[List[Key]]:
-        nonlocal emitted
-        if emitted >= max_cycles or len(path) > max_len:
-            return
-        for nxt in sorted(comm[current]):
-            if nxt == start:
-                if len(path) >= 2:
-                    emitted += 1
-                    yield list(path)
-                    if emitted >= max_cycles:
-                        return
-            elif nxt > start and nxt not in path:
-                yield from walk(start, nxt, path + [nxt], False, first_po)
-        if not last_po:
-            for nxt in po_next[current]:
-                if nxt == start:
-                    # Closing with po after opening with po would make
-                    # two consecutive po steps around the wrap.
-                    if len(path) >= 2 and not first_po:
-                        emitted += 1
-                        yield list(path)
-                        if emitted >= max_cycles:
-                            return
-                elif nxt > start and nxt not in path:
-                    yield from walk(start, nxt, path + [nxt], True, first_po)
-
-    for start in nodes:
-        for nxt in sorted(comm[start]):
-            if nxt > start:
-                yield from walk(start, nxt, [start, nxt], False, False)
-        for nxt in po_next[start]:
-            if nxt > start:
-                yield from walk(start, nxt, [start, nxt], True, True)
-
-
-def _cycle_positions(skeleton: ProgramSkeleton, cycle: Sequence[Key]):
-    """The cycle's accesses in order, with the skeleton fences interposed
-    along each forward program-order link (so ``seq`` compositions like
-    ``po ; [F & Mb] ; po`` find their intermediate position)."""
-    positions = []
-    count = len(cycle)
-    for i, key in enumerate(cycle):
-        event = skeleton.event(key)
-        positions.append(event)
-        nxt = skeleton.event(cycle[(i + 1) % count])
-        if event.tid == nxt.tid and event.index < nxt.index:
-            positions.extend(skeleton.fences_between(event, nxt))
-    return positions
-
-
-#: Order-table memo: ``violated_check`` keyed by (compiled model,
-#: canonical cycle shape).  The matcher consults nothing beyond what the
-#: shape captures, so equal shapes provably yield equal answers — and the
-#: diy-generated corpus draws its cycles from a small shape vocabulary,
-#: which turns entailment from the dominant cost into a dict lookup.
-_SHAPE_MEMO: Dict[Tuple[int, tuple], Optional[str]] = {}
-_SHAPE_CAP = 65536
-
-
-def _cycle_shape(
-    skeleton: ProgramSkeleton, edges: EdgeSet, positions
-) -> tuple:
-    """A canonical fingerprint of one cyclic matcher query.
-
-    Complete by construction: the matcher reads, of each position, only
-    its kind/tag, thread identity, program-order rank, dependency links,
-    location equality, interposed-fence tags, and pinned-edge membership
-    — all of which are captured here (threads and locations renamed by
-    first appearance, the whole ring normalised over rotations, since
-    ``violated_check`` tries every rotation anyway).
-    """
-    count = len(positions)
-    pair = {}
-    for i, a in enumerate(positions):
-        for j, b in enumerate(positions):
-            if i == j:
-                continue
-            same_tid = a.tid == b.tid
-            fences: tuple = ()
-            if same_tid and a.index < b.index:
-                fences = tuple(
-                    sorted(
-                        {f.tag or "" for f in skeleton.fences_between(a, b)}
-                    )
-                )
-            pair[(i, j)] = (
-                same_tid and a.index < b.index,
-                same_tid and a.index in b.addr_deps,
-                same_tid and a.index in b.data_deps,
-                same_tid and a.index in b.ctrl_deps,
-                fences,
-                (a.key, b.key) in edges.rf,
-                (a.key, b.key) in edges.co,
-                (a.key, b.key) in edges.fr,
-            )
-    descs = []
-    for r in range(count):
-        tids: Dict[int, int] = {}
-        locs: Dict[str, int] = {}
-        desc = []
-        for i in range(count):
-            event = positions[(i + r) % count]
-            desc.append(
-                (
-                    tids.setdefault(event.tid, len(tids)),
-                    event.kind,
-                    event.tag or "",
-                    -1
-                    if event.loc is None
-                    else locs.setdefault(event.loc, len(locs)),
-                )
-            )
-        descs.append(tuple(desc))
-    # The event descriptors almost always single out the canonical
-    # rotation; the O(n^2) pair tuple is built only for the ties.
-    lead = min(descs)
-    best = None
-    for r in range(count):
-        if descs[r] != lead:
-            continue
-        candidate = tuple(
-            pair[((i + r) % count, (j + r) % count)]
-            for i in range(count)
-            for j in range(count)
-            if i != j
-        )
-        if best is None or candidate < best:
-            best = candidate
-    return (lead, best)
+# Entailment
 
 
 def _forbidden_under(
     skeleton: ProgramSkeleton, edges: EdgeSet, compiled: CompiledModel
 ) -> Optional[str]:
-    """A violated-check label when some candidate cycle over ``edges`` is
-    provably inside an acyclicity axiom, else ``None``."""
-    for cycle in _communication_cycles(skeleton, edges):
-        positions = _cycle_positions(skeleton, cycle)
-        key = (id(compiled), _cycle_shape(skeleton, edges, positions))
-        if key in _SHAPE_MEMO:
-            label = _SHAPE_MEMO[key]
-        else:
-            matcher = Matcher(
-                skeleton, edges, positions, period=len(positions)
-            )
-            label = violated_check(matcher, compiled.checks)
-            if len(_SHAPE_MEMO) >= _SHAPE_CAP:
-                _SHAPE_MEMO.clear()
-            _SHAPE_MEMO[key] = label
-        if label is not None:
-            return label
-    return None
+    """A violated-check label when every execution carrying ``edges``
+    has a cycle inside an acyclicity axiom of the model, else ``None``."""
+    events = [event for thread in skeleton.threads for event in thread.events]
+    _obs.count("static.match")
+    with _obs.span("static.match"):
+        return violated_check(events, edges, compiled.checks)
 
 
 # ---------------------------------------------------------------------------

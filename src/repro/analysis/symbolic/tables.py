@@ -4,9 +4,10 @@ The diy edge vocabulary (:mod:`repro.diy.edges`) names the shapes
 critical cycles are built from — communication edges (``Rfe``/``Fre``/
 ``Coe``) and program-order edges decorated with fences, dependencies and
 access annotations (``MbdWR``, ``DpAddrdR``, ``AcqdR``...).  For each
-shape this module asks the matcher one *linear* entailment question: is
-the shape's (source, target) pair provably inside the transitive closure
-of one of the model's acyclicity axioms?
+shape this module asks one *linear* entailment question of the must/may
+evaluator (:mod:`.match`): is the shape's (source, target) pair inside
+the transitive closure of ``must`` of one of the model's acyclicity
+axioms?
 
 The answer per axiom is the classic "ordered" column of a model's
 relaxation table (Section 4 of the paper): a cycle whose every edge is
@@ -20,7 +21,7 @@ required kinds (same location and different threads for communication
 shapes, different locations on one thread for program-order shapes),
 the decorating fence interposed, the dependency recorded, annotations
 applied as access tags.  Everything is an under-approximation exactly
-like the prover's cycles: a True cell is a proof, an empty cell only
+like the prover's cycle test: a True cell is a proof, an empty cell only
 means "not provable here".
 """
 
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.catir import ir
-from repro.analysis.symbolic.match import EdgeSet, Matcher
+from repro.analysis.symbolic.match import EdgeSet, MustMay
 from repro.analysis.symbolic.prover import compiled_model
 from repro.analysis.symbolic.skeleton import SkelEvent
 from repro.diy.edges import ANY, EDGES, Edge
 from repro.events import FENCE, ONCE, READ, WRITE
+from repro.kernel.bitrel import closure_rows
 from repro.model import Model
 
 #: Tags forced by diy endpoint annotations.
@@ -85,7 +86,7 @@ def order_table(model: Model) -> Dict[str, Tuple[str, ...]]:
 
     An empty tuple means the shape is not provably ordered — the model
     may relax it (``PodWR`` under TSO) or the proof is simply out of the
-    matcher's reach.  Models without a relational IR yield all-empty
+    evaluator's reach.  Models without a relational IR yield all-empty
     tables.
     """
     compiled = compiled_model(model)
@@ -98,11 +99,12 @@ def order_table(model: Model) -> Dict[str, Tuple[str, ...]]:
         positions, edges = shape
         labels = []
         if compiled is not None:
-            matcher = Matcher(None, edges, positions, period=None)
+            values = MustMay(positions, edges)
+            last = 1 << (len(positions) - 1)
             for check in compiled.checks:
                 if check.kind != "acyclic" or check.flag or check.negated:
                     continue
-                if matcher.match(ir.plus(check.root), 0, len(positions) - 1):
+                if closure_rows(values.must(check.root))[0] & last:
                     labels.append(check.label)
         table[name] = tuple(sorted(set(labels)))
     return table

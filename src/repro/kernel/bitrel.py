@@ -51,6 +51,55 @@ def _popcount_fallback(mask: int) -> int:
 _popcount = getattr(int, "bit_count", _popcount_fallback)
 
 
+# -- row operations ----------------------------------------------------------
+#
+# The relational operators on bare row lists, shared by DenseRelation and
+# the symbolic prover's must/may matrices (which index skeleton events,
+# not an execution's events).
+
+
+def inverse_rows(rows: List[int]) -> List[int]:
+    """The transpose of ``rows``."""
+    out = [0] * len(rows)
+    bit = 1
+    for row in rows:
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
+    return out
+
+
+def sequence_rows(first: List[int], second: List[int]) -> List[int]:
+    """Relational composition ``first ; second``."""
+    out = []
+    append = out.append
+    for row in first:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= second[low.bit_length() - 1]
+            row ^= low
+        append(acc)
+    return out
+
+
+def closure_rows(rows: List[int]) -> List[int]:
+    """The transitive closure of ``rows``."""
+    # Bitset Floyd–Warshall: after processing k, row i holds every node
+    # reachable from i via intermediates <= k.
+    rows = list(rows)
+    for k, row_k in enumerate(rows):
+        if not row_k:
+            continue
+        bit = 1 << k
+        for i in range(len(rows)):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
+
+
 class EventIndex:
     """A dense ``event -> 0..n-1`` mapping for one universe.
 
@@ -169,22 +218,10 @@ class DenseRelation:
     # -- relational operators --------------------------------------------
 
     def inverse(self) -> "DenseRelation":
-        out = [0] * self.index.n
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for j in _bits(row):
-                out[j] |= bit
-        return DenseRelation(self.index, out)
+        return DenseRelation(self.index, inverse_rows(self.rows))
 
     def sequence(self, other: "DenseRelation") -> "DenseRelation":
-        other_rows = other.rows
-        out = []
-        for row in self.rows:
-            acc = 0
-            for j in _bits(row):
-                acc |= other_rows[j]
-            out.append(acc)
-        return DenseRelation(self.index, out)
+        return DenseRelation(self.index, sequence_rows(self.rows, other.rows))
 
     def optional(self) -> "DenseRelation":
         return DenseRelation(
@@ -192,17 +229,7 @@ class DenseRelation:
         )
 
     def transitive_closure(self) -> "DenseRelation":
-        # Bitset Floyd–Warshall: after processing k, row i holds every node
-        # reachable from i via intermediates <= k.
-        rows = list(self.rows)
-        for k, row_k in enumerate(rows):
-            if not row_k:
-                continue
-            bit = 1 << k
-            for i in range(len(rows)):
-                if rows[i] & bit:
-                    rows[i] |= rows[k]
-        return DenseRelation(self.index, rows)
+        return DenseRelation(self.index, closure_rows(self.rows))
 
     def reflexive_transitive_closure(self) -> "DenseRelation":
         return self.transitive_closure().optional()

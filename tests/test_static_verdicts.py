@@ -3,7 +3,7 @@
 ``tests/data/static_verdicts.json`` freezes what the critical-cycle
 prover decides for the whole litmus library under the four golden
 models (regenerated only by ``benchmarks/regen_static_verdicts.py``).
-This suite holds the three guarantees the ISSUE demands:
+This suite holds the prover's three guarantees:
 
 * **soundness** — a statically decided cell NEVER contradicts the
   kernel: every ``Decided-*`` cell must equal the enumerated verdict in
@@ -11,7 +11,8 @@ This suite holds the three guarantees the ISSUE demands:
   corpus every decision must match the locked sweep rows, in production
   and under the oracle;
 * **coverage** — at least 40% of the library is decided under LKMM,
-  Forbid proofs enumerate zero candidates, and the drivers surface the
+  at least 1758 of the 1839 golden-corpus cells are decided, Forbid
+  proofs enumerate zero candidates, and the drivers surface the
   ``static.decided`` counter;
 * **stability** — the decided/unknown map itself must not drift
   silently (a matcher regression that loses proofs fails here with the
@@ -173,21 +174,36 @@ def _corpus_cells():
             yield test.name, spec, program, expected
 
 
+#: Corpus coverage floor: cells the prover decides out of those it is
+#: asked (every applicable, compilable golden-corpus cell).
+CORPUS_DECIDED_FLOOR = (1758, 1839)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_corpus_decisions_match_locked_rows(backend):
     """Soundness over the golden stress corpus: 500 generated tests,
     the full 6-model battery, both kernel configurations — a static
-    decision must equal the locked enumerated verdict every single time."""
+    decision must equal the locked enumerated verdict every single time.
+    Coverage is pinned too: a regression that loses proofs fails with
+    the decided count."""
     contradictions = []
+    decided = cells = 0
     with kconfig.use_oracle(BACKENDS[backend]):
         for name, spec, program, expected in _corpus_cells():
+            cells += 1
             decision = decide(
                 _model(spec.key), program, require_sc_per_location=True
             )
-            if decision is not None and decision.verdict != expected:
+            if decision is None:
+                continue
+            decided += 1
+            if decision.verdict != expected:
                 contradictions.append(
                     f"{name}/{spec.name} [{backend}]: static "
                     f"{decision.verdict} ({decision.reason}) "
                     f"vs locked {expected}"
                 )
     assert contradictions == [], contradictions[:10]
+    floor, total = CORPUS_DECIDED_FLOOR
+    assert cells == total, f"{cells} corpus cells, expected {total}"
+    assert decided >= floor, f"decided {decided}/{cells}, floor {floor}"
