@@ -13,9 +13,11 @@ The enumeration follows herd's structure:
    initialising write);
 4. each combination yields one :class:`CandidateExecution`.
 
-Reads whose chosen value is written nowhere have no rf source and are
-pruned, which also discards the spurious values the fixpoint of step 1 may
-over-approximate.
+Reads whose chosen value is written nowhere have no rf source, which also
+discards the spurious values the fixpoint of step 1 may over-approximate.
+Such a trace combination is dropped by a value-first test on its
+proto-events, before any event or relation of it is built (in both
+configurations).
 
 Two performance mechanisms (both from :mod:`repro.kernel`, both
 behaviour-preserving, both off in the oracle configuration —
@@ -25,12 +27,18 @@ behaviour-preserving, both off in the oracle configuration —
   everything derivable from them — is computed once per trace combination
   and shared across all rf×co candidates via a
   :class:`~repro.kernel.skeleton.TraceSkeleton`;
-* when ``require_sc_per_location`` is set, coherence orders are *pruned as
-  they are extended*: a permutation prefix whose partial
-  ``po-loc | rf | co | fr`` graph already has a cycle cannot lead to any
-  surviving candidate (adding the remaining co/fr edges only grows the
-  graph), so its whole subtree is skipped instead of generating and
-  filtering every completion.
+* when ``require_sc_per_location`` is set, the rf×co sweep is *factorised
+  by location*.  Every edge of ``po-loc | rf | co | fr`` joins two events
+  on the same location, so the check graph is a disjoint union of
+  per-location graphs, acyclic iff each of them is.  A location's
+  surviving coherence orders depend only on its own reads' rf sources:
+  they are computed once per trace combination and tuple of sources and
+  memoised (coherence orders are *pruned as they are extended*: a
+  permutation prefix whose partial graph already has a cycle cannot lead
+  to any surviving candidate, so its whole subtree is skipped).  A
+  location left without orders prunes every rf choice that completes it.
+  The surviving stream is the naive path's, in the same order
+  (:func:`_pruned_candidates`).
 """
 
 from __future__ import annotations
@@ -122,6 +130,24 @@ def _executions_of_traces(
     traces: Tuple[ThreadTrace, ...],
     require_sc_per_location: bool,
 ) -> Iterator[CandidateExecution]:
+    # Value-first pruning: a read of a (location, value) pair that neither
+    # an initial write nor a write of this combination produces has no rf
+    # source, so the combination has no candidate.  Tested on the
+    # proto-events, before any Event or Relation is built.
+    writable = {
+        (location, program.initial_value(location)) for location in locations
+    }
+    for trace in traces:
+        for proto in trace.events:
+            if proto.kind == WRITE:
+                writable.add((proto.loc, proto.value))
+    for trace in traces:
+        for proto in trace.events:
+            if proto.kind == READ and (proto.loc, proto.value) not in writable:
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.unwritable_trace")
+                return
+
     events: List[Event] = []
     eid = 0
     label_counter = 0
@@ -194,26 +220,17 @@ def _executions_of_traces(
     ctrl = Relation(ctrl_pairs, universe)
     rmw = Relation(rmw_pairs, universe)
 
-    # Reads-from candidates.
+    # Reads-from candidates (never empty, by the value-first test above).
     reads = [e for e in events if e.kind == READ]
     writes_by_loc: Dict[str, List[Event]] = {}
     for event in events:
         if event.kind == WRITE:
             writes_by_loc.setdefault(event.loc, []).append(event)
 
-    rf_candidates: List[List[Event]] = []
-    for read in reads:
-        sources = [
-            w
-            for w in writes_by_loc.get(read.loc, [])
-            if w.value == read.value and w is not read
-        ]
-        if not sources:
-            # This trace combination chose an unwritable value.
-            if _obs.ENABLED:
-                _obs.count("enumerate.pruned.unwritable_trace")
-            return
-        rf_candidates.append(sources)
+    rf_candidates: List[List[Event]] = [
+        [w for w in writes_by_loc[read.loc] if w.value == read.value]
+        for read in reads
+    ]
 
     # Coherence candidates: per location, init write first, then any
     # permutation of the remaining writes.
@@ -251,6 +268,7 @@ def _executions_of_traces(
     if incremental and require_sc_per_location:
         yield from _pruned_candidates(
             universe,
+            po_loc_pairs,
             reads,
             rf_candidates,
             locations,
@@ -294,6 +312,7 @@ def _executions_of_traces(
 
 def _pruned_candidates(
     universe: frozenset,
+    po_loc_pairs: List[Tuple[Event, Event]],
     reads: List[Event],
     rf_candidates: List[List[Event]],
     locations: List[str],
@@ -301,18 +320,28 @@ def _pruned_candidates(
     non_init_by_loc: List[List[Event]],
     build,
 ) -> Iterator[CandidateExecution]:
-    """rf×co enumeration with incremental ``acyclic(po-loc | com)`` pruning.
+    """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, factorised
+    by location.
 
-    The check graph is maintained as adjacency bitset rows over the
-    universe's event index.  For a fixed rf, coherence orders are extended
-    one write at a time (location by location, writes in the same order as
-    ``itertools.permutations``, so the surviving candidate stream is
-    *identical* to the naive path's — same candidates, same order).
-    Appending write ``w`` after prefix ``p1..pk`` adds only edges into
-    ``w``: ``co`` edges from each ``pi`` and ``fr`` edges from each read
-    of ``pi``.  The extension creates a cycle iff ``w`` reaches one of
-    those edge sources, and since every completion of the prefix keeps its
-    edges, a cyclic prefix prunes its entire subtree.
+    Every edge of the check graph (po-loc, rf, co, fr) joins two events on
+    the same location, so the graph is the disjoint union of one graph per
+    location and is acyclic iff each of them is.  A location's graph
+    depends only on the rf sources of its own reads and on its own co
+    order.  Its surviving co orders are therefore computed once per trace
+    combination and tuple of sources, and memoised per location under
+    that tuple (encoded as one int): a cycle test of ``po-loc | rf``
+    restricted to the location's events (such a cycle survives every co
+    order), then :func:`_coherence_orders`.
+
+    rf choices are enumerated over the reads in event order, last read
+    fastest, which is ``itertools.product`` order.  When the last read of
+    a location receives its source, that location's memo entry is looked
+    up; an empty one prunes the whole rf subtree, since every completion
+    keeps the location's graph.  At a full rf assignment the candidates
+    are the product of the per-location lists, location 0 outermost.  Each
+    list is in ``itertools.permutations`` order, so the surviving stream
+    is *identical* to the naive path's: same candidates, same order.  That
+    is what early exit and ``max_candidates`` partial results rely on.
     """
     index = index_for(universe)
     pos = index.pos
@@ -320,101 +349,182 @@ def _pruned_candidates(
 
     # Static part of the check graph: po-loc.
     static_rows = [0] * n
-    for a in universe:
-        if a.loc is None:
-            continue
-        # po-loc: same thread, same location, po-earlier.
-        for b in universe:
-            if (
-                b.loc == a.loc
-                and b.tid == a.tid
-                and a.tid != INIT_TID
-                and a.po_index < b.po_index
-            ):
-                static_rows[pos[a]] |= 1 << pos[b]
+    for a, b in po_loc_pairs:
+        static_rows[pos[a]] |= 1 << pos[b]
 
+    # Per location: its init write, its non-init writes (co-ordered) and
+    # the indices of its reads.  A read of a location outside
+    # ``locations`` gets a group with no coherence order, as in the naive
+    # path.
+    group_of = {location: g for g, location in enumerate(locations)}
+    inits: List[Optional[Event]] = [init_writes[loc] for loc in locations]
+    writes: List[List[Event]] = list(non_init_by_loc)
+    reads_of: List[List[int]] = [[] for _ in locations]
+    for k, read in enumerate(reads):
+        if read.loc not in group_of:
+            group_of[read.loc] = len(inits)
+            inits.append(None)
+            writes.append([])
+            reads_of.append([])
+        reads_of[group_of[read.loc]].append(k)
+    masks = [0] * len(inits)
+    for event in universe:
+        g = group_of.get(event.loc)
+        if g is not None:
+            masks[g] |= 1 << pos[event]
     read_pos = [pos[r] for r in reads]
 
-    for rf_choice in itertools.product(*rf_candidates):
-        if _guard.ACTIVE:
-            _guard._current.tick()  # budget safepoint: one rf assignment
-        rows = list(static_rows)
-        readers_of = [0] * n  # write position -> bitmask of its readers
-        for write, r_pos in zip(rf_choice, read_pos):
-            w_pos = pos[write]
-            rows[w_pos] |= 1 << r_pos
-            readers_of[w_pos] |= 1 << r_pos
-        # A cycle in po-loc | rf survives in every completion: skip the
-        # whole co sweep for this rf assignment.
-        if _has_cycle(rows, n):
-            if _obs.ENABLED:
-                _obs.count("enumerate.pruned.rf_cycle")
-            continue
+    # The rf walk is an odometer: ``cursor[k] - 1`` indexes the source
+    # chosen for read ``k`` in ``rf_candidates[k]``.
+    last = len(reads)
+    rf_choice: List[Optional[Event]] = [None] * last
+    cursor = [0] * last
 
-        rf = Relation(zip(rf_choice, reads), universe)
-        chosen_orders: List[Optional[List[Event]]] = [None] * len(locations)
+    # One memo per location, keyed by its reads' sources under the current
+    # rf choice, encoded as a mixed-radix int of their ``cursor`` indices
+    # (an int key churns no tuples).
+    memo: List[Dict[int, List[Tuple[Event, ...]]]] = [{} for _ in inits]
 
-        def extend_location(loc_index: int, rows: List[int]):
-            if loc_index == len(locations):
+    def orders_of(g: int) -> List[Tuple[Event, ...]]:
+        key = 0
+        for k in reads_of[g]:
+            key = key * len(rf_candidates[k]) + cursor[k] - 1
+        orders = memo[g].get(key)
+        if orders is None:
+            rows = list(static_rows)
+            readers_of = [0] * n  # write position -> bitmask of its readers
+            for k in reads_of[g]:
+                w_pos = pos[rf_choice[k]]
+                r_bit = 1 << read_pos[k]
+                rows[w_pos] |= r_bit
+                readers_of[w_pos] |= r_bit
+            if _has_cycle(rows, masks[g]):
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.rf_cycle")
+                orders = []
+            else:
+                orders = _coherence_orders(
+                    rows, readers_of, pos, inits[g], writes[g]
+                )
+            memo[g][key] = orders
+        return orders
+
+    # Locations without reads have one memo entry, fixed up front.
+    chosen: List[List[Tuple[Event, ...]]] = [
+        [] if reads_of[g] else orders_of(g) for g in range(len(inits))
+    ]
+    if not all(chosen[g] for g in range(len(inits)) if not reads_of[g]):
+        return
+    closing = {ks[-1]: g for g, ks in enumerate(reads_of) if ks}
+
+    k = 0
+    while k >= 0:  # backtracking past read 0 ends the sweep
+        if k == last:
+            rf = Relation(zip(rf_choice, reads), universe)
+            for combo in itertools.product(*chosen):
                 co_pairs: List[Tuple[Event, Event]] = []
-                for order in chosen_orders:
+                for order in combo:
                     co_pairs.extend(_order_pairs(order))
                 if _guard.ACTIVE:
                     _guard._current.note_candidate()
                 if _obs.ENABLED:
                     _obs.count("enumerate.candidates")
                 yield build(rf, co_pairs)
-                return
-            init = init_writes[locations[loc_index]]
-            yield from extend_order(
-                loc_index, [init], non_init_by_loc[loc_index], rows
-            )
-
-        def extend_order(
-            loc_index: int,
-            prefix: List[Event],
-            remaining: List[Event],
-            rows: List[int],
-        ):
-            if not remaining:
-                chosen_orders[loc_index] = prefix
-                yield from extend_location(loc_index + 1, rows)
-                return
-            if _guard.ACTIVE:
-                # Budget safepoint, batched: one tick per co extension
-                # step at this level (cheaper than one call per step).
-                _guard._current.tick(len(remaining))
-            for i, write in enumerate(remaining):
-                w_pos = pos[write]
-                w_bit = 1 << w_pos
-                new_rows = list(rows)
-                sources = 0
-                for earlier in prefix:
-                    e_pos = pos[earlier]
-                    new_rows[e_pos] |= w_bit  # co: earlier -> write
-                    sources |= 1 << e_pos
-                    readers = readers_of[e_pos]
-                    sources |= readers
-                    for r_pos in _bits(readers):
-                        new_rows[r_pos] |= w_bit  # fr: reader -> write
-                if reaches(new_rows, w_pos, sources):
-                    # Cyclic prefix: prune every completion.
-                    if _obs.ENABLED:
-                        _obs.count("enumerate.pruned.co_prefix")
-                    continue
-                yield from extend_order(
-                    loc_index,
-                    prefix + [write],
-                    remaining[:i] + remaining[i + 1:],
-                    new_rows,
-                )
-
-        yield from extend_location(0, rows)
+            k -= 1
+            continue
+        i = cursor[k]
+        if i == len(rf_candidates[k]):
+            cursor[k] = 0
+            k -= 1
+            continue
+        cursor[k] = i + 1
+        if _guard.ACTIVE:
+            _guard._current.tick()  # budget safepoint: one rf step
+        rf_choice[k] = rf_candidates[k][i]
+        g = closing.get(k)
+        if g is not None:
+            orders = orders_of(g)
+            if not orders:
+                continue  # prune every completion of this rf prefix
+            chosen[g] = orders
+        k += 1
 
 
-def _has_cycle(rows: List[int], n: int) -> bool:
-    """Cycle test on adjacency bitmask rows (iterative removal of sinks)."""
-    alive = (1 << n) - 1
+def _coherence_orders(
+    rows: List[int],
+    readers_of: List[int],
+    pos: Dict[Event, int],
+    init: Optional[Event],
+    writes: List[Event],
+) -> List[Tuple[Event, ...]]:
+    """The co orders of one location (``init`` first, then each
+    permutation of ``writes`` in ``itertools.permutations`` order) that
+    keep its ``po-loc | rf | co | fr`` graph acyclic.
+
+    ``rows`` holds the location's acyclic ``po-loc | rf`` graph as
+    adjacency bitset rows; ``readers_of`` maps a write's position to the
+    bitmask of its readers.
+    """
+    orders: List[Tuple[Event, ...]] = []
+    if init is None:
+        _extend_order(orders, rows, readers_of, pos, (), 0, writes)
+    else:
+        i_pos = pos[init]
+        sources = (1 << i_pos) | readers_of[i_pos]
+        _extend_order(orders, rows, readers_of, pos, (init,), sources, writes)
+    return orders
+
+
+def _extend_order(
+    orders: List[Tuple[Event, ...]],
+    rows: List[int],
+    readers_of: List[int],
+    pos: Dict[Event, int],
+    prefix: Tuple[Event, ...],
+    sources: int,
+    remaining: List[Event],
+) -> None:
+    """Append to ``orders`` every acyclic completion of ``prefix``.
+
+    ``sources`` is the bitmask of the prefix's writes and their readers.
+    Appending write ``w`` adds only edges into ``w``: ``co`` from each
+    prefix write and ``fr`` from each of their readers.  The extension
+    creates a cycle iff ``w`` reaches one of those sources, and since
+    every completion keeps the prefix's edges, a cyclic prefix prunes its
+    entire subtree.
+    """
+    if not remaining:
+        orders.append(prefix)
+        return
+    if _guard.ACTIVE:
+        # Budget safepoint, batched: one tick per co extension step at
+        # this level (cheaper than one call per step).
+        _guard._current.tick(len(remaining))
+    for i, write in enumerate(remaining):
+        w_pos = pos[write]
+        w_bit = 1 << w_pos
+        new_rows = list(rows)
+        for e_pos in _bits(sources):
+            new_rows[e_pos] |= w_bit  # co from a prefix write, fr from a reader
+        if reaches(new_rows, w_pos, sources):
+            # Cyclic prefix: prune every completion.
+            if _obs.ENABLED:
+                _obs.count("enumerate.pruned.co_prefix")
+            continue
+        _extend_order(
+            orders,
+            new_rows,
+            readers_of,
+            pos,
+            prefix + (write,),
+            sources | w_bit | readers_of[w_pos],
+            remaining[:i] + remaining[i + 1:],
+        )
+
+
+def _has_cycle(rows: List[int], alive: int) -> bool:
+    """Cycle test on the subgraph of adjacency bitmask ``rows`` induced by
+    the ``alive`` mask (iterative removal of sinks)."""
     while alive:
         removed = 0
         for i in _bits(alive):

@@ -1,10 +1,18 @@
 """Tests for candidate-execution enumeration."""
 
+import itertools
+
 import pytest
 
+from repro import obs
 from repro.executions import candidate_executions, count_candidate_executions
+from repro.executions import enumerate as enumeration
+from repro.executions.thread_sem import enumerate_thread_traces, possible_value_sets
+from repro.kernel import config as kconfig
 from repro.litmus import dsl, library
 from repro.litmus.parser import parse_litmus
+from repro.rcu.implementation import inline_rcu
+from repro.relations import Relation
 
 
 def execs(program, **kwargs):
@@ -156,3 +164,64 @@ class TestDerivedRelations:
         for a, b in x.loc.pairs:
             assert (b, a) in x.loc
             assert a.loc == b.loc
+
+
+class TestValueFirstPruning:
+    """A trace combination with an unwritable read is dropped on its
+    proto-events, before any Event or Relation of it exists."""
+
+    @pytest.fixture(scope="class")
+    def rcu_mp_bound2(self):
+        return inline_rcu(library.get("RCU-MP"), loop_bound=2)
+
+    def test_rcu_mp_bound2_counters(self, rcu_mp_bound2):
+        # Runs in the ambient configuration, so the oracle lane
+        # (REPRO_ORACLE=1) checks the naive path, which shares the test.
+        with obs.collect() as collector:
+            candidates = count_candidate_executions(
+                rcu_mp_bound2, require_sc_per_location=True
+            )
+        counters = collector.counters
+        assert counters["enumerate.trace_combos"] == 4608
+        assert counters["enumerate.pruned.unwritable_trace"] == 3744
+        assert counters["enumerate.candidates"] == candidates == 64
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_no_relation_is_built_for_a_dropped_combination(
+        self, rcu_mp_bound2, oracle, monkeypatch
+    ):
+        built = [0]
+        original = Relation.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "__init__", counting)
+        program = rcu_mp_bound2
+        value_sets = possible_value_sets(program)
+        per_thread = [
+            enumerate_thread_traces(thread, value_sets)
+            for thread in program.threads
+        ]
+        locations = program.locations()
+        dropped = kept = 0
+        with kconfig.use_oracle(oracle), obs.collect() as collector:
+            for traces in itertools.product(*per_thread):
+                before = built[0]
+                # Unfiltered, so the first candidate of a kept combination
+                # comes at once in both configurations.
+                generator = enumeration._executions_of_traces(
+                    program, locations, traces, False
+                )
+                next(generator, None)
+                pruned = collector.counters.get(
+                    "enumerate.pruned.unwritable_trace", 0
+                )
+                if pruned > dropped:
+                    dropped += 1
+                    assert built[0] == before
+                else:
+                    kept += 1
+                    assert built[0] > before  # po, addr, data, ctrl, rmw
+        assert (dropped, kept) == (3744, 864)

@@ -18,6 +18,8 @@ from repro.herd import ALLOW, FORBID, INCONCLUSIVE, RunResult, run_litmus, verdi
 from repro.kernel.config import use_oracle
 from repro.litmus import library
 from repro.litmus.parser import parse_litmus
+from repro.lkmm import LinuxKernelModel
+from repro.rcu.implementation import inline_rcu
 
 
 SC = load_model("sc")
@@ -189,6 +191,28 @@ def test_intractable_test_times_out_inconclusive():
     assert elapsed < 10.0
 
 
+def test_wall_budget_interrupts_the_per_location_sweep():
+    """The memoised per-location rf×co sweep keeps its safepoints: the
+    Theorem 2 program at loop bound 2 under a 50 ms wall budget degrades
+    to Inconclusive instead of running to a verdict."""
+    import time
+
+    program = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+    start = time.perf_counter()
+    result = run_litmus(
+        LinuxKernelModel(),
+        program,
+        require_sc_per_location=True,
+        budget=Budget(wall_seconds=0.05),
+    )
+    elapsed = time.perf_counter() - start
+    assert result.verdict == INCONCLUSIVE
+    assert result.interrupted is not None
+    assert result.interrupted.reason == "wall_clock"
+    # Same slack as test_intractable_test_times_out_inconclusive.
+    assert elapsed < 10.0
+
+
 def test_candidate_budget_yields_partial_result():
     program = library.get("SB")
     result = run_litmus(SC, program, budget=Budget(max_candidates=2))
@@ -225,23 +249,43 @@ def test_candidate_budget_is_deterministic_across_backends(limit, name):
     snapshots = []
     for oracle in (False, True):
         with use_oracle(oracle):
-            result = run_litmus(SC, program, budget=Budget(max_candidates=limit))
-        interruption = (
-            None if result.interrupted is None else result.interrupted.to_dict()
-        )
-        if interruption is not None:
-            interruption.pop("elapsed_s")  # wall time is not deterministic
-            # Tick totals include configuration-specific safepoints (the
-            # VM check only runs in production); the determinism contract
-            # is exact candidate counting.
-            interruption.pop("states")
-        snapshots.append(
-            (
-                result.verdict,
-                result.candidates,
-                result.allowed,
-                result.witnesses,
-                interruption,
-            )
-        )
+            snapshots.append(_budgeted_snapshot(SC, program, limit))
     assert snapshots[0] == snapshots[1]
+
+
+def _budgeted_snapshot(model, program, limit, **kwargs):
+    result = run_litmus(model, program, budget=Budget(max_candidates=limit), **kwargs)
+    interruption = (
+        None if result.interrupted is None else result.interrupted.to_dict()
+    )
+    if interruption is not None:
+        interruption.pop("elapsed_s")  # wall time is not deterministic
+        # Tick totals include configuration-specific safepoints (the
+        # VM check only runs in production); the determinism contract
+        # is exact candidate counting.
+        interruption.pop("states")
+    return (
+        result.verdict,
+        result.candidates,
+        result.allowed,
+        result.witnesses,
+        interruption,
+    )
+
+
+@pytest.mark.parametrize("limit", [1, 7, 30])
+def test_candidate_budget_on_rcu_is_deterministic_across_backends(limit):
+    """The same partial result in production (per-location pruned sweep)
+    and under the oracle (filter after build), on a program where several
+    locations have several rf choices."""
+    program = inline_rcu(library.get("RCU-MP"), loop_bound=1)
+    snapshots = []
+    for oracle in (False, True):
+        with use_oracle(oracle):
+            snapshots.append(
+                _budgeted_snapshot(
+                    SC, program, limit, require_sc_per_location=True
+                )
+            )
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][1] == limit

@@ -16,11 +16,14 @@ three ways:
 """
 
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cat import load_model
+from repro.corpus.golden import load_golden
 from repro.events import Event, ONCE, READ, WRITE
 from repro.executions.enumerate import candidate_executions
 from repro.herd import run_litmus, verdicts
@@ -32,8 +35,10 @@ from repro.kernel.bitrel import (
     index_for,
     reaches,
 )
-from repro.litmus import library
+from repro.litmus import dsl, library
+from repro.litmus.parser import parse_litmus
 from repro.lkmm import LinuxKernelModel
+from repro.rcu.implementation import inline_rcu
 from repro.relations import EventSet, Relation
 
 
@@ -51,6 +56,8 @@ def _events(n):
         for i in range(n)
     ]
 
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 N = 7
 EVENTS = _events(N)
@@ -219,6 +226,54 @@ EQUIV_TESTS = [
 ]
 
 
+#: A read of a location that only a pointer names: it gets no initial
+#: write and no coherence order.
+POINTER_ONLY_LOCATION = """C pointer-only-location
+{ p = &y; }
+P0(int **p)
+{
+  int *r1;
+  int r2;
+  r1 = READ_ONCE(*p);
+  WRITE_ONCE(*r1, 1);
+  r2 = READ_ONCE(*r1);
+}
+P1(int **p)
+{
+  int *r3;
+  r3 = READ_ONCE(*p);
+  WRITE_ONCE(*r3, 2);
+}
+exists (0:r2=2)
+"""
+
+#: Golden-corpus rows compared in order by the stream test (fixed sample).
+CORPUS_STREAM_SAMPLE = 12
+
+
+def _stream_programs():
+    """Programs whose production and oracle candidate streams must match:
+    SB+mbs, multi-location multi-write library tests, the inlined RCU-MP,
+    a pointer-only location, a po-loc | rf self-cycle, and a seeded
+    golden-corpus sample."""
+    programs = {
+        name: library.get(name)
+        for name in ("SB+mbs", "2+2W", "IRIW", "WRC", "PeterZ")
+    }
+    programs["RCU-MP@1"] = inline_rcu(library.get("RCU-MP"), loop_bound=1)
+    programs["pointer-only-location"] = parse_litmus(POINTER_ONLY_LOCATION)
+    # The read may only take the initial write: reading its own po-later
+    # write is a po-loc | rf cycle that no co order can introduce.
+    programs["read-own-later-write"] = dsl.program(
+        "read-own-later-write",
+        dsl.thread(dsl.read_once("r0", "x"), dsl.write_once("x", 1)),
+    )
+    rows = load_golden(GOLDEN_PATH)
+    for test, _ in random.Random(15).sample(rows, CORPUS_STREAM_SAMPLE):
+        programs[f"corpus:{test.name}"] = test.program
+    return programs
+
+
 def _library_subset():
     names = set(library.all_names())
     return [name for name in EQUIV_TESTS if name in names]
@@ -266,26 +321,32 @@ class TestWholeRunEquivalence:
         assert fast == reference
 
     def test_candidate_streams_identical(self):
-        # The pruned enumerator must yield the same surviving candidates
-        # in the same order as filter-after-build.
-        program = library.get("SB+mbs")
-
+        # The per-location pruned enumerator must yield the same surviving
+        # candidates, with the same events, in the same order as
+        # filter-after-build: early exit and max_candidates partial
+        # results depend on the order.
         def key(pairs):
             return sorted((a.eid, b.eid) for a, b in pairs)
 
-        def stream():
+        def stream(program):
             return [
-                (key(x.rf.pairs), key(x.co.pairs))
+                (
+                    key(x.rf.pairs),
+                    key(x.co.pairs),
+                    sorted((e.eid, e.kind, e.loc, e.value) for e in x.events),
+                )
                 for x in candidate_executions(
                     program, require_sc_per_location=True
                 )
             ]
 
-        with kconfig.use_oracle(False):
-            fast = stream()
-        with kconfig.use_oracle():
-            reference = stream()
-        assert fast == reference
+        for name, program in _stream_programs().items():
+            with kconfig.use_oracle(False):
+                fast = stream(program)
+            with kconfig.use_oracle():
+                reference = stream(program)
+            assert fast == reference, name
+            assert fast, name  # every stream program has a candidate
 
     def test_parallel_run_matches_sequential(self):
         program = library.get("SB")
