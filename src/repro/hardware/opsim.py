@@ -25,19 +25,32 @@ loads, unlike the Alpha model): every outcome it can produce is allowed by
 the architecture model, mirroring the paper's situation where "the
 machines are stronger than required by our model".
 
-Beyond final states, every run records a full *trace* — which write each
-read observed (rf), the order writes reached memory (co), and the
-dependency taints — from which :mod:`repro.hardware.trace` rebuilds a
-:class:`~repro.executions.candidate.CandidateExecution`, enabling
-execution-level (not merely state-level) validation against the axiomatic
-models.
+Everything about the program that a run cannot change is worked out once,
+when the simulator is built: each thread is *lowered* into a numbered
+instruction table (the arms of every ``if`` included), with each
+instruction's needed registers, whether it closes the reordering window,
+and a bitmask of the later instructions that may not complete while it is
+pending (the architecture's reordering rules of :meth:`_may_pass` plus
+register dependencies).  A run's thread streams hold instruction numbers,
+and each scheduling step walks the window testing bits.  The lowering
+changes no decision: every step offers the scheduler the same actions in
+the same order as evaluating the rules directly would, so a seed yields
+the same random stream, histogram and traces.
+
+:meth:`OperationalSimulator.run_once_traced` also records a full *trace*
+— which write each read observed (rf), the order writes reached memory
+(co), and the dependency taints — from which :mod:`repro.hardware.trace`
+rebuilds a :class:`~repro.executions.candidate.CandidateExecution`,
+enabling execution-level (not merely state-level) validation against the
+axiomatic models.  :meth:`~OperationalSimulator.run_once` and
+:meth:`~OperationalSimulator.sample` record nothing but the final state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.events import (
     Pointer,
@@ -112,37 +125,105 @@ class RunTrace:
         return event_id
 
 
+class _ThreadTable:
+    """One thread's program lowered for the step loop.
+
+    Instructions are numbered in program order, each ``if`` followed by
+    its then-arm and then its else-arm.  A dynamic stream takes at most
+    one arm of each ``if``, so it holds each number at most once and in
+    increasing order, which lets a bitmask over numbers stand for a set
+    of stream entries.
+    """
+
+    def __init__(
+        self,
+        body: Sequence[Instruction],
+        may_pass: Callable[[Instruction, Instruction], bool],
+    ):
+        self.instructions: List[Instruction] = []
+        #: ``if`` number -> (then-arm numbers, else-arm numbers).
+        self.arms: Dict[int, Tuple[List[int], List[int]]] = {}
+        self.body = self._number(body)
+        instructions = self.instructions
+        #: Registers each instruction reads before it can start.
+        self.needed: List[FrozenSet[str]] = [
+            _needed_registers(ins) for ins in instructions
+        ]
+        #: Nothing later may start while this one is pending (fetch order).
+        self.stops: List[bool] = [_blocks_window(ins) for ins in instructions]
+        #: Starting needs a run-time check besides the tables: a second
+        #: grace period of the thread, or a spin_lock's read value.
+        self.guarded: List[bool] = [
+            (isinstance(ins, Fence) and ins.tag == SYNC_RCU)
+            or (isinstance(ins, Rmw) and ins.require_read_value is not None)
+            for ins in instructions
+        ]
+        #: Bit ``later`` of ``held[earlier]`` is set when ``later`` may not
+        #: start while ``earlier`` is pending: an architecture rule forbids
+        #: the reordering, or ``earlier`` writes a register ``later`` reads.
+        self.held: List[int] = []
+        for earlier_no, earlier in enumerate(instructions):
+            target = _written_register(earlier)
+            mask = 0
+            for later_no in range(earlier_no + 1, len(instructions)):
+                if target in self.needed[later_no] or not may_pass(
+                    earlier, instructions[later_no]
+                ):
+                    mask |= 1 << later_no
+            self.held.append(mask)
+
+    def _number(self, body: Sequence[Instruction]) -> List[int]:
+        numbers = []
+        for ins in body:
+            number = len(self.instructions)
+            self.instructions.append(ins)
+            numbers.append(number)
+            if isinstance(ins, If):
+                then = self._number(ins.then)
+                self.arms[number] = (then, self._number(ins.orelse))
+        return numbers
+
+
 @dataclass
 class _PendingSync:
     """An in-flight synchronize_rcu: waits for the snapshotted readers."""
 
     thread: int
     waiting_for: Set[int]
+    #: Stream index of the synchronize_rcu fence.
+    index: int
 
 
 class _ThreadState:
     """Runtime state of one simulated thread."""
 
-    def __init__(self, tid: int, body: Sequence[Instruction]):
+    def __init__(self, tid: int, table: _ThreadTable):
         self.tid = tid
-        #: Flattened instruction stream; grows as branches resolve.
-        self.stream: List[Instruction] = list(body)
+        self.table = table
+        #: Instruction numbers in fetch order; grows as branches resolve.
+        self.stream: List[int] = list(table.body)
         #: Indices of completed instructions.
         self.done: Set[int] = set()
         #: First index that is not yet complete.
         self.head = 0
         self.regs: Dict[str, Value] = {}
-        #: Register -> ids of the dynamic reads its value derives from.
+        #: Live view of the registers that hold a value.
+        self.produced = self.regs.keys()
+        #: Register -> ids of the dynamic reads its value derives from
+        #: (traced runs only).
         self.taints: Dict[str, FrozenSet[int]] = {}
         #: Reads controlling every instruction from here on (resolved
-        #: branches' condition taints).
+        #: branches' condition taints; traced runs only).
         self.ctrl: FrozenSet[int] = _NO_TAINTS
-        #: FIFO store buffer of (location, value, write event id).
-        self.buffer: List[Tuple[str, Value, int]] = []
+        #: FIFO store buffer of (location, value, write event id); the id
+        #: is None in an untraced run.
+        self.buffer: List[Tuple[str, Value, Optional[int]]] = []
         self.rcu_depth = 0
 
     def advance_head(self) -> None:
-        while self.head < len(self.stream) and self.head in self.done:
+        # Every index in ``done`` is inside the stream, so this stops at
+        # its end at the latest.
+        while self.head in self.done:
             self.head += 1
 
     @property
@@ -152,27 +233,34 @@ class _ThreadState:
 
 
 class _Memory:
-    """Shared memory with write provenance."""
+    """Shared memory with write provenance.
 
-    def __init__(self, program: Program, trace: RunTrace):
-        self.values: Dict[str, Value] = {}
-        self.writer: Dict[str, int] = {}
+    ``writer`` holds the id of each location's visible write; in an
+    untraced run (``trace`` is None) every id is None.
+    """
+
+    def __init__(
+        self, initial: Sequence[Tuple[str, Value]], trace: Optional[RunTrace]
+    ):
+        self.values: Dict[str, Value] = dict(initial)
+        self.writer: Dict[str, Optional[int]] = dict.fromkeys(self.values)
         self.trace = trace
-        for loc in program.locations():
-            value = program.initial_value(loc)
+        if trace is None:
+            return
+        for loc, value in initial:
             init_id = trace.new_id()
             trace.init_ids[loc] = init_id
             trace.events.append(
                 TraceEvent(init_id, -1, len(trace.init_ids) - 1, "W", "once", loc, value)
             )
             trace.co_order.setdefault(loc, []).append(init_id)
-            self.values[loc] = value
             self.writer[loc] = init_id
 
-    def commit(self, loc: str, value: Value, write_id: int) -> None:
+    def commit(self, loc: str, value: Value, write_id: Optional[int]) -> None:
         self.values[loc] = value
         self.writer[loc] = write_id
-        self.trace.co_order.setdefault(loc, []).append(write_id)
+        if self.trace is not None:
+            self.trace.co_order.setdefault(loc, []).append(write_id)
 
 
 class OperationalSimulator:
@@ -181,23 +269,35 @@ class OperationalSimulator:
     def __init__(self, program: Program, arch: ArchSpec):
         self.program = program
         self.arch = arch
+        self._window = arch.window if arch.out_of_order else 1
+        self._tables = [
+            _ThreadTable(thread.body, self._may_pass) for thread in program.threads
+        ]
+        self._initial = [
+            (loc, program.initial_value(loc)) for loc in program.locations()
+        ]
 
     # -- public API ------------------------------------------------------
 
     def run_once(self, rng: random.Random) -> FinalState:
         """One complete run under a random schedule; returns the final
         state (registers and memory)."""
-        return self.run_once_traced(rng)[0]
+        return self._run(rng, None)
 
     def run_once_traced(
         self, rng: random.Random
     ) -> Tuple[FinalState, RunTrace]:
-        """One complete run; returns the final state and the full trace."""
+        """One complete run; returns the final state and the full trace.
+
+        Consumes ``rng`` exactly as :meth:`run_once` does and reaches the
+        same final state."""
         trace = RunTrace()
-        memory = _Memory(self.program, trace)
+        return self._run(rng, trace), trace
+
+    def _run(self, rng: random.Random, trace: Optional[RunTrace]) -> FinalState:
+        memory = _Memory(self._initial, trace)
         threads = [
-            _ThreadState(tid, thread.body)
-            for tid, thread in enumerate(self.program.threads)
+            _ThreadState(tid, table) for tid, table in enumerate(self._tables)
         ]
         syncs: List[_PendingSync] = []
 
@@ -227,7 +327,7 @@ class OperationalSimulator:
             for t in threads
             for name, value in t.regs.items()
         }
-        return FinalState(registers, memory.values), trace
+        return FinalState(registers, memory.values)
 
     def sample(
         self,
@@ -263,96 +363,55 @@ class OperationalSimulator:
             if thread.buffer:
                 actions.append(("drain", thread.tid, -1))
             thread.advance_head()
-            window = self.arch.window if self.arch.out_of_order else 1
-            limit = min(len(thread.stream), thread.head + window)
-            for index in range(thread.head, limit):
-                if index in thread.done:
+            stream, done = thread.stream, thread.done
+            table = thread.table
+            needed, stops, guarded, held = (
+                table.needed, table.stops, table.guarded, table.held
+            )
+            # Later instructions held back by the pending ones walked so far.
+            blocked = 0
+            for index in range(
+                thread.head, min(len(stream), thread.head + self._window)
+            ):
+                if index in done:
                     continue
-                ins = thread.stream[index]
-                if not self._may_start(thread, index, ins, memory, syncs):
-                    # An unresolved branch or blocking fence also stops
-                    # anything later from being considered.
-                    if self._blocks_window(ins):
-                        break
-                    continue
-                actions.append(("execute", thread.tid, index))
-                if self._blocks_window(ins):
+                number = stream[index]
+                if (
+                    not blocked >> number & 1
+                    and thread.produced >= needed[number]
+                    and not (
+                        guarded[number]
+                        and self._guard_blocks(thread, number, memory, syncs)
+                    )
+                ):
+                    actions.append(("execute", thread.tid, index))
+                if stops[number]:
                     break
+                blocked |= held[number]
         for sync in syncs:
             if not any(
                 threads[tid].rcu_depth > 0 for tid in sync.waiting_for
             ):
                 # All snapshotted readers have left their RSCS.
-                thread = threads[sync.thread]
-                index = next(
-                    i
-                    for i in range(thread.head, len(thread.stream))
-                    if i not in thread.done
-                    and isinstance(thread.stream[i], Fence)
-                    and thread.stream[i].tag == SYNC_RCU
-                )
-                actions.append(("sync-done", sync.thread, index))
+                actions.append(("sync-done", sync.thread, sync.index))
         return actions
 
-    def _blocks_window(self, ins: Instruction) -> bool:
-        """Instructions nothing may be reordered past (in fetch order)."""
-        if isinstance(ins, If):
-            return True  # no speculation past unresolved branches
-        if isinstance(ins, (Rmw, CmpXchg)):
-            return True
-        if isinstance(ins, Fence) and ins.tag in _LK_SPECIALS:
-            return True
-        return False
-
-    def _may_start(
+    def _guard_blocks(
         self,
         thread: _ThreadState,
-        index: int,
-        ins: Instruction,
+        number: int,
         memory: _Memory,
         syncs: List[_PendingSync],
     ) -> bool:
-        if isinstance(ins, Fence) and ins.tag == SYNC_RCU:
+        ins = thread.table.instructions[number]
+        if isinstance(ins, Fence):
             # Starting a grace period is always possible (completion is the
             # separate "sync-done" action), but only once.
-            if any(s.thread == thread.tid for s in syncs):
-                return False
-        # Register dependencies: every register the instruction needs must
-        # have been produced already (producers are always po-earlier).
-        if not self._regs_ready(thread, index, ins):
-            return False
-        # Reordering against pending earlier instructions.
-        for earlier_index in range(thread.head, index):
-            if earlier_index in thread.done:
-                continue
-            if not self._may_pass(thread.stream[earlier_index], ins):
-                return False
+            return any(s.thread == thread.tid for s in syncs)
         # A spin_lock can only start when the lock value matches.
-        if isinstance(ins, Rmw) and ins.require_read_value is not None:
-            loc = self._eval_addr(ins.addr, thread.regs)
-            current, _ = self._buffered_value(thread, loc, memory)
-            if current != ins.require_read_value:
-                return False
-        return True
-
-    def _regs_ready(
-        self, thread: _ThreadState, index: int, ins: Instruction
-    ) -> bool:
-        needed: Set[str] = set()
-        for expr in _expr_operands(ins):
-            _collect_regs(expr, needed)
-        if not needed:
-            return True
-        produced: Set[str] = set(thread.regs)
-        # Registers produced by *pending* earlier instructions don't count.
-        for earlier_index in range(thread.head, index):
-            if earlier_index in thread.done:
-                continue
-            earlier = thread.stream[earlier_index]
-            target = _written_register(earlier)
-            if target is not None:
-                produced.discard(target)
-        return needed <= produced
+        loc = self._eval_addr(ins.addr, thread.regs)
+        current, _ = self._buffered_value(thread, loc, memory)
+        return current != ins.require_read_value
 
     def _may_pass(self, earlier: Instruction, later: Instruction) -> bool:
         """May ``later`` complete while ``earlier`` is still pending?"""
@@ -402,14 +461,57 @@ class OperationalSimulator:
         memory: _Memory,
         threads: List[_ThreadState],
         syncs: List[_PendingSync],
-        trace: RunTrace,
+        trace: Optional[RunTrace],
     ) -> None:
-        ins = thread.stream[index]
+        """Perform the instruction at stream ``index``; record its events
+        in ``trace`` unless it is None."""
+        number = thread.stream[index]
+        ins = thread.table.instructions[number]
+        regs = thread.regs
+
+        if isinstance(ins, Load):
+            loc = self._eval_addr(ins.addr, regs)
+            value, source = self._buffered_value(thread, loc, memory)
+            if trace is not None:
+                read_id = trace.new_id()
+                trace.events.append(
+                    TraceEvent(
+                        read_id, thread.tid, index, "R", ins.tag, loc, value,
+                        addr_taints=self._taints(ins.addr, thread),
+                        ctrl_taints=thread.ctrl,
+                    )
+                )
+                trace.rf[read_id] = source
+                thread.taints[ins.reg] = frozenset({read_id})
+            regs[ins.reg] = value
+            thread.done.add(index)
+            return
+
+        if isinstance(ins, Store):
+            loc = self._eval_addr(ins.addr, regs)
+            value = self._eval(ins.value, regs)
+            write_id = None
+            if trace is not None:
+                write_id = trace.new_id()
+                trace.events.append(
+                    TraceEvent(
+                        write_id, thread.tid, index, "W", ins.tag, loc, value,
+                        addr_taints=self._taints(ins.addr, thread),
+                        data_taints=self._taints(ins.value, thread),
+                        ctrl_taints=thread.ctrl,
+                    )
+                )
+            if self.arch.store_buffer:
+                thread.buffer.append((loc, value, write_id))
+            else:
+                memory.commit(loc, value, write_id)
+            thread.done.add(index)
+            return
 
         if isinstance(ins, LocalAssign):
-            value, taints = self._eval_tainted(ins.expr, thread)
-            thread.regs[ins.reg] = value
-            thread.taints[ins.reg] = taints
+            regs[ins.reg] = self._eval(ins.expr, regs)
+            if trace is not None:
+                thread.taints[ins.reg] = self._taints(ins.expr, thread)
             thread.done.add(index)
             return
 
@@ -426,131 +528,88 @@ class OperationalSimulator:
                     for t in threads
                     if t.tid != thread.tid and t.rcu_depth > 0
                 }
-                trace.events.append(
-                    TraceEvent(
-                        trace.new_id(), thread.tid, index, "F", ins.tag,
-                        ctrl_taints=thread.ctrl,
-                    )
-                )
-                syncs.append(_PendingSync(thread.tid, waiting))
+                self._record_fence(thread, index, ins, trace)
+                syncs.append(_PendingSync(thread.tid, waiting, index))
                 return  # completion happens via the "sync-done" action
             else:
                 if self.arch.fence_rule(ins.tag).drains:
                     self._drain(thread, memory)
+            self._record_fence(thread, index, ins, trace)
+            thread.done.add(index)
+            return
+
+        if isinstance(ins, (Rmw, CmpXchg)):
+            # Atomic: drain the buffer, then read-modify-write memory.
+            self._drain(thread, memory)
+            loc = self._eval_addr(ins.addr, regs)
+            old = memory.values[loc]
+            # A cmpxchg writes only when it reads the expected value; both
+            # of its events are tagged "once".
+            succeeds = True
+            if isinstance(ins, CmpXchg):
+                succeeds = old == self._eval(ins.expected, regs)
+            read_id = None
+            if trace is not None:
+                addr_taints = self._taints(ins.addr, thread)
+                read_id = trace.new_id()
+                trace.events.append(
+                    TraceEvent(
+                        read_id, thread.tid, index, "R",
+                        ins.read_tag if isinstance(ins, Rmw) else "once",
+                        loc, old,
+                        addr_taints=addr_taints, ctrl_taints=thread.ctrl,
+                    )
+                )
+                trace.rf[read_id] = memory.writer[loc]
+                thread.taints[ins.reg] = frozenset({read_id})
+            regs[ins.reg] = old
+            if succeeds:
+                new_value = self._eval(ins.new_value, regs)
+                write_id = None
+                if trace is not None:
+                    write_id = trace.new_id()
+                    trace.events.append(
+                        TraceEvent(
+                            write_id, thread.tid, index, "W",
+                            ins.write_tag if isinstance(ins, Rmw) else "once",
+                            loc, new_value,
+                            addr_taints=addr_taints,
+                            data_taints=self._taints(ins.new_value, thread)
+                            | {read_id},
+                            ctrl_taints=thread.ctrl,
+                        )
+                    )
+                    trace.rmw_pairs.append((read_id, write_id))
+                memory.commit(loc, new_value, write_id)
+            thread.done.add(index)
+            return
+
+        if isinstance(ins, If):
+            cond = self._eval(ins.cond, regs)
+            taken = bool(cond) if not isinstance(cond, Pointer) else True
+            then, orelse = thread.table.arms[number]
+            thread.stream[index + 1 : index + 1] = then if taken else orelse
+            if trace is not None:
+                thread.ctrl = thread.ctrl | self._taints(ins.cond, thread)
+            thread.done.add(index)
+            return
+
+        raise SimulationError(f"cannot simulate {ins!r}")
+
+    def _record_fence(
+        self,
+        thread: _ThreadState,
+        index: int,
+        ins: Fence,
+        trace: Optional[RunTrace],
+    ) -> None:
+        if trace is not None:
             trace.events.append(
                 TraceEvent(
                     trace.new_id(), thread.tid, index, "F", ins.tag,
                     ctrl_taints=thread.ctrl,
                 )
             )
-            thread.done.add(index)
-            return
-
-        if isinstance(ins, Load):
-            loc, addr_taints = self._eval_addr_tainted(ins.addr, thread)
-            value, source = self._buffered_value(thread, loc, memory)
-            read_id = trace.new_id()
-            trace.events.append(
-                TraceEvent(
-                    read_id, thread.tid, index, "R", ins.tag, loc, value,
-                    addr_taints=addr_taints, ctrl_taints=thread.ctrl,
-                )
-            )
-            trace.rf[read_id] = source
-            thread.regs[ins.reg] = value
-            thread.taints[ins.reg] = frozenset({read_id})
-            thread.done.add(index)
-            return
-
-        if isinstance(ins, Store):
-            loc, addr_taints = self._eval_addr_tainted(ins.addr, thread)
-            value, data_taints = self._eval_tainted(ins.value, thread)
-            write_id = trace.new_id()
-            trace.events.append(
-                TraceEvent(
-                    write_id, thread.tid, index, "W", ins.tag, loc, value,
-                    addr_taints=addr_taints, data_taints=data_taints,
-                    ctrl_taints=thread.ctrl,
-                )
-            )
-            if self.arch.store_buffer:
-                thread.buffer.append((loc, value, write_id))
-            else:
-                memory.commit(loc, value, write_id)
-            thread.done.add(index)
-            return
-
-        if isinstance(ins, Rmw):
-            # Atomic: drain the buffer, then read-modify-write memory.
-            self._drain(thread, memory)
-            loc, addr_taints = self._eval_addr_tainted(ins.addr, thread)
-            old = memory.values[loc]
-            read_id = trace.new_id()
-            trace.events.append(
-                TraceEvent(
-                    read_id, thread.tid, index, "R", ins.read_tag, loc, old,
-                    addr_taints=addr_taints, ctrl_taints=thread.ctrl,
-                )
-            )
-            trace.rf[read_id] = memory.writer[loc]
-            thread.regs[ins.reg] = old
-            thread.taints[ins.reg] = frozenset({read_id})
-            new_value, data_taints = self._eval_tainted(ins.new_value, thread)
-            write_id = trace.new_id()
-            trace.events.append(
-                TraceEvent(
-                    write_id, thread.tid, index, "W", ins.write_tag, loc, new_value,
-                    addr_taints=addr_taints,
-                    data_taints=data_taints | {read_id},
-                    ctrl_taints=thread.ctrl,
-                )
-            )
-            memory.commit(loc, new_value, write_id)
-            trace.rmw_pairs.append((read_id, write_id))
-            thread.done.add(index)
-            return
-
-        if isinstance(ins, CmpXchg):
-            self._drain(thread, memory)
-            loc, addr_taints = self._eval_addr_tainted(ins.addr, thread)
-            old = memory.values[loc]
-            expected, _ = self._eval_tainted(ins.expected, thread)
-            read_id = trace.new_id()
-            trace.events.append(
-                TraceEvent(
-                    read_id, thread.tid, index, "R", "once", loc, old,
-                    addr_taints=addr_taints, ctrl_taints=thread.ctrl,
-                )
-            )
-            trace.rf[read_id] = memory.writer[loc]
-            thread.regs[ins.reg] = old
-            thread.taints[ins.reg] = frozenset({read_id})
-            if old == expected:
-                new_value, data_taints = self._eval_tainted(ins.new_value, thread)
-                write_id = trace.new_id()
-                trace.events.append(
-                    TraceEvent(
-                        write_id, thread.tid, index, "W", "once", loc,
-                        new_value, addr_taints=addr_taints,
-                        data_taints=data_taints | {read_id},
-                        ctrl_taints=thread.ctrl,
-                    )
-                )
-                memory.commit(loc, new_value, write_id)
-                trace.rmw_pairs.append((read_id, write_id))
-            thread.done.add(index)
-            return
-
-        if isinstance(ins, If):
-            cond, taints = self._eval_tainted(ins.cond, thread)
-            taken = bool(cond) if not isinstance(cond, Pointer) else True
-            branch = list(ins.then if taken else ins.orelse)
-            thread.stream[index + 1 : index + 1] = branch
-            thread.ctrl = thread.ctrl | taints
-            thread.done.add(index)
-            return
-
-        raise SimulationError(f"cannot simulate {ins!r}")
 
     def _drain(self, thread: _ThreadState, memory: _Memory) -> None:
         for loc, value, write_id in thread.buffer:
@@ -559,7 +618,7 @@ class OperationalSimulator:
 
     def _buffered_value(
         self, thread: _ThreadState, loc: str, memory: _Memory
-    ) -> Tuple[Value, int]:
+    ) -> Tuple[Value, Optional[int]]:
         """The value visible to ``thread`` at ``loc`` and the id of the
         write providing it (store forwarding first)."""
         for buffered_loc, value, write_id in reversed(thread.buffer):
@@ -580,16 +639,14 @@ class OperationalSimulator:
             return expr.apply(self._eval(expr.operand, regs))
         raise SimulationError(f"cannot evaluate {expr!r}")
 
-    def _eval_tainted(
-        self, expr: Expr, thread: _ThreadState
-    ) -> Tuple[Value, FrozenSet[int]]:
-        value = self._eval(expr, thread.regs)
+    def _taints(self, expr: Expr, thread: _ThreadState) -> FrozenSet[int]:
+        """Ids of the reads ``expr``'s current value derives from."""
         taints: Set[int] = set()
         regs: Set[str] = set()
         _collect_regs(expr, regs)
         for name in regs:
             taints |= thread.taints.get(name, _NO_TAINTS)
-        return value, frozenset(taints)
+        return frozenset(taints)
 
     def _eval_addr(self, expr: Expr, regs: Dict[str, Value]) -> str:
         value = self._eval(expr, regs)
@@ -597,33 +654,43 @@ class OperationalSimulator:
             raise SimulationError(f"non-pointer address {value!r}")
         return value.loc
 
-    def _eval_addr_tainted(
-        self, expr: Expr, thread: _ThreadState
-    ) -> Tuple[str, FrozenSet[int]]:
-        value, taints = self._eval_tainted(expr, thread)
-        if not isinstance(value, Pointer):
-            raise SimulationError(f"non-pointer address {value!r}")
-        return value.loc, taints
-
 
 # -- static helpers ----------------------------------------------------------
 
 
-def _expr_operands(ins: Instruction) -> List[Expr]:
+def _blocks_window(ins: Instruction) -> bool:
+    """Instructions nothing may be reordered past (in fetch order)."""
+    if isinstance(ins, If):
+        return True  # no speculation past unresolved branches
+    if isinstance(ins, (Rmw, CmpXchg)):
+        return True
+    if isinstance(ins, Fence) and ins.tag in _LK_SPECIALS:
+        return True
+    return False
+
+
+def _needed_registers(ins: Instruction) -> FrozenSet[str]:
+    """Registers that must hold a value before ``ins`` can start."""
+    needed: Set[str] = set()
+    if isinstance(ins, (Rmw, CmpXchg)):
+        # new_value may reference the destination register (the value just
+        # read), which the RMW itself produces — don't require it.
+        _collect_regs(ins.new_value, needed)
+        needed.discard(ins.reg)
+    for expr in _read_operands(ins):
+        _collect_regs(expr, needed)
+    return frozenset(needed)
+
+
+def _read_operands(ins: Instruction) -> List[Expr]:
     if isinstance(ins, Load):
         return [ins.addr]
     if isinstance(ins, Store):
         return [ins.addr, ins.value]
     if isinstance(ins, Rmw):
-        # new_value may reference the destination register (the value just
-        # read), which the RMW itself produces — don't require it.
-        needed = []
-        _collect_regs_excluding(ins.new_value, ins.reg, needed)
-        return [ins.addr] + needed
+        return [ins.addr]
     if isinstance(ins, CmpXchg):
-        needed = []
-        _collect_regs_excluding(ins.new_value, ins.reg, needed)
-        return [ins.addr, ins.expected] + needed
+        return [ins.addr, ins.expected]
     if isinstance(ins, If):
         return [ins.cond]
     if isinstance(ins, LocalAssign):
@@ -639,13 +706,6 @@ def _collect_regs(expr: Expr, out: Set[str]) -> None:
         _collect_regs(expr.rhs, out)
     elif isinstance(expr, UnOp):
         _collect_regs(expr.operand, out)
-
-
-def _collect_regs_excluding(expr: Expr, excluded: str, out: List[Expr]) -> None:
-    regs: Set[str] = set()
-    _collect_regs(expr, regs)
-    regs.discard(excluded)
-    out.extend(Reg(name) for name in regs)
 
 
 def _written_register(ins: Instruction) -> Optional[str]:

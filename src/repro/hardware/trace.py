@@ -2,9 +2,10 @@
 
 The paper validates its model against hardware by comparing *final
 states*; with a simulator we can do better and validate *executions*:
-every run of :class:`~repro.hardware.opsim.OperationalSimulator` records
-which write each read observed (rf), the order writes reached memory
-(co), and the dependency taints — enough to rebuild the exact
+a traced run of :class:`~repro.hardware.opsim.OperationalSimulator`
+(``run_once_traced``) records which write each read observed (rf), the
+order writes reached memory (co), and the dependency taints — enough to
+rebuild the exact
 :class:`~repro.executions.candidate.CandidateExecution` the run
 performed, and check it against an axiomatic model directly.
 """
