@@ -74,3 +74,21 @@ def test_theorem2_with_deeper_unrolling(benchmark, lkmm):
     )
     assert result.verdict == "Forbid"
     assert result.allowed > 0
+
+
+def test_theorem2_at_loop_bound_3(benchmark, lkmm):
+    """Bound 3: the grace period may wait two full iterations.  The
+    per-location sweep builds only the trace combinations that keep a
+    candidate, which keeps this bound affordable."""
+
+    def experiment():
+        inlined = inline_rcu(library.get("RCU-MP"), loop_bound=3)
+        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+
+    result = once(benchmark, experiment)
+    print(
+        f"\nRCU-MP+urcu (bound 3): {result.verdict} "
+        f"({result.allowed} allowed / {result.candidates} candidates)"
+    )
+    assert result.verdict == "Forbid"
+    assert result.allowed > 0

@@ -23,34 +23,43 @@ Two performance mechanisms (both from :mod:`repro.kernel`, both
 behaviour-preserving, both off in the oracle configuration —
 ``REPRO_ORACLE=1`` restores the naive enumerate-then-filter path):
 
-* the trace-invariant structure of step 3 — events, base relations, and
-  everything derivable from them — is computed once per trace combination
-  and shared across all rf×co candidates via a
-  :class:`~repro.kernel.skeleton.TraceSkeleton`;
 * when ``require_sc_per_location`` is set, the rf×co sweep is *factorised
-  by location*.  Every edge of ``po-loc | rf | co | fr`` joins two events
-  on the same location, so the check graph is a disjoint union of
-  per-location graphs, acyclic iff each of them is.  A location's
-  surviving coherence orders depend only on its own reads' rf sources:
-  they are computed once per trace combination and tuple of sources and
-  memoised (coherence orders are *pruned as they are extended*: a
-  permutation prefix whose partial graph already has a cycle cannot lead
-  to any surviving candidate, so its whole subtree is skipped).  A
-  location left without orders prunes every rf choice that completes it.
-  The surviving stream is the naive path's, in the same order
-  (:func:`_pruned_candidates`).
+  by location* and runs on integer event ids.  Every edge of
+  ``po-loc | rf | co | fr`` joins two events on the same location, so the
+  check graph is a disjoint union of per-location graphs, acyclic iff
+  each of them is.  A location's surviving coherence orders depend only
+  on its own reads' rf sources: they are computed once per trace
+  combination and tuple of sources and memoised (coherence orders are
+  *pruned as they are extended*: a permutation prefix whose partial graph
+  already has a cycle cannot lead to any surviving candidate, so its
+  whole subtree is skipped).  A location left without orders prunes every
+  rf choice that completes it.  The sweep reads each event's location,
+  kind and value straight off the proto-events, so a combination is
+  materialised (:func:`_materialise`: events, base relations, ``po-loc``
+  and skeleton) only at its first full rf assignment with surviving co
+  orders; most combinations have none and are never built.  Kept
+  candidates get their ``rf`` and ``co`` as dense bitset rows.  The
+  surviving stream is the naive path's, in the same order
+  (:func:`_pruned_candidates`);
+* the trace-invariant structure of step 3 — events, base relations, and
+  everything derivable from them — is computed once per materialised
+  trace combination and shared across all its rf×co candidates via a
+  :class:`~repro.kernel.skeleton.TraceSkeleton`.
+
+The naive path materialises each combination with the same
+:func:`_materialise`, before its first candidate.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.events import Event, FENCE, INIT_TID, ONCE, READ, WRITE, _index_to_label
 from repro.guard import core as _guard
 from repro.kernel import config as _config
 from repro.obs import core as _obs
-from repro.kernel.bitrel import _bits, index_for, reaches
+from repro.kernel.bitrel import DenseRelation, _bits, index_for, reaches
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus.ast import Program
 from repro.relations import Relation
@@ -148,25 +157,99 @@ def _executions_of_traces(
                     _obs.count("enumerate.pruned.unwritable_trace")
                 return
 
+    if require_sc_per_location and not _config.oracle():
+        yield from _pruned_candidates(program, locations, traces)
+        return
+
+    # Naive path: materialise the combination, then enumerate complete
+    # rf×co candidates, filtering (when asked) after construction.
+    events, universe, build = _materialise(program, locations, traces)
+
+    # Reads-from candidates (never empty, by the value-first test above).
+    reads = [e for e in events if e.kind == READ]
+    writes_by_loc: Dict[str, List[Event]] = {}
+    for event in events:
+        if event.kind == WRITE:
+            writes_by_loc.setdefault(event.loc, []).append(event)
+    rf_candidates: List[List[Event]] = [
+        [w for w in writes_by_loc[read.loc] if w.value == read.value]
+        for read in reads
+    ]
+
+    # Coherence candidates: per location, init write first (the events
+    # open with them, in ``locations`` order), then any permutation of
+    # the remaining writes.
+    co_orders_per_loc: List[List[List[Event]]] = [
+        [
+            [init] + list(perm)
+            for perm in itertools.permutations(
+                [w for w in writes_by_loc[location] if not w.is_init]
+            )
+        ]
+        for init, location in zip(events, locations)
+    ]
+
+    survived = False
+    for rf_choice in itertools.product(*rf_candidates):
+        rf = Relation(zip(rf_choice, reads), universe)
+        for co_combo in itertools.product(*co_orders_per_loc):
+            if _guard.ACTIVE:
+                _guard._current.tick()  # budget safepoint: one rf×co assignment
+            co_pairs: List[Tuple[Event, Event]] = []
+            for order in co_combo:
+                co_pairs.extend(_order_pairs(order))
+            execution = build(rf, Relation(co_pairs, universe))
+            if require_sc_per_location and not (
+                execution.po_loc | execution.com
+            ).is_acyclic():
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.sc_filtered")
+                continue
+            survived = True
+            if _guard.ACTIVE:
+                _guard._current.note_candidate()
+            if _obs.ENABLED:
+                _obs.count("enumerate.candidates")
+            yield execution
+    if require_sc_per_location and not survived and _obs.ENABLED:
+        _obs.count("enumerate.pruned.no_survivor")
+
+
+Build = Callable[[Relation, Relation], CandidateExecution]
+
+
+def _materialise(
+    program: Program,
+    locations: List[str],
+    traces: Tuple[ThreadTrace, ...],
+) -> Tuple[List[Event], frozenset, Build]:
+    """The events, base relations, ``po-loc`` and skeleton of one trace
+    combination.
+
+    Eids are assigned to the initial writes first, in ``locations``
+    order, then to each thread's events in program order, thread by
+    thread: the numbering :func:`_pruned_candidates` sweeps over before
+    any event exists.  Returns the events in eid order, their universe,
+    and ``build(rf, co)``, which makes one candidate of the combination.
+    """
     events: List[Event] = []
     eid = 0
     label_counter = 0
 
     # Implicit initialising writes, one per location.
-    init_writes: Dict[str, Event] = {}
     for po_index, location in enumerate(locations):
-        event = Event(
-            eid=eid,
-            tid=INIT_TID,
-            po_index=po_index,
-            kind=WRITE,
-            tag=ONCE,
-            loc=location,
-            value=program.initial_value(location),
-            label=f"i{location}",
+        events.append(
+            Event(
+                eid=eid,
+                tid=INIT_TID,
+                po_index=po_index,
+                kind=WRITE,
+                tag=ONCE,
+                loc=location,
+                value=program.initial_value(location),
+                label=f"i{location}",
+            )
         )
-        init_writes[location] = event
-        events.append(event)
         eid += 1
 
     # Thread events, with trace-local indices mapped to global events.
@@ -220,28 +303,8 @@ def _executions_of_traces(
     ctrl = Relation(ctrl_pairs, universe)
     rmw = Relation(rmw_pairs, universe)
 
-    # Reads-from candidates (never empty, by the value-first test above).
-    reads = [e for e in events if e.kind == READ]
-    writes_by_loc: Dict[str, List[Event]] = {}
-    for event in events:
-        if event.kind == WRITE:
-            writes_by_loc.setdefault(event.loc, []).append(event)
-
-    rf_candidates: List[List[Event]] = [
-        [w for w in writes_by_loc[read.loc] if w.value == read.value]
-        for read in reads
-    ]
-
-    # Coherence candidates: per location, init write first, then any
-    # permutation of the remaining writes.
-    non_init_by_loc: List[List[Event]] = [
-        [w for w in writes_by_loc.get(location, []) if not w.is_init]
-        for location in locations
-    ]
-
-    incremental = not _config.oracle()
     shared: Optional[TraceSkeleton] = None
-    if incremental:
+    if not _config.oracle():
         shared = TraceSkeleton(universe)
         po_loc_pairs = [
             (a, b)
@@ -250,7 +313,7 @@ def _executions_of_traces(
         ]
         shared.seed("po_loc", Relation(po_loc_pairs, universe))
 
-    def build(rf: Relation, co_pairs: List[Tuple[Event, Event]]):
+    def build(rf: Relation, co: Relation) -> CandidateExecution:
         return CandidateExecution(
             universe,
             po,
@@ -259,69 +322,22 @@ def _executions_of_traces(
             ctrl,
             rmw,
             rf,
-            Relation(co_pairs, universe),
+            co,
             final_regs=final_regs,
             name=program.name,
             shared=shared,
         )
 
-    if incremental and require_sc_per_location:
-        yield from _pruned_candidates(
-            universe,
-            po_loc_pairs,
-            reads,
-            rf_candidates,
-            locations,
-            init_writes,
-            non_init_by_loc,
-            build,
-        )
-        return
-
-    # Naive path: enumerate complete rf×co candidates, filtering (when
-    # asked) after construction.
-    co_orders_per_loc: List[List[List[Event]]] = [
-        [
-            [init_writes[location]] + list(perm)
-            for perm in itertools.permutations(non_init)
-        ]
-        for location, non_init in zip(locations, non_init_by_loc)
-    ]
-
-    for rf_choice in itertools.product(*rf_candidates):
-        rf = Relation(zip(rf_choice, reads), universe)
-        for co_combo in itertools.product(*co_orders_per_loc):
-            if _guard.ACTIVE:
-                _guard._current.tick()  # budget safepoint: one rf×co assignment
-            co_pairs: List[Tuple[Event, Event]] = []
-            for order in co_combo:
-                co_pairs.extend(_order_pairs(order))
-            execution = build(rf, co_pairs)
-            if require_sc_per_location and not (
-                execution.po_loc | execution.com
-            ).is_acyclic():
-                if _obs.ENABLED:
-                    _obs.count("enumerate.pruned.sc_filtered")
-                continue
-            if _guard.ACTIVE:
-                _guard._current.note_candidate()
-            if _obs.ENABLED:
-                _obs.count("enumerate.candidates")
-            yield execution
+    return events, universe, build
 
 
 def _pruned_candidates(
-    universe: frozenset,
-    po_loc_pairs: List[Tuple[Event, Event]],
-    reads: List[Event],
-    rf_candidates: List[List[Event]],
+    program: Program,
     locations: List[str],
-    init_writes: Dict[str, Event],
-    non_init_by_loc: List[List[Event]],
-    build,
+    traces: Tuple[ThreadTrace, ...],
 ) -> Iterator[CandidateExecution]:
     """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, factorised
-    by location.
+    by location, over integer event ids.
 
     Every edge of the check graph (po-loc, rf, co, fr) joins two events on
     the same location, so the graph is the disjoint union of one graph per
@@ -333,6 +349,15 @@ def _pruned_candidates(
     restricted to the location's events (such a cycle survives every co
     order), then :func:`_coherence_orders`.
 
+    The sweep needs only each event's location, kind and value, which it
+    reads off the proto-events under :func:`_materialise`'s eid numbering.
+    Eids are ``0..n-1`` and an :class:`~repro.kernel.bitrel.EventIndex`
+    sorts by eid, so an eid is also the event's bitset position.  The
+    combination is materialised at the first full rf assignment with
+    surviving co orders; one without any is never built and counts as
+    ``enumerate.pruned.no_survivor``.  Each kept candidate's ``rf`` and
+    ``co`` are built straight into dense rows.
+
     rf choices are enumerated over the reads in event order, last read
     fastest, which is ``itertools.product`` order.  When the last read of
     a location receives its source, that location's memo entry is looked
@@ -343,93 +368,126 @@ def _pruned_candidates(
     is *identical* to the naive path's: same candidates, same order.  That
     is what early exit and ``max_candidates`` partial results rely on.
     """
-    index = index_for(universe)
-    pos = index.pos
-    n = index.n
-
-    # Static part of the check graph: po-loc.
+    # Each eid's location, kind and value, and the static part of the
+    # check graph, po-loc, as bitset rows.
+    n = len(locations) + sum(len(trace.events) for trace in traces)
+    locs: List[Optional[str]] = list(locations)
+    kinds: List[str] = [WRITE] * len(locations)
+    values: List[object] = [program.initial_value(loc) for loc in locations]
     static_rows = [0] * n
-    for a, b in po_loc_pairs:
-        static_rows[pos[a]] |= 1 << pos[b]
+    for trace in traces:
+        base = len(locs)
+        later: Dict[str, int] = {}  # location -> mask of po-later events
+        for i in range(len(trace.events) - 1, -1, -1):
+            loc = trace.events[i].loc
+            if loc is not None:
+                mask = later.get(loc, 0)
+                static_rows[base + i] = mask
+                later[loc] = mask | 1 << (base + i)
+        for proto in trace.events:
+            locs.append(proto.loc)
+            kinds.append(proto.kind)
+            values.append(proto.value)
 
-    # Per location: its init write, its non-init writes (co-ordered) and
-    # the indices of its reads.  A read of a location outside
-    # ``locations`` gets a group with no coherence order, as in the naive
-    # path.
+    # Reads-from candidates (never empty, by the value-first test).
+    reads = [e for e in range(n) if kinds[e] == READ]
+    writes_by_loc: Dict[str, List[int]] = {}
+    for e in range(n):
+        if kinds[e] == WRITE:
+            writes_by_loc.setdefault(locs[e], []).append(e)
+    rf_candidates: List[List[int]] = [
+        [w for w in writes_by_loc[locs[r]] if values[w] == values[r]]
+        for r in reads
+    ]
+
+    # Per location: its init write (eid ``g`` for location ``g``), its
+    # non-init writes (co-ordered) and the indices of its reads.  A read
+    # of a location outside ``locations`` gets a group with no coherence
+    # order, as in the naive path.
     group_of = {location: g for g, location in enumerate(locations)}
-    inits: List[Optional[Event]] = [init_writes[loc] for loc in locations]
-    writes: List[List[Event]] = list(non_init_by_loc)
+    inits: List[Optional[int]] = list(range(len(locations)))
+    writes: List[List[int]] = [
+        writes_by_loc[location][1:] for location in locations
+    ]
     reads_of: List[List[int]] = [[] for _ in locations]
-    for k, read in enumerate(reads):
-        if read.loc not in group_of:
-            group_of[read.loc] = len(inits)
+    for k, r in enumerate(reads):
+        if locs[r] not in group_of:
+            group_of[locs[r]] = len(inits)
             inits.append(None)
             writes.append([])
             reads_of.append([])
-        reads_of[group_of[read.loc]].append(k)
+        reads_of[group_of[locs[r]]].append(k)
     masks = [0] * len(inits)
-    for event in universe:
-        g = group_of.get(event.loc)
+    for e in range(n):
+        g = group_of.get(locs[e])
         if g is not None:
-            masks[g] |= 1 << pos[event]
-    read_pos = [pos[r] for r in reads]
+            masks[g] |= 1 << e
 
     # The rf walk is an odometer: ``cursor[k] - 1`` indexes the source
     # chosen for read ``k`` in ``rf_candidates[k]``.
     last = len(reads)
-    rf_choice: List[Optional[Event]] = [None] * last
+    rf_choice: List[int] = [0] * last
     cursor = [0] * last
 
     # One memo per location, keyed by its reads' sources under the current
     # rf choice, encoded as a mixed-radix int of their ``cursor`` indices
     # (an int key churns no tuples).
-    memo: List[Dict[int, List[Tuple[Event, ...]]]] = [{} for _ in inits]
+    memo: List[Dict[int, List[Tuple[int, ...]]]] = [{} for _ in inits]
 
-    def orders_of(g: int) -> List[Tuple[Event, ...]]:
+    def orders_of(g: int) -> List[Tuple[int, ...]]:
         key = 0
         for k in reads_of[g]:
             key = key * len(rf_candidates[k]) + cursor[k] - 1
         orders = memo[g].get(key)
         if orders is None:
             rows = list(static_rows)
-            readers_of = [0] * n  # write position -> bitmask of its readers
+            readers_of = [0] * n  # write -> bitmask of its readers
             for k in reads_of[g]:
-                w_pos = pos[rf_choice[k]]
-                r_bit = 1 << read_pos[k]
-                rows[w_pos] |= r_bit
-                readers_of[w_pos] |= r_bit
+                w = rf_choice[k]
+                r_bit = 1 << reads[k]
+                rows[w] |= r_bit
+                readers_of[w] |= r_bit
             if _has_cycle(rows, masks[g]):
                 if _obs.ENABLED:
                     _obs.count("enumerate.pruned.rf_cycle")
                 orders = []
             else:
-                orders = _coherence_orders(
-                    rows, readers_of, pos, inits[g], writes[g]
-                )
+                orders = _coherence_orders(rows, readers_of, inits[g], writes[g])
             memo[g][key] = orders
         return orders
 
     # Locations without reads have one memo entry, fixed up front.
-    chosen: List[List[Tuple[Event, ...]]] = [
+    chosen: List[List[Tuple[int, ...]]] = [
         [] if reads_of[g] else orders_of(g) for g in range(len(inits))
     ]
-    if not all(chosen[g] for g in range(len(inits)) if not reads_of[g]):
-        return
     closing = {ks[-1]: g for g, ks in enumerate(reads_of) if ks}
 
-    k = 0
-    while k >= 0:  # backtracking past read 0 ends the sweep
+    build: Optional[Build] = None
+    # Backtracking past read 0 ends the sweep; a read-less location
+    # without co orders ends it before it starts.
+    k = 0 if all(chosen[g] for g in range(len(inits)) if not reads_of[g]) else -1
+    while k >= 0:
         if k == last:
-            rf = Relation(zip(rf_choice, reads), universe)
+            if build is None:
+                _, universe, build = _materialise(program, locations, traces)
+                index = index_for(universe)
+            rf_rows = [0] * n
+            for w, r in zip(rf_choice, reads):
+                rf_rows[w] |= 1 << r
+            rf = Relation._from_dense(DenseRelation(index, rf_rows), universe)
             for combo in itertools.product(*chosen):
-                co_pairs: List[Tuple[Event, Event]] = []
+                co_rows = [0] * n
                 for order in combo:
-                    co_pairs.extend(_order_pairs(order))
+                    after = 0
+                    for w in reversed(order):
+                        co_rows[w] = after
+                        after |= 1 << w
+                co = Relation._from_dense(DenseRelation(index, co_rows), universe)
                 if _guard.ACTIVE:
                     _guard._current.note_candidate()
                 if _obs.ENABLED:
                     _obs.count("enumerate.candidates")
-                yield build(rf, co_pairs)
+                yield build(rf, co)
             k -= 1
             continue
         i = cursor[k]
@@ -448,41 +506,40 @@ def _pruned_candidates(
                 continue  # prune every completion of this rf prefix
             chosen[g] = orders
         k += 1
+    if build is None and _obs.ENABLED:
+        _obs.count("enumerate.pruned.no_survivor")
 
 
 def _coherence_orders(
     rows: List[int],
     readers_of: List[int],
-    pos: Dict[Event, int],
-    init: Optional[Event],
-    writes: List[Event],
-) -> List[Tuple[Event, ...]]:
+    init: Optional[int],
+    writes: List[int],
+) -> List[Tuple[int, ...]]:
     """The co orders of one location (``init`` first, then each
     permutation of ``writes`` in ``itertools.permutations`` order) that
     keep its ``po-loc | rf | co | fr`` graph acyclic.
 
-    ``rows`` holds the location's acyclic ``po-loc | rf`` graph as
-    adjacency bitset rows; ``readers_of`` maps a write's position to the
-    bitmask of its readers.
+    Writes are eids.  ``rows`` holds the location's acyclic
+    ``po-loc | rf`` graph as adjacency bitset rows; ``readers_of`` maps a
+    write to the bitmask of its readers.
     """
-    orders: List[Tuple[Event, ...]] = []
+    orders: List[Tuple[int, ...]] = []
     if init is None:
-        _extend_order(orders, rows, readers_of, pos, (), 0, writes)
+        _extend_order(orders, rows, readers_of, (), 0, writes)
     else:
-        i_pos = pos[init]
-        sources = (1 << i_pos) | readers_of[i_pos]
-        _extend_order(orders, rows, readers_of, pos, (init,), sources, writes)
+        sources = (1 << init) | readers_of[init]
+        _extend_order(orders, rows, readers_of, (init,), sources, writes)
     return orders
 
 
 def _extend_order(
-    orders: List[Tuple[Event, ...]],
+    orders: List[Tuple[int, ...]],
     rows: List[int],
     readers_of: List[int],
-    pos: Dict[Event, int],
-    prefix: Tuple[Event, ...],
+    prefix: Tuple[int, ...],
     sources: int,
-    remaining: List[Event],
+    remaining: List[int],
 ) -> None:
     """Append to ``orders`` every acyclic completion of ``prefix``.
 
@@ -500,13 +557,12 @@ def _extend_order(
         # Budget safepoint, batched: one tick per co extension step at
         # this level (cheaper than one call per step).
         _guard._current.tick(len(remaining))
-    for i, write in enumerate(remaining):
-        w_pos = pos[write]
-        w_bit = 1 << w_pos
+    for i, w in enumerate(remaining):
+        w_bit = 1 << w
         new_rows = list(rows)
-        for e_pos in _bits(sources):
-            new_rows[e_pos] |= w_bit  # co from a prefix write, fr from a reader
-        if reaches(new_rows, w_pos, sources):
+        for e in _bits(sources):
+            new_rows[e] |= w_bit  # co from a prefix write, fr from a reader
+        if reaches(new_rows, w, sources):
             # Cyclic prefix: prune every completion.
             if _obs.ENABLED:
                 _obs.count("enumerate.pruned.co_prefix")
@@ -515,9 +571,8 @@ def _extend_order(
             orders,
             new_rows,
             readers_of,
-            pos,
-            prefix + (write,),
-            sources | w_bit | readers_of[w_pos],
+            prefix + (w,),
+            sources | w_bit | readers_of[w],
             remaining[:i] + remaining[i + 1:],
         )
 

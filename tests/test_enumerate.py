@@ -9,6 +9,7 @@ from repro.executions import candidate_executions, count_candidate_executions
 from repro.executions import enumerate as enumeration
 from repro.executions.thread_sem import enumerate_thread_traces, possible_value_sets
 from repro.kernel import config as kconfig
+from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
 from repro.litmus.parser import parse_litmus
 from repro.rcu.implementation import inline_rcu
@@ -184,6 +185,8 @@ class TestValueFirstPruning:
         counters = collector.counters
         assert counters["enumerate.trace_combos"] == 4608
         assert counters["enumerate.pruned.unwritable_trace"] == 3744
+        # Of the 864 kept combinations, 28 yield the 64 candidates.
+        assert counters["enumerate.pruned.no_survivor"] == 836
         assert counters["enumerate.candidates"] == candidates == 64
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -225,3 +228,63 @@ class TestValueFirstPruning:
                     kept += 1
                     assert built[0] > before  # po, addr, data, ctrl, rmw
         assert (dropped, kept) == (3744, 864)
+
+    def test_a_combination_without_survivors_is_never_built(
+        self, rcu_mp_bound2, monkeypatch
+    ):
+        # The production per-location sweep runs on the proto-events: a
+        # combination that passes the value-first test but has no
+        # candidate satisfying acyclic(po-loc | com) builds no Relation
+        # and no TraceSkeleton.  (The oracle materialises eagerly, which
+        # the unfiltered test above checks.)
+        built = {"relations": 0, "skeletons": 0, "materialised": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Relation, "__init__", counting("relations", Relation.__init__)
+        )
+        monkeypatch.setattr(
+            TraceSkeleton,
+            "__init__",
+            counting("skeletons", TraceSkeleton.__init__),
+        )
+        monkeypatch.setattr(
+            enumeration,
+            "_materialise",
+            counting("materialised", enumeration._materialise),
+        )
+        program = rcu_mp_bound2
+        value_sets = possible_value_sets(program)
+        per_thread = [
+            enumerate_thread_traces(thread, value_sets)
+            for thread in program.threads
+        ]
+        locations = program.locations()
+        fruitless = fruitful = candidates = 0
+        with kconfig.use_oracle(False), obs.collect() as collector:
+            for traces in itertools.product(*per_thread):
+                before = dict(built)
+                found = list(
+                    enumeration._executions_of_traces(
+                        program, locations, traces, True
+                    )
+                )
+                candidates += len(found)
+                if found:
+                    fruitful += 1
+                    assert built["materialised"] == before["materialised"] + 1
+                elif collector.counters.get(
+                    "enumerate.pruned.no_survivor", 0
+                ) > fruitless:
+                    fruitless += 1
+                    assert built == before
+                else:
+                    assert built == before  # an unwritable read
+        assert (fruitless, fruitful, candidates) == (836, 28, 64)
+        assert built["materialised"] == 28

@@ -289,3 +289,21 @@ def test_candidate_budget_on_rcu_is_deterministic_across_backends(limit):
             )
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][1] == limit
+
+
+def test_candidate_budget_on_lazy_materialisation_matches_the_oracle():
+    """Production materialises a trace combination only at its first
+    surviving candidate; under a candidate budget that must not shift the
+    partial result away from the oracle's eager filter-after-build."""
+    program = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+    snapshots = []
+    for oracle in (False, True):
+        with use_oracle(oracle):
+            snapshots.append(
+                _budgeted_snapshot(
+                    LKMM, program, 10, require_sc_per_location=True
+                )
+            )
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][0] == INCONCLUSIVE
+    assert snapshots[0][1] == 10

@@ -253,14 +253,18 @@ CORPUS_STREAM_SAMPLE = 12
 
 def _stream_programs():
     """Programs whose production and oracle candidate streams must match:
-    SB+mbs, multi-location multi-write library tests, the inlined RCU-MP,
-    a pointer-only location, a po-loc | rf self-cycle, and a seeded
-    golden-corpus sample."""
+    SB+mbs, multi-location multi-write library tests, the inlined RCU-MP
+    (loop bounds 1 and 2) and RCU-deferred-free, a pointer-only location,
+    a po-loc | rf self-cycle, and a seeded golden-corpus sample."""
     programs = {
         name: library.get(name)
         for name in ("SB+mbs", "2+2W", "IRIW", "WRC", "PeterZ")
     }
     programs["RCU-MP@1"] = inline_rcu(library.get("RCU-MP"), loop_bound=1)
+    programs["RCU-MP@2"] = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+    programs["RCU-deferred-free@1"] = inline_rcu(
+        library.get("RCU-deferred-free"), loop_bound=1
+    )
     programs["pointer-only-location"] = parse_litmus(POINTER_ONLY_LOCATION)
     # The read may only take the initial write: reading its own po-later
     # write is a po-loc | rf cycle that no co order can introduce.
@@ -329,16 +333,21 @@ class TestWholeRunEquivalence:
             return sorted((a.eid, b.eid) for a, b in pairs)
 
         def stream(program):
-            return [
-                (
-                    key(x.rf.pairs),
-                    key(x.co.pairs),
-                    sorted((e.eid, e.kind, e.loc, e.value) for e in x.events),
+            out = []
+            for x in candidate_executions(program, require_sc_per_location=True):
+                out.append(
+                    (
+                        key(x.rf.pairs),
+                        key(x.co.pairs),
+                        sorted((e.eid, e.kind, e.loc, e.value) for e in x.events),
+                    )
                 )
-                for x in candidate_executions(
-                    program, require_sc_per_location=True
-                )
-            ]
+                # The production sweep runs on eids before any event
+                # exists and builds rf/co rows from them: an eid must be
+                # its event's bitset position.
+                pos = index_for(x.universe).pos
+                assert all(pos[e] == e.eid for e in x.events), program.name
+            return out
 
         for name, program in _stream_programs().items():
             with kconfig.use_oracle(False):
