@@ -119,8 +119,8 @@ _GROUPS: Dict[int, RecGroup] = {}
 _GROUP_CANON: Dict[tuple, RecGroup] = {}
 _GROUP_IDS = itertools.count()
 
-#: Builtin identifiers whose value varies with the execution witness
-#: (must agree with repro.cat.eval._VARYING_BUILTINS).
+#: Builtin identifiers whose value varies with the execution witness:
+#: the seed of every node's ``varying`` flag.
 _VARYING_BASES = frozenset({"rf", "co"})
 
 

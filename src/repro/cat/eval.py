@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union as TUnion
+from typing import Dict, List, Optional, Set, Union as TUnion
 
 from repro.cat import ast as C
 from repro.cat.parser import CatParseError, parse_cat
@@ -108,48 +108,30 @@ TAG_SETS: Dict[str, str] = {
 
 
 def builtin_environment(execution: CandidateExecution) -> Dict[str, Value]:
-    """The initial cat environment for one execution.
-
-    Everything except ``rf`` and ``co`` is trace-invariant, so the bulk of
-    the environment is built once per trace combination (shared on the
-    execution's skeleton) and only the witness relations are added per
-    candidate.
-    """
-
-    def invariant() -> Dict[str, Value]:
-        env: Dict[str, Value] = {
-            "po": execution.po,
-            "addr": execution.addr,
-            "data": execution.data,
-            "ctrl": execution.ctrl,
-            "rmw": execution.rmw,
-            "loc": execution.loc,
-            "int": execution.int_,
-            "ext": execution.ext,
-            "id": execution.identity,
-            "_": execution.all_events,
-            "R": execution.reads,
-            "W": execution.writes,
-            "F": execution.fences,
-            "M": execution.accesses,
-            "IW": execution.initial_writes,
-            "crit": crit_relation(execution),
-        }
-        for name, tag in TAG_SETS.items():
-            env[name] = execution.tagged(tag)
-        return env
-
-    env = dict(execution.shared_memo("cat:base_env", invariant))
-    env["rf"] = execution.rf
-    env["co"] = execution.co
+    """The initial cat environment for one execution."""
+    env: Dict[str, Value] = {
+        "po": execution.po,
+        "rf": execution.rf,
+        "co": execution.co,
+        "addr": execution.addr,
+        "data": execution.data,
+        "ctrl": execution.ctrl,
+        "rmw": execution.rmw,
+        "loc": execution.loc,
+        "int": execution.int_,
+        "ext": execution.ext,
+        "id": execution.identity,
+        "_": execution.all_events,
+        "R": execution.reads,
+        "W": execution.writes,
+        "F": execution.fences,
+        "M": execution.accesses,
+        "IW": execution.initial_writes,
+        "crit": crit_relation(execution),
+    }
+    for name, tag in TAG_SETS.items():
+        env[name] = execution.tagged(tag)
     return env
-
-
-#: Builtin identifiers whose value varies with the execution witness; the
-#: seed of the varying-name analysis below.
-_VARYING_BUILTINS = frozenset({"rf", "co"})
-#: Builtin functions (not environment entries; never varying by themselves).
-_BUILTIN_FUNCS = frozenset({"domain", "range", "fencerel"})
 
 
 def _free_identifiers(expr: C.CatExpr, out: Set[str]) -> None:
@@ -166,51 +148,6 @@ def _free_identifiers(expr: C.CatExpr, out: Set[str]) -> None:
         child = getattr(expr, attr, None)
         if child is not None:
             _free_identifiers(child, out)
-
-
-def _analyse_invariance(statements: Sequence) -> List:
-    """Per-statement rf/co-(in)dependence, in evaluation order.
-
-    Walks the flattened statement list tracking the set of *varying*
-    names — those whose value (transitively) depends on ``rf`` or ``co``.
-    Returns, aligned with ``statements``: for a ``Let``, a list of
-    per-binding booleans (True = trace-invariant, safe to memoise on the
-    skeleton); for a ``Check``, one boolean for its expression.  The
-    analysis is order-sensitive, so shadowing is handled conservatively:
-    once a name goes varying it stays varying.
-    """
-    varying: Set[str] = set(_VARYING_BUILTINS)
-    result: List = []
-    for statement in statements:
-        if isinstance(statement, C.Let):
-            if statement.recursive:
-                group = {b.name for b in statement.bindings}
-                free: Set[str] = set()
-                for binding in statement.bindings:
-                    _free_identifiers(binding.expr, free)
-                is_varying = bool((free - group - _BUILTIN_FUNCS) & varying)
-                if is_varying:
-                    varying.update(group)
-                result.append([not is_varying] * len(statement.bindings))
-            else:
-                flags = []
-                for binding in statement.bindings:
-                    free = set()
-                    _free_identifiers(binding.expr, free)
-                    free -= set(binding.params)
-                    free -= _BUILTIN_FUNCS
-                    is_varying = bool(free & varying)
-                    if is_varying:
-                        varying.add(binding.name)
-                    flags.append(not is_varying)
-                result.append(flags)
-        elif isinstance(statement, C.Check):
-            free = set()
-            _free_identifiers(statement.expr, free)
-            result.append(not ((free - _BUILTIN_FUNCS) & varying))
-        else:
-            result.append(None)
-    return result
 
 
 def _coerce_relation(value: Value, context: str) -> Relation:
@@ -371,18 +308,18 @@ class _Evaluator:
         raise CatError(f"unknown function {expr.func!r}")
 
 
-#: Process-unique tokens for memo keys (id() is unsafe: recyclable).
+#: Process-unique model tokens, the key of the symbolic prover's
+#: compiled-IR cache (id() is unsafe: recyclable).
 _MODEL_TOKENS = itertools.count()
 
 
 class CatModel(Model):
     """A consistency model defined by a cat file.
 
-    On first use the statement list is flattened (includes expanded) and
-    analysed for rf/co-dependence; ``let`` bindings and checks whose value
-    cannot depend on the execution witness are then evaluated once per
-    trace combination (memoised on the execution's shared skeleton) rather
-    than once per candidate.
+    On first use the statement list is flattened (includes expanded).
+    Production checks run the model lowered to bytecode on the VM
+    (:mod:`repro.kernel.vm`); :meth:`_walk` evaluates the statements
+    per candidate, as the oracle and as the fallback.
     """
 
     def __init__(self, cat_file: C.CatFile, name: Optional[str] = None):
@@ -390,7 +327,6 @@ class CatModel(Model):
         self.name = name or cat_file.name
         self._token = next(_MODEL_TOKENS)
         self._flat: Optional[List] = None
-        self._invariance: Optional[List] = None
         #: Lazily lowered VM bytecode (None = does not lower); see
         #: :meth:`_vm_program`.
         self._program = None
@@ -433,7 +369,6 @@ class CatModel(Model):
 
             walk(self.cat_file)
             self._flat = out
-            self._invariance = _analyse_invariance(out)
         return self._flat
 
     def check(self, execution: CandidateExecution) -> ModelResult:
@@ -466,23 +401,11 @@ class CatModel(Model):
         env = builtin_environment(execution)
         violations: List[AxiomViolation] = []
         flags: List[AxiomViolation] = []
-        statements = self._flattened()
-        invariance = self._invariance
-        for index, statement in enumerate(statements):
+        for index, statement in enumerate(self._flattened()):
             if isinstance(statement, C.Let):
-                self._bind(
-                    statement, evaluator, env, execution, invariance[index], index
-                )
+                self._bind(statement, evaluator, env)
             else:
-                if invariance[index]:
-                    violation = execution.shared_memo(
-                        ("cat", self._token, index),
-                        lambda s=statement, i=index: self._check(
-                            s, evaluator, env, i
-                        ),
-                    )
-                else:
-                    violation = self._check(statement, evaluator, env, index)
+                violation = self._check(statement, evaluator, env, index)
                 if violation is not None:
                     (flags if statement.flag else violations).append(violation)
         return self._result(violations, flags)
@@ -518,59 +441,23 @@ class CatModel(Model):
         return self._program
 
     def _bind(
-        self,
-        let: C.Let,
-        evaluator: _Evaluator,
-        env: Dict[str, Value],
-        execution: CandidateExecution,
-        invariant_flags: List[bool],
-        stmt_index: int,
+        self, let: C.Let, evaluator: _Evaluator, env: Dict[str, Value]
     ) -> None:
-        if not let.recursive:
-            for b_index, binding in enumerate(let.bindings):
-                if binding.params:
-                    # Function bindings are cheap to create; their bodies
-                    # are (re-)evaluated per call site anyway.
-                    env[binding.name] = CatFunction(
-                        binding.name, binding.params, binding.expr, env.copy()
-                    )
-                elif invariant_flags[b_index]:
-                    # The expression cannot reach rf/co, and every name it
-                    # reads resolves to skeleton-shared values — so the
-                    # result is identical across all sibling candidates.
-                    env[binding.name] = execution.shared_memo(
-                        ("cat", self._token, stmt_index, b_index),
-                        lambda b=binding: self._timed_eval(
-                            b, evaluator, env
-                        ),
-                    )
-                else:
-                    env[binding.name] = self._timed_eval(
-                        binding, evaluator, env
-                    )
+        if let.recursive:
+            group = "+".join(b.name for b in let.bindings)
+            with _obs.span(f"cat.let.{self.name}.rec.{group}"):
+                env.update(self._eval_rec(let, evaluator, env))
             return
-        group = "+".join(b.name for b in let.bindings)
-        if invariant_flags and invariant_flags[0]:
-            values = execution.shared_memo(
-                ("cat", self._token, stmt_index),
-                lambda: self._timed_eval_rec(let, evaluator, env, group),
-            )
-        else:
-            values = self._timed_eval_rec(let, evaluator, env, group)
-        env.update(values)
-
-    def _timed_eval_rec(
-        self, let: C.Let, evaluator: _Evaluator, env: Dict[str, Value], group: str
-    ) -> Dict[str, Value]:
-        with _obs.span(f"cat.let.{self.name}.rec.{group}"):
-            return self._eval_rec(let, evaluator, env)
-
-    def _timed_eval(
-        self, binding, evaluator: _Evaluator, env: Dict[str, Value]
-    ) -> Value:
-        """Evaluate one non-function ``let`` binding under a span."""
-        with _obs.span(f"cat.let.{self.name}.{binding.name}"):
-            return evaluator.eval(binding.expr, env)
+        for binding in let.bindings:
+            if binding.params:
+                # Function bindings are cheap to create; their bodies
+                # are (re-)evaluated per call site anyway.
+                env[binding.name] = CatFunction(
+                    binding.name, binding.params, binding.expr, env.copy()
+                )
+            else:
+                with _obs.span(f"cat.let.{self.name}.{binding.name}"):
+                    env[binding.name] = evaluator.eval(binding.expr, env)
 
     def _eval_rec(
         self, let: C.Let, evaluator: _Evaluator, env: Dict[str, Value]

@@ -41,8 +41,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _popcount_fallback(mask: int) -> int:
     # Pure-Python popcount for Python 3.9, where int.bit_count does not
-    # exist yet.  Benchmarked against the native path in
-    # benchmarks/test_perf_kernel.py (micro-popcount row).
+    # exist yet.
     return bin(mask).count("1")
 
 

@@ -6,11 +6,13 @@ candidate_executions_sharded`), so parallelism needs no communication:
 * one *program* is split by handing shard ``s`` of ``N`` to worker ``s``,
   each worker enumerating every ``N``-th trace combination and scanning
   its candidates; the partial :class:`~repro.herd.RunResult` counters are
-  summed afterwards (:func:`run_litmus_parallel`);
-* a *batch* of programs (``repro-herd``/``repro-lint`` on a directory,
-  :func:`repro.herd.verdicts`) is distributed program-per-task
-  (:func:`verdicts_parallel`), which scales better than sharding when
-  there are many more tests than cores.
+  summed afterwards (:func:`run_litmus_parallel`, which is what
+  ``repro-herd --jobs`` runs for each test);
+* a *batch* of programs is distributed program-per-task, which scales
+  better than sharding when there are many more tests than cores:
+  :func:`repro.herd.verdicts` through :func:`verdicts_parallel`, and
+  ``repro-lint --races --jobs`` by mapping race classification
+  over the programs.
 
 Workers re-enumerate their shard from the pickled
 :class:`~repro.litmus.ast.Program` — events are never pickled between

@@ -4,9 +4,9 @@ Enumeration (herd's structure) fixes the events and the base relations
 ``po``/``addr``/``data``/``ctrl``/``rmw`` once per *trace combination* and
 then sweeps the rf×co witness space.  Everything derivable from those
 alone — ``loc``, ``int``, ``ext``, ``id``, ``po-loc``, the tag sets,
-``crit``, the fence relations of the LK model, and the rf/co-independent
-prefix of a cat model — is therefore identical across all candidates of
-one combination.
+``crit``, the fence relations of the LK model, and the VM prelude of a
+lowered cat model (its rf/co-independent registers) — is therefore
+identical across all candidates of one combination.
 
 A :class:`TraceSkeleton` is a small memo table attached to every candidate
 of one combination: the first candidate computes each invariant value, the

@@ -12,8 +12,8 @@ test.
 
 The program is split into two instruction streams:
 
-* the **prelude** computes every trace-invariant node (rf/co-independent,
-  per PR 2's varying-name analysis).  It runs once per
+* the **prelude** computes every trace-invariant node (one whose IR
+  ``varying`` flag is clear: it cannot reach ``rf``/``co``).  It runs once per
   :class:`~repro.kernel.skeleton.TraceSkeleton` and its register file is
   shared *by reference* across all rf×co sibling candidates — sound
   because no opcode ever mutates an operand row list, so sharing is

@@ -410,10 +410,11 @@ def _check_races_task(program: Program):
 def _race_reports(race_targets: List[Program], jobs: int):
     """Race reports for each target, in input order, on ``jobs`` workers."""
     if jobs > 1 and len(race_targets) > 1:
-        from repro.kernel.parallel import worker_pool
+        from repro.kernel.parallel import fault_tolerant_map
 
-        with worker_pool(min(jobs, len(race_targets))) as pool:
-            outcomes = pool.map(_check_races_task, race_targets)
+        outcomes = fault_tolerant_map(
+            _check_races_task, race_targets, min(jobs, len(race_targets))
+        )
     else:
         outcomes = [_check_races_task(program) for program in race_targets]
     for _, worker_report in outcomes:

@@ -66,9 +66,36 @@ def _unlowerable_source(depth: int = 70) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("test_name", ["SB", "MP", "LB", "2+2W"])
-def test_unlowerable_model_falls_back_to_oracle_verdict(test_name):
-    model = CatModel.from_source(_unlowerable_source(), name="deep-sc")
+def _unlowerable_bindings_source(depth: int = 70) -> str:
+    """The deep nesting again, around the bindings a walker could share
+    between the candidates of one trace combination: an rf/co-invariant
+    ``let`` and an invariant two-binding ``let rec`` group (``ord``
+    works out to ``po``), then a variant ``let``."""
+    lines = ["let f0(r) = r"]
+    lines += [f"let f{i}(r) = f{i - 1}(r)" for i in range(1, depth)]
+    lines += [
+        "let prog = (po | id) \\ id",
+        "let rec ord = prog | (ord ; back^-1)",
+        "and back = ord^-1 | (back ; back)",
+        "let com = rf | co | (rf^-1 ; co)",
+        f"acyclic f{depth - 1}(ord | com) as sc",
+    ]
+    return "\n".join(lines)
+
+
+UNLOWERABLE = [
+    pytest.param(test_name, source, id=test_name + suffix)
+    for suffix, source in (
+        ("", _unlowerable_source()),
+        ("+invariant-lets", _unlowerable_bindings_source()),
+    )
+    for test_name in ("SB", "MP", "LB", "2+2W")
+]
+
+
+@pytest.mark.parametrize("test_name, source", UNLOWERABLE)
+def test_unlowerable_model_falls_back_to_oracle_verdict(test_name, source):
+    model = CatModel.from_source(source, name="deep-sc")
     assert model._vm_program() is None
     program = library.get(test_name)
     with config.use_oracle(False), obs.collect() as collector:

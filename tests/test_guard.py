@@ -1,5 +1,7 @@
 """Budgets, cancellation, and graceful degradation (repro.guard)."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,3 +309,70 @@ def test_candidate_budget_on_lazy_materialisation_matches_the_oracle():
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][0] == INCONCLUSIVE
     assert snapshots[0][1] == 10
+
+
+# -- safepoint cost ----------------------------------------------------------
+
+#: Ceiling on the cost of guard safepoints on the library sweep, as a
+#: fraction of the sweep's solve time.
+MAX_GUARD_OVERHEAD = 0.03
+
+
+def _best_seconds(run, rounds):
+    best = None
+    for _ in range(rounds):
+        start = time.perf_counter()
+        run()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
+def test_guard_safepoint_cost_on_the_library_sweep():
+    """Armed safepoints cost at most 3% of the production library sweep.
+
+    The bound is analytic: the measured per-call price of the armed
+    safepoint pattern (``if _guard.ACTIVE: _guard._current.tick()``)
+    times the number of safepoints one sweep fires, over the sweep's
+    solve time.  A plain-vs-armed wall-clock diff cannot power a 3%
+    assertion: the true cost sits far below the run-to-run noise of a
+    ~50 ms sweep, while both factors of the product are stable.
+    """
+    programs = library.all_tests()
+    generous = Budget(
+        wall_seconds=3600.0, max_candidates=10**12, max_mem_mb=65536.0
+    )
+    with use_oracle(False):
+        models = [load_model("lkmm")]
+
+        def sweep():
+            return verdicts(models, programs, require_sc_per_location=True)
+
+        plain = sweep()  # warm the model and plan caches before timing
+        # note_candidate() also ticks, so candidates count twice
+        # (conservative).
+        with guard(generous) as armed:
+            guarded = sweep()
+            safepoint_calls = armed._ticks + 2 * armed.candidates
+        solve_s = _best_seconds(sweep, rounds=3)
+    assert plain == guarded  # a generous guard never changes verdicts
+
+    # Per-call cost of the armed call-site pattern, loop overhead
+    # included (conservative).  2^17 iterations exercise the batched
+    # clock (every 64 ticks) and rss (every 4096) samplers at their real
+    # duty cycle.
+    micro_rounds = 1 << 17
+
+    def ticks():
+        for _ in range(micro_rounds):
+            if guard_core.ACTIVE:
+                guard_core._current.tick()
+
+    with guard(generous):
+        per_call_s = _best_seconds(ticks, rounds=3) / micro_rounds
+    overhead = safepoint_calls * per_call_s / solve_s
+    assert overhead <= MAX_GUARD_OVERHEAD, (
+        f"{safepoint_calls} safepoints at {per_call_s * 1e9:.0f} ns cost "
+        f"{overhead:.2%} of a {solve_s * 1e3:.0f} ms sweep, above the "
+        f"{MAX_GUARD_OVERHEAD:.0%} ceiling"
+    )

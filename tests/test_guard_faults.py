@@ -19,6 +19,8 @@ from repro.guard import SweepJournal, faults, parse_fault_spec
 from repro.herd import verdicts
 from repro.kernel import parallel
 from repro.litmus import library
+from repro.litmus.parser import parse_litmus
+from repro.tools import cli
 
 
 SC = load_model("sc")
@@ -140,6 +142,39 @@ def test_parallel_verdicts_survive_crashes():
     faults.set_spec(None)
     calm = verdicts([SC], programs)
     assert chaotic == calm
+
+
+MP_PLAIN = """
+C MP+plain
+{ x=0; y=0; }
+P0(int *x, int *y) {
+  *x = 1;
+  WRITE_ONCE(*y, 1);
+}
+P1(int *x, int *y) {
+  int r0 = READ_ONCE(*y);
+  int r1 = *x;
+}
+exists (1:r0=1 /\\ 1:r1=0)
+"""
+
+
+def test_race_reports_survive_crashes():
+    """``repro-lint --races --jobs N`` submits through the fault-tolerant
+    map: lost workers are retried and the reports equal a serial run's."""
+    programs = [parse_litmus(MP_PLAIN)] + [
+        library.get(name) for name in ("SB", "MP+wmb+rmb", "LB", "R", "WRC")
+    ]
+    faults.set_spec(parse_fault_spec("crash:0.3,seed=8"))
+    with obs.collect() as collector:
+        chaotic = cli._race_reports(programs, 2)
+    faults.set_spec(None)
+    calm = cli._race_reports(programs, 1)
+    assert [report.describe() for report in chaotic] == [
+        report.describe() for report in calm
+    ]
+    assert any(report.racy for report in calm)
+    assert collector.report().counters.get("guard.retries", 0) > 0
 
 
 # -- orphaned workers and Ctrl-C -------------------------------------------

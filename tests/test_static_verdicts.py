@@ -12,7 +12,8 @@ This suite holds the prover's three guarantees:
   and under the oracle;
 * **coverage** — at least 40% of the library is decided under LKMM,
   at least 1758 of the 1839 golden-corpus cells are decided, Forbid
-  proofs enumerate zero candidates, and the drivers surface the
+  proofs enumerate zero candidates, the 3–6-thread ISA2 fence chains
+  are critical-cycle Forbid proofs, and the drivers surface the
   ``static.decided`` counter;
 * **stability** — the decided/unknown map itself must not drift
   silently (a matcher regression that loses proofs fails here with the
@@ -31,8 +32,10 @@ from repro.cat import load_model
 from repro.corpus.golden import load_golden
 from repro.corpus.sweep import CORPUS_MODELS, NOT_APPLICABLE, _model
 from repro.hardware import CompileError, compile_program, get_arch
+from repro.herd import run_litmus_many, verdicts
 from repro.kernel import config as kconfig
 from repro.litmus import library
+from repro.litmus.parser import parse_litmus
 from repro.obs import core as obs
 
 DATA = Path(__file__).parent / "data"
@@ -155,6 +158,72 @@ def test_static_counters_surface(snapshot):
         assert static_verdict(model, library.get("LB+ctrl+mb")) is None
     assert collector.counters.get("static.decided") == 1
     assert collector.counters.get("static.fallback") == 1
+
+
+def _isa2_chain(threads):
+    """An ISA2-style message chain of ``threads`` threads: each middle
+    thread reads the previous flag under ``smp_mb()`` before raising the
+    next, the last thread looks back at the first store.  Forbidden under
+    LKMM for every length; the candidate space doubles per thread while
+    the critical cycle merely gains two positions."""
+    n = threads
+    lines = [
+        f"C ISA2-chain-{n}",
+        "{ " + " ".join(f"x{i}=0;" for i in range(n)) + " }",
+        "P0(int *x0, int *x1)\n{\n    WRITE_ONCE(*x0, 1);\n"
+        "    smp_wmb();\n    WRITE_ONCE(*x1, 1);\n}",
+    ]
+    for i in range(1, n - 1):
+        lines.append(
+            f"P{i}(int *x{i}, int *x{i + 1})\n{{\n"
+            f"    int r0 = READ_ONCE(*x{i});\n    smp_mb();\n"
+            f"    WRITE_ONCE(*x{i + 1}, 1);\n}}"
+        )
+    lines.append(
+        f"P{n - 1}(int *x{n - 1}, int *x0)\n{{\n"
+        f"    int r0 = READ_ONCE(*x{n - 1});\n    smp_rmb();\n"
+        f"    int r1 = READ_ONCE(*x0);\n}}"
+    )
+    cond = " /\\ ".join(f"{i}:r0=1" for i in range(1, n))
+    lines.append(f"exists ({cond} /\\ {n - 1}:r1=0)")
+    return parse_litmus("\n".join(lines))
+
+
+ISA2_CHAINS = [_isa2_chain(n) for n in (3, 4, 5, 6)]
+
+
+def test_isa2_chains_are_proved_forbidden():
+    """The fence-chain family is a critical-cycle proof at every length."""
+    model = load_model("lkmm")
+    with kconfig.use_oracle(False):
+        for program in ISA2_CHAINS:
+            decision = decide(model, program, require_sc_per_location=True)
+            assert decision is not None, program.name
+            assert (decision.verdict, decision.reason) == (
+                "Forbid",
+                "critical-cycle",
+            ), program.name
+
+
+def test_isa2_chain_verdicts_match_enumeration():
+    """``verdicts`` (pre-pass, then enumeration) equals the table built
+    by enumeration alone, and every chain is Forbid."""
+    models = [load_model("lkmm")]
+    table = verdicts(models, ISA2_CHAINS, require_sc_per_location=True)
+    enumerated = {}
+    for program in ISA2_CHAINS:
+        results = run_litmus_many(
+            models,
+            program,
+            require_sc_per_location=True,
+            stop_when_decided=True,
+            verdict_only=True,
+        )
+        enumerated[program.name] = {
+            name: result.verdict for name, result in results.items()
+        }
+    assert table == enumerated
+    assert all(row == {"LKMM": "Forbid"} for row in table.values()), table
 
 
 def _corpus_cells():
