@@ -31,11 +31,21 @@ instruction table (the arms of every ``if`` included), with each
 instruction's needed registers, whether it closes the reordering window,
 and a bitmask of the later instructions that may not complete while it is
 pending (the architecture's reordering rules of :meth:`_may_pass` plus
-register dependencies).  A run's thread streams hold instruction numbers,
-and each scheduling step walks the window testing bits.  The lowering
-changes no decision: every step offers the scheduler the same actions in
-the same order as evaluating the rules directly would, so a seed yields
-the same random stream, histogram and traces.
+register dependencies).  A stream holds each instruction number at most
+once and in increasing order, so a thread's progress is two bitmasks over
+numbers: ``fetched`` (the stream: the body plus the resolved ``if`` arms)
+and ``done``.  The registers holding a value are exactly those written by
+the done instructions, so everything the window walk reads except one
+thing is a function of ``(done, fetched, syncing)`` — ``syncing`` being
+whether the thread's own grace period is in flight.  Each lowered table
+therefore memoises its offers under that key: a walk runs once per thread
+state, and a step only rebuilds the offers of the thread that acted.  The
+exception is a ``spin_lock``'s read value, which depends on memory: the
+entry keeps such a lock apart, and every step checks it against the
+thread's view of memory.  None of this changes a decision: every step
+offers the scheduler the same actions in the same order as evaluating the
+rules directly would, so a seed yields the same random stream, histogram
+and traces.
 
 :meth:`OperationalSimulator.run_once_traced` also records a full *trace*
 — which write each read observed (rf), the order writes reached memory
@@ -125,45 +135,56 @@ class RunTrace:
         return event_id
 
 
+#: What a thread offers in one state: the actions it may take, and the
+#: spin_locks it may take once their lock reads free.  A spin_lock closes
+#: the window, so it comes after every other offer.
+_Offers = Tuple[
+    Tuple[Tuple[str, int, int], ...],
+    Tuple[Tuple[Tuple[str, int, int], Rmw], ...],
+]
+
+
 class _ThreadTable:
-    """One thread's program lowered for the step loop.
+    """One thread's program lowered for the step loop, with its offer memo.
 
     Instructions are numbered in program order, each ``if`` followed by
     its then-arm and then its else-arm.  A dynamic stream takes at most
     one arm of each ``if``, so it holds each number at most once and in
-    increasing order, which lets a bitmask over numbers stand for a set
-    of stream entries.
+    increasing order: the bitmask of the numbers it holds stands for the
+    stream, and a bitmask over numbers for any set of its entries.
     """
 
     def __init__(
         self,
+        tid: int,
         body: Sequence[Instruction],
         may_pass: Callable[[Instruction, Instruction], bool],
+        window: int,
     ):
+        self.tid = tid
+        self.window = window
         self.instructions: List[Instruction] = []
-        #: ``if`` number -> (then-arm numbers, else-arm numbers).
-        self.arms: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: ``if`` number -> (then-arm mask, else-arm mask).
+        self.arms: Dict[int, Tuple[int, int]] = {}
+        #: The numbers of the stream before any branch resolves.
         self.body = self._number(body)
         instructions = self.instructions
         #: Registers each instruction reads before it can start.
         self.needed: List[FrozenSet[str]] = [
             _needed_registers(ins) for ins in instructions
         ]
+        #: The register each instruction writes when it completes, if any.
+        self.written: List[Optional[str]] = [
+            _written_register(ins) for ins in instructions
+        ]
         #: Nothing later may start while this one is pending (fetch order).
         self.stops: List[bool] = [_blocks_window(ins) for ins in instructions]
-        #: Starting needs a run-time check besides the tables: a second
-        #: grace period of the thread, or a spin_lock's read value.
-        self.guarded: List[bool] = [
-            (isinstance(ins, Fence) and ins.tag == SYNC_RCU)
-            or (isinstance(ins, Rmw) and ins.require_read_value is not None)
-            for ins in instructions
-        ]
         #: Bit ``later`` of ``held[earlier]`` is set when ``later`` may not
         #: start while ``earlier`` is pending: an architecture rule forbids
         #: the reordering, or ``earlier`` writes a register ``later`` reads.
         self.held: List[int] = []
         for earlier_no, earlier in enumerate(instructions):
-            target = _written_register(earlier)
+            target = self.written[earlier_no]
             mask = 0
             for later_no in range(earlier_no + 1, len(instructions)):
                 if target in self.needed[later_no] or not may_pass(
@@ -171,17 +192,60 @@ class _ThreadTable:
                 ):
                     mask |= 1 << later_no
             self.held.append(mask)
+        #: (done, fetched, syncing) -> the thread's offers in that state.
+        self.memo: Dict[Tuple[int, int, bool], _Offers] = {}
 
-    def _number(self, body: Sequence[Instruction]) -> List[int]:
-        numbers = []
+    def _number(self, body: Sequence[Instruction]) -> int:
+        mask = 0
         for ins in body:
             number = len(self.instructions)
             self.instructions.append(ins)
-            numbers.append(number)
+            mask |= 1 << number
             if isinstance(ins, If):
                 then = self._number(ins.then)
                 self.arms[number] = (then, self._number(ins.orelse))
-        return numbers
+        return mask
+
+    def offers(self, done: int, fetched: int, syncing: bool) -> _Offers:
+        """The actions the thread offers with ``done`` of its ``fetched``
+        instructions complete and its own grace period pending or not."""
+        key = (done, fetched, syncing)
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = self._walk(*key)
+        return entry
+
+    def _walk(self, done: int, fetched: int, syncing: bool) -> _Offers:
+        """Walk the window: what may start now, in fetch order."""
+        pending = fetched & ~done
+        if not pending:
+            return (), ()
+        needed, stops, held = self.needed, self.stops, self.held
+        produced = {self.written[number] for number in _numbers(done)}
+        offers: List[Tuple[str, int, int]] = []
+        spins: List[Tuple[Tuple[str, int, int], Rmw]] = []
+        # Later instructions held back by the pending ones walked so far.
+        blocked = 0
+        # The window: ``window`` stream entries from the first pending one.
+        head = _lowest(pending)
+        for number in _numbers(fetched >> head << head)[: self.window]:
+            if done >> number & 1:
+                continue
+            if not blocked >> number & 1 and produced >= needed[number]:
+                ins = self.instructions[number]
+                action = ("execute", self.tid, number)
+                if isinstance(ins, Rmw) and ins.require_read_value is not None:
+                    # A spin_lock's read value is checked on every step.
+                    spins.append((action, ins))
+                elif not (
+                    isinstance(ins, Fence) and ins.tag == SYNC_RCU and syncing
+                ):
+                    # A thread starts one grace period at a time.
+                    offers.append(action)
+            if stops[number]:
+                break
+            blocked |= held[number]
+        return tuple(offers), tuple(spins)
 
 
 @dataclass
@@ -190,25 +254,26 @@ class _PendingSync:
 
     thread: int
     waiting_for: Set[int]
-    #: Stream index of the synchronize_rcu fence.
-    index: int
+    #: Instruction number of the synchronize_rcu fence.
+    number: int
 
 
 class _ThreadState:
     """Runtime state of one simulated thread."""
 
-    def __init__(self, tid: int, table: _ThreadTable):
-        self.tid = tid
+    def __init__(self, table: _ThreadTable):
+        self.tid = table.tid
         self.table = table
-        #: Instruction numbers in fetch order; grows as branches resolve.
-        self.stream: List[int] = list(table.body)
-        #: Indices of completed instructions.
-        self.done: Set[int] = set()
-        #: First index that is not yet complete.
-        self.head = 0
+        #: Numbers of the instructions in the stream; grows as branches
+        #: resolve.
+        self.fetched = table.body
+        #: Numbers of the completed instructions.
+        self.done = 0
+        #: Whether the thread's own synchronize_rcu is in flight.
+        self.syncing = False
+        #: The memo entry for (done, fetched, syncing).
+        self.offers = table.offers(0, self.fetched, False)
         self.regs: Dict[str, Value] = {}
-        #: Live view of the registers that hold a value.
-        self.produced = self.regs.keys()
         #: Register -> ids of the dynamic reads its value derives from
         #: (traced runs only).
         self.taints: Dict[str, FrozenSet[int]] = {}
@@ -220,16 +285,20 @@ class _ThreadState:
         self.buffer: List[Tuple[str, Value, Optional[int]]] = []
         self.rcu_depth = 0
 
-    def advance_head(self) -> None:
-        # Every index in ``done`` is inside the stream, so this stops at
-        # its end at the latest.
-        while self.head in self.done:
-            self.head += 1
-
     @property
     def finished(self) -> bool:
-        self.advance_head()
-        return self.head >= len(self.stream) and not self.buffer
+        return self.done == self.fetched and not self.buffer
+
+    def po_index(self, number: int) -> int:
+        """Stream index of ``number``: how many fetched numbers precede it."""
+        return bin(self.fetched & ((1 << number) - 1)).count("1")
+
+    def head_index(self) -> int:
+        """Stream index of the first instruction not yet complete."""
+        pending = self.fetched & ~self.done
+        return self.po_index(
+            _lowest(pending) if pending else self.fetched.bit_length()
+        )
 
 
 class _Memory:
@@ -269,9 +338,10 @@ class OperationalSimulator:
     def __init__(self, program: Program, arch: ArchSpec):
         self.program = program
         self.arch = arch
-        self._window = arch.window if arch.out_of_order else 1
+        window = arch.window if arch.out_of_order else 1
         self._tables = [
-            _ThreadTable(thread.body, self._may_pass) for thread in program.threads
+            _ThreadTable(tid, thread.body, self._may_pass, window)
+            for tid, thread in enumerate(program.threads)
         ]
         self._initial = [
             (loc, program.initial_value(loc)) for loc in program.locations()
@@ -296,9 +366,7 @@ class OperationalSimulator:
 
     def _run(self, rng: random.Random, trace: Optional[RunTrace]) -> FinalState:
         memory = _Memory(self._initial, trace)
-        threads = [
-            _ThreadState(tid, table) for tid, table in enumerate(self._tables)
-        ]
+        threads = [_ThreadState(table) for table in self._tables]
         syncs: List[_PendingSync] = []
 
         while True:
@@ -309,18 +377,24 @@ class OperationalSimulator:
                 raise SimulationError(
                     f"no eligible action in {self.program.name} "
                     f"(deadlock at heads "
-                    f"{[(t.tid, t.head) for t in threads]})"
+                    f"{[(t.tid, t.head_index()) for t in threads]})"
                 )
-            kind, tid, index = actions[rng.randrange(len(actions))]
+            kind, tid, number = actions[rng.randrange(len(actions))]
             thread = threads[tid]
             if kind == "drain":
+                # Only memory changes, never the thread's offers.
                 loc, value, write_id = thread.buffer.pop(0)
                 memory.commit(loc, value, write_id)
-            elif kind == "sync-done":
+                continue
+            if kind == "sync-done":
                 syncs[:] = [s for s in syncs if s.thread != tid]
-                thread.done.add(index)
+                thread.syncing = False
+                thread.done |= 1 << number
             else:
-                self._execute(thread, index, memory, threads, syncs, trace)
+                self._execute(thread, number, memory, threads, syncs, trace)
+            thread.offers = thread.table.offers(
+                thread.done, thread.fetched, thread.syncing
+            )
 
         registers = {
             (t.tid, name): value
@@ -362,56 +436,21 @@ class OperationalSimulator:
         for thread in threads:
             if thread.buffer:
                 actions.append(("drain", thread.tid, -1))
-            thread.advance_head()
-            stream, done = thread.stream, thread.done
-            table = thread.table
-            needed, stops, guarded, held = (
-                table.needed, table.stops, table.guarded, table.held
-            )
-            # Later instructions held back by the pending ones walked so far.
-            blocked = 0
-            for index in range(
-                thread.head, min(len(stream), thread.head + self._window)
-            ):
-                if index in done:
-                    continue
-                number = stream[index]
-                if (
-                    not blocked >> number & 1
-                    and thread.produced >= needed[number]
-                    and not (
-                        guarded[number]
-                        and self._guard_blocks(thread, number, memory, syncs)
-                    )
-                ):
-                    actions.append(("execute", thread.tid, index))
-                if stops[number]:
-                    break
-                blocked |= held[number]
+            offers, spins = thread.offers
+            actions += offers
+            for action, ins in spins:
+                # A spin_lock can only start when the lock value matches.
+                loc = self._eval_addr(ins.addr, thread.regs)
+                current, _ = self._buffered_value(thread, loc, memory)
+                if current == ins.require_read_value:
+                    actions.append(action)
         for sync in syncs:
             if not any(
                 threads[tid].rcu_depth > 0 for tid in sync.waiting_for
             ):
                 # All snapshotted readers have left their RSCS.
-                actions.append(("sync-done", sync.thread, sync.index))
+                actions.append(("sync-done", sync.thread, sync.number))
         return actions
-
-    def _guard_blocks(
-        self,
-        thread: _ThreadState,
-        number: int,
-        memory: _Memory,
-        syncs: List[_PendingSync],
-    ) -> bool:
-        ins = thread.table.instructions[number]
-        if isinstance(ins, Fence):
-            # Starting a grace period is always possible (completion is the
-            # separate "sync-done" action), but only once.
-            return any(s.thread == thread.tid for s in syncs)
-        # A spin_lock can only start when the lock value matches.
-        loc = self._eval_addr(ins.addr, thread.regs)
-        current, _ = self._buffered_value(thread, loc, memory)
-        return current != ins.require_read_value
 
     def _may_pass(self, earlier: Instruction, later: Instruction) -> bool:
         """May ``later`` complete while ``earlier`` is still pending?"""
@@ -457,17 +496,18 @@ class OperationalSimulator:
     def _execute(
         self,
         thread: _ThreadState,
-        index: int,
+        number: int,
         memory: _Memory,
         threads: List[_ThreadState],
         syncs: List[_PendingSync],
         trace: Optional[RunTrace],
     ) -> None:
-        """Perform the instruction at stream ``index``; record its events
-        in ``trace`` unless it is None."""
-        number = thread.stream[index]
+        """Perform instruction ``number``; record its events in ``trace``
+        unless it is None."""
         ins = thread.table.instructions[number]
         regs = thread.regs
+        # The stream index, which a traced event records as its po index.
+        index = thread.po_index(number) if trace is not None else -1
 
         if isinstance(ins, Load):
             loc = self._eval_addr(ins.addr, regs)
@@ -484,7 +524,7 @@ class OperationalSimulator:
                 trace.rf[read_id] = source
                 thread.taints[ins.reg] = frozenset({read_id})
             regs[ins.reg] = value
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         if isinstance(ins, Store):
@@ -505,14 +545,14 @@ class OperationalSimulator:
                 thread.buffer.append((loc, value, write_id))
             else:
                 memory.commit(loc, value, write_id)
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         if isinstance(ins, LocalAssign):
             regs[ins.reg] = self._eval(ins.expr, regs)
             if trace is not None:
                 thread.taints[ins.reg] = self._taints(ins.expr, thread)
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         if isinstance(ins, Fence):
@@ -529,13 +569,14 @@ class OperationalSimulator:
                     if t.tid != thread.tid and t.rcu_depth > 0
                 }
                 self._record_fence(thread, index, ins, trace)
-                syncs.append(_PendingSync(thread.tid, waiting, index))
+                syncs.append(_PendingSync(thread.tid, waiting, number))
+                thread.syncing = True
                 return  # completion happens via the "sync-done" action
             else:
                 if self.arch.fence_rule(ins.tag).drains:
                     self._drain(thread, memory)
             self._record_fence(thread, index, ins, trace)
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         if isinstance(ins, (Rmw, CmpXchg)):
@@ -581,17 +622,17 @@ class OperationalSimulator:
                     )
                     trace.rmw_pairs.append((read_id, write_id))
                 memory.commit(loc, new_value, write_id)
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         if isinstance(ins, If):
             cond = self._eval(ins.cond, regs)
             taken = bool(cond) if not isinstance(cond, Pointer) else True
             then, orelse = thread.table.arms[number]
-            thread.stream[index + 1 : index + 1] = then if taken else orelse
+            thread.fetched |= then if taken else orelse
             if trace is not None:
                 thread.ctrl = thread.ctrl | self._taints(ins.cond, thread)
-            thread.done.add(index)
+            thread.done |= 1 << number
             return
 
         raise SimulationError(f"cannot simulate {ins!r}")
@@ -656,6 +697,21 @@ class OperationalSimulator:
 
 
 # -- static helpers ----------------------------------------------------------
+
+
+def _numbers(mask: int) -> List[int]:
+    """The numbers whose bits are set in ``mask``, in increasing order."""
+    numbers = []
+    while mask:
+        low = mask & -mask
+        numbers.append(low.bit_length() - 1)
+        mask ^= low
+    return numbers
+
+
+def _lowest(mask: int) -> int:
+    """The smallest number whose bit is set in a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _blocks_window(ins: Instruction) -> bool:

@@ -1,11 +1,16 @@
 """Tests for the operational simulator (the klitmus substitute)."""
 
 import random
+import re
 
 import pytest
 
 from repro.hardware import compile_program, get_arch
-from repro.hardware.opsim import OperationalSimulator
+from repro.hardware.opsim import (
+    OperationalSimulator,
+    SimulationError,
+    _ThreadTable,
+)
 from repro.litmus import dsl, library
 
 
@@ -90,6 +95,71 @@ class TestAtomicsAndLocks:
 
     def test_lock_handoff(self):
         assert observed("MP+unlock-acq", "ARMv8", runs=800) == 0
+
+    @pytest.mark.parametrize("arch", ["x86", "ARMv8"])
+    def test_lock_read_waits_for_the_unlock(self, arch):
+        # The spin_lock's read value is checked against memory on every
+        # step, never memoised: P1 takes the lock only once P0's unlock is
+        # visible to it (on x86, once it has left P0's store buffer).
+        sim, _ = simulator("MP+unlock-acq", arch)
+        rng = random.Random(3)
+        for _ in range(200):
+            state, trace = sim.run_once_traced(rng)
+            events = {e.event_id: e for e in trace.events}
+            (lock_read,) = [
+                e for e in trace.events
+                if e.tid == 1 and e.kind == "R" and e.loc == "l"
+            ]
+            unlock = events[trace.rf[lock_read.event_id]]
+            assert (unlock.tid, unlock.kind, unlock.loc) == (0, "W", "l")
+            assert state.registers[(1, "r0")] == 1
+
+    @pytest.mark.parametrize("arch", ["x86", "ARMv8"])
+    def test_lock_never_released_deadlocks(self, arch):
+        program = dsl.program(
+            "Lock-held", dsl.thread(dsl.spin_lock("l")), init={"l": 1}
+        )
+        sim = OperationalSimulator(
+            compile_program(program, get_arch(arch)), get_arch(arch)
+        )
+        # The compiled program is named after the test and the machine;
+        # its one thread is stuck at stream index 0.
+        message = (
+            f"no eligible action in Lock-held@{arch} "
+            "(deadlock at heads [(0, 0)])"
+        )
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            sim.run_once(random.Random(0))
+
+
+class TestOfferMemo:
+    """Each thread's offers are worked out once per thread state."""
+
+    def test_each_thread_state_is_walked_once(self, monkeypatch):
+        walks = {}
+        walk = _ThreadTable._walk
+
+        def counting_walk(table, *state):
+            walks[id(table)] = walks.get(id(table), 0) + 1
+            return walk(table, *state)
+
+        monkeypatch.setattr(_ThreadTable, "_walk", counting_walk)
+        for name in ("SB", "WRC"):
+            sim, _ = simulator(name, "ARMv8")
+            sim.sample(500, seed=1)
+            for table in sim._tables:
+                assert walks[id(table)] == len(table.memo)
+                assert walks[id(table)] <= 10
+
+    def test_simulators_share_no_memo(self):
+        first, _ = simulator("WRC", "ARMv8")
+        second, _ = simulator("WRC", "x86")
+        first.sample(50, seed=1)
+        second.sample(50, seed=1)
+        memos = [
+            id(table.memo) for sim in (first, second) for table in sim._tables
+        ]
+        assert len(set(memos)) == len(memos)
 
 
 class TestRcuOperationalSemantics:
