@@ -1,4 +1,5 @@
-"""Symbolic critical-cycle prover: litmus verdicts before enumeration.
+"""Symbolic critical-cycle prover: litmus verdicts from the condition's
+critical cycle, as an analysis tool.
 
 The pipeline:
 
@@ -8,15 +9,17 @@ The pipeline:
 3. :mod:`.match` — must/may bitset evaluation of the compiled cat IR
    over all skeleton events; an axiom is violated when its ``must``
    closure has a diagonal bit;
-4. :mod:`.prover` — the decision procedure (:func:`static_verdict`),
-   consumed by :func:`repro.herd.verdicts` and the corpus sweep;
+4. :mod:`.prover` — the decision procedure (:func:`decide`,
+   :func:`static_verdict`), consumed by ``repro-herd --static-only``,
+   ``repro-lint --static-verdicts`` and the coverage report
+   (:mod:`.report`);
 5. :mod:`.tables` — per-model order tables over the diy edge shapes.
 
 Everything is sound by construction: Forbid is a proof over every
 condition-satisfying execution, Allow is a kernel-confirmed witness,
-and anything else falls back to full enumeration.  The pre-pass runs
-in production and is skipped by the oracle configuration
-(``REPRO_ORACLE=1``, :mod:`repro.kernel.config`).
+and anything else is left undecided.  Verdict tables
+(:func:`repro.herd.verdict_row`) do not consult the prover: their
+condition-directed enumeration is the witness search.
 """
 
 from repro.analysis.symbolic.footprint import (

@@ -71,8 +71,6 @@ class Footprint:
     )
     #: Locations whose coherence-maximal write is fixed.
     comax_pins: Dict[str, Key] = field(default_factory=dict)
-    #: The register atoms, kept for witness filtering on the Allow path.
-    reg_values: Dict[Tuple[int, str], object] = field(default_factory=dict)
 
 
 def _conjuncts(condition: Condition) -> List[Condition]:
@@ -131,7 +129,6 @@ def resolve_footprint(
                 raise Unsupported(
                     f"register {atom.tid}:{atom.reg} has an opaque origin"
                 )
-            footprint.reg_values[(atom.tid, atom.reg)] = atom.value
             read = skeleton.threads[atom.tid].events[payload]
             pinned = footprint.read_pins.get(read.key)
             if pinned is not None:

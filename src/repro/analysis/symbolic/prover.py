@@ -1,12 +1,14 @@
-"""The symbolic critical-cycle prover: verdicts before enumeration.
+"""The symbolic critical-cycle prover: an analysis tool.
 
 Litmus verdicts over the stock library and the diy corpus are dominated
 by tests deliberately built around one *critical cycle* (Section 4 of
 the paper): communication edges pinned by the final-state condition,
 program-order edges between their endpoints.  Whether the model forbids
 the outcome usually hinges on that single cycle — so this module decides
-it *statically*, before (and usually instead of) enumerating the
-candidate-execution space:
+it *statically*, as the argument of Herding Cats: which cycle, under
+which axiom.  ``repro-herd --static-only``, ``repro-lint
+--static-verdicts`` and the coverage report consume it; verdict tables
+do not (:func:`repro.herd.verdict_row` enumerates, condition-directed).
 
 * **Forbid** — the condition body is unsatisfiable over the skeleton
   (``unsat-condition``), or in every coherence scenario of every
@@ -17,11 +19,10 @@ candidate-execution space:
   cycle is enumerated and none is too long to find.  Both facts are
   under-approximations of the real relations, so a Forbid is a proof,
   not a heuristic.
-* **Allow** — a witness candidate synthesised from the condition
-  footprint (threads restricted to traces matching the pinned register
-  values) satisfies the condition and is *confirmed by the kernel
-  itself* (``model.allows``) — exact by construction.
-* **None** — anything else; the caller falls back to full enumeration.
+* **Allow** — a candidate of the enumerator's condition-directed stream
+  satisfies the condition and is *confirmed by the kernel itself*
+  (``model.allows``) — exact by construction.
+* **None** — anything else: the prover does not decide the cell.
 
 The Forbid direction needs the model's compiled relational IR
 (:mod:`repro.analysis.catir.compile`); native Python models still get
@@ -30,20 +31,18 @@ the ``unsat-condition`` and witness paths.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cat import CatError
 from repro.guard import core as _guard
 from repro.litmus.ast import Program
-from repro.litmus.outcomes import Exists, NotExists
+from repro.litmus.outcomes import Exists, NotExists, pinned_atoms
 from repro.model import Model
 from repro.obs import core as _obs
 
 from repro.analysis.catir.compile import CompiledModel, compile_statements
 from repro.analysis.symbolic.footprint import (
-    Footprint,
     guaranteed_edges,
     resolve_footprint,
     scenarios,
@@ -125,59 +124,38 @@ def _forbidden_under(
 def _find_witness(
     model: Model,
     program: Program,
-    skeleton: ProgramSkeleton,
-    footprint: Footprint,
     require_sc_per_location: bool,
 ) -> bool:
-    """Synthesise and confirm one allowed, condition-satisfying candidate.
+    """Find and confirm one allowed, condition-satisfying candidate.
 
-    Thread traces are pre-filtered to those whose final registers match
-    the condition's pinned values, so the candidates examined are exactly
-    the ones that can be witnesses.  The model's own ``allows`` makes the
-    confirmation exact.  A tripped ambient guard aborts the attempt
-    (returning False); the fallback enumeration then re-trips it at its
-    own safepoint and degrades normally.
+    Scans the enumerator's condition-directed stream (the candidates
+    meeting every atom the condition pins, see
+    :func:`repro.litmus.outcomes.pinned_atoms`), so the candidates
+    examined are exactly the ones that can be witnesses, at most
+    ``MAX_WITNESS_CANDIDATES`` of them.  The model's own ``allows``
+    makes the confirmation exact.  A tripped ambient guard aborts the
+    attempt (returning False): the cell stays undecided, and a caller
+    that enumerates next re-trips the guard at its own safepoint and
+    degrades normally.
     """
-    from repro.executions.enumerate import _executions_of_traces
-    from repro.executions.thread_sem import (
-        enumerate_thread_traces,
-        possible_value_sets,
-    )
+    from repro.executions.enumerate import candidate_executions_sharded
 
     condition = program.condition
+    stream = candidate_executions_sharded(
+        program,
+        0,
+        1,
+        require_sc_per_location=require_sc_per_location,
+        pins=pinned_atoms(condition.body),
+    )
     try:
-        value_sets = possible_value_sets(program)
-        per_thread = []
-        for tid, thread in enumerate(program.threads):
-            pins = {
-                reg: value
-                for (pin_tid, reg), value in footprint.reg_values.items()
-                if pin_tid == tid
-            }
-            traces = [
-                trace
-                for trace in enumerate_thread_traces(thread, value_sets)
-                if all(
-                    trace.final_regs.get(reg) == value
-                    for reg, value in pins.items()
-                )
-            ]
-            if not traces:
-                return False
-            per_thread.append(traces)
-        locations = program.locations()
-        examined = 0
-        for combo in itertools.product(*per_thread):
-            for execution in _executions_of_traces(
-                program, locations, combo, require_sc_per_location
+        for examined, execution in enumerate(stream, 1):
+            if condition.evaluate(execution.final_state) and model.allows(
+                execution
             ):
-                examined += 1
-                if condition.evaluate(execution.final_state) and model.allows(
-                    execution
-                ):
-                    return True
-                if examined >= MAX_WITNESS_CANDIDATES:
-                    return False
+                return True
+            if examined >= MAX_WITNESS_CANDIDATES:
+                return False
     except _guard.GuardStop:
         return False
     return False
@@ -197,12 +175,12 @@ def decide(
     Sound by construction: a Forbid is a proof over every
     condition-satisfying execution, an Allow is a kernel-confirmed
     witness.  ``forall`` conditions (whose verdict quantifies over
-    non-witnesses too) always fall back.
+    non-witnesses too) are never decided.
 
     Owns the observability counters (``static.decided`` /
     ``static.witness_confirmed`` / ``static.fallback``) so every caller
-    — the batched drivers, ``repro-herd --static-only``, the coverage
-    report — surfaces them uniformly under ``--profile``.
+    — ``repro-herd --static-only``, ``repro-lint --static-verdicts``,
+    the coverage report — surfaces them uniformly under ``--profile``.
     """
     decision = _decide(model, program, require_sc_per_location)
     if _obs.ENABLED:
@@ -253,9 +231,7 @@ def _decide(
                     "critical-cycle",
                     "; ".join(sorted(set(labels))),
                 )
-    if _find_witness(
-        model, program, skeleton, footprint, require_sc_per_location
-    ):
+    if _find_witness(model, program, require_sc_per_location):
         return StaticDecision(ALLOW, "witness-confirmed")
     return None
 
@@ -265,10 +241,9 @@ def static_verdict(
     program: Program,
     require_sc_per_location: bool = False,
 ) -> Optional[str]:
-    """The statically decided verdict string, or ``None`` (fall back).
+    """The statically decided verdict string, or ``None`` (undecided).
 
-    This is the entry point the batched drivers call; the counters live
-    in :func:`decide` itself.
+    The counters live in :func:`decide` itself.
     """
     decision = decide(
         model, program, require_sc_per_location=require_sc_per_location

@@ -100,9 +100,8 @@ def sweep_row(
     row: Dict[str, str] = {}
 
     def _judge() -> None:
-        # verdict_row runs the symbolic pre-pass per model (production
-        # only); statically decided columns skip their candidate
-        # enumeration entirely.
+        # One verdict_row shares a single condition-directed candidate
+        # sweep across the directly judged models.
         if direct:
             row.update(
                 verdict_row(

@@ -19,6 +19,12 @@ Such a trace combination is dropped by a value-first test on its
 proto-events, before any event or relation of it is built (in both
 configurations).
 
+Given condition *pins* (:func:`candidate_executions_sharded`), the
+enumeration is condition-directed: traces and coherence orders whose
+final registers or final memory contradict a pinned value are dropped
+before any candidate is built, leaving the full stream filtered by the
+pins, in the same order.
+
 Two performance mechanisms (both from :mod:`repro.kernel`, both
 behaviour-preserving, both off in the oracle configuration —
 ``REPRO_ORACLE=1`` restores the naive enumerate-then-filter path):
@@ -53,7 +59,7 @@ The naive path materialises each combination with the same
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.events import Event, FENCE, INIT_TID, ONCE, READ, WRITE, _index_to_label
 from repro.guard import core as _guard
@@ -62,6 +68,7 @@ from repro.obs import core as _obs
 from repro.kernel.bitrel import DenseRelation, _bits, index_for, reaches
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus.ast import Program
+from repro.litmus.outcomes import Condition, RegValue
 from repro.relations import Relation
 from repro.executions.candidate import CandidateExecution
 from repro.executions.thread_sem import (
@@ -94,13 +101,33 @@ def candidate_executions_sharded(
     shard: int,
     shard_count: int,
     require_sc_per_location: bool = False,
+    pins: Sequence[Condition] = (),
 ) -> Iterator[CandidateExecution]:
     """Candidate executions of every ``shard_count``-th trace combination.
 
     Trace enumeration is deterministic, so ``shard_count`` workers each
     running shard ``0..shard_count-1`` partition the full candidate stream
     without communicating (:mod:`repro.kernel.parallel`).
+
+    ``pins`` (``RegValue``/``LocValue`` atoms, see
+    :func:`repro.litmus.outcomes.pinned_atoms`) make the stream
+    *condition-directed*: the full stream restricted to the candidates
+    whose final state satisfies every pin, in the same order.  A thread
+    trace whose final registers contradict a register pin is dropped
+    before any combination is formed, and a coherence order whose
+    co-last write has the wrong value for a pinned location is dropped
+    before its candidate is built; each drop counts as
+    ``enumerate.pruned.condition``.  Combinations are numbered over the
+    kept traces, so shards partition the pruned stream.
     """
+    reg_pins: Dict[int, List[Tuple[str, object]]] = {}
+    loc_pins: Dict[str, List[object]] = {}
+    for atom in pins:
+        if isinstance(atom, RegValue):
+            reg_pins.setdefault(atom.tid, []).append((atom.reg, atom.value))
+        else:
+            loc_pins.setdefault(atom.loc, []).append(atom.value)
+
     with _obs.span("enumerate.thread_traces"):
         value_sets = possible_value_sets(program)
         per_thread: List[List[ThreadTrace]] = [
@@ -108,6 +135,18 @@ def candidate_executions_sharded(
             for thread in program.threads
         ]
         locations = program.locations()
+    for tid, tid_pins in reg_pins.items():
+        if not 0 <= tid < len(per_thread):
+            continue
+        traces = per_thread[tid]
+        kept = [
+            trace
+            for trace in traces
+            if all(trace.final_regs.get(reg) == v for reg, v in tid_pins)
+        ]
+        if _obs.ENABLED:
+            _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
+        per_thread[tid] = kept
 
     for combo_index, traces in enumerate(itertools.product(*per_thread)):
         if combo_index % shard_count != shard:
@@ -117,7 +156,7 @@ def candidate_executions_sharded(
         if _obs.ENABLED:
             _obs.count("enumerate.trace_combos")
         yield from _executions_of_traces(
-            program, locations, traces, require_sc_per_location
+            program, locations, traces, require_sc_per_location, loc_pins
         )
 
 
@@ -133,12 +172,19 @@ def _order_pairs(order: List[Event]) -> Iterator[Tuple[Event, Event]]:
             yield (order[i], order[j])
 
 
+def _pin_holds(pinned: List[object], value: object) -> bool:
+    """True when a location's final ``value`` meets each of its pins."""
+    return all(value == pin for pin in pinned)
+
+
 def _executions_of_traces(
     program: Program,
     locations: List[str],
     traces: Tuple[ThreadTrace, ...],
     require_sc_per_location: bool,
+    loc_pins: Optional[Dict[str, List[object]]] = None,
 ) -> Iterator[CandidateExecution]:
+    loc_pins = loc_pins or {}
     # Value-first pruning: a read of a (location, value) pair that neither
     # an initial write nor a write of this combination produces has no rf
     # source, so the combination has no candidate.  Tested on the
@@ -158,7 +204,7 @@ def _executions_of_traces(
                 return
 
     if require_sc_per_location and not _config.oracle():
-        yield from _pruned_candidates(program, locations, traces)
+        yield from _pruned_candidates(program, locations, traces, loc_pins)
         return
 
     # Naive path: materialise the combination, then enumerate complete
@@ -188,6 +234,20 @@ def _executions_of_traces(
         ]
         for init, location in zip(events, locations)
     ]
+    for g, location in enumerate(locations):
+        pinned = loc_pins.get(location)
+        if pinned is not None:
+            kept = [
+                order
+                for order in co_orders_per_loc[g]
+                if _pin_holds(pinned, order[-1].value)
+            ]
+            if _obs.ENABLED:
+                _obs.count(
+                    "enumerate.pruned.condition",
+                    len(co_orders_per_loc[g]) - len(kept),
+                )
+            co_orders_per_loc[g] = kept
 
     survived = False
     for rf_choice in itertools.product(*rf_candidates):
@@ -335,6 +395,7 @@ def _pruned_candidates(
     program: Program,
     locations: List[str],
     traces: Tuple[ThreadTrace, ...],
+    loc_pins: Dict[str, List[object]],
 ) -> Iterator[CandidateExecution]:
     """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, factorised
     by location, over integer event ids.
@@ -347,7 +408,8 @@ def _pruned_candidates(
     combination and tuple of sources, and memoised per location under
     that tuple (encoded as one int): a cycle test of ``po-loc | rf``
     restricted to the location's events (such a cycle survives every co
-    order), then :func:`_coherence_orders`.
+    order), then :func:`_coherence_orders`, keeping only the orders whose
+    co-last write meets the location's condition pins (``loc_pins``).
 
     The sweep needs only each event's location, kind and value, which it
     reads off the proto-events under :func:`_materialise`'s eid numbering.
@@ -417,6 +479,9 @@ def _pruned_candidates(
             writes.append([])
             reads_of.append([])
         reads_of[group_of[locs[r]]].append(k)
+    pins_of: List[Optional[List[object]]] = [
+        loc_pins.get(location) for location in locations
+    ] + [None] * (len(inits) - len(locations))
     masks = [0] * len(inits)
     for e in range(n):
         g = group_of.get(locs[e])
@@ -453,6 +518,14 @@ def _pruned_candidates(
                 orders = []
             else:
                 orders = _coherence_orders(rows, readers_of, inits[g], writes[g])
+                pinned = pins_of[g]
+                if pinned is not None:
+                    kept = [o for o in orders if _pin_holds(pinned, values[o[-1]])]
+                    if _obs.ENABLED:
+                        _obs.count(
+                            "enumerate.pruned.condition", len(orders) - len(kept)
+                        )
+                    orders = kept
             memo[g][key] = orders
         return orders
 

@@ -2,7 +2,10 @@
 
 This plays the role of the herd tool (Section 5 of the paper): enumerate
 the candidate executions of a test, keep the ones the model allows, and
-judge the final-state condition.
+judge the final-state condition.  Every verdict, in both kernel
+configurations, comes from that enumeration; a verdict-only run of an
+``exists``/``~exists`` test enumerates only the candidates that meet the
+condition's pinned atoms (see :func:`run_litmus_many`).
 
 The verdicts follow the paper's Table 5 vocabulary:
 
@@ -35,7 +38,7 @@ from repro.guard import core as _guard
 from repro.guard.journal import SweepJournal
 from repro.kernel import config as _config
 from repro.litmus.ast import Program
-from repro.litmus.outcomes import Exists, Forall, FinalState, NotExists
+from repro.litmus.outcomes import Exists, Forall, FinalState, NotExists, pinned_atoms
 from repro.model import Model
 from repro.obs import core as _obs
 
@@ -50,7 +53,9 @@ class RunResult:
 
     program: Program
     model_name: str
-    #: Total candidate executions enumerated.
+    #: Candidate executions enumerated: the whole stream, or under
+    #: ``verdict_only`` for an ``exists``/``~exists`` test the
+    #: condition-directed stream (see :func:`run_litmus_many`).
     candidates: int
     #: Executions the model allows.
     allowed: int
@@ -153,10 +158,26 @@ def run_litmus_many(
     ``forall`` verdict flips to Forbid only on an *allowed non-matching*
     candidate, so matching candidates need none.  Verdicts are unchanged;
     ``allowed``/``witnesses``/``states`` then cover only the checked
-    candidates (``candidates`` stays exact).
+    candidates.
+
+    For an ``exists``/``~exists`` test ``verdict_only`` also makes the
+    enumeration *condition-directed* in production: the atoms pinned by
+    the top-level conjunction of the condition body
+    (:func:`~repro.litmus.outcomes.pinned_atoms`) prune thread traces and
+    coherence orders before any candidate is built, and ``candidates``
+    counts that stream only.  It is the full stream filtered by the pins,
+    in the same order, and every dropped candidate misses the condition,
+    so the checked candidates are those of the full stream and early
+    exit and budget-cut partial results stay sound.  ``forall`` tests,
+    runs without ``verdict_only`` and the oracle configuration enumerate
+    the full stream.
     """
     condition = program.condition
     exists_like = condition is None or isinstance(condition, (Exists, NotExists))
+    pins = []
+    if verdict_only and exists_like and condition is not None:
+        if not _config.oracle():
+            pins = pinned_atoms(condition.body)
     results: List[RunResult] = [
         RunResult(
             program=program,
@@ -175,6 +196,7 @@ def run_litmus_many(
                 shard,
                 shard_count,
                 require_sc_per_location=require_sc_per_location,
+                pins=pins,
             ):
                 matches = (
                     condition is None or condition.evaluate(execution.final_state)
@@ -270,40 +292,16 @@ def verdict_row(
     program: Program,
     **kwargs,
 ) -> Dict[str, str]:
-    """One verdict-table row, with the symbolic pre-pass.
+    """One verdict-table row: every model judged over a single shared
+    candidate sweep (:func:`run_litmus_many`), in both configurations.
 
-    In production each model first consults the critical-cycle prover
-    (:func:`repro.analysis.symbolic.static_verdict`); statically decided
-    cells skip enumeration entirely, and the remaining models share a
-    single candidate sweep.  The oracle configuration (``REPRO_ORACLE=1``)
-    skips the pre-pass and enumerates every cell.  The pre-pass is sound —
-    a static Forbid is a proof, a static Allow a kernel-confirmed
-    witness — so the row is identical either way (see
-    ``tests/test_static_verdicts.py``).
+    Under the verdict drivers' ``verdict_only`` the sweep of an
+    ``exists``/``~exists`` test is condition-directed in production,
+    which makes it the witness search itself; the critical-cycle prover
+    (:mod:`repro.analysis.symbolic`) stays an analysis tool.
     """
-    row: Dict[str, str] = {}
-    pending = list(models)
-    if not _config.oracle():
-        from repro.analysis.symbolic import static_verdict
-
-        pending = []
-        for model in models:
-            verdict = static_verdict(
-                model,
-                program,
-                require_sc_per_location=kwargs.get(
-                    "require_sc_per_location", False
-                ),
-            )
-            if verdict is None:
-                pending.append(model)
-            else:
-                row[model.name] = verdict
-    if pending:
-        results = run_litmus_many(pending, program, **kwargs)
-        for model in pending:
-            row[model.name] = results[model.name].verdict
-    return row
+    results = run_litmus_many(models, program, **kwargs)
+    return {model.name: results[model.name].verdict for model in models}
 
 
 def verdicts(
@@ -324,7 +322,9 @@ def verdicts(
     Only verdicts are exposed, so by default the candidate sweep
     early-exits once every verdict is final (``stop_when_decided``:
     first witness for ``exists`` tests) and the model check is skipped
-    for candidates that cannot influence the verdict (``verdict_only``).
+    for candidates that cannot influence the verdict (``verdict_only``;
+    for ``exists``/``~exists`` tests in production the enumeration then
+    builds only candidates that meet the condition's pinned atoms).
 
     ``journal`` checkpoints each completed row as it lands
     (:class:`repro.guard.SweepJournal`): programs already journaled are

@@ -19,10 +19,10 @@ A performance layer under the public ``Relation``/``EventSet``/
   ``verdicts`` APIs; pools persist across programs so spawn and model
   compile costs amortise over a library sweep;
 * :mod:`repro.kernel.config` — the one switch, ``REPRO_ORACLE``: unset,
-  the kernel runs production (all of the above plus the symbolic
-  pre-pass); set, it runs the oracle (frozenset relations, naive
-  enumerate-then-filter, the statement-walking cat evaluator, no
-  pre-pass).
+  the kernel runs production (all of the above plus condition-directed
+  enumeration for verdict-only runs); set, it runs the oracle
+  (frozenset relations, naive enumerate-then-filter over the full
+  candidate stream, the statement-walking cat evaluator).
 
 ``tests/test_kernel_equiv.py`` asserts that production and the oracle
 are observationally equivalent.

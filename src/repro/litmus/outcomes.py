@@ -14,7 +14,7 @@ and ``forall`` (every allowed execution satisfies it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.events import Value
 
@@ -162,6 +162,20 @@ def not_exists(body: Condition) -> NotExists:
 
 def forall(body: Condition) -> Forall:
     return Forall(body)
+
+
+def pinned_atoms(body: Condition) -> List[Condition]:
+    """The ``tid:reg = v`` and ``loc = v`` atoms of ``body``'s top-level
+    conjunction, in order.
+
+    Every final state satisfying ``body`` satisfies each of them; any
+    other conjunct (a disjunction, a negation) pins nothing.
+    """
+    if isinstance(body, And):
+        return pinned_atoms(body.lhs) + pinned_atoms(body.rhs)
+    if isinstance(body, (RegValue, LocValue)):
+        return [body]
+    return []
 
 
 def conj(*conditions: Condition) -> Condition:

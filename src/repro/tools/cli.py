@@ -235,7 +235,7 @@ def herd_main(argv: List[str] | None = None) -> int:
         action="store_true",
         help="consult only the symbolic critical-cycle prover: print each "
         "test's statically decided verdict (with its proof reason) or "
-        "Unknown, never enumerating candidate executions",
+        "Unknown, without a full candidate enumeration",
     )
     _add_obs_arguments(parser)
     parser.add_argument("tests", nargs="+", help="library names or file paths")

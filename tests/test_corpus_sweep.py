@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus.generate import corpus_slice, program_digest
+from repro.corpus.generate import corpus_slice, generate_corpus, program_digest
 from repro.corpus.sweep import (
     CORPUS_MODELS,
     NOT_APPLICABLE,
@@ -21,7 +21,9 @@ from repro.corpus.sweep import (
 from repro.diy import generate
 from repro.guard import Budget, SweepJournal
 from repro.herd import ALLOW, FORBID, INCONCLUSIVE
+from repro.kernel import config as kconfig
 from repro.kernel import parallel
+from repro.litmus.outcomes import LocValue, pinned_atoms
 from repro.guard import faults, parse_fault_spec
 
 MODEL_NAMES = [spec.name for spec in CORPUS_MODELS]
@@ -155,3 +157,34 @@ def test_journal_digests_round_trip(tmp_path, corpus):
             is not None
         )
         assert reloaded.completed(test.name, "f" * 16) is None
+
+
+#: A generator seed other than the golden corpus's (seed 0): the tests
+#: below were never frozen in any snapshot.
+FRESH_SEED = 7
+
+
+def test_fresh_tests_production_matches_oracle():
+    """Production ≡ oracle, cell by cell, on 40 tests drawn fresh from
+    the generator, final-memory (``Coe``-family) conditions included."""
+    tests = list(generate_corpus(seed=FRESH_SEED, target=40))
+    assert any(
+        "Coe" in test.edges
+        and any(
+            isinstance(atom, LocValue)
+            for atom in pinned_atoms(test.program.condition.body)
+        )
+        for test in tests
+    )
+    mismatches = []
+    for test in tests:
+        with kconfig.use_oracle(False):
+            production = sweep_row(test.program)
+        with kconfig.use_oracle():
+            oracle = sweep_row(test.program)
+        mismatches.extend(
+            f"{test.name}/{model}: {production[model]} vs oracle {oracle[model]}"
+            for model in MODEL_NAMES
+            if production[model] != oracle[model]
+        )
+    assert mismatches == []

@@ -1,19 +1,25 @@
 """Tests for candidate-execution enumeration."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.corpus.golden import load_golden
 from repro.executions import candidate_executions, count_candidate_executions
 from repro.executions import enumerate as enumeration
 from repro.executions.thread_sem import enumerate_thread_traces, possible_value_sets
 from repro.kernel import config as kconfig
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
+from repro.litmus.outcomes import Exists, NotExists, pinned_atoms
 from repro.litmus.parser import parse_litmus
 from repro.rcu.implementation import inline_rcu
 from repro.relations import Relation
+
+
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 
 def execs(program, **kwargs):
@@ -288,3 +294,105 @@ class TestValueFirstPruning:
                     assert built == before  # an unwritable read
         assert (fruitless, fruitful, candidates) == (836, 28, 64)
         assert built["materialised"] == 28
+
+
+def _identity_programs():
+    """The library, the inlined RCU-MP at loop bound 1 and every 10th
+    golden-corpus row."""
+    programs = {name: library.get(name) for name in library.all_names()}
+    programs["RCU-MP@1"] = inline_rcu(library.get("RCU-MP"), loop_bound=1)
+    for test, _ in load_golden(GOLDEN_CORPUS)[::10]:
+        programs[f"corpus:{test.name}"] = test.program
+    return programs
+
+
+class TestConditionDirected:
+    """Condition pins leave the full stream filtered by the pins, in
+    order, on both the naive and the per-location (Scpv) paths."""
+
+    @staticmethod
+    def _signature(execution):
+        def key(pairs):
+            return sorted((a.eid, b.eid) for a, b in pairs)
+
+        return (
+            execution.final_state,
+            key(execution.rf.pairs),
+            key(execution.co.pairs),
+        )
+
+    @pytest.mark.parametrize("scpv", [False, True])
+    def test_pruned_stream_is_the_filtered_full_stream(self, scpv):
+        checked = pruned = 0
+        for name, program in _identity_programs().items():
+            condition = program.condition
+            if not isinstance(condition, (Exists, NotExists)):
+                continue
+            pins = pinned_atoms(condition.body)
+            full = 0
+            expected = []
+            for execution in candidate_executions(
+                program, require_sc_per_location=scpv
+            ):
+                full += 1
+                state = execution.final_state
+                if all(pin.evaluate(state) for pin in pins):
+                    expected.append(self._signature(execution))
+            stream = [
+                self._signature(execution)
+                for execution in enumeration.candidate_executions_sharded(
+                    program, 0, 1, require_sc_per_location=scpv, pins=pins
+                )
+            ]
+            assert stream == expected, name
+            checked += 1
+            pruned += len(stream) < full
+        assert checked > 100 and pruned > 50
+
+    def test_nothing_is_built_for_a_dropped_candidate(self, monkeypatch):
+        # On the per-location path a combination is materialised (its
+        # events and five base relations plus po-loc) only for a kept
+        # candidate, and rf and co rows only for kept candidates.
+        built = {"materialised": 0, "relations": 0, "dense": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            enumeration,
+            "_materialise",
+            counting("materialised", enumeration._materialise),
+        )
+        monkeypatch.setattr(
+            Relation, "__init__", counting("relations", Relation.__init__)
+        )
+        monkeypatch.setattr(
+            Relation,
+            "_from_dense",
+            classmethod(counting("dense", Relation._from_dense.__func__)),
+        )
+        programs = {
+            name: library.get(name)
+            for name in ("2+2W", "CoWW", "CoRW", "MP", "R", "S+wmb+data")
+        }
+        programs["RCU-MP@1"] = inline_rcu(library.get("RCU-MP"), loop_bound=1)
+        with kconfig.use_oracle(False):
+            for name, program in programs.items():
+                built.update(materialised=0, relations=0, dense=0)
+                kept = list(
+                    enumeration.candidate_executions_sharded(
+                        program,
+                        0,
+                        1,
+                        require_sc_per_location=True,
+                        pins=pinned_atoms(program.condition.body),
+                    )
+                )
+                combos = len({id(execution.universe) for execution in kept})
+                assert built["materialised"] == combos, name
+                assert built["relations"] == 6 * combos, name
+                assert built["dense"] <= 2 * len(kept), name

@@ -1,7 +1,8 @@
 """Equivalence of the production kernel with the oracle.
 
 The performance layer must be invisible: production (bitset relations,
-incremental per-trace checking, the bytecode VM, the symbolic pre-pass)
+incremental per-trace checking, the bytecode VM, condition-directed
+enumeration)
 and the parallel driver all have to produce exactly the results of the
 oracle (``REPRO_ORACLE=1``: frozenset-of-pairs relations, naive
 enumerate-then-filter, the statement walker).  This suite checks that
@@ -407,12 +408,12 @@ class TestWholeRunEquivalence:
         with kconfig.use_oracle():
             verdicts(models, programs)
         assert sorted(calls) == ["MP+wmb+rmb", "SB"]
-        # With the symbolic pre-pass on (production), statically decided
-        # cells skip the enumeration — never add one.
+        # Production runs the same one sweep per program (condition-
+        # directed, with no pre-pass in front of it).
         calls.clear()
         with kconfig.use_oracle(False):
             verdicts(models, programs)
-        assert len(calls) <= 2 and set(calls) <= {"MP+wmb+rmb", "SB"}
+        assert sorted(calls) == ["MP+wmb+rmb", "SB"]
 
 
 class TestPickling:

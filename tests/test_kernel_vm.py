@@ -10,8 +10,9 @@ a single observable result:
   enumeration, the statement walker), demanding identical run summaries;
 * per-candidate ``ModelResult``s (violations, witnesses included) must be
   identical between the VM and the statement walker;
-* the sweep accelerations (early exit, verdict-only skipping) must keep
-  every verdict while provably scanning less;
+* the sweep accelerations (early exit, verdict-only skipping and
+  condition-directed enumeration) must keep every verdict while provably
+  scanning less;
 * unit tests pin the lowered program shape, the popcount fallback and
   persistent-pool reuse.
 
@@ -21,6 +22,8 @@ run and under the oracle in the oracle CI lane
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -35,6 +38,7 @@ from repro.kernel import parallel as kparallel
 from repro.kernel import vm
 from repro.kernel.bitrel import _popcount, _popcount_fallback
 from repro.litmus import library
+from repro.litmus.outcomes import Forall, pinned_atoms
 from repro.obs import core as obs
 
 
@@ -177,14 +181,89 @@ def test_early_exit_keeps_verdicts(lkmm_cat):
     assert reduced_somewhere, "early exit never fired across the library"
 
 
+def _matching_count(program):
+    """Full-stream candidates that meet every atom the condition pins."""
+    pins = pinned_atoms(program.condition.body)
+    count = 0
+    for execution in candidate_executions(program):
+        state = execution.final_state
+        count += all(pin.evaluate(state) for pin in pins)
+    return count
+
+
 def test_verdict_only_keeps_verdicts(lkmm_cat):
-    for name in library.all_names():
+    # Production verdict_only runs of exists/~exists tests enumerate the
+    # condition-directed stream: exactly the full-stream candidates that
+    # meet every pinned atom.  A forall test keeps the full stream.
+    pruned_somewhere = False
+    with kconfig.use_oracle(False):
+        for name in library.all_names():
+            program = library.get(name)
+            as_forall = dataclasses.replace(
+                program, condition=Forall(program.condition.body)
+            )
+            for variant in (program, as_forall):
+                full = run_litmus_many([lkmm_cat], variant)[lkmm_cat.name]
+                fast = run_litmus_many(
+                    [lkmm_cat], variant, verdict_only=True
+                )[lkmm_cat.name]
+                assert fast.verdict == full.verdict, name
+                if variant is as_forall:
+                    assert fast.candidates == full.candidates, name
+                else:
+                    assert fast.candidates == _matching_count(program), name
+                    pruned_somewhere |= fast.candidates < full.candidates
+    assert pruned_somewhere
+    # 2+2W pins both final values: one of its four coherence orders.
+    program = library.get("2+2W")
+    with kconfig.use_oracle(False):
+        fast = run_litmus_many([lkmm_cat], program, verdict_only=True)
+    assert fast[lkmm_cat.name].candidates == 1
+
+
+def test_oracle_keeps_the_full_stream(lkmm_cat):
+    for name in ("2+2W", "CoWW", "MP", "SB"):
         program = library.get(name)
-        full = run_litmus_many([lkmm_cat], program)[lkmm_cat.name]
-        fast = run_litmus_many([lkmm_cat], program, verdict_only=True)[lkmm_cat.name]
-        assert fast.verdict == full.verdict, name
-        # Enumeration is untouched; only model checks are skipped.
+        with kconfig.use_oracle():
+            full = run_litmus_many([lkmm_cat], program)[lkmm_cat.name]
+            with obs.collect() as collector:
+                fast = run_litmus_many(
+                    [lkmm_cat], program, verdict_only=True
+                )[lkmm_cat.name]
         assert fast.candidates == full.candidates, name
+        assert fast.verdict == full.verdict, name
+        assert collector.counters.get("enumerate.pruned.condition", 0) == 0
+
+
+def _pruned_count(run):
+    with obs.collect() as collector:
+        run()
+    return collector.counters.get("enumerate.pruned.condition", 0)
+
+
+@pytest.mark.parametrize("name", ["CoWW", "2+2W"])
+def test_condition_pruning_counter(lkmm_cat, name):
+    # Both tests pin only final memory: every drop is a coherence order.
+    program = library.get(name)
+    as_forall = dataclasses.replace(
+        program, condition=Forall(program.condition.body)
+    )
+    with kconfig.use_oracle(False):
+        for sc in (False, True):
+            assert _pruned_count(lambda: run_litmus_many(
+                [lkmm_cat], program, require_sc_per_location=sc,
+                verdict_only=True,
+            )) > 0
+            assert _pruned_count(lambda: run_litmus_many(
+                [lkmm_cat], as_forall, require_sc_per_location=sc,
+                verdict_only=True,
+            )) == 0
+        assert _pruned_count(lambda: run_litmus_many(
+            [lkmm_cat], program, keep_states=True, stop_when_decided=True
+        )) == 0
+        assert _pruned_count(lambda: run_litmus(lkmm_cat, program)) == 0
+    with kconfig.use_oracle():
+        assert _pruned_count(lambda: verdicts([lkmm_cat], [program])) == 0
 
 
 def test_early_exit_stops_at_first_witness(lkmm_cat):

@@ -206,8 +206,9 @@ def test_isa2_chains_are_proved_forbidden():
 
 
 def test_isa2_chain_verdicts_match_enumeration():
-    """``verdicts`` (pre-pass, then enumeration) equals the table built
-    by enumeration alone, and every chain is Forbid."""
+    """``verdicts`` (a condition-directed sweep in production) equals the
+    table built by enumerating every candidate, and every chain is
+    Forbid, as the prover proves."""
     models = [load_model("lkmm")]
     table = verdicts(models, ISA2_CHAINS, require_sc_per_location=True)
     enumerated = {}
@@ -216,8 +217,6 @@ def test_isa2_chain_verdicts_match_enumeration():
             models,
             program,
             require_sc_per_location=True,
-            stop_when_decided=True,
-            verdict_only=True,
         )
         enumerated[program.name] = {
             name: result.verdict for name, result in results.items()
