@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.executions.enumerate import candidate_executions_sharded
 from repro.herd import run_litmus
+from repro.kernel.config import use_oracle
 from repro.litmus import library
+from repro.litmus.outcomes import pinned_atoms
 from repro.lkmm import LinuxKernelModel
 from repro.rcu import inline_rcu, verify_implementation
 
@@ -92,3 +95,54 @@ def test_theorem2_at_loop_bound_3(benchmark, lkmm):
     )
     assert result.verdict == "Forbid"
     assert result.allowed > 0
+
+
+@pytest.mark.parametrize("name", ["RCU-MP", "RCU-deferred-free"])
+def test_theorem2_at_loop_bound_4(benchmark, lkmm, name):
+    """Bound 4: the grace period may wait three full iterations.  The
+    per-location sweep rejects most of the 115,200 trace combinations
+    with memo lookups, one decision per location signature."""
+
+    def experiment():
+        inlined = inline_rcu(library.get(name), loop_bound=4)
+        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+
+    result = once(benchmark, experiment)
+    print(
+        f"\n{name}+urcu (bound 4): {result.verdict} "
+        f"({result.allowed} allowed / {result.candidates} candidates)"
+    )
+    assert result.verdict == "Forbid"
+    assert result.allowed > 0
+
+
+@pytest.mark.parametrize("name", ["RCU-MP", "RCU-deferred-free"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+def test_production_stream_equals_the_oracle_at_loop_bound_2(name, pinned):
+    """The memoised per-location sweep yields the oracle's candidates, in
+    the oracle's order (the oracle builds and filters every rf×co
+    candidate, about a minute for an unpinned run)."""
+    inlined = inline_rcu(library.get(name), loop_bound=2)
+    pins = pinned_atoms(inlined.condition.body) if pinned else ()
+    streams = []
+    for oracle in (False, True):
+        with use_oracle(oracle):
+            streams.append(
+                [
+                    (
+                        execution.final_state,
+                        tuple(
+                            (e.eid, e.kind, e.loc, e.value)
+                            for e in execution.events
+                        ),
+                        sorted((a.eid, b.eid) for a, b in execution.rf.pairs),
+                        sorted((a.eid, b.eid) for a, b in execution.co.pairs),
+                    )
+                    for execution in candidate_executions_sharded(
+                        inlined, 0, 1, require_sc_per_location=True, pins=pins
+                    )
+                ]
+            )
+    assert streams[0] == streams[1]
+    assert streams[0]
+

@@ -5,7 +5,8 @@ The enumeration follows herd's structure:
 1. compute per-location *possible value sets* (a fixpoint seeded with the
    initial values — :func:`repro.executions.thread_sem.possible_value_sets`);
 2. enumerate every *trace* of every thread (each trace fixes the values its
-   reads return and therefore its control-flow path);
+   reads return and therefore its control-flow path): the traces of the
+   fixpoint's final round (:func:`~repro.executions.thread_sem.traces_at_fixpoint`);
 3. for each combination of traces, enumerate every *reads-from* assignment
    (each read is mapped to a same-location write of the value it chose,
    including the implicit initialising writes) and every *coherence order*
@@ -15,9 +16,8 @@ The enumeration follows herd's structure:
 
 Reads whose chosen value is written nowhere have no rf source, which also
 discards the spurious values the fixpoint of step 1 may over-approximate.
-Such a trace combination is dropped by a value-first test on its
-proto-events, before any event or relation of it is built (in both
-configurations).
+Such a trace combination is dropped by a value-first test before any
+event or relation of it is built (in both configurations).
 
 Given condition *pins* (:func:`candidate_executions_sharded`), the
 enumeration is condition-directed: traces and coherence orders whose
@@ -29,24 +29,27 @@ Two performance mechanisms (both from :mod:`repro.kernel`, both
 behaviour-preserving, both off in the oracle configuration —
 ``REPRO_ORACLE=1`` restores the naive enumerate-then-filter path):
 
-* when ``require_sc_per_location`` is set, the rf×co sweep is *factorised
-  by location* and runs on integer event ids.  Every edge of
-  ``po-loc | rf | co | fr`` joins two events on the same location, so the
-  check graph is a disjoint union of per-location graphs, acyclic iff
-  each of them is.  A location's surviving coherence orders depend only
-  on its own reads' rf sources: they are computed once per trace
-  combination and tuple of sources and memoised (coherence orders are
-  *pruned as they are extended*: a permutation prefix whose partial graph
-  already has a cycle cannot lead to any surviving candidate, so its
-  whole subtree is skipped).  A location left without orders prunes every
-  rf choice that completes it.  The sweep reads each event's location,
-  kind and value straight off the proto-events, so a combination is
-  materialised (:func:`_materialise`: events, base relations, ``po-loc``
-  and skeleton) only at its first full rf assignment with surviving co
-  orders; most combinations have none and are never built.  Kept
+* when ``require_sc_per_location`` is set, the rf×co sweep is *decided
+  location by location*.  Every edge of ``po-loc | rf | co | fr`` joins
+  two events on the same location, so the check graph is a disjoint
+  union of per-location graphs, acyclic iff each of them is.  A
+  location's graph is fixed by its *signature* — its init value, its
+  condition pins and each thread's projection onto it (the
+  ``(kind, value)`` sequence of the trace's events there) — and by its
+  own reads' rf sources.  One memo per call maps each signature to a
+  :class:`_LocationFate`: whether a read is unwritable, whether any rf
+  sub-assignment keeps a co order, and the surviving co orders per rf
+  sub-assignment, on location-local indices (coherence orders are
+  *pruned as they are extended*: a permutation prefix whose partial
+  graph already has a cycle cannot lead to any surviving candidate, so
+  its whole subtree is skipped).  A combination with an unwritable or
+  infeasible location is rejected with one dict lookup per location and
+  builds nothing; only one that keeps a candidate is swept, on integer
+  event ids, and materialised (:func:`_materialise`: events, base
+  relations, ``po-loc`` and skeleton) at its first candidate.  Kept
   candidates get their ``rf`` and ``co`` as dense bitset rows.  The
   surviving stream is the naive path's, in the same order
-  (:func:`_pruned_candidates`);
+  (:func:`_pruned_candidates`, :func:`_sweep`);
 * the trace-invariant structure of step 3 — events, base relations, and
   everything derivable from them — is computed once per materialised
   trace combination and shared across all its rf×co candidates via a
@@ -71,12 +74,7 @@ from repro.litmus.ast import Program
 from repro.litmus.outcomes import Condition, RegValue
 from repro.relations import Relation
 from repro.executions.candidate import CandidateExecution
-from repro.executions.thread_sem import (
-    ProtoEvent,
-    ThreadTrace,
-    enumerate_thread_traces,
-    possible_value_sets,
-)
+from repro.executions.thread_sem import ThreadTrace, traces_at_fixpoint
 
 
 def candidate_executions(
@@ -129,11 +127,7 @@ def candidate_executions_sharded(
             loc_pins.setdefault(atom.loc, []).append(atom.value)
 
     with _obs.span("enumerate.thread_traces"):
-        value_sets = possible_value_sets(program)
-        per_thread: List[List[ThreadTrace]] = [
-            enumerate_thread_traces(thread, value_sets)
-            for thread in program.threads
-        ]
+        per_thread = traces_at_fixpoint(program)[1]
         locations = program.locations()
     for tid, tid_pins in reg_pins.items():
         if not 0 <= tid < len(per_thread):
@@ -148,6 +142,9 @@ def candidate_executions_sharded(
             _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
         per_thread[tid] = kept
 
+    memo = None
+    if require_sc_per_location and not _config.oracle():
+        memo = _LocationMemo(program, locations, loc_pins)
     for combo_index, traces in enumerate(itertools.product(*per_thread)):
         if combo_index % shard_count != shard:
             continue
@@ -156,7 +153,7 @@ def candidate_executions_sharded(
         if _obs.ENABLED:
             _obs.count("enumerate.trace_combos")
         yield from _executions_of_traces(
-            program, locations, traces, require_sc_per_location, loc_pins
+            program, locations, traces, require_sc_per_location, loc_pins, memo
         )
 
 
@@ -183,8 +180,18 @@ def _executions_of_traces(
     traces: Tuple[ThreadTrace, ...],
     require_sc_per_location: bool,
     loc_pins: Optional[Dict[str, List[object]]] = None,
+    memo: Optional[_LocationMemo] = None,
 ) -> Iterator[CandidateExecution]:
+    """The candidates of one trace combination.  ``memo``, the call's
+    per-location memo, selects the production per-location sweep; without
+    one, a fresh memo is made when that sweep applies."""
     loc_pins = loc_pins or {}
+    if memo is None and require_sc_per_location and not _config.oracle():
+        memo = _LocationMemo(program, locations, loc_pins)
+    if memo is not None:
+        yield from _pruned_candidates(program, locations, traces, memo)
+        return
+
     # Value-first pruning: a read of a (location, value) pair that neither
     # an initial write nor a write of this combination produces has no rf
     # source, so the combination has no candidate.  Tested on the
@@ -202,10 +209,6 @@ def _executions_of_traces(
                 if _obs.ENABLED:
                     _obs.count("enumerate.pruned.unwritable_trace")
                 return
-
-    if require_sc_per_location and not _config.oracle():
-        yield from _pruned_candidates(program, locations, traces, loc_pins)
-        return
 
     # Naive path: materialise the combination, then enumerate complete
     # rf×co candidates, filtering (when asked) after construction.
@@ -288,7 +291,7 @@ def _materialise(
 
     Eids are assigned to the initial writes first, in ``locations``
     order, then to each thread's events in program order, thread by
-    thread: the numbering :func:`_pruned_candidates` sweeps over before
+    thread: the numbering :func:`_sweep` sweeps over before
     any event exists.  Returns the events in eid order, their universe,
     and ``build(rf, co)``, which makes one candidate of the combination.
     """
@@ -391,102 +394,317 @@ def _materialise(
     return events, universe, build
 
 
+class _Projection:
+    """One thread trace's projection onto the locations of a call.
+
+    ``pids[g]`` interns the ``(kind, value)`` sequence of the trace's
+    events on ``locations[g]`` (0 when it has none); ``outside`` does the
+    same for locations not in ``locations``, and ``read_outside`` lists
+    those the trace reads.
+    """
+
+    __slots__ = ("trace", "pids", "outside", "read_outside")
+
+    def __init__(self, trace: ThreadTrace, memo: "_LocationMemo") -> None:
+        self.trace = trace  # keeps the trace, and so its id, alive
+        sequences: Dict[str, List[Tuple[str, object]]] = {}
+        read_outside: List[str] = []
+        for proto in trace.events:
+            loc = proto.loc
+            if loc is None:
+                continue
+            sequences.setdefault(loc, []).append((proto.kind, proto.value))
+            if (
+                proto.kind == READ
+                and loc not in memo.group_of
+                and loc not in read_outside
+            ):
+                read_outside.append(loc)
+        self.pids = tuple(
+            memo.intern(tuple(sequences.pop(loc, ()))) for loc in memo.locations
+        )
+        self.outside = {
+            loc: memo.intern(tuple(seq)) for loc, seq in sequences.items()
+        }
+        self.read_outside = tuple(read_outside)
+
+
+class _LocationMemo:
+    """The per-location memo of one :func:`candidate_executions_sharded`
+    call: each trace's :class:`_Projection` and each location signature's
+    :class:`_LocationFate`.
+
+    A location's signature is its init value and pins with each thread's
+    projection onto it.  It fixes the location's ``po-loc | rf | co | fr``
+    subgraph, rf candidates and co orders up to renumbering, so its fate
+    is decided once for every combination that shares it.  Within one
+    call a location fixes its init value and pins, so fates are keyed by
+    the location (its index, or its name when it is outside
+    ``locations``) and one projection id per thread.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        locations: List[str],
+        loc_pins: Dict[str, List[object]],
+    ) -> None:
+        self.locations = locations
+        self.group_of = {location: g for g, location in enumerate(locations)}
+        self._program = program
+        self._loc_pins = loc_pins
+        self._interned: Dict[Tuple[Tuple[str, object], ...], int] = {(): 0}
+        self._sequences: List[Tuple[Tuple[str, object], ...]] = [()]
+        self._projections: Dict[int, _Projection] = {}
+        self._fates: Dict[tuple, _LocationFate] = {}
+
+    def intern(self, sequence: Tuple[Tuple[str, object], ...]) -> int:
+        pid = self._interned.get(sequence)
+        if pid is None:
+            pid = self._interned[sequence] = len(self._sequences)
+            self._sequences.append(sequence)
+        return pid
+
+    def projections(self, traces: Tuple[ThreadTrace, ...]) -> List[_Projection]:
+        cache = self._projections
+        projections = []
+        for trace in traces:
+            projection = cache.get(id(trace))
+            if projection is None:
+                projection = cache[id(trace)] = _Projection(trace, self)
+            projections.append(projection)
+        return projections
+
+    def fates(self, projections: List[_Projection]) -> List["_LocationFate"]:
+        """One combination's fates: one per location of ``locations``,
+        then one per location outside it that the combination reads."""
+        keys = list(
+            zip(range(len(self.locations)), *(p.pids for p in projections))
+        )
+        for p in projections:
+            for loc in p.read_outside:
+                key = (loc,) + tuple(q.outside.get(loc, 0) for q in projections)
+                if key not in keys:
+                    keys.append(key)
+        fates = []
+        for key in keys:
+            fate = self._fates.get(key)
+            if fate is None:
+                fate = self._fates[key] = self._fate(key)
+                if _obs.ENABLED:
+                    _obs.count("enumerate.location_fates")
+            fates.append(fate)
+        return fates
+
+    def _fate(self, key: tuple) -> "_LocationFate":
+        head, pids = key[0], key[1:]
+        sequences = [self._sequences[pid] for pid in pids]
+        if not isinstance(head, int):
+            return _LocationFate(_NO_INIT, None, sequences)
+        location = self.locations[head]
+        return _LocationFate(
+            self._program.initial_value(location),
+            self._loc_pins.get(location),
+            sequences,
+        )
+
+
+#: The init of a location outside ``locations``: it has no init write.
+_NO_INIT = object()
+
+
+class _LocationFate:
+    """What one location signature decides, on location-local indices.
+
+    Local event 0 is the init write (when there is one), then each
+    thread's events on the location in program order, thread by thread:
+    the order of their eids in any combination.  ``rf_candidates[j]``
+    lists the writes local read ``j`` may read from; an empty list makes
+    the location *unwritable*.  An rf sub-assignment is keyed as a
+    mixed-radix int of its candidate indices, first read most
+    significant, so keys ``0, 1, 2, ...`` run in ``itertools.product``
+    order.  :meth:`orders` memoises the surviving co orders per key;
+    ``feasible`` says whether any key keeps one.
+    """
+
+    __slots__ = (
+        "reads", "rf_candidates", "unwritable", "_feasible",
+        "_rows", "_init", "_writes", "_values", "_pins", "_orders",
+    )
+
+    def __init__(
+        self,
+        init: object,
+        pins: Optional[List[object]],
+        sequences: List[Tuple[Tuple[str, object], ...]],
+    ) -> None:
+        kinds: List[str] = []
+        values: List[object] = []
+        rows: List[int] = []  # po-loc, as bitset rows
+        if init is not _NO_INIT:
+            kinds.append(WRITE)
+            values.append(init)
+            rows.append(0)
+        for sequence in sequences:
+            end = len(kinds) + len(sequence)
+            for kind, value in sequence:
+                kinds.append(kind)
+                values.append(value)
+                rows.append(((1 << end) - 1) & ~((1 << len(kinds)) - 1))
+        reads = [e for e, kind in enumerate(kinds) if kind == READ]
+        writes = [e for e, kind in enumerate(kinds) if kind == WRITE]
+        self.rf_candidates: List[List[int]] = [
+            [w for w in writes if values[w] == values[r]] for r in reads
+        ]
+        self.reads = reads
+        self._rows = rows
+        self._values = values
+        self._pins = pins
+        # A location without an init write gets no coherence order, as in
+        # the naive path.
+        self._init: Optional[int] = None if init is _NO_INIT else 0
+        self._writes = [] if init is _NO_INIT else writes[1:]
+        self._orders: Dict[int, List[Tuple[int, ...]]] = {}
+        self.unwritable = not all(self.rf_candidates)
+        self._feasible: Optional[bool] = None
+
+    def feasible(self) -> bool:
+        """Whether some rf sub-assignment keeps a co order.  Decided on
+        first use, trying keys in order up to the first that does."""
+        if self._feasible is None:
+            keys = 1
+            for candidates in self.rf_candidates:
+                keys *= len(candidates)
+            self._feasible = False
+            for key in range(keys):
+                if _guard.ACTIVE:
+                    _guard._current.tick()  # budget safepoint: one rf step
+                if self.orders(key):
+                    self._feasible = True
+                    break
+        return self._feasible
+
+    def orders(self, key: int) -> List[Tuple[int, ...]]:
+        """The co orders, in local indices, that keep the location's graph
+        acyclic under rf sub-assignment ``key`` and meet its pins: a cycle
+        test of ``po-loc | rf`` (such a cycle survives every co order),
+        then :func:`_coherence_orders`."""
+        orders = self._orders.get(key)
+        if orders is not None:
+            return orders
+        rows = list(self._rows)
+        readers_of = [0] * len(rows)  # write -> bitmask of its readers
+        rest = key
+        for j in range(len(self.reads) - 1, -1, -1):
+            candidates = self.rf_candidates[j]
+            rest, i = divmod(rest, len(candidates))
+            r_bit = 1 << self.reads[j]
+            rows[candidates[i]] |= r_bit
+            readers_of[candidates[i]] |= r_bit
+        if _has_cycle(rows, (1 << len(rows)) - 1):
+            if _obs.ENABLED:
+                _obs.count("enumerate.pruned.rf_cycle")
+            orders = []
+        else:
+            orders = _coherence_orders(rows, readers_of, self._init, self._writes)
+            pinned = self._pins
+            if pinned is not None:
+                kept = [o for o in orders if _pin_holds(pinned, self._values[o[-1]])]
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.condition", len(orders) - len(kept))
+                orders = kept
+        self._orders[key] = orders
+        return orders
+
+
 def _pruned_candidates(
     program: Program,
     locations: List[str],
     traces: Tuple[ThreadTrace, ...],
-    loc_pins: Dict[str, List[object]],
+    memo: _LocationMemo,
 ) -> Iterator[CandidateExecution]:
-    """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, factorised
-    by location, over integer event ids.
+    """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, decided
+    location by location.
 
     Every edge of the check graph (po-loc, rf, co, fr) joins two events on
     the same location, so the graph is the disjoint union of one graph per
     location and is acyclic iff each of them is.  A location's graph
-    depends only on the rf sources of its own reads and on its own co
-    order.  Its surviving co orders are therefore computed once per trace
-    combination and tuple of sources, and memoised per location under
-    that tuple (encoded as one int): a cycle test of ``po-loc | rf``
-    restricted to the location's events (such a cycle survives every co
-    order), then :func:`_coherence_orders`, keeping only the orders whose
-    co-last write meets the location's condition pins (``loc_pins``).
-
-    The sweep needs only each event's location, kind and value, which it
-    reads off the proto-events under :func:`_materialise`'s eid numbering.
-    Eids are ``0..n-1`` and an :class:`~repro.kernel.bitrel.EventIndex`
-    sorts by eid, so an eid is also the event's bitset position.  The
-    combination is materialised at the first full rf assignment with
-    surviving co orders; one without any is never built and counts as
-    ``enumerate.pruned.no_survivor``.  Each kept candidate's ``rf`` and
-    ``co`` are built straight into dense rows.
-
-    rf choices are enumerated over the reads in event order, last read
-    fastest, which is ``itertools.product`` order.  When the last read of
-    a location receives its source, that location's memo entry is looked
-    up; an empty one prunes the whole rf subtree, since every completion
-    keeps the location's graph.  At a full rf assignment the candidates
-    are the product of the per-location lists, location 0 outermost.  Each
-    list is in ``itertools.permutations`` order, so the surviving stream
-    is *identical* to the naive path's: same candidates, same order.  That
-    is what early exit and ``max_candidates`` partial results rely on.
+    depends only on its signature (see :class:`_LocationMemo`) and on the
+    rf sources of its own reads, so the combination has a candidate iff
+    no location is unwritable and every location is feasible.  Both are
+    looked up in ``memo``: a combination that fails either is rejected
+    here, counted as ``enumerate.pruned.unwritable_trace`` or
+    ``enumerate.pruned.no_survivor``, and never reaches :func:`_sweep`.
     """
-    # Each eid's location, kind and value, and the static part of the
-    # check graph, po-loc, as bitset rows.
-    n = len(locations) + sum(len(trace.events) for trace in traces)
-    locs: List[Optional[str]] = list(locations)
-    kinds: List[str] = [WRITE] * len(locations)
-    values: List[object] = [program.initial_value(loc) for loc in locations]
-    static_rows = [0] * n
-    for trace in traces:
-        base = len(locs)
-        later: Dict[str, int] = {}  # location -> mask of po-later events
-        for i in range(len(trace.events) - 1, -1, -1):
-            loc = trace.events[i].loc
-            if loc is not None:
-                mask = later.get(loc, 0)
-                static_rows[base + i] = mask
-                later[loc] = mask | 1 << (base + i)
-        for proto in trace.events:
-            locs.append(proto.loc)
-            kinds.append(proto.kind)
-            values.append(proto.value)
+    projections = memo.projections(traces)
+    fates = memo.fates(projections)
+    if any(fate.unwritable for fate in fates):
+        if _obs.ENABLED:
+            _obs.count("enumerate.pruned.unwritable_trace")
+        return
+    if not all(fate.feasible() for fate in fates):
+        if _obs.ENABLED:
+            _obs.count("enumerate.pruned.no_survivor")
+        return
+    yield from _sweep(program, locations, traces, projections, fates)
 
-    # Reads-from candidates (never empty, by the value-first test).
-    reads = [e for e in range(n) if kinds[e] == READ]
-    writes_by_loc: Dict[str, List[int]] = {}
-    for e in range(n):
-        if kinds[e] == WRITE:
-            writes_by_loc.setdefault(locs[e], []).append(e)
-    rf_candidates: List[List[int]] = [
-        [w for w in writes_by_loc[locs[r]] if values[w] == values[r]]
-        for r in reads
-    ]
 
-    # Per location: its init write (eid ``g`` for location ``g``), its
-    # non-init writes (co-ordered) and the indices of its reads.  A read
-    # of a location outside ``locations`` gets a group with no coherence
-    # order, as in the naive path.
+def _sweep(
+    program: Program,
+    locations: List[str],
+    traces: Tuple[ThreadTrace, ...],
+    projections: List[_Projection],
+    fates: List[_LocationFate],
+) -> Iterator[CandidateExecution]:
+    """The candidates of one combination that keeps at least one, over
+    integer event ids.
+
+    Eids follow :func:`_materialise`'s numbering, so an eid is also the
+    event's bitset position.  Each location's local indices map to its
+    eids in order.  rf choices are enumerated over the reads in eid
+    order, last read fastest, which is ``itertools.product`` order.  When
+    the last read of a location receives its source, that location's co
+    orders are looked up in its fate; an empty list prunes the whole rf
+    subtree, since every completion keeps the location's graph.  At a
+    full rf assignment the candidates are the product of the per-location
+    lists, location 0 outermost.  Each list is in
+    ``itertools.permutations`` order, so the surviving stream is
+    *identical* to the naive path's: same candidates, same order.  That
+    is what early exit and ``max_candidates`` partial results rely on.
+    The combination is materialised at its first candidate, and each
+    candidate's ``rf`` and ``co`` are built straight into dense rows.
+    """
+    # Per location of ``fates`` (in the same order), its eids in local
+    # order.
     group_of = {location: g for g, location in enumerate(locations)}
-    inits: List[Optional[int]] = list(range(len(locations)))
-    writes: List[List[int]] = [
-        writes_by_loc[location][1:] for location in locations
+    for projection in projections:
+        for loc in projection.read_outside:
+            group_of.setdefault(loc, len(group_of))
+    eids_of: List[List[int]] = [
+        [g] if g < len(locations) else [] for g in range(len(fates))
     ]
-    reads_of: List[List[int]] = [[] for _ in locations]
-    for k, r in enumerate(reads):
-        if locs[r] not in group_of:
-            group_of[locs[r]] = len(inits)
-            inits.append(None)
-            writes.append([])
-            reads_of.append([])
-        reads_of[group_of[locs[r]]].append(k)
-    pins_of: List[Optional[List[object]]] = [
-        loc_pins.get(location) for location in locations
-    ] + [None] * (len(inits) - len(locations))
-    masks = [0] * len(inits)
-    for e in range(n):
-        g = group_of.get(locs[e])
-        if g is not None:
-            masks[g] |= 1 << e
+    n = len(locations)
+    for trace in traces:
+        for proto in trace.events:
+            g = group_of.get(proto.loc)
+            if g is not None:
+                eids_of[g].append(n)
+            n += 1
+    # Each read as (eid, location, local read index).
+    located_reads: List[Tuple[int, int, int]] = [
+        (eids_of[g][r], g, j)
+        for g, fate in enumerate(fates)
+        for j, r in enumerate(fate.reads)
+    ]
+    located_reads.sort()
+    reads = [r for r, _, _ in located_reads]
+    rf_candidates: List[List[int]] = [
+        [eids_of[g][w] for w in fates[g].rf_candidates[j]]
+        for _, g, j in located_reads
+    ]
+    reads_of: List[List[int]] = [[] for _ in fates]
+    for k, (_, g, _) in enumerate(located_reads):
+        reads_of[g].append(k)
 
     # The rf walk is an odometer: ``cursor[k] - 1`` indexes the source
     # chosen for read ``k`` in ``rf_candidates[k]``.
@@ -494,51 +712,29 @@ def _pruned_candidates(
     rf_choice: List[int] = [0] * last
     cursor = [0] * last
 
-    # One memo per location, keyed by its reads' sources under the current
-    # rf choice, encoded as a mixed-radix int of their ``cursor`` indices
-    # (an int key churns no tuples).
-    memo: List[Dict[int, List[Tuple[int, ...]]]] = [{} for _ in inits]
+    # A location's orders in eids, keyed like its fate's.
+    mapped: List[Dict[int, List[Tuple[int, ...]]]] = [{} for _ in fates]
 
     def orders_of(g: int) -> List[Tuple[int, ...]]:
         key = 0
         for k in reads_of[g]:
             key = key * len(rf_candidates[k]) + cursor[k] - 1
-        orders = memo[g].get(key)
+        orders = mapped[g].get(key)
         if orders is None:
-            rows = list(static_rows)
-            readers_of = [0] * n  # write -> bitmask of its readers
-            for k in reads_of[g]:
-                w = rf_choice[k]
-                r_bit = 1 << reads[k]
-                rows[w] |= r_bit
-                readers_of[w] |= r_bit
-            if _has_cycle(rows, masks[g]):
-                if _obs.ENABLED:
-                    _obs.count("enumerate.pruned.rf_cycle")
-                orders = []
-            else:
-                orders = _coherence_orders(rows, readers_of, inits[g], writes[g])
-                pinned = pins_of[g]
-                if pinned is not None:
-                    kept = [o for o in orders if _pin_holds(pinned, values[o[-1]])]
-                    if _obs.ENABLED:
-                        _obs.count(
-                            "enumerate.pruned.condition", len(orders) - len(kept)
-                        )
-                    orders = kept
-            memo[g][key] = orders
+            eids = eids_of[g]
+            orders = mapped[g][key] = [
+                tuple(eids[i] for i in order) for order in fates[g].orders(key)
+            ]
         return orders
 
-    # Locations without reads have one memo entry, fixed up front.
+    # Locations without reads have one order list, fixed up front.
     chosen: List[List[Tuple[int, ...]]] = [
-        [] if reads_of[g] else orders_of(g) for g in range(len(inits))
+        [] if reads_of[g] else orders_of(g) for g in range(len(fates))
     ]
     closing = {ks[-1]: g for g, ks in enumerate(reads_of) if ks}
 
     build: Optional[Build] = None
-    # Backtracking past read 0 ends the sweep; a read-less location
-    # without co orders ends it before it starts.
-    k = 0 if all(chosen[g] for g in range(len(inits)) if not reads_of[g]) else -1
+    k = 0  # backtracking past read 0 ends the sweep
     while k >= 0:
         if k == last:
             if build is None:
@@ -579,8 +775,6 @@ def _pruned_candidates(
                 continue  # prune every completion of this rf prefix
             chosen[g] = orders
         k += 1
-    if build is None and _obs.ENABLED:
-        _obs.count("enumerate.pruned.no_survivor")
 
 
 def _coherence_orders(

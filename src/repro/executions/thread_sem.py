@@ -305,6 +305,20 @@ def possible_value_sets(program: Program, max_rounds: Optional[int] = None) -> V
     lengthen real read-to-write value chains by one); ``max_rounds`` guards
     against pathological programs.
     """
+    return traces_at_fixpoint(program, max_rounds)[0]
+
+
+def traces_at_fixpoint(
+    program: Program, max_rounds: Optional[int] = None
+) -> Tuple[ValueSets, List[List[ThreadTrace]]]:
+    """:func:`possible_value_sets` and every thread's traces under them.
+
+    The round that finds no new value evaluated each thread under the
+    final sets, so its traces are returned as they are: equal to a fresh
+    :func:`enumerate_thread_traces` per thread, without enumerating again.
+    Only when ``max_rounds`` runs out first are the threads enumerated
+    once more.
+    """
     if max_rounds is None:
         max_rounds = sum(_instruction_count(t.body) for t in program.threads) + 2
 
@@ -314,8 +328,11 @@ def possible_value_sets(program: Program, max_rounds: Optional[int] = None) -> V
     }
     for _ in range(max_rounds):
         changed = False
+        per_thread: List[List[ThreadTrace]] = []
         for thread in program.threads:
-            for trace in enumerate_thread_traces(thread, values):
+            traces = enumerate_thread_traces(thread, values)
+            per_thread.append(traces)
+            for trace in traces:
                 for event in trace.events:
                     if event.is_write:
                         locs = values.setdefault(event.loc, {0})
@@ -323,8 +340,10 @@ def possible_value_sets(program: Program, max_rounds: Optional[int] = None) -> V
                             locs.add(event.value)
                             changed = True
         if not changed:
-            return values
-    return values
+            return values, per_thread
+    return values, [
+        enumerate_thread_traces(thread, values) for thread in program.threads
+    ]
 
 
 def _instruction_count(body: Sequence[Instruction]) -> int:

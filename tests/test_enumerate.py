@@ -1,6 +1,7 @@
 """Tests for candidate-execution enumeration."""
 
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,18 @@ from repro.executions.thread_sem import enumerate_thread_traces, possible_value_
 from repro.kernel import config as kconfig
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
-from repro.litmus.outcomes import Exists, NotExists, pinned_atoms
+from repro.litmus.outcomes import Exists, LocValue, NotExists, pinned_atoms
 from repro.litmus.parser import parse_litmus
 from repro.rcu.implementation import inline_rcu
 from repro.relations import Relation
 
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
+
+
+@pytest.fixture(scope="module")
+def rcu_mp_bound2():
+    return inline_rcu(library.get("RCU-MP"), loop_bound=2)
 
 
 def execs(program, **kwargs):
@@ -177,10 +183,6 @@ class TestValueFirstPruning:
     """A trace combination with an unwritable read is dropped on its
     proto-events, before any Event or Relation of it exists."""
 
-    @pytest.fixture(scope="class")
-    def rcu_mp_bound2(self):
-        return inline_rcu(library.get("RCU-MP"), loop_bound=2)
-
     def test_rcu_mp_bound2_counters(self, rcu_mp_bound2):
         # Runs in the ambient configuration, so the oracle lane
         # (REPRO_ORACLE=1) checks the naive path, which shares the test.
@@ -296,6 +298,40 @@ class TestValueFirstPruning:
         assert built["materialised"] == 28
 
 
+def _candidate_key(execution):
+    """A candidate, independent of the objects it is built from."""
+
+    def key(pairs):
+        return tuple(sorted((a.eid, b.eid) for a, b in pairs))
+
+    return (
+        execution.final_state,
+        tuple(
+            (e.eid, e.tid, e.kind, e.tag, e.loc, e.value, e.label)
+            for e in execution.events
+        ),
+        key(execution.rf.pairs),
+        key(execution.co.pairs),
+    )
+
+
+def _scpv_streams(program, pins=()):
+    """The pruned (Scpv) candidate stream in production and in the
+    oracle, as candidate keys."""
+    streams = []
+    for oracle in (False, True):
+        with kconfig.use_oracle(oracle):
+            streams.append(
+                [
+                    _candidate_key(execution)
+                    for execution in enumeration.candidate_executions_sharded(
+                        program, 0, 1, require_sc_per_location=True, pins=pins
+                    )
+                ]
+            )
+    return streams
+
+
 def _identity_programs():
     """The library, the inlined RCU-MP at loop bound 1 and every 10th
     golden-corpus row."""
@@ -309,17 +345,6 @@ def _identity_programs():
 class TestConditionDirected:
     """Condition pins leave the full stream filtered by the pins, in
     order, on both the naive and the per-location (Scpv) paths."""
-
-    @staticmethod
-    def _signature(execution):
-        def key(pairs):
-            return sorted((a.eid, b.eid) for a, b in pairs)
-
-        return (
-            execution.final_state,
-            key(execution.rf.pairs),
-            key(execution.co.pairs),
-        )
 
     @pytest.mark.parametrize("scpv", [False, True])
     def test_pruned_stream_is_the_filtered_full_stream(self, scpv):
@@ -337,9 +362,9 @@ class TestConditionDirected:
                 full += 1
                 state = execution.final_state
                 if all(pin.evaluate(state) for pin in pins):
-                    expected.append(self._signature(execution))
+                    expected.append(_candidate_key(execution))
             stream = [
-                self._signature(execution)
+                _candidate_key(execution)
                 for execution in enumeration.candidate_executions_sharded(
                     program, 0, 1, require_sc_per_location=scpv, pins=pins
                 )
@@ -396,3 +421,191 @@ class TestConditionDirected:
                 assert built["materialised"] == combos, name
                 assert built["relations"] == 6 * combos, name
                 assert built["dense"] <= 2 * len(kept), name
+
+
+class TestLocationMemo:
+    """The per-location sweep decides each location signature once per
+    call, and a combination whose signatures rule it out builds nothing.
+    Thread traces are enumerated by the value-set fixpoint only."""
+
+    def test_location_fates_count_distinct_signatures(self, rcu_mp_bound2):
+        program = rcu_mp_bound2
+        per_thread = [
+            enumerate_thread_traces(thread, possible_value_sets(program))
+            for thread in program.threads
+        ]
+        signatures = set()
+        for traces in itertools.product(*per_thread):
+            for location in program.locations():
+                signatures.add(
+                    (
+                        location,
+                        tuple(
+                            tuple(
+                                (proto.kind, proto.value)
+                                for proto in trace.events
+                                if proto.loc == location
+                            )
+                            for trace in traces
+                        ),
+                    )
+                )
+        with kconfig.use_oracle(False), obs.collect() as collector:
+            count_candidate_executions(program, require_sc_per_location=True)
+        fates = collector.counters["enumerate.location_fates"]
+        assert fates == len(signatures)
+        # Five locations per combination, but few distinct signatures.
+        assert fates * 10 < 5 * collector.counters["enumerate.trace_combos"]
+
+    def test_rejected_combinations_build_no_sweep_state(
+        self, rcu_mp_bound2, monkeypatch
+    ):
+        built = {"sweeps": 0, "materialised": 0, "relations": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            enumeration, "_sweep", counting("sweeps", enumeration._sweep)
+        )
+        monkeypatch.setattr(
+            enumeration,
+            "_materialise",
+            counting("materialised", enumeration._materialise),
+        )
+        monkeypatch.setattr(
+            Relation, "__init__", counting("relations", Relation.__init__)
+        )
+        with kconfig.use_oracle(False), obs.collect() as collector:
+            candidates = count_candidate_executions(
+                rcu_mp_bound2, require_sc_per_location=True
+            )
+        counters = collector.counters
+        # 3,744 unwritable and 836 fruitless combinations are rejected by
+        # memo lookups; only the 28 fruitful ones are swept and built.
+        assert counters["enumerate.pruned.unwritable_trace"] == 3744
+        assert counters["enumerate.pruned.no_survivor"] == 836
+        assert built == {"sweeps": 28, "materialised": 28, "relations": 6 * 28}
+        assert candidates == 64
+
+    def test_threads_are_enumerated_once_past_the_fixpoint(
+        self, rcu_mp_bound2, monkeypatch
+    ):
+        from repro.executions import thread_sem
+
+        calls = [0]
+        original = thread_sem.enumerate_thread_traces
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(thread_sem, "enumerate_thread_traces", counting)
+        possible_value_sets(rcu_mp_bound2)
+        fixpoint = calls[0]
+        calls[0] = 0
+        stream = enumeration.candidate_executions_sharded(
+            rcu_mp_bound2, 0, 1, require_sc_per_location=True
+        )
+        next(stream)
+        assert calls[0] == fixpoint
+
+    def test_deciding_a_fate_ticks_the_guard(self):
+        # Every rf step and co extension spent on a signature is a budget
+        # safepoint, whether or not any combination then keeps it.
+        from repro.events import READ, WRITE
+        from repro.guard import Budget, guard
+
+        # A read of its own thread's later write: one rf step, whose
+        # po-loc | rf part is already cyclic.
+        cyclic = enumeration._LocationFate(0, None, [((READ, 1), (WRITE, 1))])
+        with guard(Budget()) as armed:
+            assert not cyclic.feasible()
+        assert armed.states == 1
+        # Two racing writes: one rf step (no reads), then 2 co extension
+        # steps after init and 1 after each first write.
+        racy = enumeration._LocationFate(0, None, [((WRITE, 1),), ((WRITE, 2),)])
+        with guard(Budget()) as armed:
+            assert racy.feasible()
+        assert armed.states == 1 + 2 + 1 + 1
+        assert racy.orders(0) == [(0, 1, 2), (0, 2, 1)]
+
+    @pytest.mark.parametrize("name", ["RCU-MP", "RCU-deferred-free"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    def test_stream_equals_the_oracle(self, name, pinned):
+        # Loop bound 1 keeps the oracle's naive sweep affordable here;
+        # benchmarks/test_rcu_implementation.py repeats this at bound 2.
+        program = inline_rcu(library.get(name), loop_bound=1)
+        pins = pinned_atoms(program.condition.body) if pinned else ()
+        production, oracle = _scpv_streams(program, pins)
+        assert production == oracle
+        assert production
+
+    @pytest.mark.parametrize("case", ["init", "pins"])
+    def test_signatures_keep_locations_apart(self, case):
+        # x and y see the same (kind, value) sequences from every thread,
+        # but differ in their init values or pins.
+        if case == "init":
+            program = dsl.program(
+                "t",
+                dsl.thread(dsl.write_once("x", 1), dsl.write_once("y", 1)),
+                dsl.thread(dsl.read_once("r0", "x"), dsl.read_once("r1", "y")),
+                init={"x": 0, "y": 1},
+            )
+            pins = ()
+        else:
+            program = dsl.program(
+                "t",
+                dsl.thread(dsl.write_once("x", 1), dsl.write_once("y", 1)),
+                dsl.thread(dsl.write_once("x", 2), dsl.write_once("y", 2)),
+            )
+            pins = (LocValue("x", 2),)
+        production, oracle = _scpv_streams(program, pins)
+        assert production == oracle
+        assert production
+
+    def test_location_read_through_a_pointer_only(self):
+        # z is named nowhere but in p's initial value, so it is outside
+        # program.locations(): no init write and no coherence order, in
+        # both configurations.  Its reads of 0 are unwritable.
+        p = dsl.reg
+        program = dsl.program(
+            "t",
+            dsl.thread(dsl.read_once("r0", "p"), dsl.write_once(p("r0"), 1)),
+            dsl.thread(
+                dsl.read_once("r1", "p"),
+                dsl.read_once("r2", p("r1")),
+                dsl.read_once("r3", p("r1")),
+            ),
+            dsl.thread(dsl.read_once("r4", "p"), dsl.write_once(p("r4"), 2)),
+            init={"p": dsl.ptr("z")},
+        )
+        assert "z" not in program.locations()
+        production, oracle = _scpv_streams(program)
+        assert production == oracle
+        assert len(production) == 4  # r2, r3 each read 1 or 2
+
+    def test_shards_partition_the_stream(self, rcu_mp_bound2):
+        def stream(shard, shard_count):
+            with kconfig.use_oracle(False):
+                return [
+                    _candidate_key(execution)
+                    for execution in enumeration.candidate_executions_sharded(
+                        rcu_mp_bound2,
+                        shard,
+                        shard_count,
+                        require_sc_per_location=True,
+                    )
+                ]
+
+        full = stream(0, 1)
+        shards = [stream(shard, 3) for shard in range(3)]
+        for part in shards:
+            position = iter(full)
+            assert all(key in position for key in part)  # in order
+        assert Counter(key for part in shards for key in part) == Counter(full)
+        assert all(shards)

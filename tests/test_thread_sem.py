@@ -9,7 +9,10 @@ from repro.executions.thread_sem import (
     SemanticsError,
     enumerate_thread_traces,
     possible_value_sets,
+    traces_at_fixpoint,
 )
+from repro.litmus import library
+from repro.rcu.implementation import inline_rcu
 
 
 def traces(body, values):
@@ -193,3 +196,36 @@ class TestValueSets:
         )
         values = possible_value_sets(program)
         assert values["p"] == {Pointer("z"), Pointer("x")}
+
+
+class TestTracesAtFixpoint:
+    @staticmethod
+    def _fingerprint(traces):
+        return [(t.events, t.rmw_pairs, t.final_regs) for t in traces]
+
+    @pytest.mark.parametrize(
+        "name", ["MP", "MP+wmb+addr", "RCU-MP@2", "copy-chain", "max_rounds=1"]
+    )
+    def test_final_round_traces_equal_a_fresh_enumeration(self, name):
+        max_rounds = None
+        if name.startswith("RCU-MP@"):
+            program = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+        elif name in ("copy-chain", "max_rounds=1"):
+            # y's value 7 is found in round 2, so round 1 does not converge.
+            program = dsl.program(
+                "t",
+                dsl.thread(dsl.read_once("r0", "x"), dsl.write_once("y", "r0")),
+                dsl.thread(dsl.read_once("r1", "y")),
+                dsl.thread(dsl.write_once("x", 7)),
+            )
+            max_rounds = 1 if name == "max_rounds=1" else None
+        else:
+            program = library.get(name)
+        values, per_thread = traces_at_fixpoint(program, max_rounds)
+        assert values == possible_value_sets(program, max_rounds)
+        assert len(per_thread) == len(program.threads)
+        for thread, traces in zip(program.threads, per_thread):
+            assert self._fingerprint(traces) == self._fingerprint(
+                enumerate_thread_traces(thread, values)
+            )
+
