@@ -318,8 +318,9 @@ class CatModel(Model):
 
     On first use the statement list is flattened (includes expanded).
     Production checks run the model lowered to bytecode on the VM
-    (:mod:`repro.kernel.vm`); :meth:`_walk` evaluates the statements
-    per candidate, as the oracle and as the fallback.
+    (:mod:`repro.kernel.vm`), which :meth:`allows` stops at the first
+    violated check; :meth:`_walk` evaluates the statements per
+    candidate, as the oracle and as the fallback.
     """
 
     def __init__(self, cat_file: C.CatFile, name: Optional[str] = None):
@@ -372,24 +373,38 @@ class CatModel(Model):
         return self._flat
 
     def check(self, execution: CandidateExecution) -> ModelResult:
+        outcome = self._run_vm(execution, first=False)
+        if outcome is None:
+            return self._walk(execution)
+        return self._result(*outcome)
+
+    def allows(self, execution: CandidateExecution) -> bool:
+        """The verdict alone: the VM stops at the first violated check, so
+        ``cat.<model>.violation.<axiom>`` counts the deciding axiom only."""
+        outcome = self._run_vm(execution, first=True)
+        if outcome is None:
+            return self._walk(execution).allowed
+        return self._result(*outcome).allowed
+
+    def _run_vm(self, execution: CandidateExecution, first: bool):
+        """``(violations, flags)`` from the VM (see
+        :func:`repro.kernel.vm.run_checks`), or None when the walker must
+        judge: the oracle, an unlowerable model, an Unavailable execution."""
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one per-candidate model check
-        if not _config.oracle():
-            program = self._vm_program()
-            if program is None:
-                reason = "unlowerable"
-            else:
-                try:
-                    violations, flags = _vm.run_checks(
-                        program, execution, self.name
-                    )
-                except _vm.Unavailable:
-                    reason = "unavailable"
-                else:
-                    return self._result(violations, flags)
-            if _obs.ENABLED:
-                _obs.count(f"cat.fallback.{reason}")
-        return self._walk(execution)
+        if _config.oracle():
+            return None
+        program = self._vm_program()
+        if program is None:
+            reason = "unlowerable"
+        else:
+            try:
+                return _vm.run_checks(program, execution, self.name, first)
+            except _vm.Unavailable:
+                reason = "unavailable"
+        if _obs.ENABLED:
+            _obs.count(f"cat.fallback.{reason}")
+        return None
 
     def _walk(self, execution: CandidateExecution) -> ModelResult:
         """The statement walker: evaluate the cat text top to bottom.

@@ -29,10 +29,11 @@ class TraceSkeleton:
     def __init__(self, universe: frozenset):
         self.universe = universe
         self._memo: Dict[Any, Any] = {}
-        #: program token -> prelude state of :mod:`repro.kernel.vm`: the
-        #: trace-invariant register file (shared by reference with every
-        #: sibling candidate) plus the pre-judged invariant checks.
-        self.vm_state: Dict[int, Any] = {}
+        #: State of :mod:`repro.kernel.vm`: program token -> prelude state
+        #: (the trace-invariant register file, shared by reference with
+        #: every sibling candidate, plus the pre-judged invariant checks),
+        #: and base name -> raw base value, shared by every program.
+        self.vm_state: Dict[Any, Any] = {}
 
     def memo(self, key: Any, compute: Callable[[], Any]) -> Any:
         try:

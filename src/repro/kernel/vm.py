@@ -22,6 +22,19 @@ The program is split into two instruction streams:
   dense relations) and computes the witness-dependent nodes into a copy
   of the prelude register file.
 
+The prelude reads its base values (``po``, the tag masks, ``loc``,
+``int``/``ext``, ...) from the skeleton too, so every model that checks
+the skeleton's candidates builds each of them once.
+
+The main stream runs in **stages**, one per non-invariant check,
+planned once per program (:func:`plan_stages`): a check's stage is the
+part of its slice, the instructions its register needs, that no earlier
+stage ran.  Non-flag checks come first, cheapest slice first.
+:func:`run_checks` with ``first=True`` (what ``CatModel.allows`` asks)
+stops at the first violation, so a candidate that fails ``coherence``
+runs that check's few instructions only; ``first=False`` runs every
+stage and reports all violations in declaration order.
+
 ``let rec`` groups become one :data:`FIXPOINT` meta-instruction whose
 per-binding body segments re-run each Gauss–Seidel sweep (bodies in group
 order, a shared node recomputed once per sweep in the segment that first
@@ -38,7 +51,9 @@ This is the production evaluator; the walker is the oracle
 :func:`run_checks` raises :class:`Unavailable`.
 
 Per-opcode execution counts are published as ``vm.op.<NAME>`` counters
-when an observability collector is installed (``repro-herd --bench``).
+when an observability collector is installed (``repro-herd --bench``),
+with ``vm.early_exit`` (candidates rejected before their last stage) and
+``vm.stages_skipped``.
 """
 
 from __future__ import annotations
@@ -134,7 +149,7 @@ class VMProgram:
     """One lowered model: two instruction streams plus the checks."""
 
     __slots__ = ("token", "name", "names", "prelude", "main", "checks",
-                 "n_regs")
+                 "n_regs", "_stages")
 
     def __init__(self, token, name, names, prelude, main, checks, n_regs):
         #: Process-unique token (the prelude-cache key).
@@ -146,6 +161,14 @@ class VMProgram:
         self.main: Tuple[tuple, ...] = main
         self.checks: Tuple[VMCheck, ...] = checks
         self.n_regs = n_regs
+        self._stages = None
+
+    def stages(self) -> Tuple[tuple, tuple]:
+        """``(verdict, flagged)``: the main stream cut into one stage per
+        non-invariant check, planned on first use (see :func:`plan_stages`)."""
+        if self._stages is None:
+            self._stages = plan_stages(self)
+        return self._stages
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         lines = [f"vm program {self.name}: {self.n_regs} registers"]
@@ -438,56 +461,183 @@ def _judge(check: VMCheck, raw, index, universe):
     return check_axiom(kind, check.label, check.negated, value)
 
 
+# -- stages ----------------------------------------------------------------
+
+#: Opcodes that read no register, and those that read only operand ``a``.
+_NO_OPERANDS = frozenset({LOAD_BASE, EMPTY_REL, EMPTY_SET})
+_ONE_OPERAND = frozenset({
+    COMPL_REL, COMPL_SET, INVERSE, OPT, PLUS, STAR, SETID, DOMAIN, RANGE,
+})
+
+
+def _effects(instr) -> Tuple[set, set]:
+    """``(written, read)`` registers of one instruction.  A FIXPOINT is one
+    unit: it writes its rec registers and every register of its segments,
+    and reads what its segments read from outside."""
+    op = instr[0]
+    if op == FIXPOINT:
+        written: set = set()
+        read: set = set()
+        for segment, body_reg, rec_reg in instr[2]:
+            written.add(rec_reg)
+            read.add(body_reg)
+            for inner in segment:
+                inner_written, inner_read = _effects(inner)
+                written |= inner_written
+                read |= inner_read
+        return written, read - written
+    if op in _NO_OPERANDS:
+        return {instr[1]}, set()
+    if op in _ONE_OPERAND:
+        return {instr[1]}, {instr[2]}
+    return {instr[1]}, {instr[2], instr[3]}
+
+
+def _assert_chains(effects) -> None:
+    """The soundness precondition of running stages out of stream order.
+
+    Every register of the main stream has one writer, except an n-ary
+    chain (``UNION_REL r,a,b`` then ``UNION_REL r,r,c``).  A chain's links
+    must be contiguous, each link after the first must read the register,
+    and an intermediate value may be read by the next link only.  Then a
+    slice holds either every link of a chain or none, and no instruction
+    can observe a register value other than the one stream order gives it.
+    """
+    writers: Dict[int, List[int]] = {}
+    for position, (written, _read) in enumerate(effects):
+        for reg in written:
+            writers.setdefault(reg, []).append(position)
+    for reg, positions in writers.items():
+        if len(positions) == 1:
+            continue
+        first, last = positions[0], positions[-1]
+        if last - first + 1 != len(positions):
+            raise AssertionError(f"register {reg}: chain links not contiguous")
+        for position, (_written, read) in enumerate(effects):
+            if reg not in read:
+                if first < position <= last:
+                    raise AssertionError(
+                        f"register {reg}: link {position} does not extend it"
+                    )
+            elif position <= first:
+                raise AssertionError(
+                    f"register {reg}: read at {position} before its chain"
+                )
+
+
+def plan_stages(program: VMProgram) -> Tuple[tuple, tuple]:
+    """Cut the main stream into stages, one per non-invariant check.
+
+    A check's slice is the main-stream instructions its register needs.
+    Non-flag checks are ordered by slice size (ties in declaration
+    order), flag checks follow in the same way, and each stage holds only
+    the slice's instructions that no earlier stage ran, in stream order.
+    Returns ``(verdict, flagged)``, tuples of ``(instrs, position,
+    check)`` with ``position`` the check's index in ``program.checks``;
+    ``verdict`` is the order :func:`run_checks` decides in with
+    ``first=True``.
+    """
+    effects = [_effects(instr) for instr in program.main]
+    _assert_chains(effects)
+    ranked = []
+    for position, check in enumerate(program.checks):
+        if check.invariant:
+            continue
+        needed = {check.reg}
+        members = []
+        for at in range(len(effects) - 1, -1, -1):
+            written, read = effects[at]
+            if written & needed:
+                members.append(at)
+                needed -= written
+                needed |= read
+        ranked.append((check.flag, len(members), position, members))
+    ranked.sort(key=lambda entry: entry[:3])
+    ran: set = set()
+    verdict: List[tuple] = []
+    flagged: List[tuple] = []
+    for flag, _size, position, members in ranked:
+        fresh = sorted(set(members) - ran)
+        ran.update(fresh)
+        stage = (
+            tuple(program.main[at] for at in fresh),
+            position,
+            program.checks[position],
+        )
+        (flagged if flag else verdict).append(stage)
+    return tuple(verdict), tuple(flagged)
+
+
 # -- driving one candidate ---------------------------------------------------
 
 
-def _build_prelude(program: VMProgram, execution, index, model_name):
-    """Run the invariant stream once; judge the invariant checks."""
+def _verdict(check: VMCheck, regs, index, universe, model_name):
+    """:func:`_judge` one check, timed as ``cat.check.<model>.<label>``."""
+    if _obs.ENABLED:
+        with _obs.span(f"cat.check.{model_name}.{check.label}"):
+            return _judge(check, regs[check.reg], index, universe)
+    return _judge(check, regs[check.reg], index, universe)
+
+
+def _build_prelude(program: VMProgram, execution, index, model_name, bases):
+    """Run the invariant stream once; judge the invariant checks.
+
+    ``bases`` memoises base values by name: the skeleton's ``vm_state``,
+    so every program checking the skeleton's candidates shares them.
+    Returns the register file, the invariant verdicts by check position
+    and the first non-flag invariant violation (or None).
+    """
     if _obs.ENABLED:
         _obs.count("vm.prelude_builds")
     env = {}
     for name in program.names:
         if name not in ("rf", "co"):
-            env[name] = base_value(name, execution, index)
+            value = bases.get(name)
+            if value is None:
+                value = bases[name] = base_value(name, execution, index)
+            env[name] = value
     regs: List = [None] * program.n_regs
     _execute(program.prelude, regs, execution, program.names, index, env)
     invariant_violations = {}
+    blocking = None
     for position, check in enumerate(program.checks):
-        if not check.invariant:
-            continue
-        if _obs.ENABLED:
-            with _obs.span(f"cat.check.{model_name}.{check.label}"):
-                invariant_violations[position] = _judge(
-                    check, regs[check.reg], index, execution.universe
-                )
-        else:
-            invariant_violations[position] = _judge(
-                check, regs[check.reg], index, execution.universe
+        if check.invariant:
+            violation = _verdict(
+                check, regs, index, execution.universe, model_name
             )
-    return regs, invariant_violations
+            invariant_violations[position] = violation
+            if blocking is None and not check.flag:
+                blocking = violation
+    return regs, invariant_violations, blocking
 
 
 def run_checks(
-    program: VMProgram, execution, model_name: str
+    program: VMProgram, execution, model_name: str, first: bool = False
 ) -> Tuple[List, List]:
-    """Execute the program for one candidate.
+    """Execute the program for one candidate, stage by stage.
 
-    Returns ``(violations, flags)`` exactly as the statement walker would
-    produce them; raises :class:`Unavailable` when this execution has no
-    dense relations.
+    With ``first=False`` every stage runs and the result is ``(violations,
+    flags)`` in declaration order, exactly as the statement walker would
+    produce them.  With ``first=True`` the run stops at the first non-flag
+    violation, an invariant one from the prelude before any stage, and
+    returns ``([violation], [])``, or ``([], [])`` when the candidate is
+    allowed; flag checks are not judged.  Raises :class:`Unavailable` when
+    this execution has no dense relations.
     """
     if _guard.ACTIVE:
         _guard._current.tick()  # budget safepoint: one per-candidate VM run
     index = index_for(execution.universe)
     skeleton = execution._shared
     if skeleton is None:
-        state = _build_prelude(program, execution, index, model_name)
+        state = _build_prelude(program, execution, index, model_name, {})
     else:
         cache = skeleton.vm_state
         state = cache.get(program.token)
         if state is None:
             try:
-                state = _build_prelude(program, execution, index, model_name)
+                state = _build_prelude(
+                    program, execution, index, model_name, cache
+                )
             except Unavailable:
                 state = _UNAVAILABLE
             cache[program.token] = state
@@ -495,21 +645,42 @@ def run_checks(
             _obs.count("vm.prelude_hits")
         if state is _UNAVAILABLE:
             raise Unavailable
-    base_regs, invariant_violations = state
-    regs = base_regs.copy()
-    _execute(program.main, regs, execution, program.names, index, None)
-    violations: List = []
-    flags: List = []
-    observing = _obs.ENABLED
+    base_regs, invariant_violations, blocking = state
+    verdict_stages, flagged_stages = program.stages()
     universe = execution.universe
-    for position, check in enumerate(program.checks):
-        if check.invariant:
-            violation = invariant_violations[position]
-        elif observing:
-            with _obs.span(f"cat.check.{model_name}.{check.label}"):
-                violation = _judge(check, regs[check.reg], index, universe)
+    names = program.names
+    if first:
+        violations: List = []
+        run = 0
+        if blocking is not None:
+            violations.append(blocking)
         else:
-            violation = _judge(check, regs[check.reg], index, universe)
+            regs = base_regs.copy()
+            for instrs, _position, check in verdict_stages:
+                run += 1
+                if instrs:
+                    _execute(instrs, regs, execution, names, index, None)
+                violation = _verdict(check, regs, index, universe, model_name)
+                if violation is not None:
+                    violations.append(violation)
+                    break
+        if _obs.ENABLED:
+            _obs.count("vm.runs")
+            skipped = len(verdict_stages) - run
+            if skipped:
+                _obs.count("vm.early_exit")
+                _obs.count("vm.stages_skipped", skipped)
+        return violations, []
+    found = dict(invariant_violations)
+    regs = base_regs.copy()
+    for instrs, position, check in verdict_stages + flagged_stages:
+        if instrs:
+            _execute(instrs, regs, execution, names, index, None)
+        found[position] = _verdict(check, regs, index, universe, model_name)
+    violations = []
+    flags: List = []
+    for position, check in enumerate(program.checks):
+        violation = found[position]
         if violation is not None:
             (flags if check.flag else violations).append(violation)
     if _obs.ENABLED:

@@ -54,7 +54,7 @@ This is a line-by-line rendering of the paper's formal definitions:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.events import (
     ACQUIRE,
@@ -329,36 +329,50 @@ class LinuxKernelModel(Model):
         execution: CandidateExecution,
         relations: Optional[LkmmRelations] = None,
     ) -> ModelResult:
-        """Judge one execution.
+        """Judge one execution, listing every violated axiom.
 
         ``relations`` may be a precomputed :class:`LkmmRelations` for this
         execution (the race detector passes the instance it inspects, so
         the cached derived relations are computed once).
         """
+        return self._result(list(self.violations(execution, relations)))
+
+    def allows(self, execution: CandidateExecution) -> bool:
+        """The verdict alone: stops at the first violated axiom, so
+        ``lkmm.violation.<axiom>`` counts the deciding axiom only."""
+        first = next(self.violations(execution), None)
+        return self._result([] if first is None else [first]).allowed
+
+    def violations(
+        self,
+        execution: CandidateExecution,
+        relations: Optional[LkmmRelations] = None,
+    ) -> Iterator[AxiomViolation]:
+        """The violated axioms in order Scpv, At, Hb, Pb, Rcu, each
+        computed only when the previous one has been consumed."""
         rel = relations if relations is not None else self.relations(execution)
         x = execution
-        violations: List[AxiomViolation] = []
 
         with _obs.span("lkmm.check.Scpv"):
             scpv = x.po_loc | x.com
             cycle = scpv.find_cycle()
         if cycle is not None:
-            violations.append(AxiomViolation("Scpv", "acyclic", tuple(cycle)))
+            yield AxiomViolation("Scpv", "acyclic", tuple(cycle))
 
         with _obs.span("lkmm.check.At"):
             at = x.rmw & x.fre.sequence(x.coe)
         if not at.is_empty():
-            violations.append(AxiomViolation("At", "empty", tuple(at.pairs)))
+            yield AxiomViolation("At", "empty", tuple(at.pairs))
 
         with _obs.span("lkmm.check.Hb"):
             cycle = rel.hb.find_cycle()
         if cycle is not None:
-            violations.append(AxiomViolation("Hb", "acyclic", tuple(cycle)))
+            yield AxiomViolation("Hb", "acyclic", tuple(cycle))
 
         with _obs.span("lkmm.check.Pb"):
             cycle = rel.pb.find_cycle()
         if cycle is not None:
-            violations.append(AxiomViolation("Pb", "acyclic", tuple(cycle)))
+            yield AxiomViolation("Pb", "acyclic", tuple(cycle))
 
         if self.with_rcu:
             with _obs.span("lkmm.check.Rcu"):
@@ -367,10 +381,9 @@ class LinuxKernelModel(Model):
                 witness = tuple(
                     event for pair in reflexive[:1] for event in pair
                 )
-                violations.append(
-                    AxiomViolation("Rcu", "irreflexive", witness)
-                )
+                yield AxiomViolation("Rcu", "irreflexive", witness)
 
+    def _result(self, violations: List[AxiomViolation]) -> ModelResult:
         if _obs.ENABLED:
             _obs.count("lkmm.checks")
             for violation in violations:

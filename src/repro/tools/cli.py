@@ -130,6 +130,8 @@ def _format_vm_bench(report) -> str:
         )
     for name in (
         "vm.runs",
+        "vm.early_exit",
+        "vm.stages_skipped",
         "vm.prelude_builds",
         "vm.prelude_hits",
         "herd.early_exit",
@@ -138,6 +140,11 @@ def _format_vm_bench(report) -> str:
     ):
         if name in counters:
             lines.append(f"  {name} = {counters[name]}")
+        elif name in ("vm.early_exit", "vm.stages_skipped") and (
+            "vm.runs" in counters
+        ):
+            # Staged early exit: zero is a result once the VM has run.
+            lines.append(f"  {name} = 0")
     # Fallbacks from the VM to the statement walker, by reason: printed
     # even at zero, the expected value.
     for name in ("cat.fallback.unlowerable", "cat.fallback.unavailable"):

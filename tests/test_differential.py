@@ -36,6 +36,7 @@ class TestNativeVsCat:
     def test_same_judgement_every_execution(self, lkmm, lkmm_cat, name):
         for x in candidate_executions(library.get(name)):
             assert lkmm.allows(x) == lkmm_cat.allows(x), x.describe()
+            assert lkmm.check(x).allowed == lkmm_cat.check(x).allowed
 
     def test_core_models_agree_too(self):
         native_core = LinuxKernelModel(with_rcu=False)
@@ -43,6 +44,9 @@ class TestNativeVsCat:
         for name in ("MP+wmb+rmb", "SB+mbs", "LB+ctrl+mb"):
             for x in candidate_executions(library.get(name)):
                 assert native_core.allows(x) == cat_core.allows(x)
+                assert (
+                    native_core.check(x).allowed == cat_core.check(x).allowed
+                )
 
 
 class TestOpsimVsAxiomatic:

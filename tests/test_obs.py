@@ -123,9 +123,10 @@ class Boom(RuntimeError):
 
 
 class RaisingModel(LinuxKernelModel):
-    """An LK model whose judgement blows up mid-check."""
+    """An LK model whose judgement blows up mid-check, on both ``check``
+    and the ``allows`` path herd takes: both draw on ``violations``."""
 
-    def check(self, execution, relations=None):
+    def violations(self, execution, relations=None):
         with obs.span("raising.check"):
             raise Boom("mid-span failure")
 
