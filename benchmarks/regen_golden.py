@@ -35,14 +35,13 @@ MODELS = ("lkmm", "c11", "sc", "tso")
 def compute_table():
     models = [load_model(name) for name in MODELS]
     programs = [library.get(name) for name in sorted(library.all_names())]
-    return verdicts(models, programs, require_sc_per_location=True)
+    return verdicts(models, programs)
 
 
 def main() -> int:
     table = compute_table()
     snapshot = {
         "models": list(MODELS),
-        "require_sc_per_location": True,
         "verdicts": table,
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

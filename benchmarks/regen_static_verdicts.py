@@ -43,7 +43,7 @@ def compute_table():
         program = library.get(test_name)
         row = {}
         for model in models:
-            decision = decide(model, program, require_sc_per_location=True)
+            decision = decide(model, program)
             row[model.name] = (
                 UNKNOWN if decision is None else f"Decided-{decision.verdict}"
             )
@@ -55,7 +55,6 @@ def main() -> int:
     table = compute_table()
     snapshot = {
         "models": list(MODELS),
-        "require_sc_per_location": True,
         "static": table,
     }
     SNAPSHOT_PATH.parent.mkdir(parents=True, exist_ok=True)

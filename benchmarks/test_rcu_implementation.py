@@ -51,7 +51,7 @@ def test_forbidden_outcome_forbidden_in_implementation(benchmark, lkmm):
 
     def experiment():
         inlined = inline_rcu(library.get("RCU-MP"), loop_bound=1)
-        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+        return run_litmus(lkmm, inlined)
 
     result = once(benchmark, experiment)
     print(
@@ -68,7 +68,7 @@ def test_theorem2_with_deeper_unrolling(benchmark, lkmm):
 
     def experiment():
         inlined = inline_rcu(library.get("RCU-MP"), loop_bound=2)
-        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+        return run_litmus(lkmm, inlined)
 
     result = once(benchmark, experiment)
     print(
@@ -86,7 +86,7 @@ def test_theorem2_at_loop_bound_3(benchmark, lkmm):
 
     def experiment():
         inlined = inline_rcu(library.get("RCU-MP"), loop_bound=3)
-        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+        return run_litmus(lkmm, inlined)
 
     result = once(benchmark, experiment)
     print(
@@ -105,7 +105,7 @@ def test_theorem2_at_loop_bound_4(benchmark, lkmm, name):
 
     def experiment():
         inlined = inline_rcu(library.get(name), loop_bound=4)
-        return run_litmus(lkmm, inlined, require_sc_per_location=True)
+        return run_litmus(lkmm, inlined)
 
     result = once(benchmark, experiment)
     print(

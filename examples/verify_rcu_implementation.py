@@ -40,7 +40,7 @@ def main() -> None:
         "mutex_unlock; smp_mb.\n"
     )
 
-    result = run_litmus(model, inlined, require_sc_per_location=True)
+    result = run_litmus(model, inlined)
     print(f"Exhaustive check of P': {result.describe()}")
     print(
         "-> the witness outcome (reader sees the post-GP write but misses "

@@ -34,7 +34,8 @@ On top of these the check analyses emit the semantic findings:
   CAT004 (unused-binding) cannot see.
 * **CAT014** ``implied-acyclicity`` — ``acyclic r`` after ``acyclic s``
   with ``r ⊆ s+``: any ``r``-cycle maps into an ``s``-cycle, so the
-  earlier check already forbids it.
+  earlier check already forbids it.  The same test tells whether a model
+  implies SC PER LOCATION (:func:`implies_sc_per_location`).
 
 False positives can be silenced per-model with a suppression comment
 anywhere in the source: ``(* lint: allow CAT011 *)`` (several codes may
@@ -51,7 +52,7 @@ from repro.cat import ast as C
 from repro.cat.eval import _free_identifiers
 
 from repro.analysis.catir import facts, ir
-from repro.analysis.catir.compile import CompiledModel
+from repro.analysis.catir.compile import CompiledCheck, CompiledModel
 
 # -- abstract domains ---------------------------------------------------------
 
@@ -555,6 +556,25 @@ def _implied_by(check, earlier) -> Optional[Tuple[str, str]]:
                     f"a cycle of the already-acyclic '{_short(prior.root)}'",
                 )
     return None
+
+
+#: ``acyclic(po-loc | com)``: SC PER LOCATION, with ``fr = rf^-1 ; co``.
+_SC_PER_LOCATION = ir.union([
+    ir.inter([ir.base("po", ir.REL), ir.base("loc", ir.REL)]),
+    ir.base("rf", ir.REL),
+    ir.base("co", ir.REL),
+    ir.seq([ir.inverse(ir.base("rf", ir.REL)), ir.base("co", ir.REL)]),
+])
+
+
+def implies_sc_per_location(model: CompiledModel) -> bool:
+    """True when an enforcing check of ``model`` implies
+    ``acyclic(po-loc | com)`` (the CAT014 test of :func:`_implied_by`)."""
+    target = CompiledCheck(
+        "acyclic", _SC_PER_LOCATION, "sc-per-location", False, False, -1
+    )
+    enforcing = [c for c in model.checks if not (c.negated or c.flag)]
+    return _implied_by(target, enforcing) is not None
 
 
 def _unreachable_bindings(model: CompiledModel,

@@ -165,9 +165,7 @@ def check_races(
     """
     model = model or LinuxKernelModel()
     report = RaceReport(name=program.name, racy=False)
-    for execution in candidate_executions(
-        program, require_sc_per_location=True
-    ):
+    for execution in candidate_executions(program, model.sc_per_location):
         report.candidates += 1
         relations = model.relations(execution)
         if not model.check(execution, relations=relations).allowed:

@@ -121,18 +121,15 @@ def _forbidden_under(
 # Witness synthesis (the Allow direction)
 
 
-def _find_witness(
-    model: Model,
-    program: Program,
-    require_sc_per_location: bool,
-) -> bool:
+def _find_witness(model: Model, program: Program) -> bool:
     """Find and confirm one allowed, condition-satisfying candidate.
 
     Scans the enumerator's condition-directed stream (the candidates
     meeting every atom the condition pins, see
-    :func:`repro.litmus.outcomes.pinned_atoms`), so the candidates
-    examined are exactly the ones that can be witnesses, at most
-    ``MAX_WITNESS_CANDIDATES`` of them.  The model's own ``allows``
+    :func:`repro.litmus.outcomes.pinned_atoms`; SC-per-location ones only
+    when the model has :attr:`~repro.model.Model.sc_per_location`), so
+    the candidates examined are exactly the ones that can be witnesses,
+    at most ``MAX_WITNESS_CANDIDATES`` of them.  The model's own ``allows``
     makes the confirmation exact.  A tripped ambient guard aborts the
     attempt (returning False): the cell stays undecided, and a caller
     that enumerates next re-trips the guard at its own safepoint and
@@ -142,11 +139,7 @@ def _find_witness(
 
     condition = program.condition
     stream = candidate_executions_sharded(
-        program,
-        0,
-        1,
-        require_sc_per_location=require_sc_per_location,
-        pins=pinned_atoms(condition.body),
+        program, 0, 1, model.sc_per_location, pins=pinned_atoms(condition.body)
     )
     try:
         for examined, execution in enumerate(stream, 1):
@@ -165,11 +158,7 @@ def _find_witness(
 # The decision procedure
 
 
-def decide(
-    model: Model,
-    program: Program,
-    require_sc_per_location: bool = False,
-) -> Optional[StaticDecision]:
+def decide(model: Model, program: Program) -> Optional[StaticDecision]:
     """Statically decide ``program`` under ``model``, or ``None``.
 
     Sound by construction: a Forbid is a proof over every
@@ -182,7 +171,7 @@ def decide(
     — ``repro-herd --static-only``, ``repro-lint --static-verdicts``,
     the coverage report — surfaces them uniformly under ``--profile``.
     """
-    decision = _decide(model, program, require_sc_per_location)
+    decision = _decide(model, program)
     if _obs.ENABLED:
         if decision is None:
             _obs.count("static.fallback")
@@ -193,11 +182,7 @@ def decide(
     return decision
 
 
-def _decide(
-    model: Model,
-    program: Program,
-    require_sc_per_location: bool,
-) -> Optional[StaticDecision]:
+def _decide(model: Model, program: Program) -> Optional[StaticDecision]:
     condition = program.condition
     if condition is None or not isinstance(condition, (Exists, NotExists)):
         return None
@@ -231,21 +216,15 @@ def _decide(
                     "critical-cycle",
                     "; ".join(sorted(set(labels))),
                 )
-    if _find_witness(model, program, require_sc_per_location):
+    if _find_witness(model, program):
         return StaticDecision(ALLOW, "witness-confirmed")
     return None
 
 
-def static_verdict(
-    model: Model,
-    program: Program,
-    require_sc_per_location: bool = False,
-) -> Optional[str]:
+def static_verdict(model: Model, program: Program) -> Optional[str]:
     """The statically decided verdict string, or ``None`` (undecided).
 
     The counters live in :func:`decide` itself.
     """
-    decision = decide(
-        model, program, require_sc_per_location=require_sc_per_location
-    )
+    decision = decide(model, program)
     return None if decision is None else decision.verdict

@@ -31,7 +31,6 @@ GOLDEN_MODELS: Tuple[str, ...] = ("lkmm", "c11", "sc", "tso")
 
 def library_coverage(
     model_keys: Sequence[str] = GOLDEN_MODELS,
-    require_sc_per_location: bool = True,
 ) -> Dict[str, Dict[str, object]]:
     """Per-model static coverage over the library.
 
@@ -45,11 +44,7 @@ def library_coverage(
         forbid = allow = 0
         undecided: List[str] = []
         for test_name in names:
-            decision = decide(
-                model,
-                library.get(test_name),
-                require_sc_per_location=require_sc_per_location,
-            )
+            decision = decide(model, library.get(test_name))
             if decision is None:
                 undecided.append(test_name)
             elif decision.verdict == "Forbid":

@@ -328,10 +328,11 @@ class CatModel(Model):
         self.name = name or cat_file.name
         self._token = next(_MODEL_TOKENS)
         self._flat: Optional[List] = None
-        #: Lazily lowered VM bytecode (None = does not lower); see
-        #: :meth:`_vm_program`.
+        #: Lazily lowered VM bytecode (None = does not lower) and the
+        #: SC-per-location fact of the same compile; see :meth:`_vm_program`.
         self._program = None
         self._program_tried = False
+        self._sc_per_location = False
 
     def __getstate__(self):
         # A program's token keys per-skeleton VM state and is unique only
@@ -444,16 +445,25 @@ class CatModel(Model):
         two paths observably identical."""
         if not self._program_tried:
             self._program_tried = True
+            from repro.analysis.catir.analyses import implies_sc_per_location
             from repro.analysis.catir.compile import compile_statements
             from repro.analysis.catir.plan import lower_plan
 
             try:
-                self._program = lower_plan(
-                    compile_statements(self._flattened(), self.name)
-                )
+                compiled = compile_statements(self._flattened(), self.name)
+                self._sc_per_location = implies_sc_per_location(compiled)
+                self._program = lower_plan(compiled)
             except CatError:
                 self._program = None
         return self._program
+
+    @property
+    def sc_per_location(self) -> bool:
+        """Derived from the compiled checks (False when the model does
+        not compile): some enforcing check implies
+        ``acyclic(po-loc | com)``."""
+        self._vm_program()
+        return self._sc_per_location
 
     def _bind(
         self, let: C.Let, evaluator: _Evaluator, env: Dict[str, Value]

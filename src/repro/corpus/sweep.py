@@ -92,9 +92,6 @@ def sweep_row(
     remaining columns degrade to ``Inconclusive`` at their first
     safepoint rather than blowing the row's time allowance.
     """
-    sweep_kwargs = dict(
-        keep_states=False, stop_when_decided=True, verdict_only=True
-    )
     direct = [spec for spec in specs if spec.arch is None]
     compiled = [spec for spec in specs if spec.arch is not None]
     row: Dict[str, str] = {}
@@ -104,11 +101,7 @@ def sweep_row(
         # sweep across the directly judged models.
         if direct:
             row.update(
-                verdict_row(
-                    [_model(spec.key) for spec in direct],
-                    program,
-                    **sweep_kwargs,
-                )
+                verdict_row([_model(spec.key) for spec in direct], program)
             )
         for spec in compiled:
             try:
@@ -120,7 +113,7 @@ def sweep_row(
                 if _obs.ENABLED:
                     _obs.count("corpus.sweep_na")
                 continue
-            row.update(verdict_row([_model(spec.key)], mapped, **sweep_kwargs))
+            row.update(verdict_row([_model(spec.key)], mapped))
 
     if budget is not None:
         with guard(budget):

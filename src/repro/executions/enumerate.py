@@ -84,10 +84,12 @@ def candidate_executions(
     """Yield every candidate execution of ``program``.
 
     When ``require_sc_per_location`` is true, executions violating
-    ``acyclic(po-loc | com)`` are filtered out during enumeration.  All the
-    models shipped with this package include that axiom, so the filter
-    never changes a verdict but dramatically shrinks the search space for
-    the larger programs (e.g. the inlined RCU implementation of Section 6).
+    ``acyclic(po-loc | com)`` are filtered out during enumeration.  That
+    changes no verdict of a model that implies the axiom
+    (:attr:`repro.model.Model.sc_per_location`, which
+    :func:`repro.herd.run_litmus_many` reads to set the filter), and
+    shrinks the search space of the larger programs (e.g. the inlined RCU
+    implementation of Section 6).
     """
     yield from candidate_executions_sharded(
         program, 0, 1, require_sc_per_location=require_sc_per_location

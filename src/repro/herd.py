@@ -53,9 +53,11 @@ class RunResult:
 
     program: Program
     model_name: str
-    #: Candidate executions enumerated: the whole stream, or under
-    #: ``verdict_only`` for an ``exists``/``~exists`` test the
-    #: condition-directed stream (see :func:`run_litmus_many`).
+    #: Candidate executions enumerated: only those satisfying
+    #: ``acyclic(po-loc | com)`` when every model of the run has
+    #: :attr:`~repro.model.Model.sc_per_location`, else the whole stream;
+    #: under ``verdict_only`` for an ``exists``/``~exists`` test, only
+    #: the condition-directed part of it (see :func:`run_litmus_many`).
     candidates: int
     #: Executions the model allows.
     allowed: int
@@ -66,7 +68,9 @@ class RunResult:
     #: One allowed execution matching the condition, if any (kept for
     #: explanation tooling).
     witness_execution: Optional[CandidateExecution] = None
-    #: One forbidden execution matching the condition, if any.
+    #: One forbidden execution matching the condition, if any, among the
+    #: enumerated candidates (so never one that violates SC-per-location
+    #: when the sweep filtered those out).
     forbidden_witness: Optional[CandidateExecution] = None
     #: Budget-trip provenance when the candidate sweep was cut short;
     #: ``None`` for a complete run.
@@ -130,11 +134,8 @@ def _decided(result: RunResult) -> bool:
 def run_litmus_many(
     models: List[Model],
     program: Program,
-    require_sc_per_location: bool = False,
-    keep_states: bool = True,
     shard: int = 0,
     shard_count: int = 1,
-    stop_when_decided: bool = False,
     verdict_only: bool = False,
 ) -> Dict[str, RunResult]:
     """Run several models over one program with a *single* enumeration.
@@ -145,20 +146,24 @@ def run_litmus_many(
     ``shard_count`` restrict the scan to every ``shard_count``-th trace
     combination (the unit :mod:`repro.kernel.parallel` distributes).
 
-    ``stop_when_decided`` ends the candidate sweep as soon as every
-    model's *verdict* is final (see :func:`_decided`); counts and state
-    sets then cover only the scanned prefix, so the flag stays off
-    wherever exact counters matter (``run_litmus``, the sharded parallel
-    path) and is enabled by the verdict-table drivers only.
+    When every model has :attr:`~repro.model.Model.sc_per_location`, the
+    enumeration keeps only the candidates satisfying
+    ``acyclic(po-loc | com)``, in both configurations: each dropped one is
+    forbidden by every model, so ``allowed``, ``witnesses`` and ``states``
+    are those of the full stream and only ``candidates`` (and
+    ``forbidden_witness``) see the difference.  One model without the
+    property keeps the whole call on the full stream.
 
-    ``verdict_only`` additionally skips the model check for candidates
-    that cannot influence the verdict: an ``exists``/``~exists`` verdict
-    is ``witnesses > 0`` and only a condition-matching candidate can
-    become a witness, so non-matching candidates need no model check; a
-    ``forall`` verdict flips to Forbid only on an *allowed non-matching*
-    candidate, so matching candidates need none.  Verdicts are unchanged;
-    ``allowed``/``witnesses``/``states`` then cover only the checked
-    candidates.
+    ``verdict_only`` serves callers that read only verdicts.  It ends the
+    candidate sweep as soon as every model's verdict is final (see
+    :func:`_decided`), keeps no state set, and skips the model check for
+    candidates that cannot influence the verdict: an ``exists``/
+    ``~exists`` verdict is ``witnesses > 0`` and only a condition-matching
+    candidate can become a witness, so non-matching candidates need no
+    model check; a ``forall`` verdict flips to Forbid only on an *allowed
+    non-matching* candidate, so matching candidates need none.  Verdicts are unchanged;
+    the counters then cover only the checked candidates of the scanned
+    prefix.
 
     For an ``exists``/``~exists`` test ``verdict_only`` also makes the
     enumeration *condition-directed* in production: the atoms pinned by
@@ -174,6 +179,7 @@ def run_litmus_many(
     """
     condition = program.condition
     exists_like = condition is None or isinstance(condition, (Exists, NotExists))
+    sc_per_location = all(model.sc_per_location for model in models)
     pins = []
     if verdict_only and exists_like and condition is not None:
         if not _config.oracle():
@@ -192,11 +198,7 @@ def run_litmus_many(
     with _obs.span("herd.run"):
         try:
             for execution in candidate_executions_sharded(
-                program,
-                shard,
-                shard_count,
-                require_sc_per_location=require_sc_per_location,
-                pins=pins,
+                program, shard, shard_count, sc_per_location, pins=pins
             ):
                 matches = (
                     condition is None or condition.evaluate(execution.final_state)
@@ -212,13 +214,13 @@ def run_litmus_many(
                             result.forbidden_witness = execution
                         continue
                     result.allowed += 1
-                    if keep_states:
+                    if not verdict_only:
                         result.states.add(execution.final_state)
                     if matches:
                         result.witnesses += 1
                         if result.witness_execution is None:
                             result.witness_execution = execution
-                if stop_when_decided and all(map(_decided, results)):
+                if verdict_only and all(map(_decided, results)):
                     if _obs.ENABLED:
                         _obs.count("herd.early_exit")
                     break
@@ -242,65 +244,52 @@ def run_litmus_many(
 def run_litmus(
     model: Model,
     program: Program,
-    require_sc_per_location: bool = False,
-    keep_states: bool = True,
     jobs: int = 1,
     budget: Optional["_guard.Budget"] = None,
+    *,
+    require_sc_per_location: Optional[bool] = None,
 ) -> RunResult:
     """Run ``program`` against ``model`` and summarise the results.
 
-    ``require_sc_per_location`` may be set for models known to include the
-    Scpv axiom (all models in this package do) to speed up enumeration of
-    large tests.  ``jobs > 1`` shards the trace combinations over that
-    many worker processes (:mod:`repro.kernel.parallel`); the verdict,
-    counts and state set are identical to a sequential run.
+    The model decides whether the enumeration keeps only SC-per-location
+    candidates (:func:`run_litmus_many`).  ``require_sc_per_location``
+    selects nothing: it is accepted for old callers, and raises
+    :class:`ValueError` when set on a model without
+    :attr:`~repro.model.Model.sc_per_location`.  ``jobs > 1`` shards the
+    trace combinations over that many worker processes
+    (:mod:`repro.kernel.parallel`); the verdict, counts and state set are
+    identical to a sequential run.
 
     ``budget`` bounds the run (:class:`repro.guard.Budget`); an exhausted
     budget yields a partial :class:`RunResult` whose verdict may be
     ``Inconclusive``.  An already-armed ambient guard
     (:func:`repro.guard.guard`) is honoured without the parameter.
     """
+    if require_sc_per_location and not model.sc_per_location:
+        raise ValueError(
+            f"{model.name} does not imply SC-per-location, so its "
+            "candidates cannot be filtered by it"
+        )
     if jobs > 1:
         from repro.kernel.parallel import run_litmus_parallel
 
-        return run_litmus_parallel(
-            model,
-            program,
-            jobs=jobs,
-            require_sc_per_location=require_sc_per_location,
-            keep_states=keep_states,
-            budget=budget,
-        )
+        return run_litmus_parallel(model, program, jobs=jobs, budget=budget)
     if budget is not None:
         with _guard.guard(budget):
-            return run_litmus_many(
-                [model],
-                program,
-                require_sc_per_location=require_sc_per_location,
-                keep_states=keep_states,
-            )[model.name]
-    return run_litmus_many(
-        [model],
-        program,
-        require_sc_per_location=require_sc_per_location,
-        keep_states=keep_states,
-    )[model.name]
+            return run_litmus_many([model], program)[model.name]
+    return run_litmus_many([model], program)[model.name]
 
 
-def verdict_row(
-    models: List[Model],
-    program: Program,
-    **kwargs,
-) -> Dict[str, str]:
+def verdict_row(models: List[Model], program: Program) -> Dict[str, str]:
     """One verdict-table row: every model judged over a single shared
     candidate sweep (:func:`run_litmus_many`), in both configurations.
 
-    Under the verdict drivers' ``verdict_only`` the sweep of an
-    ``exists``/``~exists`` test is condition-directed in production,
-    which makes it the witness search itself; the critical-cycle prover
+    The sweep is ``verdict_only``, so for an ``exists``/``~exists`` test
+    it is condition-directed in production, which makes it the witness
+    search itself; the critical-cycle prover
     (:mod:`repro.analysis.symbolic`) stays an analysis tool.
     """
-    results = run_litmus_many(models, program, **kwargs)
+    results = run_litmus_many(models, program, verdict_only=True)
     return {model.name: results[model.name].verdict for model in models}
 
 
@@ -309,7 +298,6 @@ def verdicts(
     programs: List[Program],
     jobs: int = 1,
     journal: Optional[SweepJournal] = None,
-    **kwargs,
 ) -> Dict[str, Dict[str, str]]:
     """Verdict table: ``{test name: {model name: Allow/Forbid}}``.
 
@@ -319,12 +307,10 @@ def verdicts(
     the driver policy for both paths, so they scan the same candidate
     prefixes and their merged counters agree (``tests/test_obs.py``).
 
-    Only verdicts are exposed, so by default the candidate sweep
-    early-exits once every verdict is final (``stop_when_decided``:
-    first witness for ``exists`` tests) and the model check is skipped
-    for candidates that cannot influence the verdict (``verdict_only``;
-    for ``exists``/``~exists`` tests in production the enumeration then
-    builds only candidates that meet the condition's pinned atoms).
+    Only verdicts are exposed, so each row is a :func:`verdict_row`: its
+    sweep early-exits once every verdict is final (first witness for
+    ``exists`` tests) and skips the model check for candidates that
+    cannot influence the verdict.
 
     ``journal`` checkpoints each completed row as it lands
     (:class:`repro.guard.SweepJournal`): programs already journaled are
@@ -332,8 +318,6 @@ def verdicts(
     ``Inconclusive`` rows are reported but never journaled — they reflect
     the budget, not the test.  The table keeps the input program order.
     """
-    kwargs.setdefault("stop_when_decided", True)
-    kwargs.setdefault("verdict_only", True)
     table: Dict[str, Dict[str, str]] = {}
     pending: List[Program] = []
     for program in programs:
@@ -353,10 +337,10 @@ def verdicts(
     if jobs > 1 and len(pending) > 1:
         from repro.kernel.parallel import verdicts_parallel
 
-        verdicts_parallel(models, pending, jobs, land, **kwargs)
+        verdicts_parallel(models, pending, jobs, land)
     else:
         for program in pending:
-            land(program.name, verdict_row(models, program, **kwargs))
+            land(program.name, verdict_row(models, program))
     return {
         program.name: table[program.name]
         for program in programs

@@ -21,8 +21,11 @@ A performance layer under the public ``Relation``/``EventSet``/
 * :mod:`repro.kernel.config` — the one switch, ``REPRO_ORACLE``: unset,
   the kernel runs production (all of the above plus condition-directed
   enumeration for verdict-only runs); set, it runs the oracle
-  (frozenset relations, naive enumerate-then-filter over the full
-  candidate stream, the statement-walking cat evaluator).
+  (frozenset relations, naive enumerate-then-filter, the
+  statement-walking cat evaluator).  Both enumerate the same stream:
+  only the SC-per-location candidates when every model of the run
+  implies that axiom (:attr:`repro.model.Model.sc_per_location`), else
+  all of them.
 
 ``tests/test_kernel_equiv.py`` asserts that production and the oracle
 are observationally equivalent.

@@ -486,17 +486,12 @@ def _ambient_budget(
 
 
 def _run_shard(task):
-    model, program, shard, shard_count, require_sc, keep_states, budget = task
+    model, program, shard, shard_count, budget = task
     from repro.herd import run_litmus_many
 
     def run():
         return run_litmus_many(
-            [model],
-            program,
-            require_sc_per_location=require_sc,
-            keep_states=keep_states,
-            shard=shard,
-            shard_count=shard_count,
+            [model], program, shard=shard, shard_count=shard_count
         )[model.name]
 
     def guarded():
@@ -538,8 +533,6 @@ def run_litmus_parallel(
     model,
     program,
     jobs: int,
-    require_sc_per_location: bool = False,
-    keep_states: bool = True,
     budget: Optional["_guard_core.Budget"] = None,
 ):
     """Run one litmus test with its trace combinations sharded over ``jobs``
@@ -549,24 +542,11 @@ def run_litmus_parallel(
     jobs = max(1, int(jobs))
     budget = _ambient_budget(budget)
     if jobs == 1:
-        return _run_shard(
-            (model, program, 0, 1, require_sc_per_location, keep_states, budget)
-        )[0]
+        return _run_shard((model, program, 0, 1, budget))[0]
     if _obs.ENABLED:
         _obs.gauge("parallel.jobs", jobs)
         _obs.count("parallel.sharded_runs")
-    tasks = [
-        (
-            model,
-            program,
-            shard,
-            jobs,
-            require_sc_per_location,
-            keep_states,
-            budget,
-        )
-        for shard in range(jobs)
-    ]
+    tasks = [(model, program, shard, jobs, budget) for shard in range(jobs)]
     with _obs.span("parallel.run_litmus"):
         outcomes = fault_tolerant_map(
             _run_shard, tasks, jobs, task_timeout=shard_deadline(budget)
@@ -578,11 +558,11 @@ def run_litmus_parallel(
 
 
 def _run_program(task):
-    models, program, kwargs, budget = task
+    models, program, budget = task
     from repro.herd import verdict_row
 
     def run():
-        return program.name, verdict_row(models, program, **kwargs)
+        return program.name, verdict_row(models, program)
 
     def guarded():
         if budget is None:
@@ -598,17 +578,16 @@ def verdicts_parallel(
     programs: List,
     jobs: int,
     on_row: Callable[[str, Dict[str, str]], None],
-    **kwargs,
 ) -> None:
     """Judge ``programs`` one per pool task for :func:`repro.herd.verdicts`.
 
     ``on_row(name, row)`` receives each :func:`repro.herd.verdict_row`
     as it lands (in completion order), after the worker's observability
-    report has been absorbed; lost workers are retried.  Defaults,
-    journal and output order are the caller's.
+    report has been absorbed; lost workers are retried.  Journal and
+    output order are the caller's.
     """
     budget = _ambient_budget(None)
-    tasks = [(models, program, kwargs, budget) for program in programs]
+    tasks = [(models, program, budget) for program in programs]
 
     def checkpoint(index: int, outcome) -> None:
         (name, row), report = outcome

@@ -321,6 +321,9 @@ class LinuxKernelModel(Model):
         self.with_rcu = with_rcu
         self.name = "LKMM" if with_rcu else "LKMM-core"
 
+    #: The Scpv axiom is ``acyclic(po-loc | com)`` itself.
+    sc_per_location = True
+
     def relations(self, execution: CandidateExecution) -> LkmmRelations:
         return LkmmRelations(execution, with_rcu=self.with_rcu)
 

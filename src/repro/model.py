@@ -72,5 +72,12 @@ class Model(abc.ABC):
     def allows(self, execution: CandidateExecution) -> bool:
         return self.check(execution).allowed
 
+    @property
+    def sc_per_location(self) -> bool:
+        """True when the model forbids every candidate that violates
+        ``acyclic(po-loc | com)``, so :func:`repro.herd.run_litmus_many`
+        may enumerate only the candidates that satisfy it."""
+        return False
+
     def __repr__(self) -> str:
         return f"<Model {self.name}>"

@@ -339,12 +339,12 @@ def verify_implementation(
     model = model or LinuxKernelModel()
     report = ImplementationReport(program.name, loop_bound)
 
-    spec_result = run_litmus(model, program, require_sc_per_location=True)
+    spec_result = run_litmus(model, program)
     report.spec_allowed = spec_result.allowed
     report.spec_outcomes = {_project(s) for s in spec_result.states}
 
     inlined = inline_rcu(program, loop_bound=loop_bound, full=full)
-    impl_result = run_litmus(model, inlined, require_sc_per_location=True)
+    impl_result = run_litmus(model, inlined)
     report.impl_allowed = impl_result.allowed
     report.impl_outcomes = {_project(s) for s in impl_result.states}
     return report

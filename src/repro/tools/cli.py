@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.cat import load_model
+from repro.executions.enumerate import candidate_executions
 from repro.guard import Budget, SweepJournal
 from repro.herd import INCONCLUSIVE, run_litmus
 from repro.hardware import run_klitmus
@@ -270,9 +271,7 @@ def herd_main(argv: List[str] | None = None) -> int:
         decided = 0
         with _observe(args) as collector:
             for program in programs:
-                decision = decide(
-                    model, program, require_sc_per_location=True
-                )
+                decision = decide(model, program)
                 if decision is None:
                     print(f"{program.name} under {model.name}: Unknown")
                 else:
@@ -329,10 +328,26 @@ def herd_main(argv: List[str] | None = None) -> int:
                     print(f"  {registers}")
                 print(f"Observation {program.name} {result.observation}")
             if args.explain and result.verdict == "Forbid":
-                if result.forbidden_witness is not None:
-                    print(explain_forbidden(result.forbidden_witness))
+                witness = result.forbidden_witness or _first_match(program)
+                if witness is not None:
+                    print(explain_forbidden(witness))
     _emit_observations(args, collector)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+
+
+def _first_match(program: Program):
+    """The first condition-matching candidate of the unfiltered stream:
+    an SC-per-location sweep never enumerates the forbidden matches that
+    violate it, which are all the Co* tests have."""
+    condition = program.condition
+    return next(
+        (
+            execution
+            for execution in candidate_executions(program)
+            if condition is None or condition.evaluate(execution.final_state)
+        ),
+        None,
+    )
 
 
 def klitmus_main(argv: List[str] | None = None) -> int:

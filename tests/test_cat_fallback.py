@@ -44,12 +44,7 @@ def test_library_runs_without_fallbacks():
     models = [load_model(name) for name in BUNDLED]
     with config.use_oracle(False), obs.collect() as collector:
         for program in library.all_tests():
-            run_litmus_many(
-                models,
-                program,
-                require_sc_per_location=True,
-                keep_states=False,
-            )
+            run_litmus_many(models, program)
     counters = collector.counters
     for name in FALLBACKS:
         assert counters.get(name, 0) == 0, name

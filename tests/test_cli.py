@@ -1,5 +1,7 @@
 """Tests for the command-line tools."""
 
+import re
+
 import pytest
 
 from repro.tools.cli import diy_main, herd_main, klitmus_main, lint_main
@@ -32,6 +34,22 @@ class TestHerdCli:
         ) == 0
         out = capsys.readouterr().out
         assert "violated axiom" in out
+
+    @pytest.mark.parametrize("model", ["lkmm-native", "lkmm"])
+    def test_explain_scpv_violation(self, capsys, model):
+        # CoRR's only forbidden matching candidates violate SC-per-location,
+        # which the swept stream filters out: the explanation comes from
+        # the unfiltered enumeration.
+        assert herd_main(["--model", model, "--explain", "CoRR"]) == 0
+        out = capsys.readouterr().out
+        assert "violated axiom: Scpv (acyclic)" in out
+        # The cycle a -rfe-> b -po-> c -fre-> a; the oracle's relations
+        # start it at another event.
+        (cycle,) = [line for line in out.splitlines() if "cycle:" in line]
+        edges = re.findall(r"(\w+) -(\w+)-> (?=(\w+))", cycle)
+        assert sorted(edges) == [
+            ("a", "rfe", "b"), ("b", "po", "c"), ("c", "fre", "a")
+        ]
 
     def test_multiple_tests(self, capsys):
         assert herd_main(["--model", "lkmm-native", "SB", "MP"]) == 0

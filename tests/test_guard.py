@@ -204,7 +204,6 @@ def test_wall_budget_interrupts_the_per_location_sweep():
     result = run_litmus(
         LinuxKernelModel(),
         program,
-        require_sc_per_location=True,
         budget=Budget(wall_seconds=0.05),
     )
     elapsed = time.perf_counter() - start
@@ -255,8 +254,8 @@ def test_candidate_budget_is_deterministic_across_backends(limit, name):
     assert snapshots[0] == snapshots[1]
 
 
-def _budgeted_snapshot(model, program, limit, **kwargs):
-    result = run_litmus(model, program, budget=Budget(max_candidates=limit), **kwargs)
+def _budgeted_snapshot(model, program, limit):
+    result = run_litmus(model, program, budget=Budget(max_candidates=limit))
     interruption = (
         None if result.interrupted is None else result.interrupted.to_dict()
     )
@@ -285,9 +284,7 @@ def test_candidate_budget_on_rcu_is_deterministic_across_backends(limit):
     for oracle in (False, True):
         with use_oracle(oracle):
             snapshots.append(
-                _budgeted_snapshot(
-                    SC, program, limit, require_sc_per_location=True
-                )
+                _budgeted_snapshot(SC, program, limit)
             )
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][1] == limit
@@ -302,9 +299,7 @@ def test_candidate_budget_on_lazy_materialisation_matches_the_oracle():
     for oracle in (False, True):
         with use_oracle(oracle):
             snapshots.append(
-                _budgeted_snapshot(
-                    LKMM, program, 10, require_sc_per_location=True
-                )
+                _budgeted_snapshot(LKMM, program, 10)
             )
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][0] == INCONCLUSIVE
@@ -346,7 +341,7 @@ def test_guard_safepoint_cost_on_the_library_sweep():
         models = [load_model("lkmm")]
 
         def sweep():
-            return verdicts(models, programs, require_sc_per_location=True)
+            return verdicts(models, programs)
 
         plain = sweep()  # warm the model and plan caches before timing
         # note_candidate() also ticks, so candidates count twice

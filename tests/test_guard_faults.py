@@ -315,12 +315,7 @@ def test_golden_verdicts_survive_injected_faults():
     models = [load_model(name) for name in golden["models"]]
     programs = [library.get(name) for name in sorted(library.all_names())]
     with obs.collect() as collector:
-        table = verdicts(
-            models,
-            programs,
-            jobs=2,
-            require_sc_per_location=golden["require_sc_per_location"],
-        )
+        table = verdicts(models, programs, jobs=2)
     assert table == golden["verdicts"]
     counters = collector.report().counters
     # The lane is pointless if nothing was actually injected + recovered.

@@ -27,7 +27,7 @@ from repro.cat import load_model
 from repro.corpus.golden import load_golden
 from repro.events import Event, ONCE, READ, WRITE
 from repro.executions.enumerate import candidate_executions
-from repro.herd import run_litmus, verdicts
+from repro.herd import run_litmus, run_litmus_many, verdicts
 from repro.kernel import config as kconfig
 from repro.kernel.bitrel import (
     DenseRelation,
@@ -304,25 +304,27 @@ class TestWholeRunEquivalence:
         program = library.get(name)
         for model in models:
             with kconfig.use_oracle(False):
-                fast = _summary(
-                    run_litmus(model, program, require_sc_per_location=True)
-                )
+                fast = _summary(run_litmus(model, program))
             with kconfig.use_oracle():
-                reference = _summary(
-                    run_litmus(model, program, require_sc_per_location=True)
-                )
+                reference = _summary(run_litmus(model, program))
             assert fast == reference
 
     @pytest.mark.parametrize("name", _library_subset()[:3])
     def test_unfiltered_enumeration_agrees(self, models, name):
-        # Without require_sc_per_location the pruning path is off; the
-        # skeleton sharing alone must not change anything either.
+        # C11 lacks sc_per_location, so a run that includes it takes the
+        # full stream and the pruning path is off; the skeleton sharing
+        # alone must not change anything either.
         program = library.get(name)
-        model = models[0]
+        battery = [models[0], load_model("c11")]
+
+        def run():
+            results = run_litmus_many(battery, program)
+            return [_summary(results[model.name]) for model in battery]
+
         with kconfig.use_oracle(False):
-            fast = _summary(run_litmus(model, program))
+            fast = run()
         with kconfig.use_oracle():
-            reference = _summary(run_litmus(model, program))
+            reference = run()
         assert fast == reference
 
     def test_candidate_streams_identical(self):
@@ -361,17 +363,15 @@ class TestWholeRunEquivalence:
     def test_parallel_run_matches_sequential(self):
         program = library.get("SB")
         model = LinuxKernelModel()
-        seq = run_litmus(model, program, require_sc_per_location=True)
-        par = run_litmus(
-            model, program, require_sc_per_location=True, jobs=3
-        )
+        seq = run_litmus(model, program)
+        par = run_litmus(model, program, jobs=3)
         assert _summary(seq) == _summary(par)
 
     def test_parallel_verdicts_match_sequential(self):
         programs = [library.get(name) for name in _library_subset()[:5]]
         models = [LinuxKernelModel()]
-        seq = verdicts(models, programs, require_sc_per_location=True)
-        par = verdicts(models, programs, jobs=2, require_sc_per_location=True)
+        seq = verdicts(models, programs)
+        par = verdicts(models, programs, jobs=2)
         assert seq == par
 
     def test_library_verdicts_agree_across_configs(self):
@@ -381,14 +381,10 @@ class TestWholeRunEquivalence:
         programs = library.all_tests()
         models = [LinuxKernelModel(), load_model("lkmm")]
         with kconfig.use_oracle(False):
-            fast = verdicts(models, programs, require_sc_per_location=True)
-            parallel = verdicts(
-                models, programs, jobs=2, require_sc_per_location=True
-            )
+            fast = verdicts(models, programs)
+            parallel = verdicts(models, programs, jobs=2)
         with kconfig.use_oracle():
-            reference = verdicts(
-                models, programs, require_sc_per_location=True
-            )
+            reference = verdicts(models, programs)
         assert fast == reference
         assert fast == parallel
 

@@ -43,7 +43,7 @@ from repro.obs import core as obs
 
 
 def _summary(model, program):
-    result = run_litmus(model, program, require_sc_per_location=True)
+    result = run_litmus(model, program)
     return (
         result.verdict,
         result.candidates,
@@ -166,13 +166,21 @@ def test_random_cycles_production_matches_oracle(edges):
 # -- sweep accelerations ------------------------------------------------------
 
 
+def _forall(program):
+    return dataclasses.replace(
+        program, condition=Forall(program.condition.body)
+    )
+
+
 def test_early_exit_keeps_verdicts(lkmm_cat):
+    # A forall test is never condition-directed, so any drop in the
+    # candidates of a verdict_only run is the early exit.
     reduced_somewhere = False
     for name in library.all_names():
-        program = library.get(name)
+        program = _forall(library.get(name))
         full = run_litmus_many([lkmm_cat], program)[lkmm_cat.name]
         fast = run_litmus_many(
-            [lkmm_cat], program, stop_when_decided=True
+            [lkmm_cat], program, verdict_only=True
         )[lkmm_cat.name]
         assert fast.verdict == full.verdict, name
         assert fast.candidates <= full.candidates, name
@@ -182,10 +190,11 @@ def test_early_exit_keeps_verdicts(lkmm_cat):
 
 
 def _matching_count(program):
-    """Full-stream candidates that meet every atom the condition pins."""
+    """SC-per-location candidates that meet every atom the condition pins
+    (the stream LKMM's sweep filters by those pins)."""
     pins = pinned_atoms(program.condition.body)
     count = 0
-    for execution in candidate_executions(program):
+    for execution in candidate_executions(program, True):
         state = execution.final_state
         count += all(pin.evaluate(state) for pin in pins)
     return count
@@ -193,32 +202,48 @@ def _matching_count(program):
 
 def test_verdict_only_keeps_verdicts(lkmm_cat):
     # Production verdict_only runs of exists/~exists tests enumerate the
-    # condition-directed stream: exactly the full-stream candidates that
-    # meet every pinned atom.  A forall test keeps the full stream.
+    # condition-directed stream: exactly the swept candidates that meet
+    # every pinned atom.  A forall test keeps the whole stream.  Only a
+    # run with no early exit (a Forbid exists, an Allow forall) scans all
+    # of it.
     pruned_somewhere = False
     with kconfig.use_oracle(False):
         for name in library.all_names():
             program = library.get(name)
-            as_forall = dataclasses.replace(
-                program, condition=Forall(program.condition.body)
-            )
-            for variant in (program, as_forall):
+            for variant in (program, _forall(program)):
                 full = run_litmus_many([lkmm_cat], variant)[lkmm_cat.name]
                 fast = run_litmus_many(
                     [lkmm_cat], variant, verdict_only=True
                 )[lkmm_cat.name]
                 assert fast.verdict == full.verdict, name
-                if variant is as_forall:
-                    assert fast.candidates == full.candidates, name
+                forall = variant is not program
+                scanned = (
+                    full.candidates if forall else _matching_count(program)
+                )
+                if fast.verdict == ("Allow" if forall else "Forbid"):
+                    assert fast.candidates == scanned, name
                 else:
-                    assert fast.candidates == _matching_count(program), name
-                    pruned_somewhere |= fast.candidates < full.candidates
+                    assert fast.candidates <= scanned, name
+                if not forall:
+                    pruned_somewhere |= scanned < full.candidates
     assert pruned_somewhere
     # 2+2W pins both final values: one of its four coherence orders.
     program = library.get("2+2W")
     with kconfig.use_oracle(False):
         fast = run_litmus_many([lkmm_cat], program, verdict_only=True)
     assert fast[lkmm_cat.name].candidates == 1
+
+
+def _unpinned_scan(model, program):
+    """Candidates of the unpinned stream up to the first witness."""
+    count = 0
+    for execution in candidate_executions(program, model.sc_per_location):
+        count += 1
+        if program.condition.evaluate(
+            execution.final_state
+        ) and model.allows(execution):
+            break
+    return count
 
 
 def test_oracle_keeps_the_full_stream(lkmm_cat):
@@ -230,7 +255,8 @@ def test_oracle_keeps_the_full_stream(lkmm_cat):
                 fast = run_litmus_many(
                     [lkmm_cat], program, verdict_only=True
                 )[lkmm_cat.name]
-        assert fast.candidates == full.candidates, name
+            scanned = _unpinned_scan(lkmm_cat, program)
+        assert fast.candidates == scanned, name
         assert fast.verdict == full.verdict, name
         assert collector.counters.get("enumerate.pruned.condition", 0) == 0
 
@@ -245,21 +271,19 @@ def _pruned_count(run):
 def test_condition_pruning_counter(lkmm_cat, name):
     # Both tests pin only final memory: every drop is a coherence order.
     program = library.get(name)
-    as_forall = dataclasses.replace(
-        program, condition=Forall(program.condition.body)
-    )
+    as_forall = _forall(program)
     with kconfig.use_oracle(False):
-        for sc in (False, True):
+        # LKMM alone sweeps the SC-per-location stream; with C11 (which
+        # lacks the property) the row takes the full stream.
+        for models in ([lkmm_cat], [lkmm_cat, load_model("c11")]):
             assert _pruned_count(lambda: run_litmus_many(
-                [lkmm_cat], program, require_sc_per_location=sc,
-                verdict_only=True,
+                models, program, verdict_only=True
             )) > 0
             assert _pruned_count(lambda: run_litmus_many(
-                [lkmm_cat], as_forall, require_sc_per_location=sc,
-                verdict_only=True,
+                models, as_forall, verdict_only=True
             )) == 0
         assert _pruned_count(lambda: run_litmus_many(
-            [lkmm_cat], program, keep_states=True, stop_when_decided=True
+            [lkmm_cat], program
         )) == 0
         assert _pruned_count(lambda: run_litmus(lkmm_cat, program)) == 0
     with kconfig.use_oracle():
@@ -268,12 +292,14 @@ def test_condition_pruning_counter(lkmm_cat, name):
 
 def test_early_exit_stops_at_first_witness(lkmm_cat):
     # WRC+wmb+acq is Allow: the scan must stop strictly before the full
-    # candidate count once the witness is found.
+    # candidate count once the witness is found.  The oracle applies no
+    # condition pins, so only the early exit shortens its scan.
     program = library.get("WRC+wmb+acq")
-    full = run_litmus_many([lkmm_cat], program)[lkmm_cat.name]
-    fast = run_litmus_many(
-        [lkmm_cat], program, stop_when_decided=True
-    )[lkmm_cat.name]
+    with kconfig.use_oracle():
+        full = run_litmus_many([lkmm_cat], program)[lkmm_cat.name]
+        fast = run_litmus_many(
+            [lkmm_cat], program, verdict_only=True
+        )[lkmm_cat.name]
     assert full.verdict == fast.verdict == "Allow"
     assert fast.candidates < full.candidates
 

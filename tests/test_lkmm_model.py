@@ -169,10 +169,7 @@ class TestPaperVerdicts:
     )
     def test_extra_corpus(self, lkmm, name, expected):
         program = library.get(name)
-        result = run_litmus(
-            lkmm, program, require_sc_per_location=(name == "lock-mutex")
-        )
-        assert result.verdict == expected
+        assert run_litmus(lkmm, program).verdict == expected
 
 
 class TestCrit:

@@ -31,7 +31,9 @@ from repro.obs import RunReport
 #: Counter namespaces whose totals must be exact across sharding.
 EXACT_PREFIXES = ("enumerate.", "herd.", "lkmm.", "cat.")
 #: Cache counters depend on per-process cache state; never compared.
-CACHE_PREFIXES = ("skeleton.", "bitrel.")
+#: ``enumerate.location_fates`` counts entries of the SC-per-location
+#: sweep's memo, one memo per enumeration call (so per shard).
+CACHE_PREFIXES = ("skeleton.", "bitrel.", "enumerate.location_fates")
 
 
 def exact_counters(report: RunReport):
@@ -39,6 +41,7 @@ def exact_counters(report: RunReport):
         name: n
         for name, n in report.counters.items()
         if name.startswith(EXACT_PREFIXES)
+        and not name.startswith(CACHE_PREFIXES)
     }
 
 

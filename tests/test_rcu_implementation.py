@@ -87,9 +87,7 @@ class TestTheorem2:
     def test_forbidden_outcome_stays_forbidden(self):
         program = library.get("RCU-MP")
         inlined = inline_rcu(program, loop_bound=1)
-        result = run_litmus(
-            LinuxKernelModel(), inlined, require_sc_per_location=True
-        )
+        result = run_litmus(LinuxKernelModel(), inlined)
         assert result.verdict == "Forbid"
 
     def test_deferred_free_implementation_correct(self):

@@ -95,15 +95,12 @@ def test_library_decisions_are_stable(snapshot, backend):
     """Drift guard, in both kernel configurations: the prover reproduces
     the frozen decided/unknown map cell for cell."""
     models = _models(snapshot)
-    rsl = snapshot["require_sc_per_location"]
     drifted = []
     with kconfig.use_oracle(BACKENDS[backend]):
         for test_name in sorted(snapshot["static"]):
             program = library.get(test_name)
             for model in models:
-                decision = decide(
-                    model, program, require_sc_per_location=rsl
-                )
+                decision = decide(model, program)
                 cell = (
                     "Unknown"
                     if decision is None
@@ -130,7 +127,6 @@ def test_forbid_proofs_enumerate_nothing(snapshot):
     """A static Forbid is pure proof: deciding it must not enumerate a
     single candidate execution."""
     models = {model.name: model for model in _models(snapshot)}
-    rsl = snapshot["require_sc_per_location"]
     checked = 0
     with obs.collect() as collector:
         for test_name, row in snapshot["static"].items():
@@ -138,11 +134,7 @@ def test_forbid_proofs_enumerate_nothing(snapshot):
             for model_name, cell in row.items():
                 if cell != "Decided-Forbid":
                     continue
-                decision = decide(
-                    models[model_name],
-                    program,
-                    require_sc_per_location=rsl,
-                )
+                decision = decide(models[model_name], program)
                 assert decision is not None and decision.verdict == "Forbid"
                 checked += 1
     assert checked > 0
@@ -197,7 +189,7 @@ def test_isa2_chains_are_proved_forbidden():
     model = load_model("lkmm")
     with kconfig.use_oracle(False):
         for program in ISA2_CHAINS:
-            decision = decide(model, program, require_sc_per_location=True)
+            decision = decide(model, program)
             assert decision is not None, program.name
             assert (decision.verdict, decision.reason) == (
                 "Forbid",
@@ -210,14 +202,10 @@ def test_isa2_chain_verdicts_match_enumeration():
     table built by enumerating every candidate, and every chain is
     Forbid, as the prover proves."""
     models = [load_model("lkmm")]
-    table = verdicts(models, ISA2_CHAINS, require_sc_per_location=True)
+    table = verdicts(models, ISA2_CHAINS)
     enumerated = {}
     for program in ISA2_CHAINS:
-        results = run_litmus_many(
-            models,
-            program,
-            require_sc_per_location=True,
-        )
+        results = run_litmus_many(models, program)
         enumerated[program.name] = {
             name: result.verdict for name, result in results.items()
         }
@@ -259,9 +247,7 @@ def test_corpus_decisions_match_locked_rows(backend):
     with kconfig.use_oracle(BACKENDS[backend]):
         for name, spec, program, expected in _corpus_cells():
             cells += 1
-            decision = decide(
-                _model(spec.key), program, require_sc_per_location=True
-            )
+            decision = decide(_model(spec.key), program)
             if decision is None:
                 continue
             decided += 1

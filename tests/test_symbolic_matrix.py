@@ -177,9 +177,7 @@ def test_thirteen_edge_corpus_cycle_is_forbidden_without_enumeration():
     test, locked = golden[LONG_CYCLE]
     assert locked["LKMM"] == "Forbid"
     with obs.collect() as collector:
-        decision = decide(
-            load_model("lkmm"), test.program, require_sc_per_location=True
-        )
+        decision = decide(load_model("lkmm"), test.program)
     assert decision is not None
     assert (decision.verdict, decision.reason) == ("Forbid", "critical-cycle")
     assert collector.counters.get("enumerate.candidates", 0) == 0
@@ -222,11 +220,11 @@ def test_random_cycle_decisions_agree_with_the_oracle(edges, model_key):
     except CycleError:
         assume(False)
     model = load_model(model_key)
-    decision = decide(model, program, require_sc_per_location=True)
+    decision = decide(model, program)
     if decision is None:
         return
     with kconfig.use_oracle():
-        oracle = run_litmus(model, program, require_sc_per_location=True)
+        oracle = run_litmus(model, program)
     assert decision.verdict == oracle.verdict, (
         f"{program.name}/{model.name}: static {decision.describe()} "
         f"vs oracle {oracle.verdict}"

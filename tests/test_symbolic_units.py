@@ -139,9 +139,7 @@ P1(int *x, int *y)
 exists (1:r0=7)
 """
     )
-    decision = decide(
-        load_model("lkmm"), program, require_sc_per_location=True
-    )
+    decision = decide(load_model("lkmm"), program)
     assert decision is not None
     assert decision.verdict == "Forbid"
     assert decision.reason == "unsat-condition"
@@ -156,14 +154,14 @@ def test_forbidden_chain_is_proved_without_enumeration(threads):
     program = _chain(threads, middle_fence="smp_mb")
     model = load_model("lkmm")
     with obs.collect() as collector:
-        decision = decide(model, program, require_sc_per_location=True)
+        decision = decide(model, program)
     assert decision is not None
     assert decision.verdict == "Forbid"
     assert decision.reason == "critical-cycle"
     assert collector.counters.get("enumerate.candidates", 0) == 0
     # The proof never contradicts the oracle's full enumeration.
     with kconfig.use_oracle():
-        result = run_litmus(model, program, require_sc_per_location=True)
+        result = run_litmus(model, program)
     assert result.verdict == "Forbid"
 
 
@@ -172,10 +170,10 @@ def test_allowed_chain_witness_matches_kernel():
     # and the static Allow is a kernel-confirmed witness, not a guess.
     program = _chain(4, middle_fence="smp_rmb")
     model = load_model("lkmm")
-    decision = decide(model, program, require_sc_per_location=True)
+    decision = decide(model, program)
     assert decision is not None
     assert decision.verdict == "Allow"
     assert decision.reason == "witness-confirmed"
     with kconfig.use_oracle():
-        result = run_litmus(model, program, require_sc_per_location=True)
+        result = run_litmus(model, program)
     assert result.verdict == "Allow"
