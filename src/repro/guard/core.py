@@ -303,6 +303,18 @@ def current() -> Optional[Guard]:
     return _current
 
 
+def disarm() -> None:
+    """Drop the armed guard without resuming an outer one.
+
+    For a forked pool worker, which inherits whatever guard the parent
+    had armed at the fork and must run each task under only the budget
+    forwarded with it.
+    """
+    global _current, ACTIVE
+    _current = None
+    ACTIVE = False
+
+
 def tick(n: int = 1) -> None:
     """Module-level safepoint (no-op when no guard is armed)."""
     active = _current

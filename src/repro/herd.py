@@ -29,8 +29,9 @@ that genuinely needed the unscanned suffix degrade.  The
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.executions.candidate import CandidateExecution
 from repro.executions.enumerate import candidate_executions_sharded
@@ -262,7 +263,8 @@ def run_litmus(
 
     ``budget`` bounds the run (:class:`repro.guard.Budget`); an exhausted
     budget yields a partial :class:`RunResult` whose verdict may be
-    ``Inconclusive``.  An already-armed ambient guard
+    ``Inconclusive``.  It is armed here for both paths (the pool re-arms
+    it in each shard), and an already-armed ambient guard
     (:func:`repro.guard.guard`) is honoured without the parameter.
     """
     if require_sc_per_location and not model.sc_per_location:
@@ -270,14 +272,12 @@ def run_litmus(
             f"{model.name} does not imply SC-per-location, so its "
             "candidates cannot be filtered by it"
         )
-    if jobs > 1:
-        from repro.kernel.parallel import run_litmus_parallel
+    with nullcontext() if budget is None else _guard.guard(budget):
+        if jobs > 1:
+            from repro.kernel.parallel import run_litmus_parallel
 
-        return run_litmus_parallel(model, program, jobs=jobs, budget=budget)
-    if budget is not None:
-        with _guard.guard(budget):
-            return run_litmus_many([model], program)[model.name]
-    return run_litmus_many([model], program)[model.name]
+            return run_litmus_parallel(model, program, jobs)
+        return run_litmus_many([model], program)[model.name]
 
 
 def verdict_row(models: List[Model], program: Program) -> Dict[str, str]:
@@ -293,6 +293,12 @@ def verdict_row(models: List[Model], program: Program) -> Dict[str, str]:
     return {model.name: results[model.name].verdict for model in models}
 
 
+def _verdict_row_task(payload: Tuple[List[Model], Program]) -> Dict[str, str]:
+    """One pooled :func:`verdicts` row (a module-level, picklable task)."""
+    models, program = payload
+    return verdict_row(models, program)
+
+
 def verdicts(
     models: List[Model],
     programs: List[Program],
@@ -302,10 +308,12 @@ def verdicts(
     """Verdict table: ``{test name: {model name: Allow/Forbid}}``.
 
     Each program is enumerated once, for all models together.  ``jobs > 1``
-    distributes whole programs over that many worker processes
-    (:func:`repro.kernel.parallel.verdicts_parallel`); this function owns
-    the driver policy for both paths, so they scan the same candidate
-    prefixes and their merged counters agree (``tests/test_obs.py``).
+    distributes whole programs, one row per task, over at most that many
+    worker processes (:func:`repro.kernel.parallel.fault_tolerant_map`,
+    which also carries the ambient budget and each worker's observability
+    report across); this function owns the sweep policy for both paths,
+    so they scan the same candidate prefixes and their merged counters
+    agree (``tests/test_obs.py``).
 
     Only verdicts are exposed, so each row is a :func:`verdict_row`: its
     sweep early-exits once every verdict is final (first witness for
@@ -329,18 +337,24 @@ def verdicts(
         else:
             pending.append(program)
 
-    def land(name: str, row: Dict[str, str]) -> None:
+    def land(index: int, row: Dict[str, str]) -> None:
+        name = pending[index].name
         table[name] = row
         if journal is not None and INCONCLUSIVE not in row.values():
             journal.record(name, row)
 
     if jobs > 1 and len(pending) > 1:
-        from repro.kernel.parallel import verdicts_parallel
+        from repro.kernel.parallel import fault_tolerant_map
 
-        verdicts_parallel(models, pending, jobs, land)
+        fault_tolerant_map(
+            _verdict_row_task,
+            [(models, program) for program in pending],
+            jobs,
+            on_result=land,
+        )
     else:
-        for program in pending:
-            land(program.name, verdict_row(models, program))
+        for index, program in enumerate(pending):
+            land(index, verdict_row(models, program))
     return {
         program.name: table[program.name]
         for program in programs

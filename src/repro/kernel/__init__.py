@@ -16,8 +16,11 @@ A performance layer under the public ``Relation``/``EventSet``/
 * :mod:`repro.kernel.parallel` — a ``multiprocessing`` driver sharding
   trace combinations (and whole programs) over a worker pool, surfaced as
   ``--jobs N`` on the CLIs and ``jobs=N`` on the ``run_litmus``/
-  ``verdicts`` APIs; pools persist across programs so spawn and model
-  compile costs amortise over a library sweep;
+  ``verdicts``/``sweep_corpus`` APIs.  Every task crosses the pool
+  through one call, ``fault_tolerant_map``, which forwards the ambient
+  budget and brings each worker's observability report home; pools
+  persist across programs so spawn and model compile costs amortise over
+  a library sweep;
 * :mod:`repro.kernel.config` — the one switch, ``REPRO_ORACLE``: unset,
   the kernel runs production (all of the above plus condition-directed
   enumeration for verdict-only runs); set, it runs the oracle

@@ -10,9 +10,9 @@ candidate_executions_sharded`), so parallelism needs no communication:
   ``repro-herd --jobs`` runs for each test);
 * a *batch* of programs is distributed program-per-task, which scales
   better than sharding when there are many more tests than cores:
-  :func:`repro.herd.verdicts` through :func:`verdicts_parallel`, and
-  ``repro-lint --races --jobs`` by mapping race classification
-  over the programs.
+  :func:`repro.herd.verdicts`, ``repro-lint --races --jobs`` and
+  :func:`repro.corpus.sweep.sweep_corpus` each map a plain task function
+  over their programs with :func:`fault_tolerant_map`.
 
 Workers re-enumerate their shard from the pickled
 :class:`~repro.litmus.ast.Program` — events are never pickled between
@@ -32,26 +32,30 @@ results are never recomputed.  Recovery activity is published as
 ``guard.worker_deaths`` / ``guard.worker_hangs`` / ``guard.retries``
 observability counters.
 
-**Budgets** cross the pool boundary by value: the drivers pickle the
-parent's ambient :class:`repro.guard.Budget` into each task and workers
-re-arm it locally, so shards self-limit cooperatively and ship partial
-results home; the parent additionally derives a *hard* per-attempt
-deadline from the wall budget (:func:`shard_deadline`) as a backstop
-against workers that cannot reach a safepoint.
+**The pool is crossed in one place.**  Every task runs in the worker
+under :func:`_faulted_call`, so task functions are plain functions of
+their payload.  Two things cross with each task:
+
+* the parent's ambient :class:`repro.guard.Budget`, by value: the worker
+  re-arms it locally, so shards self-limit cooperatively and ship
+  partial results home.  A task runs under that budget or none: the
+  initializer drops any guard a forked worker inherits.  Unless the caller gives ``task_timeout``,
+  :func:`fault_tolerant_map` also derives a *hard* per-attempt deadline
+  from its wall budget (:func:`shard_deadline`) as a backstop against
+  workers that cannot reach a safepoint;
+* observability (:mod:`repro.obs`): when the parent has a collector
+  installed, the worker runs the task under a local
+  :func:`repro.obs.collect` block and ships the serialised
+  :class:`~repro.obs.RunReport` home with the result.  The parent absorbs
+  it before ``on_result`` sees the result, so counter totals are *exact*:
+  a serial run and a merged parallel run of the same work produce
+  identical enumeration/judgement counters (``tests/test_obs.py``).
+  Worker spans arrive as aggregates; raw trace events stay parent-only.
 
 **Signals**: workers ignore SIGINT (the parent owns interruption); a
 ``KeyboardInterrupt`` in the parent terminates every pool promptly —
 no orphaned worker processes — and :func:`shutdown_pools` is idempotent
 and safe to call from signal/atexit context.
-
-Observability (:mod:`repro.obs`) crosses the pool the same way as
-before: when the parent has a collector installed, each worker runs its
-task under a local :func:`repro.obs.collect` block and ships the
-serialised :class:`~repro.obs.RunReport` back with the task result
-(:func:`run_observed`); the parent absorbs the reports, so counter
-totals are *exact* — a serial run and a merged parallel run of the same
-test produce identical enumeration/judgement counters
-(``tests/test_obs.py``).
 """
 
 from __future__ import annotations
@@ -64,15 +68,8 @@ import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.guard import core as _guard_core
 from repro.guard import faults as _faults
@@ -110,6 +107,7 @@ def _init_worker(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     _config.set_oracle(oracle)
+    _guard_core.disarm()
     _WORKER_OBSERVING = observing
     _faults.mark_worker_process(fault_spec)
 
@@ -127,7 +125,7 @@ class WorkerPool:
 
     Wraps :class:`ProcessPoolExecutor` (whose broken-pool detection the
     fault tolerance relies on) behind the small pool surface the rest of
-    the package uses: ``submit``/``map``/``terminate``/``join``, and a
+    the package uses: ``submit``/``map``/``terminate``, and a
     context manager that *terminates* on exit like
     ``multiprocessing.Pool`` (an executor's default would block until
     every queued task drains).
@@ -192,21 +190,11 @@ class WorkerPool:
             except Exception:  # pragma: no cover
                 pass
 
-    def join(self) -> None:
-        if not self._dead:
-            self._executor.shutdown(wait=True)
-            self._dead = True
-
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.terminate()
-
-
-def worker_pool(jobs: int) -> WorkerPool:
-    """A fresh pool whose workers replicate this process's kernel config."""
-    return WorkerPool(jobs)
 
 
 #: Long-lived pools keyed by (jobs, kernel config): spawning workers and
@@ -235,7 +223,7 @@ def persistent_pool(jobs: int) -> WorkerPool:
         return pool
     if _obs.ENABLED:
         _obs.count("parallel.pool_spawn")
-    pool = worker_pool(jobs)
+    pool = WorkerPool(jobs)
     _PERSISTENT_POOLS[key] = pool
     while len(_PERSISTENT_POOLS) > _PERSISTENT_POOL_LIMIT:
         _, stale = _PERSISTENT_POOLS.popitem(last=False)
@@ -278,10 +266,27 @@ def _jitter(attempt: int, pending: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def _faulted_call(fn: Callable, payload, nonce: str):
-    """Worker-side task wrapper: the fault-injection point."""
+def _faulted_call(
+    fn: Callable,
+    payload,
+    nonce: str,
+    budget: Optional["_guard_core.Budget"],
+) -> Tuple[Any, Optional[Dict]]:
+    """Worker-side task wrapper: the one place a task crosses the pool.
+
+    It is the fault-injection point, re-arms the parent's ``budget``
+    locally (its own wall clock, candidate and memory counters), and,
+    when the parent is observing, runs ``fn`` under a fresh collector.
+    Returns ``(result, report)``: the serialised report, or ``None``.
+    """
     _faults.maybe_inject(nonce)
-    return fn(payload)
+    armed = nullcontext() if budget is None else _guard_core.guard(budget)
+    if not _WORKER_OBSERVING:
+        with armed:
+            return fn(payload), None
+    with _obs.collect() as collector, armed:
+        result = fn(payload)
+    return result, collector.report().to_dict()
 
 
 def shard_deadline(budget: Optional["_guard_core.Budget"]) -> Optional[float]:
@@ -309,9 +314,14 @@ def fault_tolerant_map(
     """Run ``fn`` over ``payloads`` on a worker pool, surviving crashes
     and hangs.
 
-    Results are returned in payload order.  ``task_timeout`` bounds each
+    ``fn`` is a plain function of one payload: :func:`_faulted_call`
+    carries the ambient budget and the observability report across the
+    pool, and each report is absorbed here before ``on_result`` sees the
+    result.  Results are returned bare, in payload order, from a pool of
+    at most ``len(payloads)`` workers.  ``task_timeout`` bounds each
     *attempt* (all in-flight tasks share the deadline; expired tasks are
-    treated as hung and retried on a fresh pool).  ``on_result`` is
+    treated as hung and retried on a fresh pool); it defaults to
+    :func:`shard_deadline` of the ambient budget.  ``on_result`` is
     invoked as ``on_result(index, result)`` in completion order — the
     checkpoint-journal hook.  Raises :class:`WorkerPoolError` when tasks
     still fail after ``max_attempts`` total attempts, and re-raises any
@@ -328,6 +338,15 @@ def fault_tolerant_map(
     """
     if max_attempts is None:
         max_attempts = MAX_ATTEMPTS
+    active = _guard_core.current()
+    budget = active.budget if active is not None else None
+    if task_timeout is None:
+        task_timeout = shard_deadline(budget)
+    # The executor forks every worker at the first submit, so a pool
+    # larger than the batch would only fork idle processes.
+    jobs = max(1, min(jobs, len(payloads)))
+    if _obs.ENABLED:
+        _obs.gauge("parallel.jobs", jobs)
     results: List[Any] = [None] * len(payloads)
     pending = list(range(len(payloads)))
     # Attempts are tracked per task: one crash fails every in-flight
@@ -343,167 +362,127 @@ def fault_tolerant_map(
             _obs.count("guard.sweep_stops")
         return True
 
-    try:
-        while pending:
-            if _stopped():
-                return results
-            pool = persistent_pool(jobs)
-            futures = {}
-            submit_broken = False
-            for index in pending:
-                # A fast crash can break the executor while the rest of
-                # the batch is still being submitted; submit() then
-                # raises synchronously, so the unsubmitted tail has to
-                # join this round's retries rather than escape.
-                try:
-                    future = pool.submit(
-                        _faulted_call,
-                        fn,
-                        payloads[index],
-                        f"{task_name}:{index}:{attempts[index]}",
-                    )
-                except BrokenProcessPool:
-                    submit_broken = True
-                    if _obs.ENABLED:
-                        _obs.count("guard.worker_deaths")
-                    break
-                futures[future] = index
-            deadline = (
-                None
-                if task_timeout is None
-                else time.monotonic() + task_timeout
-            )
-            failed: List[int] = []
-            poisoned = False
-            remaining = set(futures)
-            while remaining:
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.0, deadline - time.monotonic())
-                done, not_done = wait(
-                    remaining, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Deadline passed with tasks still running: hung
-                    # worker(s).  The pool must die — a stuck worker
-                    # cannot be evicted individually.
-                    failed.extend(futures[future] for future in not_done)
-                    if _obs.ENABLED:
-                        _obs.count("guard.worker_hangs", len(not_done))
-                    poisoned = True
-                    break
-                for future in done:
-                    remaining.discard(future)
-                    index = futures[future]
+    with _obs.span("parallel.map"):
+        try:
+            while pending:
+                if _stopped():
+                    return results
+                pool = persistent_pool(jobs)
+                futures = {}
+                submit_broken = False
+                for index in pending:
+                    # A fast crash can break the executor while the rest
+                    # of the batch is still being submitted; submit()
+                    # then raises synchronously, so the unsubmitted tail
+                    # has to join this round's retries rather than escape.
                     try:
-                        results[index] = future.result()
+                        future = pool.submit(
+                            _faulted_call,
+                            fn,
+                            payloads[index],
+                            f"{task_name}:{index}:{attempts[index]}",
+                            budget,
+                        )
                     except BrokenProcessPool:
-                        failed.append(index)
-                        poisoned = True
+                        submit_broken = True
                         if _obs.ENABLED:
                             _obs.count("guard.worker_deaths")
-                        continue
-                    if on_result is not None:
-                        on_result(index, results[index])
-                if remaining and _stopped():
-                    # Abandon the tail: cancel what never started, retire
-                    # the pool so running tasks stop burning CPU, and
-                    # hand back whatever completed.
-                    for future in remaining:
-                        future.cancel()
-                    discard_pool(pool)
-                    return results
-            if submit_broken:
-                poisoned = True
-                submitted = set(futures.values())
-                failed.extend(
-                    index for index in pending if index not in submitted
+                        break
+                    futures[future] = index
+                deadline = (
+                    None
+                    if task_timeout is None
+                    else time.monotonic() + task_timeout
                 )
-            if poisoned:
-                discard_pool(pool)
-            pending = sorted(failed)
-            if pending:
-                for index in pending:
-                    attempts[index] += 1
-                exhausted = [
-                    index
-                    for index in pending
-                    if attempts[index] >= max_attempts
-                ]
-                if exhausted:
-                    raise WorkerPoolError(
-                        f"{len(exhausted)} worker task(s) still failing "
-                        f"after {max_attempts} attempts"
+                failed: List[int] = []
+                poisoned = False
+                remaining = set(futures)
+                while remaining:
+                    timeout = None
+                    if deadline is not None:
+                        timeout = max(0.0, deadline - time.monotonic())
+                    done, not_done = wait(
+                        remaining, timeout=timeout, return_when=FIRST_COMPLETED
                     )
-                round_number = max(attempts[index] for index in pending)
-                delay = BACKOFF_BASE_S * (2 ** (round_number - 1))
-                delay *= 1.0 + _jitter(round_number, len(pending))
-                if _obs.ENABLED:
-                    _obs.count("guard.retries", len(pending))
-                time.sleep(delay)
-    except KeyboardInterrupt:
-        # Terminate promptly rather than leaving orphaned workers
-        # grinding through a sweep nobody wants any more.
-        shutdown_pools()
-        raise
+                    if not done:
+                        # Deadline passed with tasks still running: hung
+                        # worker(s).  The pool must die — a stuck worker
+                        # cannot be evicted individually.
+                        failed.extend(futures[future] for future in not_done)
+                        if _obs.ENABLED:
+                            _obs.count("guard.worker_hangs", len(not_done))
+                        poisoned = True
+                        break
+                    for future in done:
+                        remaining.discard(future)
+                        index = futures[future]
+                        try:
+                            result, report = future.result()
+                        except BrokenProcessPool:
+                            failed.append(index)
+                            poisoned = True
+                            if _obs.ENABLED:
+                                _obs.count("guard.worker_deaths")
+                            continue
+                        if report is not None:
+                            _obs.absorb(report)
+                        results[index] = result
+                        if on_result is not None:
+                            on_result(index, result)
+                    if remaining and _stopped():
+                        # Abandon the tail: cancel what never started,
+                        # retire the pool so running tasks stop burning
+                        # CPU, and hand back whatever completed.
+                        for future in remaining:
+                            future.cancel()
+                        discard_pool(pool)
+                        return results
+                if submit_broken:
+                    poisoned = True
+                    submitted = set(futures.values())
+                    failed.extend(
+                        index for index in pending if index not in submitted
+                    )
+                if poisoned:
+                    discard_pool(pool)
+                pending = sorted(failed)
+                if pending:
+                    for index in pending:
+                        attempts[index] += 1
+                    exhausted = [
+                        index
+                        for index in pending
+                        if attempts[index] >= max_attempts
+                    ]
+                    if exhausted:
+                        raise WorkerPoolError(
+                            f"{len(exhausted)} worker task(s) still failing "
+                            f"after {max_attempts} attempts"
+                        )
+                    round_number = max(attempts[index] for index in pending)
+                    delay = BACKOFF_BASE_S * (2 ** (round_number - 1))
+                    delay *= 1.0 + _jitter(round_number, len(pending))
+                    if _obs.ENABLED:
+                        _obs.count("guard.retries", len(pending))
+                    time.sleep(delay)
+        except KeyboardInterrupt:
+            # Terminate promptly rather than leaving orphaned workers
+            # grinding through a sweep nobody wants any more.
+            shutdown_pools()
+            raise
     return results
-
-
-def run_observed(fn: Callable[[], Any]) -> Tuple[Any, Optional[Dict]]:
-    """Run a task, collecting a local report if the parent is observing.
-
-    In a worker of :func:`worker_pool` with an observing parent, ``fn``
-    runs under a fresh collector and its serialised report is returned for
-    the parent to :func:`~repro.obs.absorb`.  Anywhere else (serial path,
-    non-observing pool) ``fn`` runs as-is and the report slot is ``None``.
-    """
-    if not _WORKER_OBSERVING:
-        return fn(), None
-    with _obs.collect() as collector:
-        result = fn()
-    return result, collector.report().to_dict()
-
-
-def _absorb_reports(outcomes: Sequence[Tuple[Any, Optional[Dict]]]) -> List:
-    """Merge worker reports into the parent collector; return the results."""
-    for _, report in outcomes:
-        if report is not None:
-            _obs.absorb(report)
-    return [result for result, _ in outcomes]
-
-
-def _ambient_budget(
-    budget: Optional["_guard_core.Budget"],
-) -> Optional["_guard_core.Budget"]:
-    """The explicit budget, else the armed guard's (for forwarding)."""
-    if budget is not None:
-        return budget
-    active = _guard_core.current()
-    return active.budget if active is not None else None
 
 
 # -- one program, sharded trace combinations ----------------------------
 
 
 def _run_shard(task):
-    model, program, shard, shard_count, budget = task
+    model, program, shard, shard_count = task
     from repro.herd import run_litmus_many
 
-    def run():
-        return run_litmus_many(
-            [model], program, shard=shard, shard_count=shard_count
-        )[model.name]
-
-    def guarded():
-        if budget is None:
-            return run()
-        # Each shard re-arms the budget locally (its own wall clock,
-        # candidate and memory counters): shards self-limit and return
-        # partial RunResults that merge_results degrades soundly.
-        with _guard_core.guard(budget):
-            return run()
-
-    return run_observed(guarded)
+    return run_litmus_many(
+        [model], program, shard=shard, shard_count=shard_count
+    )[model.name]
 
 
 def merge_results(partials: Sequence) -> "RunResult":
@@ -529,80 +508,14 @@ def merge_results(partials: Sequence) -> "RunResult":
     return merged
 
 
-def run_litmus_parallel(
-    model,
-    program,
-    jobs: int,
-    budget: Optional["_guard_core.Budget"] = None,
-):
+def run_litmus_parallel(model, program, jobs: int):
     """Run one litmus test with its trace combinations sharded over ``jobs``
     worker processes.  Verdict, counts and state set are identical to the
     sequential :func:`repro.herd.run_litmus`; crashed or hung workers are
-    retried transparently (:func:`fault_tolerant_map`)."""
-    jobs = max(1, int(jobs))
-    budget = _ambient_budget(budget)
-    if jobs == 1:
-        return _run_shard((model, program, 0, 1, budget))[0]
+    retried transparently, and an armed budget is re-armed in each shard,
+    whose partial result :func:`merge_results` degrades soundly
+    (:func:`fault_tolerant_map`)."""
     if _obs.ENABLED:
-        _obs.gauge("parallel.jobs", jobs)
         _obs.count("parallel.sharded_runs")
-    tasks = [(model, program, shard, jobs, budget) for shard in range(jobs)]
-    with _obs.span("parallel.run_litmus"):
-        outcomes = fault_tolerant_map(
-            _run_shard, tasks, jobs, task_timeout=shard_deadline(budget)
-        )
-    return merge_results(_absorb_reports(outcomes))
-
-
-# -- many programs, distributed whole ------------------------------------
-
-
-def _run_program(task):
-    models, program, budget = task
-    from repro.herd import verdict_row
-
-    def run():
-        return program.name, verdict_row(models, program)
-
-    def guarded():
-        if budget is None:
-            return run()
-        with _guard_core.guard(budget):
-            return run()
-
-    return run_observed(guarded)
-
-
-def verdicts_parallel(
-    models: List,
-    programs: List,
-    jobs: int,
-    on_row: Callable[[str, Dict[str, str]], None],
-) -> None:
-    """Judge ``programs`` one per pool task for :func:`repro.herd.verdicts`.
-
-    ``on_row(name, row)`` receives each :func:`repro.herd.verdict_row`
-    as it lands (in completion order), after the worker's observability
-    report has been absorbed; lost workers are retried.  Journal and
-    output order are the caller's.
-    """
-    budget = _ambient_budget(None)
-    tasks = [(models, program, budget) for program in programs]
-
-    def checkpoint(index: int, outcome) -> None:
-        (name, row), report = outcome
-        if report is not None:
-            _obs.absorb(report)
-        on_row(name, row)
-
-    if _obs.ENABLED:
-        _obs.gauge("parallel.jobs", jobs)
-        _obs.count("parallel.program_batches")
-    with _obs.span("parallel.verdicts"):
-        fault_tolerant_map(
-            _run_program,
-            tasks,
-            min(jobs, len(tasks)),
-            task_timeout=shard_deadline(budget),
-            on_result=checkpoint,
-        )
+    tasks = [(model, program, shard, jobs) for shard in range(jobs)]
+    return merge_results(fault_tolerant_map(_run_shard, tasks, jobs))

@@ -422,27 +422,15 @@ def diy_main(argv: List[str] | None = None) -> int:
     return 0
 
 
-def _check_races_task(program: Program):
-    from repro.analysis.races import check_races
-    from repro.kernel.parallel import run_observed
-
-    return run_observed(lambda: check_races(program))
-
-
 def _race_reports(race_targets: List[Program], jobs: int):
     """Race reports for each target, in input order, on ``jobs`` workers."""
+    from repro.analysis.races import check_races
+
     if jobs > 1 and len(race_targets) > 1:
         from repro.kernel.parallel import fault_tolerant_map
 
-        outcomes = fault_tolerant_map(
-            _check_races_task, race_targets, min(jobs, len(race_targets))
-        )
-    else:
-        outcomes = [_check_races_task(program) for program in race_targets]
-    for _, worker_report in outcomes:
-        if worker_report is not None:
-            obs.absorb(worker_report)
-    return [report for report, _ in outcomes]
+        return fault_tolerant_map(check_races, race_targets, jobs)
+    return [check_races(program) for program in race_targets]
 
 
 def lint_main(argv: List[str] | None = None) -> int:

@@ -231,7 +231,7 @@ def test_keyboard_interrupt_terminates_pools():
 
 
 def test_worker_pool_context_terminates():
-    with parallel.worker_pool(2) as pool:
+    with parallel.WorkerPool(2) as pool:
         assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         pids = pool.worker_pids()
         assert pids

@@ -18,22 +18,37 @@ no-op.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.corpus.golden import load_golden
+from repro.corpus.sweep import sweep_corpus
 from repro.herd import run_litmus, verdicts
 from repro.kernel.parallel import run_litmus_parallel
 from repro.litmus import library
 from repro.lkmm import LinuxKernelModel
 from repro.obs import RunReport
+from repro.tools import cli
+
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 #: Counter namespaces whose totals must be exact across sharding.
 EXACT_PREFIXES = ("enumerate.", "herd.", "lkmm.", "cat.")
 #: Cache counters depend on per-process cache state; never compared.
 #: ``enumerate.location_fates`` counts entries of the SC-per-location
-#: sweep's memo, one memo per enumeration call (so per shard).
-CACHE_PREFIXES = ("skeleton.", "bitrel.", "enumerate.location_fates")
+#: sweep's memo, one memo per enumeration call (so per shard).  The
+#: ``cat.*_cache_*`` counters count loads through the per-process
+#: model and file caches, which each worker fills afresh.
+CACHE_PREFIXES = (
+    "skeleton.",
+    "bitrel.",
+    "enumerate.location_fates",
+    "cat.model_cache_",
+    "cat.file_cache_",
+)
 
 
 def exact_counters(report: RunReport):
@@ -314,13 +329,37 @@ class TestShardingExactness:
             == sharded.report().spans["model.LKMM"]["count"]
         )
 
-    def test_program_distribution_counters_match_serial(self, lkmm):
-        programs = [library.get("SB"), library.get("MP+wmb+rmb")]
+    @pytest.mark.parametrize(
+        "caller", ["verdicts", "sweep_corpus", "race_reports"]
+    )
+    def test_program_distribution_counters_match_serial(self, lkmm, caller):
+        """Every program-per-task caller brings its workers' counters home."""
+        if caller == "verdicts":
+            programs = [library.get("SB"), library.get("MP+wmb+rmb")]
+
+            def run(jobs):
+                return verdicts([lkmm], programs, jobs=jobs)
+
+        elif caller == "sweep_corpus":
+            tests = [test for test, _ in load_golden(GOLDEN_CORPUS)[::100]]
+
+            def run(jobs):
+                return sweep_corpus(tests, jobs=jobs).matrix
+
+        else:
+            programs = [library.get(name) for name in ("MP", "SB", "LB")]
+
+            def run(jobs):
+                return [
+                    report.racy for report in cli._race_reports(programs, jobs)
+                ]
+
         with obs.collect() as serial:
-            serial_table = verdicts([lkmm], programs)
+            serial_table = run(1)
         with obs.collect() as parallel:
-            parallel_table = verdicts([lkmm], programs, jobs=2)
+            parallel_table = run(2)
         assert serial_table == parallel_table
+        assert exact_counters(serial.report())
         assert exact_counters(serial.report()) == exact_counters(
             parallel.report()
         )
