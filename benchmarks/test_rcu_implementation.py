@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.executions.enumerate import candidate_executions_sharded
+from repro.executions.enumerate import candidate_executions
 from repro.herd import run_litmus
 from repro.kernel.config import use_oracle
 from repro.litmus import library
@@ -138,8 +138,8 @@ def test_production_stream_equals_the_oracle_at_loop_bound_2(name, pinned):
                         sorted((a.eid, b.eid) for a, b in execution.rf.pairs),
                         sorted((a.eid, b.eid) for a, b in execution.co.pairs),
                     )
-                    for execution in candidate_executions_sharded(
-                        inlined, 0, 1, require_sc_per_location=True, pins=pins
+                    for execution in candidate_executions(
+                        inlined, require_sc_per_location=True, pins=pins
                     )
                 ]
             )

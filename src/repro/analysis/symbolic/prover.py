@@ -135,11 +135,11 @@ def _find_witness(model: Model, program: Program) -> bool:
     that enumerates next re-trips the guard at its own safepoint and
     degrades normally.
     """
-    from repro.executions.enumerate import candidate_executions_sharded
+    from repro.executions.enumerate import candidate_executions
 
     condition = program.condition
-    stream = candidate_executions_sharded(
-        program, 0, 1, model.sc_per_location, pins=pinned_atoms(condition.body)
+    stream = candidate_executions(
+        program, model.sc_per_location, pins=pinned_atoms(condition.body)
     )
     try:
         for examined, execution in enumerate(stream, 1):

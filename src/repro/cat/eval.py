@@ -337,7 +337,7 @@ class CatModel(Model):
     def __getstate__(self):
         # A program's token keys per-skeleton VM state and is unique only
         # within its process, so it must not cross a pickle boundary
-        # (parallel shard workers); each process lowers its own program
+        # (pool workers); each process lowers its own program
         # on first check.
         state = self.__dict__.copy()
         state["_program"] = None

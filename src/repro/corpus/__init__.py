@@ -10,7 +10,7 @@ behaviours.  This package is that programme for the LK model:
   threads), fence/dependency decoration, and RCU critical-section
   variant, deduplicating by canonical AST hash; 10k+ unique, lint-clean
   tests from one seed.
-* :mod:`repro.corpus.sweep` — a sharded differential sweep over LKMM,
+* :mod:`repro.corpus.sweep` — a differential sweep over LKMM,
   LKMM-core, C11, x86-TSO, ARMv8 and Power (hardware models judge the
   *compiled* program, per the LK→machine mappings), fault-tolerant via
   :mod:`repro.kernel.parallel`, budgeted via :mod:`repro.guard`, and

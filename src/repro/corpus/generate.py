@@ -16,7 +16,7 @@ The corpus space is structured as *skeletons* × *decorations*:
 Determinism is load-bearing: the stream for a given ``(seed, threads)``
 is identical across processes and interpreter hash seeds (skeleton RNGs
 are seeded from SHA-256, never from :func:`hash`), and a shorter run is
-a strict prefix of a longer one — which is what makes sharded sweeps,
+a strict prefix of a longer one — which is what makes sliced sweeps,
 journal resume, and the frozen golden corpus possible.  Small decoration
 spaces are enumerated exhaustively in seeded-shuffled order; large ones
 are sampled without global materialisation.  Duplicates are rejected
@@ -44,7 +44,7 @@ from repro.diy.generator import CycleError, canonical_cycle, generate
 from repro.events import RCU_LOCK, RCU_UNLOCK, SYNC_RCU
 from repro.litmus.ast import Fence, Program, Thread
 from repro.litmus.parser import parse_litmus
-from repro.litmus.writer import write_litmus
+from repro.litmus.writer import program_digest, write_litmus
 from repro.obs import core as _obs
 
 #: Communication (external) edges, in canonical order.
@@ -87,19 +87,6 @@ def family_of(comm: Sequence[str]) -> str:
     """The family label for a communication skeleton."""
     key = canonical_cycle(comm)
     return NAMED_FAMILIES.get(key, "+".join(key))
-
-
-def program_digest(program: Program) -> str:
-    """The canonical AST hash of a litmus program.
-
-    Computed over the serialised litmus text with the name struck out, so
-    two tests are corpus-identical iff their code, initial state and
-    condition coincide — regardless of what cycle (or hand edit) produced
-    them.  Stable across processes; used for deduplication and as the
-    journal/golden integrity digest.
-    """
-    canonical = dataclasses.replace(program, name="@")
-    return hashlib.sha256(write_litmus(canonical).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Sharded differential sweep: every corpus test under every model.
+"""Differential sweep: every corpus test under every model.
 
 One sweep *row* is a corpus test judged by the full model battery.
 Direct models (LKMM, LKMM-core, C11 — their cat files speak the LK
@@ -69,16 +69,10 @@ def model_names(specs: Sequence[ModelSpec] = CORPUS_MODELS) -> List[str]:
     return [spec.name for spec in specs]
 
 
-#: Per-process caches — persistent worker pools reuse processes, so each
-#: worker parses a cat model (and each arch spec) once, not once per row.
-_MODEL_CACHE: Dict[str, object] = {}
-
-
 def _model(key: str):
-    model = _MODEL_CACHE.get(key)
-    if model is None:
-        model = _MODEL_CACHE[key] = load_model(key)
-    return model
+    """One battery model; :func:`load_model` parses it once per process,
+    so a persistent pool worker pays for it once, not once per row."""
+    return load_model(key)
 
 
 def sweep_row(

@@ -19,7 +19,7 @@ discards the spurious values the fixpoint of step 1 may over-approximate.
 Such a trace combination is dropped by a value-first test before any
 event or relation of it is built (in both configurations).
 
-Given condition *pins* (:func:`candidate_executions_sharded`), the
+Given condition *pins* (:func:`candidate_executions`), the
 enumeration is condition-directed: traces and coherence orders whose
 final registers or final memory contradict a pinned value are dropped
 before any candidate is built, leaving the full stream filtered by the
@@ -80,6 +80,7 @@ from repro.executions.thread_sem import ThreadTrace, traces_at_fixpoint
 def candidate_executions(
     program: Program,
     require_sc_per_location: bool = False,
+    pins: Sequence[Condition] = (),
 ) -> Iterator[CandidateExecution]:
     """Yield every candidate execution of ``program``.
 
@@ -90,24 +91,6 @@ def candidate_executions(
     :func:`repro.herd.run_litmus_many` reads to set the filter), and
     shrinks the search space of the larger programs (e.g. the inlined RCU
     implementation of Section 6).
-    """
-    yield from candidate_executions_sharded(
-        program, 0, 1, require_sc_per_location=require_sc_per_location
-    )
-
-
-def candidate_executions_sharded(
-    program: Program,
-    shard: int,
-    shard_count: int,
-    require_sc_per_location: bool = False,
-    pins: Sequence[Condition] = (),
-) -> Iterator[CandidateExecution]:
-    """Candidate executions of every ``shard_count``-th trace combination.
-
-    Trace enumeration is deterministic, so ``shard_count`` workers each
-    running shard ``0..shard_count-1`` partition the full candidate stream
-    without communicating (:mod:`repro.kernel.parallel`).
 
     ``pins`` (``RegValue``/``LocValue`` atoms, see
     :func:`repro.litmus.outcomes.pinned_atoms`) make the stream
@@ -117,8 +100,7 @@ def candidate_executions_sharded(
     before any combination is formed, and a coherence order whose
     co-last write has the wrong value for a pinned location is dropped
     before its candidate is built; each drop counts as
-    ``enumerate.pruned.condition``.  Combinations are numbered over the
-    kept traces, so shards partition the pruned stream.
+    ``enumerate.pruned.condition``.
     """
     reg_pins: Dict[int, List[Tuple[str, object]]] = {}
     loc_pins: Dict[str, List[object]] = {}
@@ -147,9 +129,7 @@ def candidate_executions_sharded(
     memo = None
     if require_sc_per_location and not _config.oracle():
         memo = _LocationMemo(program, locations, loc_pins)
-    for combo_index, traces in enumerate(itertools.product(*per_thread)):
-        if combo_index % shard_count != shard:
-            continue
+    for traces in itertools.product(*per_thread):
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one trace combination
         if _obs.ENABLED:
@@ -432,7 +412,7 @@ class _Projection:
 
 
 class _LocationMemo:
-    """The per-location memo of one :func:`candidate_executions_sharded`
+    """The per-location memo of one :func:`candidate_executions`
     call: each trace's :class:`_Projection` and each location signature's
     :class:`_LocationFate`.
 

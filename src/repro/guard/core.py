@@ -80,7 +80,7 @@ class Budget:
     """Resource limits for one verification run; ``None`` means unlimited.
 
     Budgets are value objects: picklable (they cross the worker-pool
-    boundary so parallel shards self-limit) and reusable (each
+    boundary so each pooled task self-limits) and reusable (each
     :class:`Guard` arms a fresh set of counters).
     """
 

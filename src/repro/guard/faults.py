@@ -6,7 +6,7 @@
 
 * ``crash:p`` — the worker process exits abruptly (``os._exit``), the
   moral equivalent of an OOM kill; the parent sees a broken pool.
-* ``hang:p`` — the task sleeps far past any per-shard deadline, so the
+* ``hang:p`` — the task sleeps far past any per-task deadline, so the
   parent's hang detection has something to detect.
 * ``slow:p`` — the task sleeps briefly; exercises deadline slack without
   requiring recovery.

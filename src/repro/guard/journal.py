@@ -16,11 +16,12 @@ At corpus scale test *names* stop being trustworthy identities: two
 corpus revisions can emit a test of the same cycle name whose program
 differs (a decoration change, a generator fix).  Rows may therefore carry
 a ``digest`` — the canonical AST hash of the program
-(:func:`repro.corpus.generate.program_digest`) — and
+(:func:`repro.litmus.writer.program_digest`) — and
 :meth:`SweepJournal.completed` rejects a row whose recorded digest
 disagrees with the queried one, so a stale journal reruns the changed
-test instead of replaying a verdict for a different program.  Rows and
-queries without digests keep the PR 8 name-only behaviour.
+test instead of replaying a verdict for a different program.  Every
+bundled caller passes digests; rows and queries without one match by
+name alone.
 
 Only *conclusive* rows belong in a journal: an ``Inconclusive`` verdict
 reflects the budget it was produced under, not the test, so callers skip

@@ -34,12 +34,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.executions.candidate import CandidateExecution
-from repro.executions.enumerate import candidate_executions_sharded
+# Bound under its old name: the benchmark's tracer wraps it by that name.
+from repro.executions.enumerate import (
+    candidate_executions as candidate_executions_sharded,
+)
 from repro.guard import core as _guard
 from repro.guard.journal import SweepJournal
 from repro.kernel import config as _config
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Exists, Forall, FinalState, NotExists, pinned_atoms
+from repro.litmus.writer import program_digest
 from repro.model import Model
 from repro.obs import core as _obs
 
@@ -135,17 +139,13 @@ def _decided(result: RunResult) -> bool:
 def run_litmus_many(
     models: List[Model],
     program: Program,
-    shard: int = 0,
-    shard_count: int = 1,
     verdict_only: bool = False,
 ) -> Dict[str, RunResult]:
     """Run several models over one program with a *single* enumeration.
 
     Candidate enumeration dominates the cost of a run, and candidates are
     model-independent — so judging N models costs one enumeration plus N
-    model checks per candidate, not N enumerations.  ``shard``/
-    ``shard_count`` restrict the scan to every ``shard_count``-th trace
-    combination (the unit :mod:`repro.kernel.parallel` distributes).
+    model checks per candidate, not N enumerations.
 
     When every model has :attr:`~repro.model.Model.sc_per_location`, the
     enumeration keeps only the candidates satisfying
@@ -198,8 +198,12 @@ def run_litmus_many(
     interruption: Optional[_guard.Interruption] = None
     with _obs.span("herd.run"):
         try:
+            if _guard.ACTIVE:
+                # The run-entry check: the clock is otherwise read only
+                # every 64 ticks, which a short run never reaches.
+                _guard._current.check()
             for execution in candidate_executions_sharded(
-                program, shard, shard_count, sc_per_location, pins=pins
+                program, sc_per_location, pins=pins
             ):
                 matches = (
                     condition is None or condition.evaluate(execution.final_state)
@@ -245,7 +249,6 @@ def run_litmus_many(
 def run_litmus(
     model: Model,
     program: Program,
-    jobs: int = 1,
     budget: Optional["_guard.Budget"] = None,
     *,
     require_sc_per_location: Optional[bool] = None,
@@ -256,15 +259,11 @@ def run_litmus(
     candidates (:func:`run_litmus_many`).  ``require_sc_per_location``
     selects nothing: it is accepted for old callers, and raises
     :class:`ValueError` when set on a model without
-    :attr:`~repro.model.Model.sc_per_location`.  ``jobs > 1`` shards the
-    trace combinations over that many worker processes
-    (:mod:`repro.kernel.parallel`); the verdict, counts and state set are
-    identical to a sequential run.
+    :attr:`~repro.model.Model.sc_per_location`.
 
     ``budget`` bounds the run (:class:`repro.guard.Budget`); an exhausted
     budget yields a partial :class:`RunResult` whose verdict may be
-    ``Inconclusive``.  It is armed here for both paths (the pool re-arms
-    it in each shard), and an already-armed ambient guard
+    ``Inconclusive``.  An already-armed ambient guard
     (:func:`repro.guard.guard`) is honoured without the parameter.
     """
     if require_sc_per_location and not model.sc_per_location:
@@ -273,10 +272,6 @@ def run_litmus(
             "candidates cannot be filtered by it"
         )
     with nullcontext() if budget is None else _guard.guard(budget):
-        if jobs > 1:
-            from repro.kernel.parallel import run_litmus_parallel
-
-            return run_litmus_parallel(model, program, jobs)
         return run_litmus_many([model], program)[model.name]
 
 
@@ -322,14 +317,19 @@ def verdicts(
 
     ``journal`` checkpoints each completed row as it lands
     (:class:`repro.guard.SweepJournal`): programs already journaled are
-    skipped, so an interrupted sweep resumes instead of restarting.
+    skipped, so an interrupted sweep resumes instead of restarting.  Rows
+    carry the program digest, so a test edited under the same name reruns.
     ``Inconclusive`` rows are reported but never journaled — they reflect
     the budget, not the test.  The table keeps the input program order.
     """
     table: Dict[str, Dict[str, str]] = {}
     pending: List[Program] = []
     for program in programs:
-        done = journal.completed(program.name) if journal is not None else None
+        done = (
+            journal.completed(program.name, program_digest(program))
+            if journal is not None
+            else None
+        )
         if done is not None:
             if _obs.ENABLED:
                 _obs.count("guard.journal_skips")
@@ -338,10 +338,10 @@ def verdicts(
             pending.append(program)
 
     def land(index: int, row: Dict[str, str]) -> None:
-        name = pending[index].name
-        table[name] = row
+        program = pending[index]
+        table[program.name] = row
         if journal is not None and INCONCLUSIVE not in row.values():
-            journal.record(name, row)
+            journal.record(program.name, row, digest=program_digest(program))
 
     if jobs > 1 and len(pending) > 1:
         from repro.kernel.parallel import fault_tolerant_map

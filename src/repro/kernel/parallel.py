@@ -1,33 +1,23 @@
 """Parallel litmus driving over fault-tolerant worker pools.
 
-Trace enumeration is deterministic (:func:`repro.executions.enumerate.
-candidate_executions_sharded`), so parallelism needs no communication:
-
-* one *program* is split by handing shard ``s`` of ``N`` to worker ``s``,
-  each worker enumerating every ``N``-th trace combination and scanning
-  its candidates; the partial :class:`~repro.herd.RunResult` counters are
-  summed afterwards (:func:`run_litmus_parallel`, which is what
-  ``repro-herd --jobs`` runs for each test);
-* a *batch* of programs is distributed program-per-task, which scales
-  better than sharding when there are many more tests than cores:
-  :func:`repro.herd.verdicts`, ``repro-lint --races --jobs`` and
-  :func:`repro.corpus.sweep.sweep_corpus` each map a plain task function
-  over their programs with :func:`fault_tolerant_map`.
-
-Workers re-enumerate their shard from the pickled
-:class:`~repro.litmus.ast.Program` — events are never pickled between
-processes.  The parent's kernel configuration (production or oracle) is
-replicated into each worker explicitly (an initializer, not environment
-inheritance), so a ``use_oracle`` context applies to parallel runs too.
+The parallel work is the many tests, so programs are distributed whole,
+one per task: :func:`repro.herd.verdicts`, ``repro-herd --jobs``,
+``repro-lint --races --jobs`` and :func:`repro.corpus.sweep.sweep_corpus`
+each map a plain task function over their programs with
+:func:`fault_tolerant_map`.  The parent's kernel configuration
+(production or oracle) is replicated into each worker explicitly (an
+initializer, not environment inheritance), so a ``use_oracle`` context
+applies to parallel runs too.
 
 **Fault tolerance** (:func:`fault_tolerant_map`, the single submission
 path): pools are :class:`concurrent.futures.ProcessPoolExecutor` objects,
 so a worker that dies mid-task (OOM kill, segfault, injected
 ``REPRO_FAULT`` crash) surfaces promptly as ``BrokenProcessPool`` instead
-of hanging the sweep; a worker that *hangs* is caught by the per-attempt
+of hanging the sweep; a worker that *hangs* is caught by the per-task
 deadline.  Either way the driver kills the poisoned pool, re-spawns a
-fresh one, and retries only the lost tasks with exponential backoff and
-deterministic jitter, up to :data:`MAX_ATTEMPTS` attempts.  Completed
+fresh one, and retries only the lost tasks, one at a time, with
+exponential backoff and deterministic jitter, until a task has failed
+alone :data:`MAX_ATTEMPTS` times.  Completed
 results are never recomputed.  Recovery activity is published as
 ``guard.worker_deaths`` / ``guard.worker_hangs`` / ``guard.retries``
 observability counters.
@@ -37,12 +27,13 @@ under :func:`_faulted_call`, so task functions are plain functions of
 their payload.  Two things cross with each task:
 
 * the parent's ambient :class:`repro.guard.Budget`, by value: the worker
-  re-arms it locally, so shards self-limit cooperatively and ship
+  re-arms it locally, so tasks self-limit cooperatively and ship
   partial results home.  A task runs under that budget or none: the
-  initializer drops any guard a forked worker inherits.  Unless the caller gives ``task_timeout``,
-  :func:`fault_tolerant_map` also derives a *hard* per-attempt deadline
-  from its wall budget (:func:`shard_deadline`) as a backstop against
-  workers that cannot reach a safepoint;
+  initializer drops any guard a forked worker inherits.  Unless the
+  caller gives ``task_timeout``, :func:`fault_tolerant_map` also derives
+  a *hard* per-task deadline from its wall budget
+  (:func:`task_deadline`) as a backstop against workers that cannot
+  reach a safepoint;
 * observability (:mod:`repro.obs`): when the parent has a collector
   installed, the worker runs the task under a local
   :func:`repro.obs.collect` block and ships the serialised
@@ -65,11 +56,11 @@ import hashlib
 import multiprocessing
 import signal
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.guard import core as _guard_core
 from repro.guard import faults as _faults
@@ -80,12 +71,13 @@ from repro.obs import core as _obs
 #: installed, so tasks must collect locally and ship their report home.
 _WORKER_OBSERVING = False
 
-#: Retry policy for lost shards: total attempts (first try included).
+#: Retry policy: the attempts a task may fail alone in flight (first try
+#: included) before the map gives up.
 MAX_ATTEMPTS = 4
-#: Base backoff before the first retry; doubles per attempt, plus jitter.
+#: Base backoff before a retry; doubles per failure charged, plus jitter.
 BACKOFF_BASE_S = 0.05
 #: Grace multiplier/slack turning a cooperative wall budget into a hard
-#: per-attempt deadline for hang detection.
+#: per-task deadline for hang detection.
 DEADLINE_FACTOR = 2.0
 DEADLINE_SLACK_S = 5.0
 
@@ -199,7 +191,7 @@ class WorkerPool:
 
 #: Long-lived pools keyed by (jobs, kernel config): spawning workers and
 #: re-compiling models in them dominates small parallel runs, so pools
-#: persist across run_litmus_many programs — a library sweep pays the
+#: persist across the programs of a sweep — a library sweep pays the
 #: spawn and per-worker model/bytecode compile cost once, not once per
 #: test.  Bounded LRU; a config change (different key) rotates the
 #: stale pool out and terminates it.
@@ -289,8 +281,8 @@ def _faulted_call(
     return result, collector.report().to_dict()
 
 
-def shard_deadline(budget: Optional["_guard_core.Budget"]) -> Optional[float]:
-    """A hard per-attempt deadline derived from a cooperative wall budget.
+def task_deadline(budget: Optional["_guard_core.Budget"]) -> Optional[float]:
+    """A hard per-task deadline derived from a cooperative wall budget.
 
     Workers normally stop themselves at a safepoint well inside the
     budget; the hard deadline (``factor × wall + slack``) only fires for
@@ -318,42 +310,51 @@ def fault_tolerant_map(
     carries the ambient budget and the observability report across the
     pool, and each report is absorbed here before ``on_result`` sees the
     result.  Results are returned bare, in payload order, from a pool of
-    at most ``len(payloads)`` workers.  ``task_timeout`` bounds each
-    *attempt* (all in-flight tasks share the deadline; expired tasks are
-    treated as hung and retried on a fresh pool); it defaults to
-    :func:`shard_deadline` of the ambient budget.  ``on_result`` is
-    invoked as ``on_result(index, result)`` in completion order — the
-    checkpoint-journal hook.  Raises :class:`WorkerPoolError` when tasks
-    still fail after ``max_attempts`` total attempts, and re-raises any
-    genuine task exception immediately (a deterministic bug is not
-    retryable).
+    at most ``len(payloads)`` workers.  ``on_result`` is invoked as
+    ``on_result(index, result)`` in completion order — the
+    checkpoint-journal hook.
 
-    ``stop`` is polled between completions and retry rounds: when it
-    returns true the map ends early — queued tasks are abandoned, the
-    pool is retired (running tasks cannot be evicted individually), and
-    the partial result list is returned with ``None`` in the unfinished
-    slots.  Completed results (and their ``on_result`` checkpoints) are
-    always kept, which is what makes a budgeted, journal-backed corpus
-    sweep resumable: the next run picks up exactly the abandoned tail.
+    At most two tasks per worker are in flight, so a pool that dies (a
+    worker crashed, or a task outlived ``task_timeout``, which runs from
+    its submission and defaults to :func:`task_deadline` of the ambient
+    budget) loses only those.  They are retried one at a time on a fresh
+    pool, so a failure is charged only to a task that was alone in
+    flight: the collateral of a crash never uses up a retry budget.
+    Raises :class:`WorkerPoolError` when a task has failed alone
+    ``max_attempts`` times, and re-raises any genuine task exception
+    immediately (a deterministic bug is not retryable).
+
+    ``stop`` is polled between completions and after each lost pool:
+    when it returns true the map ends early — queued tasks are abandoned,
+    the pool is retired (running tasks cannot be evicted individually),
+    and the partial result list is returned with ``None`` in the
+    unfinished slots.  Completed results (and their ``on_result``
+    checkpoints) are always kept, which is what makes a budgeted,
+    journal-backed corpus sweep resumable: the next run picks up exactly
+    the abandoned tail.
     """
     if max_attempts is None:
         max_attempts = MAX_ATTEMPTS
     active = _guard_core.current()
     budget = active.budget if active is not None else None
     if task_timeout is None:
-        task_timeout = shard_deadline(budget)
+        task_timeout = task_deadline(budget)
     # The executor forks every worker at the first submit, so a pool
     # larger than the batch would only fork idle processes.
     jobs = max(1, min(jobs, len(payloads)))
     if _obs.ENABLED:
         _obs.gauge("parallel.jobs", jobs)
     results: List[Any] = [None] * len(payloads)
-    pending = list(range(len(payloads)))
-    # Attempts are tracked per task: one crash fails every in-flight
-    # future on the broken pool, and that collateral damage must not
-    # burn through a whole-batch retry budget.
+    queue = deque(range(len(payloads)))
+    # Tasks in flight when a pool died, retried alone before the queue.
+    suspects: Deque[int] = deque()
+    # Per task: attempts made (each seeds its own fault-injection nonce)
+    # and failures charged to it.
     attempts = [0] * len(payloads)
+    charged = [0] * len(payloads)
     task_name = getattr(fn, "__name__", "task")
+    # future -> (task index, deadline or None)
+    in_flight: Dict[Any, Tuple[int, Optional[float]]] = {}
 
     def _stopped() -> bool:
         if stop is None or not stop():
@@ -362,19 +363,39 @@ def fault_tolerant_map(
             _obs.count("guard.sweep_stops")
         return True
 
+    def _collect(future) -> bool:
+        """Land a finished task's result; False when its pool broke."""
+        try:
+            result, report = future.result()
+        except BrokenProcessPool:
+            return False
+        index, _ = in_flight.pop(future)
+        if report is not None:
+            _obs.absorb(report)
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+        return True
+
     with _obs.span("parallel.map"):
         try:
-            while pending:
+            pool = None
+            while queue or suspects or in_flight:
                 if _stopped():
+                    for future in in_flight:
+                        future.cancel()
+                    if in_flight:
+                        discard_pool(pool)
                     return results
-                pool = persistent_pool(jobs)
-                futures = {}
-                submit_broken = False
-                for index in pending:
-                    # A fast crash can break the executor while the rest
-                    # of the batch is still being submitted; submit()
-                    # then raises synchronously, so the unsubmitted tail
-                    # has to join this round's retries rather than escape.
+                if pool is None:
+                    pool = persistent_pool(jobs)
+                source = suspects or queue
+                window = 1 if suspects else 2 * jobs
+                lost = hung = False
+                while source and len(in_flight) < window:
+                    index = source[0]
+                    # A fast crash can break the executor between two
+                    # submits; submit() then raises synchronously.
                     try:
                         future = pool.submit(
                             _faulted_call,
@@ -384,138 +405,69 @@ def fault_tolerant_map(
                             budget,
                         )
                     except BrokenProcessPool:
-                        submit_broken = True
-                        if _obs.ENABLED:
-                            _obs.count("guard.worker_deaths")
+                        lost = True
                         break
-                    futures[future] = index
-                deadline = (
-                    None
-                    if task_timeout is None
-                    else time.monotonic() + task_timeout
-                )
-                failed: List[int] = []
-                poisoned = False
-                remaining = set(futures)
-                while remaining:
-                    timeout = None
-                    if deadline is not None:
-                        timeout = max(0.0, deadline - time.monotonic())
-                    done, not_done = wait(
-                        remaining, timeout=timeout, return_when=FIRST_COMPLETED
+                    source.popleft()
+                    in_flight[future] = (
+                        index,
+                        None
+                        if task_timeout is None
+                        else time.monotonic() + task_timeout,
                     )
-                    if not done:
-                        # Deadline passed with tasks still running: hung
-                        # worker(s).  The pool must die — a stuck worker
-                        # cannot be evicted individually.
-                        failed.extend(futures[future] for future in not_done)
-                        if _obs.ENABLED:
-                            _obs.count("guard.worker_hangs", len(not_done))
-                        poisoned = True
-                        break
+                if not lost:
+                    # Tasks share one timeout, so the oldest in flight
+                    # (the first entry) has the earliest deadline.
+                    _, deadline = next(iter(in_flight.values()))
+                    done, _ = wait(
+                        in_flight,
+                        timeout=(
+                            None
+                            if deadline is None
+                            else max(0.0, deadline - time.monotonic())
+                        ),
+                        return_when=FIRST_COMPLETED,
+                    )
+                    # Nothing done by the deadline: a hung worker, which
+                    # cannot be evicted individually.
+                    lost = hung = not done
                     for future in done:
-                        remaining.discard(future)
-                        index = futures[future]
-                        try:
-                            result, report = future.result()
-                        except BrokenProcessPool:
-                            failed.append(index)
-                            poisoned = True
-                            if _obs.ENABLED:
-                                _obs.count("guard.worker_deaths")
-                            continue
-                        if report is not None:
-                            _obs.absorb(report)
-                        results[index] = result
-                        if on_result is not None:
-                            on_result(index, result)
-                    if remaining and _stopped():
-                        # Abandon the tail: cancel what never started,
-                        # retire the pool so running tasks stop burning
-                        # CPU, and hand back whatever completed.
-                        for future in remaining:
-                            future.cancel()
-                        discard_pool(pool)
-                        return results
-                if submit_broken:
-                    poisoned = True
-                    submitted = set(futures.values())
-                    failed.extend(
-                        index for index in pending if index not in submitted
+                        if not _collect(future):
+                            lost = True
+                    if not lost:
+                        continue
+                if _obs.ENABLED:
+                    _obs.count(
+                        "guard.worker_hangs" if hung else "guard.worker_deaths"
                     )
-                if poisoned:
-                    discard_pool(pool)
-                pending = sorted(failed)
-                if pending:
-                    for index in pending:
-                        attempts[index] += 1
-                    exhausted = [
-                        index
-                        for index in pending
-                        if attempts[index] >= max_attempts
-                    ]
-                    if exhausted:
+                # The pool is lost, and with it every task still in
+                # flight; keep whatever finished before it went.
+                for future in list(in_flight):
+                    if future.done() and not future.cancelled():
+                        _collect(future)
+                discard_pool(pool)
+                pool = None
+                failed = sorted(index for index, _ in in_flight.values())
+                in_flight.clear()
+                for index in failed:
+                    attempts[index] += 1
+                if len(failed) == 1:
+                    # Alone in flight: the failure is this task's own.
+                    (index,) = failed
+                    charged[index] += 1
+                    if charged[index] >= max_attempts:
                         raise WorkerPoolError(
-                            f"{len(exhausted)} worker task(s) still failing "
-                            f"after {max_attempts} attempts"
+                            f"worker task {index} still failing after "
+                            f"{max_attempts} attempts"
                         )
-                    round_number = max(attempts[index] for index in pending)
-                    delay = BACKOFF_BASE_S * (2 ** (round_number - 1))
-                    delay *= 1.0 + _jitter(round_number, len(pending))
-                    if _obs.ENABLED:
-                        _obs.count("guard.retries", len(pending))
-                    time.sleep(delay)
+                suspects.extendleft(reversed(failed))
+                if _obs.ENABLED:
+                    _obs.count("guard.retries", len(failed))
+                strikes = max((charged[index] for index in failed), default=1)
+                delay = BACKOFF_BASE_S * (2 ** max(0, strikes - 1))
+                time.sleep(delay * (1.0 + _jitter(strikes, len(failed))))
         except KeyboardInterrupt:
             # Terminate promptly rather than leaving orphaned workers
             # grinding through a sweep nobody wants any more.
             shutdown_pools()
             raise
     return results
-
-
-# -- one program, sharded trace combinations ----------------------------
-
-
-def _run_shard(task):
-    model, program, shard, shard_count = task
-    from repro.herd import run_litmus_many
-
-    return run_litmus_many(
-        [model], program, shard=shard, shard_count=shard_count
-    )[model.name]
-
-
-def merge_results(partials: Sequence) -> "RunResult":
-    """Sum shard-local :class:`~repro.herd.RunResult` counters.
-
-    Witness executions are taken from the lowest shard that found one, so
-    the merged result is deterministic for a fixed shard count.  Any
-    interrupted shard marks the merged result interrupted (first shard's
-    provenance wins); the verdict property keeps decisive facts decisive.
-    """
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged.candidates += partial.candidates
-        merged.allowed += partial.allowed
-        merged.witnesses += partial.witnesses
-        merged.states |= partial.states
-        if merged.witness_execution is None:
-            merged.witness_execution = partial.witness_execution
-        if merged.forbidden_witness is None:
-            merged.forbidden_witness = partial.forbidden_witness
-        if merged.interrupted is None:
-            merged.interrupted = partial.interrupted
-    return merged
-
-
-def run_litmus_parallel(model, program, jobs: int):
-    """Run one litmus test with its trace combinations sharded over ``jobs``
-    worker processes.  Verdict, counts and state set are identical to the
-    sequential :func:`repro.herd.run_litmus`; crashed or hung workers are
-    retried transparently, and an armed budget is re-armed in each shard,
-    whose partial result :func:`merge_results` degrades soundly
-    (:func:`fault_tolerant_map`)."""
-    if _obs.ENABLED:
-        _obs.count("parallel.sharded_runs")
-    tasks = [(model, program, shard, jobs) for shard in range(jobs)]
-    return merge_results(fault_tolerant_map(_run_shard, tasks, jobs))

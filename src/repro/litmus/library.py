@@ -1306,7 +1306,3 @@ def all_names() -> List[str]:
 
 def all_tests() -> List[Program]:
     return [get(name) for name in all_names()]
-
-
-def table5_tests() -> List[Program]:
-    return [get(name) for name in TABLE5]

@@ -2,12 +2,16 @@
 
 The inverse of :mod:`repro.litmus.parser`: render a
 :class:`~repro.litmus.ast.Program` as herd-style C litmus text.  Used by
-the ``repro-diy`` tool to emit generated tests as files, and by the
-round-trip tests (parse(write(p)) must behave identically to p).
+the ``repro-diy`` tool to emit generated tests as files, by the
+round-trip tests (parse(write(p)) must behave identically to p), and by
+:func:`program_digest`, the program identity that journals and the
+corpus key on.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from typing import Dict, List, Set
 
 from repro.events import Pointer
@@ -81,6 +85,19 @@ def write_litmus(program: Program) -> str:
     if program.condition is not None:
         lines.append(_condition_text(program.condition))
     return "\n".join(lines) + "\n"
+
+
+def program_digest(program: Program) -> str:
+    """The canonical AST hash of a litmus program.
+
+    Computed over the serialised litmus text with the name struck out, so
+    two tests are corpus-identical iff their code, initial state and
+    condition coincide — regardless of what cycle (or hand edit) produced
+    them.  Stable across processes; used for deduplication and as the
+    journal/golden integrity digest.
+    """
+    canonical = dataclasses.replace(program, name="@")
+    return hashlib.sha256(write_litmus(canonical).encode()).hexdigest()[:16]
 
 
 def _write_body(

@@ -2,7 +2,7 @@
 
 A :class:`RunReport` is the frozen, serialisable summary of one observed
 run: named counters, gauges, aggregated span timings, and (optionally) the
-raw span trace.  Reports merge associatively — worker shards produce one
+raw span trace.  Reports merge associatively — pool workers produce one
 each and the parent folds them together — which is what makes the
 "serial totals == merged parallel totals" property of the counters
 testable (``tests/test_obs.py``).

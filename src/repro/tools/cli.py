@@ -22,19 +22,20 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro import obs
 from repro.cat import load_model
 from repro.executions.enumerate import candidate_executions
 from repro.guard import Budget, SweepJournal
-from repro.herd import INCONCLUSIVE, run_litmus
+from repro.herd import INCONCLUSIVE, RunResult, run_litmus
 from repro.hardware import run_klitmus
 from repro.hardware.archspec import ARCHITECTURES
 from repro.kernel import config as kernel_config
 from repro.litmus import library
 from repro.litmus.ast import Program
 from repro.litmus.parser import ParseError, parse_litmus
+from repro.litmus.writer import program_digest
 from repro.lkmm import LinuxKernelModel, explain_forbidden
 
 #: Exit statuses for ``repro-herd``: distinguish "the run worked but a
@@ -199,7 +200,7 @@ def herd_main(argv: List[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="shard each test's trace combinations over N worker processes",
+        help="run the tests on N worker processes, one test per task",
     )
     parser.add_argument(
         "--timeout",
@@ -289,50 +290,120 @@ def herd_main(argv: List[str] | None = None) -> int:
         if args.journal
         else None
     )
+    # One slot per test, in input order: its journaled row, its
+    # RunResult once it lands, or None while it is still running.
+    outcomes: List[Union[Dict[str, str], RunResult, None]] = [
+        None
+        if journal is None
+        else journal.completed(program.name, program_digest(program))
+        for program in programs
+    ]
+    pending = [index for index, done in enumerate(outcomes) if done is None]
+    printed = 0
     inconclusive = 0
-    with _observe(args) as collector:
-        for program in programs:
-            if journal is not None:
-                done = journal.completed(program.name)
-                if done is not None:
-                    print(
-                        f"{program.name} under {model.name}: "
-                        f"{done[model.name]} (journaled)"
-                    )
-                    continue
-            result = run_litmus(
-                model, program, jobs=args.jobs, budget=budget
-            )
-            if result.verdict == INCONCLUSIVE:
-                inconclusive += 1
-            elif journal is not None:
-                journal.record(program.name, {model.name: result.verdict})
-            print(result.describe())
-            if args.check_races:
-                from repro.analysis.races import check_races
 
-                race_model = (
-                    model
-                    if isinstance(model, LinuxKernelModel)
-                    else LinuxKernelModel()
-                )
-                print(check_races(program, model=race_model).describe())
-            if args.states:
-                print(f"States {len(result.states)}")
-                for state in sorted(result.states, key=repr):
-                    registers = "; ".join(
-                        f"{tid}:{name}={value!r}"
-                        for (tid, name), value in sorted(state.registers.items())
-                        if not name.startswith("__")
-                    )
-                    print(f"  {registers}")
-                print(f"Observation {program.name} {result.observation}")
-            if args.explain and result.verdict == "Forbid":
-                witness = result.forbidden_witness or _first_match(program)
-                if witness is not None:
-                    print(explain_forbidden(witness))
+    def flush() -> None:
+        nonlocal printed
+        while printed < len(programs) and outcomes[printed] is not None:
+            _print_outcome(args, model, programs[printed], outcomes[printed])
+            printed += 1
+
+    def land(slot: int, result: RunResult) -> None:
+        nonlocal inconclusive
+        index = pending[slot]
+        outcomes[index] = result
+        if result.verdict == INCONCLUSIVE:
+            inconclusive += 1
+        elif journal is not None:
+            program = programs[index]
+            journal.record(
+                program.name,
+                {model.name: result.verdict},
+                digest=program_digest(program),
+            )
+        flush()
+
+    with _observe(args) as collector:
+        pending_programs = [programs[index] for index in pending]
+        _herd_runs(model, pending_programs, budget, args.jobs, land)
+        flush()
     _emit_observations(args, collector)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+
+
+def _herd_task(payload) -> RunResult:
+    """One pooled ``repro-herd`` test (a module-level, picklable task)."""
+    model, program, budget = payload
+    return run_litmus(model, program, budget=budget)
+
+
+def _herd_runs(
+    model,
+    programs: List[Program],
+    budget: Optional[Budget],
+    jobs: int,
+    on_result: Callable[[int, RunResult], None],
+) -> List[RunResult]:
+    """Run each program under its own ``budget``, on ``jobs`` workers.
+
+    ``on_result(index, result)`` sees each result as it lands (in
+    completion order when pooled); the list keeps the input order.  The
+    budget travels in each payload, not as an ambient guard, so the hard
+    per-task deadline is derived from it here.
+    """
+    payloads = [(model, program, budget) for program in programs]
+    if jobs > 1 and len(payloads) > 1:
+        from repro.kernel.parallel import fault_tolerant_map, task_deadline
+
+        return fault_tolerant_map(
+            _herd_task,
+            payloads,
+            jobs,
+            task_timeout=task_deadline(budget),
+            on_result=on_result,
+        )
+    results = []
+    for index, payload in enumerate(payloads):
+        results.append(_herd_task(payload))
+        on_result(index, results[-1])
+    return results
+
+
+def _print_outcome(
+    args, model, program: Program, outcome: Union[Dict[str, str], RunResult]
+) -> None:
+    """Print one test's ``repro-herd`` lines: a journaled row, or a run
+    with its ``--check-races``, ``--states`` and ``--explain`` output."""
+    if not isinstance(outcome, RunResult):
+        print(
+            f"{program.name} under {model.name}: "
+            f"{outcome[model.name]} (journaled)"
+        )
+        return
+    print(outcome.describe())
+    if args.check_races:
+        from repro.analysis.races import check_races
+
+        race_model = (
+            model
+            if isinstance(model, LinuxKernelModel)
+            else LinuxKernelModel()
+        )
+        print(check_races(program, model=race_model).describe())
+    if args.states:
+        print(f"States {len(outcome.states)}")
+        for state in sorted(outcome.states, key=repr):
+            registers = "; ".join(
+                f"{tid}:{name}={value!r}"
+                for (tid, name), value in sorted(state.registers.items())
+                if not name.startswith("__")
+            )
+            print(f"  {registers}")
+        print(f"Observation {program.name} {outcome.observation}")
+    if args.explain and outcome.verdict == "Forbid":
+        witness = outcome.forbidden_witness or _first_match(program)
+        if witness is not None:
+            print(explain_forbidden(witness))
 
 
 def _first_match(program: Program):

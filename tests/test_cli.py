@@ -298,6 +298,39 @@ class TestHerdRobustness:
         assert herd_main(["--model", "sc", "--journal", str(journal), "SB"]) == 0
         assert "(journaled)" not in capsys.readouterr().out
 
+    def test_jobs_prints_what_a_serial_run_prints(self, capsys):
+        tests = ["SB", "MP+wmb+rmb", "LB+ctrl+mb"]
+        outputs = []
+        for jobs in ("1", "2"):
+            assert herd_main(["--jobs", jobs, "--states", "--explain"] + tests) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "violated axiom" in outputs[0]
+
+    def test_jobs_keeps_input_order_around_journaled_rows(self, tmp_path, capsys):
+        journal = ["--model", "sc", "--journal", str(tmp_path / "j.jsonl")]
+        assert herd_main(journal + ["MP"]) == 0
+        capsys.readouterr()
+        assert herd_main(journal + ["--jobs", "2", "SB", "MP", "LB"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["SB", "MP", "LB"]
+        assert lines[1].endswith("(journaled)")
+
+    def test_journal_reruns_a_test_edited_under_its_name(self, tmp_path, capsys):
+        journal = ["--model", "sc", "--journal", str(tmp_path / "j.jsonl")]
+        assert herd_main(journal + ["SB"]) == 0
+        assert "Forbid" in capsys.readouterr().out
+        edited = tmp_path / "SB.litmus"
+        edited.write_text(
+            "C SB\n{ x=0; y=0; }\n"
+            "P0(int *x, int *y) { WRITE_ONCE(*x, 1); int r0 = READ_ONCE(*y); }\n"
+            "P1(int *x, int *y) { WRITE_ONCE(*y, 1); int r0 = READ_ONCE(*x); }\n"
+            "exists (0:r0=1 /\\ 1:r0=1)\n"
+        )
+        assert herd_main(journal + [str(edited)]) == 0
+        out = capsys.readouterr().out
+        assert "(journaled)" not in out and "Allow" in out
+
     def test_lint_parse_error_located_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.cat"
         bad.write_text("broken\nacyclic po ;;\n")

@@ -1,7 +1,6 @@
 """Tests for candidate-execution enumeration."""
 
 import itertools
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -332,8 +331,8 @@ def _scpv_streams(program, pins=()):
             streams.append(
                 [
                     _candidate_key(execution)
-                    for execution in enumeration.candidate_executions_sharded(
-                        program, 0, 1, require_sc_per_location=True, pins=pins
+                    for execution in enumeration.candidate_executions(
+                        program, require_sc_per_location=True, pins=pins
                     )
                 ]
             )
@@ -373,8 +372,8 @@ class TestConditionDirected:
                     expected.append(_candidate_key(execution))
             stream = [
                 _candidate_key(execution)
-                for execution in enumeration.candidate_executions_sharded(
-                    program, 0, 1, require_sc_per_location=scpv, pins=pins
+                for execution in enumeration.candidate_executions(
+                    program, require_sc_per_location=scpv, pins=pins
                 )
             ]
             assert stream == expected, name
@@ -417,10 +416,8 @@ class TestConditionDirected:
             for name, program in programs.items():
                 built.update(materialised=0, relations=0, dense=0)
                 kept = list(
-                    enumeration.candidate_executions_sharded(
+                    enumeration.candidate_executions(
                         program,
-                        0,
-                        1,
                         require_sc_per_location=True,
                         pins=pinned_atoms(program.condition.body),
                     )
@@ -516,8 +513,8 @@ class TestLocationMemo:
         possible_value_sets(rcu_mp_bound2)
         fixpoint = calls[0]
         calls[0] = 0
-        stream = enumeration.candidate_executions_sharded(
-            rcu_mp_bound2, 0, 1, require_sc_per_location=True
+        stream = enumeration.candidate_executions(
+            rcu_mp_bound2, require_sc_per_location=True
         )
         next(stream)
         assert calls[0] == fixpoint
@@ -596,24 +593,3 @@ class TestLocationMemo:
         production, oracle = _scpv_streams(program)
         assert production == oracle
         assert len(production) == 4  # r2, r3 each read 1 or 2
-
-    def test_shards_partition_the_stream(self, rcu_mp_bound2):
-        def stream(shard, shard_count):
-            with kconfig.use_oracle(False):
-                return [
-                    _candidate_key(execution)
-                    for execution in enumeration.candidate_executions_sharded(
-                        rcu_mp_bound2,
-                        shard,
-                        shard_count,
-                        require_sc_per_location=True,
-                    )
-                ]
-
-        full = stream(0, 1)
-        shards = [stream(shard, 3) for shard in range(3)]
-        for part in shards:
-            position = iter(full)
-            assert all(key in position for key in part)  # in order
-        assert Counter(key for part in shards for key in part) == Counter(full)
-        assert all(shards)

@@ -115,6 +115,18 @@ def test_crash_recovery_with_counters():
     assert counters.get("guard.retries", 0) > 0
 
 
+def test_crash_collateral_never_exhausts_attempts():
+    """A dead pool fails every task in flight, but only a task that
+    failed alone is charged an attempt: a long batch survives a crash
+    rate that kills a pool every few tasks."""
+    faults.set_spec(parse_fault_spec("crash:0.15,seed=8"))
+    payloads = list(range(40))
+    with obs.collect() as collector:
+        results = parallel.fault_tolerant_map(_double, payloads, jobs=2)
+    assert results == [value * 2 for value in payloads]
+    assert collector.report().counters.get("guard.worker_deaths", 0) > 3
+
+
 def test_hang_recovery_with_deadline():
     """A hung worker trips the attempt deadline and the task is retried
     on a fresh pool."""
@@ -277,6 +289,39 @@ def test_journal_parallel_resume(tmp_path):
     assert len(resumed) == len(programs)
     second = verdicts([SC], programs, jobs=2, journal=resumed)
     assert second == first
+
+
+SB_EDITED = """
+C SB
+{ x=0; y=0; }
+P0(int *x, int *y) {
+  WRITE_ONCE(*x, 1);
+  int r0 = READ_ONCE(*y);
+}
+P1(int *x, int *y) {
+  WRITE_ONCE(*y, 1);
+  int r0 = READ_ONCE(*x);
+}
+exists (0:r0=1 /\\ 1:r0=1)
+"""
+
+
+def test_journal_reruns_a_test_edited_under_its_name(tmp_path):
+    """Rows carry the program digest: a test whose program changed since
+    it was journaled is rerun, not replayed under its old verdict."""
+    path = tmp_path / "sweep.jsonl"
+    sb = library.get("SB")
+    assert verdicts([SC], [sb], journal=SweepJournal(path, ["SC"])) == {
+        "SB": {"SC": "Forbid"}
+    }
+    edited = parse_litmus(SB_EDITED)
+    assert edited.name == sb.name
+    with obs.collect() as collector:
+        table = verdicts([SC], [edited], journal=SweepJournal(path, ["SC"]))
+    assert table == {"SB": {"SC": "Allow"}}
+    assert "guard.journal_skips" not in collector.report().counters
+    # The rerun row replaces the stale one: the edit now replays.
+    assert SweepJournal(path, ["SC"]).completed("SB") == {"SC": "Allow"}
 
 
 def test_journal_tolerates_torn_lines_and_foreign_models(tmp_path):

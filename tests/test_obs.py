@@ -2,8 +2,8 @@
 
 The two load-bearing properties (ISSUE 4):
 
-* **counter exactness under sharding** — a serial run and a merged
-  parallel run of the same litmus test produce identical
+* **counter exactness across the pool** — a serial run and a merged
+  parallel run of the same programs produce identical
   enumeration/judgement counters (``enumerate.*``, ``herd.*``,
   ``lkmm.*``); cache-occupancy counters (``skeleton.*``, ``bitrel.*``)
   are explicitly excluded, as workers build private caches;
@@ -27,7 +27,6 @@ from repro import obs
 from repro.corpus.golden import load_golden
 from repro.corpus.sweep import sweep_corpus
 from repro.herd import run_litmus, verdicts
-from repro.kernel.parallel import run_litmus_parallel
 from repro.litmus import library
 from repro.lkmm import LinuxKernelModel
 from repro.obs import RunReport
@@ -35,11 +34,11 @@ from repro.tools import cli
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
-#: Counter namespaces whose totals must be exact across sharding.
+#: Counter namespaces whose totals must be exact across the pool.
 EXACT_PREFIXES = ("enumerate.", "herd.", "lkmm.", "cat.")
 #: Cache counters depend on per-process cache state; never compared.
 #: ``enumerate.location_fates`` counts entries of the SC-per-location
-#: sweep's memo, one memo per enumeration call (so per shard).  The
+#: sweep's memo, one memo per enumeration call.  The
 #: ``cat.*_cache_*`` counters count loads through the per-process
 #: model and file caches, which each worker fills afresh.
 CACHE_PREFIXES = (
@@ -302,35 +301,12 @@ class TestRunReport:
         assert RunReport().format_profile() == "(no observations recorded)"
 
 
-# -- counter exactness under kernel.parallel sharding ------------------------
+# -- counter exactness across the kernel.parallel pool ---------------------
 
 
 class TestShardingExactness:
-    @pytest.mark.parametrize("name", ["SB", "MP+wmb+rmb", "LB+ctrl+mb"])
-    def test_sharded_counters_match_serial(self, lkmm, name):
-        program = library.get(name)
-        with obs.collect() as serial:
-            serial_result = run_litmus(lkmm, program)
-        with obs.collect() as sharded:
-            sharded_result = run_litmus_parallel(lkmm, program, jobs=2)
-        assert serial_result.verdict == sharded_result.verdict
-        assert exact_counters(serial.report()) == exact_counters(
-            sharded.report()
-        )
-
-    def test_sharded_model_span_counts_match_serial(self, lkmm, sb_program):
-        """Per-candidate model spans are also exact (one per judgement)."""
-        with obs.collect() as serial:
-            run_litmus(lkmm, sb_program)
-        with obs.collect() as sharded:
-            run_litmus_parallel(lkmm, sb_program, jobs=2)
-        assert (
-            serial.report().spans["model.LKMM"]["count"]
-            == sharded.report().spans["model.LKMM"]["count"]
-        )
-
     @pytest.mark.parametrize(
-        "caller", ["verdicts", "sweep_corpus", "race_reports"]
+        "caller", ["verdicts", "sweep_corpus", "race_reports", "repro_herd"]
     )
     def test_program_distribution_counters_match_serial(self, lkmm, caller):
         """Every program-per-task caller brings its workers' counters home."""
@@ -346,13 +322,22 @@ class TestShardingExactness:
             def run(jobs):
                 return sweep_corpus(tests, jobs=jobs).matrix
 
-        else:
+        elif caller == "race_reports":
             programs = [library.get(name) for name in ("MP", "SB", "LB")]
 
             def run(jobs):
                 return [
                     report.racy for report in cli._race_reports(programs, jobs)
                 ]
+
+        else:
+            programs = [library.get(name) for name in ("SB", "MP+wmb+rmb")]
+
+            def run(jobs):
+                results = cli._herd_runs(
+                    lkmm, programs, None, jobs, lambda index, result: None
+                )
+                return [result.describe() for result in results]
 
         with obs.collect() as serial:
             serial_table = run(1)

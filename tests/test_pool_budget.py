@@ -1,11 +1,13 @@
-"""What crosses the worker pool besides the payload: the ambient budget.
+"""Budgets across the worker pool, and budgets that are spent already.
 
 :func:`repro.kernel.parallel.fault_tolerant_map` forwards the parent's
-armed budget with every task and re-arms it in the worker, so each
+armed budget with every task and re-arms it in the worker, and
+``repro-herd`` ships its per-test budget in each task's payload, so each
 pooled caller degrades to ``Inconclusive`` exactly where its serial path
 does, and a task runs under no budget but its own: a worker forked while
 the parent had a guard armed does not keep that guard.  The pool is also
-never larger than the batch it runs.
+never larger than the batch it runs.  A budget that is spent before a run
+starts stops the run at its entry, serially and in a worker.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ import pytest
 
 from repro.cat.eval import load_model
 from repro.corpus.generate import corpus_slice
-from repro.corpus.sweep import sweep_corpus
+from repro.corpus.sweep import NOT_APPLICABLE, sweep_corpus
 from repro.guard import Budget, guard
 from repro.herd import INCONCLUSIVE, run_litmus, verdicts
 from repro.kernel import parallel
 from repro.litmus import library
+from repro.tools import cli
 
 #: Trips at the first candidate of every run, serial or pooled.
 NO_CANDIDATES = Budget(max_candidates=0)
+#: Spent as soon as it is armed.
+EXPIRED = Budget(wall_seconds=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -31,7 +36,7 @@ def _clean_pools():
     parallel.shutdown_pools()
 
 
-@pytest.mark.parametrize("caller", ["verdicts", "sweep_corpus", "run_litmus"])
+@pytest.mark.parametrize("caller", ["verdicts", "sweep_corpus", "repro_herd"])
 def test_budget_crosses_the_pool(caller):
     if caller == "verdicts":
         sc = load_model("sc")
@@ -50,12 +55,13 @@ def test_budget_crosses_the_pool(caller):
 
     else:
         sc = load_model("sc")
+        programs = [library.get(name) for name in ("SB", "MP", "LB")]
 
         def run(jobs):
-            result = run_litmus(
-                sc, library.get("SB"), jobs=jobs, budget=NO_CANDIDATES
+            results = cli._herd_runs(
+                sc, programs, NO_CANDIDATES, jobs, lambda index, result: None
             )
-            return {"SB": {sc.name: result.verdict}}
+            return {r.program.name: {sc.name: r.verdict} for r in results}
 
     # Fork the workers outside the guard: the budget can then reach them
     # only by being forwarded with each task.
@@ -80,3 +86,20 @@ def test_pool_never_outnumbers_its_tasks():
     (pool,) = parallel._PERSISTENT_POOLS.values()
     assert pool.jobs == 2
     assert len(pool.worker_pids()) == 2
+
+
+def test_spent_budget_stops_a_run_at_entry():
+    result = run_litmus(load_model("sc"), library.get("SB"), budget=EXPIRED)
+    assert result.verdict == INCONCLUSIVE
+    assert result.interrupted.reason == "wall_clock"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_spent_budget_leaves_no_sweep_cell_conclusive(jobs):
+    tests = corpus_slice(seed=0, start=0, stop=4)
+    with guard(EXPIRED):
+        matrix = sweep_corpus(tests, jobs=jobs).matrix
+    assert sorted(matrix) == sorted(test.name for test in tests)
+    for row in matrix.values():
+        assert INCONCLUSIVE in row.values()
+        assert set(row.values()) <= {INCONCLUSIVE, NOT_APPLICABLE}
