@@ -15,7 +15,6 @@ from repro.herd import run_litmus
 from repro.kernel.config import use_oracle
 from repro.litmus import library
 from repro.litmus.outcomes import pinned_atoms
-from repro.lkmm import LinuxKernelModel
 from repro.rcu import inline_rcu, verify_implementation
 
 from conftest import once

@@ -28,8 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Union as TUnion
 
 from repro.cat import ast as C
-from repro.cat.parser import CatParseError, parse_cat
-from repro.events import FENCE
+from repro.cat.parser import parse_cat
 from repro.executions.candidate import CandidateExecution
 from repro.executions.derived import crit_relation
 from repro.guard import core as _guard

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cat.eval import load_model
 from repro.corpus.generate import CorpusTest
-from repro.guard import Budget, SweepJournal, guard
+from repro.guard import Budget, SweepJournal
+from repro.guard.core import ambient, rearm
 from repro.hardware import CompileError, compile_program, get_arch
 from repro.herd import INCONCLUSIVE, verdict_row
 from repro.litmus.parser import parse_litmus
@@ -109,10 +110,7 @@ def sweep_row(
                 continue
             row.update(verdict_row([_model(spec.key)], mapped))
 
-    if budget is not None:
-        with guard(budget):
-            _judge()
-    else:
+    with rearm(budget):
         _judge()
     if _obs.ENABLED:
         _obs.count("corpus.sweep_rows")
@@ -171,6 +169,9 @@ def sweep_corpus(
     is returned; resuming with the same journal picks up exactly there.
     ``row_budget`` bounds each row individually (sound ``Inconclusive``
     degradation; such rows are never journaled, so they rerun on resume).
+    An ambient budget (:func:`repro.guard.guard`) is spent per row too:
+    each row runs under a fresh copy of it (:func:`repro.guard.core.rearm`),
+    serially just as on a pool worker.
     """
     result = SweepResult()
     pending: List[CorpusTest] = []
@@ -222,11 +223,12 @@ def sweep_corpus(
             if outcome is None:
                 result.abandoned.append(test.name)
     else:
+        budget, token = ambient()
         for test in pending:
             if _expired():
                 result.abandoned.append(test.name)
                 continue
-            _accept(
-                test, sweep_row(test.program, specs, budget=row_budget)
-            )
+            with rearm(budget, token):
+                row = sweep_row(test.program, specs, budget=row_budget)
+            _accept(test, row)
     return result

@@ -38,9 +38,9 @@ from __future__ import annotations
 import os
 import time
 import tracemalloc
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass
+from typing import Any, ContextManager, Dict, Optional, Tuple
 
 from repro.obs import core as _obs
 
@@ -82,6 +82,11 @@ class Budget:
     Budgets are value objects: picklable (they cross the worker-pool
     boundary so each pooled task self-limits) and reusable (each
     :class:`Guard` arms a fresh set of counters).
+
+    A sweep spends an ambient budget *per program*: each program of
+    :func:`repro.herd.verdicts` or :func:`repro.corpus.sweep.sweep_corpus`
+    runs under a fresh copy of it (:func:`rearm`), with its own clock and
+    counters, whether it runs serially or on a pool worker.
     """
 
     #: Wall-clock ceiling in seconds, measured from arming.
@@ -313,6 +318,31 @@ def disarm() -> None:
     global _current, ACTIVE
     _current = None
     ACTIVE = False
+
+
+def ambient() -> Tuple[Optional[Budget], Optional[CancelToken]]:
+    """The armed guard's budget and cancel token (``(None, None)`` when
+    no guard is armed)."""
+    active = _current
+    if active is None:
+        return None, None
+    return active.budget, active.token
+
+
+def rearm(
+    budget: Optional[Budget], token: Optional[CancelToken] = None
+) -> ContextManager:
+    """A fresh copy of ``budget`` for one program: a :func:`guard` with its
+    own clock and counters, or nothing when ``budget`` is None.
+
+    The one place a sweep spends a budget, so a limit means the same at
+    any ``--jobs``: a pooled task
+    (:func:`repro.kernel.parallel._faulted_call`) and the serial loops of
+    :func:`repro.herd.verdicts` and :func:`repro.corpus.sweep.sweep_corpus`
+    each run a program under ``rearm(*ambient())`` of the parent.  A
+    token does not cross the pool, so only a serial loop passes one on.
+    """
+    return nullcontext() if budget is None else guard(budget, token)
 
 
 def tick(n: int = 1) -> None:

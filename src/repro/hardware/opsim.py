@@ -38,22 +38,35 @@ and ``done``.  The registers holding a value are exactly those written by
 the done instructions, so everything the window walk reads except one
 thing is a function of ``(done, fetched, syncing)`` — ``syncing`` being
 whether the thread's own grace period is in flight.  Each lowered table
-therefore memoises its offers under that key: a walk runs once per thread
-state, and a step only rebuilds the offers of the thread that acted.  The
-exception is a ``spin_lock``'s read value, which depends on memory: the
-entry keeps such a lock apart, and every step checks it against the
-thread's view of memory.  None of this changes a decision: every step
-offers the scheduler the same actions in the same order as evaluating the
-rules directly would, so a seed yields the same random stream, histogram
-and traces.
+therefore memoises its offers under that key.  The exception is a
+``spin_lock``'s read value, which depends on memory: the entry keeps such
+a lock apart, and the scheduler checks it against the thread's view of
+memory.
 
-:meth:`OperationalSimulator.run_once_traced` also records a full *trace*
-— which write each read observed (rf), the order writes reached memory
-(co), and the dependency taints — from which :mod:`repro.hardware.trace`
-rebuilds a :class:`~repro.executions.candidate.CandidateExecution`,
-enabling execution-level (not merely state-level) validation against the
-axiomatic models.  :meth:`~OperationalSimulator.run_once` and
-:meth:`~OperationalSimulator.sample` record nothing but the final state.
+An untraced run (:meth:`~OperationalSimulator.run_once`,
+:meth:`~OperationalSimulator.sample`) is a walk over the simulator's
+*state graph*, built lazily and kept for the simulator's lifetime.  A
+state is everything a run can still observe: each thread's progress,
+registers, store buffer (without write ids) and RCU depth, the memory
+values and the pending grace periods.  Each state is interned once, as a
+node holding its eligible actions (in the scheduler's order), one
+successor slot per action, filled the first time the action is taken,
+and the state itself, from which an unexplored action is executed by the
+full simulator (on the concrete state last expanded into, when that is
+still the node's).  A terminal node keeps its final state and a
+deadlocked one its error.  So a step of a walk costs one ``rng.randrange`` over the
+node's actions and one slot lookup, while each distinct state and edge is
+computed once however many runs pass through it.
+
+:meth:`OperationalSimulator.run_once_traced` runs the full simulator and
+also records a *trace* — which write each read observed (rf), the order
+writes reached memory (co), and the dependency taints — from which
+:mod:`repro.hardware.trace` rebuilds a
+:class:`~repro.executions.candidate.CandidateExecution`, enabling
+execution-level (not merely state-level) validation against the
+axiomatic models.  Both kinds of run take each step through the one
+:meth:`~OperationalSimulator._step` and draw the same random stream, so a
+seed yields the same final states whether traced or not.
 """
 
 from __future__ import annotations
@@ -87,6 +100,7 @@ from repro.litmus.ast import (
     UnOp,
 )
 from repro.litmus.outcomes import FinalState
+from repro.obs import core as _obs
 
 _LK_SPECIALS = (RCU_LOCK, RCU_UNLOCK, SYNC_RCU)
 
@@ -271,8 +285,6 @@ class _ThreadState:
         self.done = 0
         #: Whether the thread's own synchronize_rcu is in flight.
         self.syncing = False
-        #: The memo entry for (done, fetched, syncing).
-        self.offers = table.offers(0, self.fetched, False)
         self.regs: Dict[str, Value] = {}
         #: Register -> ids of the dynamic reads its value derives from
         #: (traced runs only).
@@ -288,6 +300,28 @@ class _ThreadState:
     @property
     def finished(self) -> bool:
         return self.done == self.fetched and not self.buffer
+
+    def snapshot(self) -> Tuple:
+        """The thread's part of an untraced state (registers sorted by
+        name, buffered stores without write ids)."""
+        return (
+            self.done,
+            self.fetched,
+            self.syncing,
+            tuple(sorted(self.regs.items())),
+            tuple((loc, value) for loc, value, _ in self.buffer),
+            self.rcu_depth,
+        )
+
+    @classmethod
+    def restore(cls, table: _ThreadTable, snapshot: Tuple) -> "_ThreadState":
+        thread = cls(table)
+        done, fetched, syncing, regs, buffer, rcu_depth = snapshot
+        thread.done, thread.fetched, thread.syncing = done, fetched, syncing
+        thread.regs = dict(regs)
+        thread.buffer = [(loc, value, None) for loc, value in buffer]
+        thread.rcu_depth = rcu_depth
+        return thread
 
     def po_index(self, number: int) -> int:
         """Stream index of ``number``: how many fetched numbers precede it."""
@@ -332,6 +366,59 @@ class _Memory:
             self.trace.co_order.setdefault(loc, []).append(write_id)
 
 
+class _Node:
+    """One interned untraced state of the simulator's state graph."""
+
+    __slots__ = ("state", "actions", "successors", "final", "error")
+
+    def __init__(self, state: Tuple, actions: List[Tuple[str, int, int]]):
+        #: The state itself: per-thread snapshots, memory values, pending
+        #: grace periods.
+        self.state = state
+        #: The eligible actions, in the scheduler's order.
+        self.actions = actions
+        #: The node each action leads to, once it has been taken.
+        self.successors: List[Optional[_Node]] = [None] * len(actions)
+        #: A terminal node's final state (never handed out: callers get
+        #: copies).
+        self.final: Optional[FinalState] = None
+        #: A deadlocked node's message.
+        self.error: Optional[str] = None
+
+
+class _World:
+    """A concrete untraced state, on which the full simulator steps."""
+
+    __slots__ = ("threads", "memory", "syncs", "node")
+
+    def __init__(
+        self,
+        threads: List[_ThreadState],
+        memory: _Memory,
+        syncs: List[_PendingSync],
+    ):
+        self.threads = threads
+        self.memory = memory
+        self.syncs = syncs
+        #: The node whose state the world holds, if any.
+        self.node: Optional[_Node] = None
+
+    @classmethod
+    def restore(cls, tables: List[_ThreadTable], state: Tuple) -> "_World":
+        snapshots, values, pending = state
+        return cls(
+            [
+                _ThreadState.restore(table, snapshot)
+                for table, snapshot in zip(tables, snapshots)
+            ],
+            _Memory(values, None),
+            [
+                _PendingSync(tid, set(waiting), number)
+                for tid, waiting, number in pending
+            ],
+        )
+
+
 class OperationalSimulator:
     """Runs one architecture-level program to completion, many times."""
 
@@ -346,13 +433,18 @@ class OperationalSimulator:
         self._initial = [
             (loc, program.initial_value(loc)) for loc in program.locations()
         ]
+        #: The state graph of untraced runs: state -> its node.
+        self._nodes: Dict[Tuple, _Node] = {}
+        self._root: Optional[_Node] = None
+        #: The concrete state the graph was last expanded into.
+        self._world: Optional[_World] = None
 
     # -- public API ------------------------------------------------------
 
     def run_once(self, rng: random.Random) -> FinalState:
         """One complete run under a random schedule; returns the final
         state (registers and memory)."""
-        return self._run(rng, None)
+        return _copy(self._walk(rng).final)
 
     def run_once_traced(
         self, rng: random.Random
@@ -362,46 +454,19 @@ class OperationalSimulator:
         Consumes ``rng`` exactly as :meth:`run_once` does and reaches the
         same final state."""
         trace = RunTrace()
-        return self._run(rng, trace), trace
-
-    def _run(self, rng: random.Random, trace: Optional[RunTrace]) -> FinalState:
         memory = _Memory(self._initial, trace)
         threads = [_ThreadState(table) for table in self._tables]
         syncs: List[_PendingSync] = []
-
         while True:
             actions = self._eligible_actions(threads, memory, syncs)
             if not actions:
-                if all(t.finished for t in threads) and not syncs:
-                    break
-                raise SimulationError(
-                    f"no eligible action in {self.program.name} "
-                    f"(deadlock at heads "
-                    f"{[(t.tid, t.head_index()) for t in threads]})"
-                )
-            kind, tid, number = actions[rng.randrange(len(actions))]
-            thread = threads[tid]
-            if kind == "drain":
-                # Only memory changes, never the thread's offers.
-                loc, value, write_id = thread.buffer.pop(0)
-                memory.commit(loc, value, write_id)
-                continue
-            if kind == "sync-done":
-                syncs[:] = [s for s in syncs if s.thread != tid]
-                thread.syncing = False
-                thread.done |= 1 << number
-            else:
-                self._execute(thread, number, memory, threads, syncs, trace)
-            thread.offers = thread.table.offers(
-                thread.done, thread.fetched, thread.syncing
-            )
-
-        registers = {
-            (t.tid, name): value
-            for t in threads
-            for name, value in t.regs.items()
-        }
-        return FinalState(registers, memory.values)
+                break
+            action = actions[rng.randrange(len(actions))]
+            self._step(action, threads, memory, syncs, trace)
+        error = self._stuck(threads, syncs)
+        if error is not None:
+            raise SimulationError(error)
+        return _final_state(threads, memory), trace
 
     def sample(
         self,
@@ -414,15 +479,139 @@ class OperationalSimulator:
         Scheduling randomness comes exclusively from ``rng`` when given,
         else from a fresh ``random.Random(seed)`` — never from global
         ``random`` state — so a fixed seed reproduces the exact histogram
-        across processes and simulator instances.
+        across processes and simulator instances.  The histogram lists
+        the final states in the order the runs first reached them.
         """
         if rng is None:
             rng = random.Random(seed)
-        histogram: Dict[FinalState, int] = {}
+        # Runs per terminal node, in the order the runs first reached it.
+        ends: Dict[_Node, int] = {}
         for _ in range(runs):
-            state = self.run_once(rng)
-            histogram[state] = histogram.get(state, 0) + 1
+            end = self._walk(rng)
+            ends[end] = ends.get(end, 0) + 1
+        histogram: Dict[FinalState, int] = {}
+        for end, count in ends.items():
+            # Distinct terminal nodes may share a final state (they differ
+            # in the ``if`` arms taken); the first one keeps its place.
+            state = _copy(end.final)
+            histogram[state] = histogram.get(state, 0) + count
         return histogram
+
+    # -- the state graph --------------------------------------------------
+
+    def _walk(self, rng: random.Random) -> _Node:
+        """Follow one random schedule from the root to a terminal node."""
+        randrange = rng.randrange
+        node = self._root
+        if node is None:
+            world = _World(
+                [_ThreadState(table) for table in self._tables],
+                _Memory(self._initial, None),
+                [],
+            )
+            node = self._root = self._intern(
+                tuple(thread.snapshot() for thread in world.threads), world
+            )
+        successors = node.successors
+        while successors:
+            index = randrange(len(successors))
+            node = successors[index] or self._expand(node, index)
+            successors = node.successors
+        if node.error is not None:
+            raise SimulationError(node.error)
+        return node
+
+    def _expand(self, node: _Node, index: int) -> _Node:
+        """Take ``node``'s action ``index`` for the first time.
+
+        The action runs on the live world when that still holds
+        ``node``'s state (a run exploring new states keeps it), else on
+        one restored from the node.  A step changes only the acting
+        thread, memory and the pending grace periods, so the other
+        threads' snapshots carry over.
+        """
+        world = self._world
+        if world is None or world.node is not node:
+            world = self._world = _World.restore(self._tables, node.state)
+        # The step mutates the world: until it is interned again, it
+        # holds no node's state.
+        world.node = None
+        action = node.actions[index]
+        self._step(action, world.threads, world.memory, world.syncs, None)
+        tid = action[1]
+        snapshots = node.state[0]
+        snapshots = (
+            snapshots[:tid] + (world.threads[tid].snapshot(),) + snapshots[tid + 1:]
+        )
+        successor = node.successors[index] = self._intern(snapshots, world)
+        if _obs.ENABLED:
+            _obs.count("opsim.edges")
+        return successor
+
+    def _intern(self, snapshots: Tuple, world: _World) -> _Node:
+        """The node of ``world``'s state (``snapshots`` being its threads'),
+        made on first sight; ``world`` becomes the live world."""
+        threads, memory, syncs = world.threads, world.memory, world.syncs
+        state = (
+            snapshots,
+            tuple(memory.values.items()),
+            tuple(
+                (sync.thread, frozenset(sync.waiting_for), sync.number)
+                for sync in syncs
+            ),
+        )
+        node = self._nodes.get(state)
+        if node is None:
+            node = self._nodes[state] = _Node(
+                state, self._eligible_actions(threads, memory, syncs)
+            )
+            if not node.actions:
+                node.error = self._stuck(threads, syncs)
+                if node.error is None:
+                    node.final = _final_state(threads, memory)
+            if _obs.ENABLED:
+                _obs.count("opsim.states")
+        world.node = node
+        self._world = world
+        return node
+
+    # -- stepping ---------------------------------------------------------
+
+    def _step(
+        self,
+        action: Tuple[str, int, int],
+        threads: List[_ThreadState],
+        memory: _Memory,
+        syncs: List[_PendingSync],
+        trace: Optional[RunTrace],
+    ) -> None:
+        """Take one scheduler ``action``: drain a buffered store, finish a
+        grace period or execute an instruction; record its events in
+        ``trace`` unless it is None."""
+        kind, tid, number = action
+        thread = threads[tid]
+        if kind == "drain":
+            loc, value, write_id = thread.buffer.pop(0)
+            memory.commit(loc, value, write_id)
+        elif kind == "sync-done":
+            syncs[:] = [s for s in syncs if s.thread != tid]
+            thread.syncing = False
+            thread.done |= 1 << number
+        else:
+            self._execute(thread, number, memory, threads, syncs, trace)
+
+    def _stuck(
+        self, threads: List[_ThreadState], syncs: List[_PendingSync]
+    ) -> Optional[str]:
+        """For a state without eligible actions: the deadlock message, or
+        None when every thread has finished."""
+        if all(t.finished for t in threads) and not syncs:
+            return None
+        return (
+            f"no eligible action in {self.program.name} "
+            f"(deadlock at heads "
+            f"{[(t.tid, t.head_index()) for t in threads]})"
+        )
 
     # -- scheduling -------------------------------------------------------
 
@@ -436,7 +625,9 @@ class OperationalSimulator:
         for thread in threads:
             if thread.buffer:
                 actions.append(("drain", thread.tid, -1))
-            offers, spins = thread.offers
+            offers, spins = thread.table.offers(
+                thread.done, thread.fetched, thread.syncing
+            )
             actions += offers
             for action, ins in spins:
                 # A spin_lock can only start when the lock value matches.
@@ -697,6 +888,17 @@ class OperationalSimulator:
 
 
 # -- static helpers ----------------------------------------------------------
+
+
+def _final_state(threads: List[_ThreadState], memory: _Memory) -> FinalState:
+    registers = {
+        (t.tid, name): value for t in threads for name, value in t.regs.items()
+    }
+    return FinalState(registers, memory.values)
+
+
+def _copy(state: FinalState) -> FinalState:
+    return FinalState(dict(state.registers), dict(state.memory))
 
 
 def _numbers(mask: int) -> List[int]:

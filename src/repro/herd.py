@@ -29,7 +29,6 @@ that genuinely needed the unscanned suffix degrade.  The
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -271,7 +270,7 @@ def run_litmus(
             f"{model.name} does not imply SC-per-location, so its "
             "candidates cannot be filtered by it"
         )
-    with nullcontext() if budget is None else _guard.guard(budget):
+    with _guard.rearm(budget):
         return run_litmus_many([model], program)[model.name]
 
 
@@ -309,6 +308,11 @@ def verdicts(
     report across); this function owns the sweep policy for both paths,
     so they scan the same candidate prefixes and their merged counters
     agree (``tests/test_obs.py``).
+
+    An ambient budget (:func:`repro.guard.guard`) is spent per program:
+    each row runs under a fresh copy of it (:func:`repro.guard.core.rearm`),
+    serially just as on a pool worker, so a limit gives the same table at
+    any ``jobs``.
 
     Only verdicts are exposed, so each row is a :func:`verdict_row`: its
     sweep early-exits once every verdict is final (first witness for
@@ -353,8 +357,11 @@ def verdicts(
             on_result=land,
         )
     else:
+        budget, token = _guard.ambient()
         for index, program in enumerate(pending):
-            land(index, verdict_row(models, program))
+            with _guard.rearm(budget, token):
+                row = verdict_row(models, program)
+            land(index, row)
     return {
         program.name: table[program.name]
         for program in programs

@@ -59,7 +59,6 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.guard import core as _guard_core
@@ -272,7 +271,7 @@ def _faulted_call(
     Returns ``(result, report)``: the serialised report, or ``None``.
     """
     _faults.maybe_inject(nonce)
-    armed = nullcontext() if budget is None else _guard_core.guard(budget)
+    armed = _guard_core.rearm(budget)
     if not _WORKER_OBSERVING:
         with armed:
             return fn(payload), None
@@ -335,8 +334,7 @@ def fault_tolerant_map(
     """
     if max_attempts is None:
         max_attempts = MAX_ATTEMPTS
-    active = _guard_core.current()
-    budget = active.budget if active is not None else None
+    budget, _ = _guard_core.ambient()
     if task_timeout is None:
         task_timeout = task_deadline(budget)
     # The executor forks every worker at the first submit, so a pool

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.events import Pointer
 from repro.litmus.ast import (
@@ -30,7 +30,6 @@ from repro.litmus.ast import (
     Reg,
     Rmw,
     Store,
-    Thread,
     UnOp,
 )
 from repro.litmus.outcomes import (

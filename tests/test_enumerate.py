@@ -14,7 +14,6 @@ from repro.kernel import config as kconfig
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
 from repro.litmus.outcomes import Exists, LocValue, NotExists, pinned_atoms
-from repro.litmus.parser import parse_litmus
 from repro.rcu.implementation import inline_rcu
 from repro.relations import Relation
 

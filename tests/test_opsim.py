@@ -1,14 +1,19 @@
 """Tests for the operational simulator (the klitmus substitute)."""
 
+import copy
 import random
 import re
 
 import pytest
 
+from repro import obs
 from repro.hardware import compile_program, get_arch
+from repro.hardware.archspec import TABLE5_ARCHS
 from repro.hardware.opsim import (
     OperationalSimulator,
     SimulationError,
+    _Memory,
+    _ThreadState,
     _ThreadTable,
 )
 from repro.litmus import dsl, library
@@ -160,6 +165,120 @@ class TestOfferMemo:
             id(table.memo) for sim in (first, second) for table in sim._tables
         ]
         assert len(set(memos)) == len(memos)
+
+
+def traced_histogram(sim, runs, rng):
+    """The histogram of ``runs`` full-simulator runs, in first-occurrence
+    order."""
+    histogram = {}
+    for _ in range(runs):
+        state, _ = sim.run_once_traced(rng)
+        histogram[state] = histogram.get(state, 0) + 1
+    return histogram
+
+
+def reachable_states(sim):
+    """Every state the full simulator can reach, by breadth-first search
+    (registers compared as sets, store buffers without write ids)."""
+
+    def state_of(threads, memory, syncs):
+        return (
+            tuple(
+                (
+                    t.done, t.fetched, t.syncing, frozenset(t.regs.items()),
+                    tuple(entry[:2] for entry in t.buffer), t.rcu_depth,
+                )
+                for t in threads
+            ),
+            frozenset(memory.values.items()),
+            tuple((s.thread, frozenset(s.waiting_for), s.number) for s in syncs),
+        )
+
+    tables = {id(table): table for table in sim._tables}
+    start = (
+        [_ThreadState(table) for table in sim._tables],
+        _Memory(sim._initial, None),
+        [],
+    )
+    seen = {state_of(*start)}
+    frontier = [start]
+    while frontier:
+        world = frontier.pop()
+        for action in sim._eligible_actions(*world):
+            threads, memory, syncs = copy.deepcopy(world, dict(tables))
+            sim._step(action, threads, memory, syncs, None)
+            state = state_of(threads, memory, syncs)
+            if state not in seen:
+                seen.add(state)
+                frontier.append((threads, memory, syncs))
+    return seen
+
+
+class TestStateGraph:
+    """Untraced runs walk the interned state graph; traced runs run the
+    full simulator; both draw the same random stream."""
+
+    @pytest.mark.parametrize("arch", TABLE5_ARCHS)
+    @pytest.mark.parametrize("name", library.TABLE5 + ["SB+unlock-lock"])
+    def test_sample_equals_the_full_simulator(self, name, arch):
+        sim, _ = simulator(name, arch)
+        walked = random.Random(5)
+        full = random.Random(5)
+        histogram = sim.sample(150, rng=walked)
+        # Same states, same counts, same first-occurrence order.
+        assert list(histogram.items()) == list(
+            traced_histogram(sim, 150, full).items()
+        )
+        assert walked.getstate() == full.getstate()
+
+    def test_deadlock_raises_on_every_run(self):
+        arch = get_arch("ARMv8")
+        program = dsl.program(
+            "Lock-held", dsl.thread(dsl.spin_lock("l")), init={"l": 1}
+        )
+        sim = OperationalSimulator(compile_program(program, arch), arch)
+        message = (
+            "no eligible action in Lock-held@ARMv8 "
+            "(deadlock at heads [(0, 0)])"
+        )
+        for seed in range(3):
+            with pytest.raises(SimulationError, match=re.escape(message)):
+                sim.sample(5, seed=seed)
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            sim.run_once_traced(random.Random(0))
+
+    # MP's reader may complete its two loads in either order, so its
+    # registers fill in either order too.
+    @pytest.mark.parametrize("name, states", [("SB", 49), ("MP", 53)])
+    def test_each_state_is_interned_once(self, name, states):
+        sim, _ = simulator(name, "ARMv8")
+        sim.sample(500, seed=1)
+        assert len(sim._nodes) == len(reachable_states(sim)) == states
+        sim.sample(500, seed=2)
+        assert len(sim._nodes) == states
+
+    def test_histogram_does_not_alias_the_graph(self):
+        sim, _ = simulator("SB", "ARMv8")
+        for state in sim.sample(200, seed=1):
+            state.registers.clear()
+            state.memory.clear()
+        sim.run_once(random.Random(0)).memory.clear()
+        first, second = sim.sample(200, seed=1), sim.sample(200, seed=1)
+        assert first == second
+        assert all(state.memory for state in first)
+
+    def test_growth_is_counted(self):
+        sim, _ = simulator("SB", "ARMv8")
+        with obs.collect() as collector:
+            sim.sample(500, seed=1)
+            sim.sample(500, seed=2)
+        edges = sum(
+            successor is not None
+            for node in sim._nodes.values()
+            for successor in node.successors
+        )
+        assert collector.counters == {"opsim.states": 49, "opsim.edges": 98}
+        assert edges == 98
 
 
 class TestRcuOperationalSemantics:

@@ -7,7 +7,9 @@ pooled caller degrades to ``Inconclusive`` exactly where its serial path
 does, and a task runs under no budget but its own: a worker forked while
 the parent had a guard armed does not keep that guard.  The pool is also
 never larger than the batch it runs.  A budget that is spent before a run
-starts stops the run at its entry, serially and in a worker.
+starts stops the run at its entry, serially and in a worker.  An ambient
+budget is spent per program at any ``jobs``: the serial loops re-arm it
+for each program just as a pooled task does.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import pytest
 
 from repro.cat.eval import load_model
 from repro.corpus.generate import corpus_slice
-from repro.corpus.sweep import NOT_APPLICABLE, sweep_corpus
+from repro.corpus.sweep import NOT_APPLICABLE, sweep_corpus, sweep_row
 from repro.guard import Budget, guard
-from repro.herd import INCONCLUSIVE, run_litmus, verdicts
+from repro.herd import INCONCLUSIVE, run_litmus, verdict_row, verdicts
 from repro.kernel import parallel
 from repro.litmus import library
 from repro.tools import cli
@@ -103,3 +105,33 @@ def test_spent_budget_leaves_no_sweep_cell_conclusive(jobs):
     for row in matrix.values():
         assert INCONCLUSIVE in row.values()
         assert set(row.values()) <= {INCONCLUSIVE, NOT_APPLICABLE}
+
+
+def test_ambient_budget_is_spent_per_program_at_any_jobs():
+    # 20 candidates settle every library test in production, but not the
+    # whole library.
+    lkmm = load_model("lkmm")
+    programs = library.all_tests()
+    budget = Budget(max_candidates=20)
+    with guard(budget):
+        serial = verdicts([lkmm], programs, jobs=1)
+        pooled = verdicts([lkmm], programs, jobs=2)
+    alone = {}
+    for program in programs:
+        with guard(budget):
+            alone[program.name] = verdict_row([lkmm], program)
+    assert serial == pooled == alone
+
+
+def test_ambient_budget_is_spent_per_row_in_a_serial_sweep():
+    tests = corpus_slice(seed=0, start=0, stop=6)
+    budget = Budget(max_candidates=3)
+    with guard(budget):
+        serial = sweep_corpus(tests, jobs=1).matrix
+        pooled = sweep_corpus(tests, jobs=2).matrix
+    alone = {}
+    for test in tests:
+        with guard(budget):
+            alone[test.name] = sweep_row(test.program)
+    assert serial == pooled == alone
+    assert any(INCONCLUSIVE in row.values() for row in serial.values())
