@@ -10,15 +10,18 @@ to the architecture (:func:`repro.hardware.compile_program` with
 mapping of Table 4, and RCU-bearing tests — which no mapping can express
 — get the verdict :data:`NOT_APPLICABLE` instead of a lie.
 
-Rows are distributed over a fault-tolerant worker pool
-(:func:`repro.kernel.parallel.fault_tolerant_map`): a crashed or hung
-worker costs a retry, not the sweep.  Each completed conclusive row is
-checkpointed to a digest-carrying :class:`repro.guard.SweepJournal`
-before the next lands, so a sweep killed at row 7,000 resumes at row
-7,001 — and a journal row whose program digest no longer matches the
-corpus is rerun, not replayed.  A wall budget turns the sweep into an
-anytime computation: when it expires the pool abandons the queued tail
-and the partial matrix (plus journal) is the result.
+Rows are tasks of :func:`repro.kernel.parallel.fault_tolerant_map`,
+serial or on a fault-tolerant worker pool (a crashed or hung worker
+costs a retry, not the sweep).  Each task is sent its program as an
+object with the spec tuple, the same way :func:`repro.herd.verdicts`
+sends programs, so the serial path serialises nothing.  Each completed
+conclusive row is checkpointed to a digest-carrying
+:class:`repro.guard.SweepJournal` before the next lands, so a sweep
+killed at row 7,000 resumes at row 7,001 — and a journal row whose
+program digest no longer matches the corpus is rerun, not replayed.  A
+wall budget turns the sweep into an anytime computation: when it
+expires the map abandons the queued tail and the partial matrix (plus
+journal) is the result.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cat.eval import load_model
 from repro.corpus.generate import CorpusTest
 from repro.guard import Budget, SweepJournal
 from repro.guard.core import ambient, rearm
-from repro.hardware import CompileError, compile_program, get_arch
-from repro.herd import INCONCLUSIVE, verdict_row
-from repro.litmus.parser import parse_litmus
 from repro.obs import core as _obs
+# Bound here by name: the benchmark's tracer wraps load_model,
+# compile_program, verdict_row and parse_litmus as attributes of this
+# module (parse_litmus has no caller here any more).
+from repro.cat.eval import load_model
+from repro.hardware import CompileError, compile_program, get_arch
+from repro.herd import verdict_row
+from repro.litmus.parser import parse_litmus  # noqa: F401
 
 #: Verdict for a (test, model) cell the model cannot express — an
 #: RCU-bearing test under a hardware mapping.
@@ -77,56 +83,40 @@ def _model(key: str):
 
 
 def sweep_row(
-    program,
-    specs: Sequence[ModelSpec] = CORPUS_MODELS,
-    budget: Optional[Budget] = None,
+    program, specs: Sequence[ModelSpec] = CORPUS_MODELS
 ) -> Dict[str, str]:
     """Judge one program under the full battery: ``{model name: verdict}``.
 
-    The budget (when given) covers the whole row; once it trips, the
-    remaining columns degrade to ``Inconclusive`` at their first
-    safepoint rather than blowing the row's time allowance.
+    An ambient budget covers the whole row; once it trips, the remaining
+    columns degrade to ``Inconclusive`` at their first safepoint rather
+    than blowing the row's time allowance.
     """
-    direct = [spec for spec in specs if spec.arch is None]
-    compiled = [spec for spec in specs if spec.arch is not None]
     row: Dict[str, str] = {}
-
-    def _judge() -> None:
-        # One verdict_row shares a single condition-directed candidate
-        # sweep across the directly judged models.
-        if direct:
-            row.update(
-                verdict_row([_model(spec.key) for spec in direct], program)
-            )
-        for spec in compiled:
-            try:
-                mapped = compile_program(
-                    program, get_arch(spec.arch), rcu="error"
-                )
-            except CompileError:
-                row[spec.name] = NOT_APPLICABLE
-                if _obs.ENABLED:
-                    _obs.count("corpus.sweep_na")
-                continue
-            row.update(verdict_row([_model(spec.key)], mapped))
-
-    with rearm(budget):
-        _judge()
+    # One verdict_row shares a single condition-directed candidate sweep
+    # across the directly judged models.
+    direct = [_model(spec.key) for spec in specs if spec.arch is None]
+    if direct:
+        row.update(verdict_row(direct, program))
+    for spec in specs:
+        if spec.arch is None:
+            continue
+        try:
+            mapped = compile_program(program, get_arch(spec.arch), rcu="error")
+        except CompileError:
+            row[spec.name] = NOT_APPLICABLE
+            if _obs.ENABLED:
+                _obs.count("corpus.sweep_na")
+            continue
+        row.update(verdict_row([_model(spec.key)], mapped))
     if _obs.ENABLED:
         _obs.count("corpus.sweep_rows")
     return row
 
 
 def _sweep_task(payload: Tuple) -> Tuple[str, Dict[str, str]]:
-    """Worker-side row: parse the shipped litmus text, judge it.
-
-    The payload carries the test as litmus *text* (stable, compact, and
-    independent of AST pickling) plus the spec tuple and per-row budget.
-    """
-    litmus, spec_rows, budget = payload
-    specs = tuple(ModelSpec(*row) for row in spec_rows)
-    program = parse_litmus(litmus)
-    return program.name, sweep_row(program, specs, budget=budget)
+    """One row task: ``(program, specs)`` in, ``(name, row)`` out."""
+    program, specs = payload
+    return program.name, sweep_row(program, specs)
 
 
 @dataclass
@@ -168,11 +158,17 @@ def sweep_corpus(
     names land in :attr:`SweepResult.abandoned`) and whatever completed
     is returned; resuming with the same journal picks up exactly there.
     ``row_budget`` bounds each row individually (sound ``Inconclusive``
-    degradation; such rows are never journaled, so they rerun on resume).
-    An ambient budget (:func:`repro.guard.guard`) is spent per row too:
-    each row runs under a fresh copy of it (:func:`repro.guard.core.rearm`),
-    serially just as on a pool worker.
+    degradation; such rows are never journaled, so they rerun on resume):
+    it is armed as the ambient budget around the map, so a pooled sweep
+    also derives its hard per-task deadline from it.  Without it, an
+    ambient budget (:func:`repro.guard.guard`) is spent per row: each
+    row runs under a fresh copy of it (:func:`repro.guard.core.rearm`)
+    at any ``jobs``.
     """
+    # Looked up per call, not bound at import: the benchmark rebinds
+    # both the task and the map.
+    from repro.kernel import parallel
+
     result = SweepResult()
     pending: List[CorpusTest] = []
     for test in tests:
@@ -181,8 +177,6 @@ def sweep_corpus(
         if done is not None:
             result.matrix[test.name] = dict(done)
             result.journal_skips += 1
-            if _obs.ENABLED:
-                _obs.count("guard.journal_skips")
         else:
             pending.append(test)
 
@@ -193,42 +187,27 @@ def sweep_corpus(
     def _expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
-    def _accept(test: CorpusTest, row: Dict[str, str]) -> None:
+    def _accept(index: int, outcome: Tuple) -> None:
+        # The row is outcome[1]: a wrapped task may return more.
+        test, row = pending[index], outcome[1]
         result.matrix[test.name] = row
         result.swept += 1
-        if journal is not None and INCONCLUSIVE not in row.values():
+        if journal is not None:
             journal.record(test.name, row, digest=test.digest)
 
-    if jobs > 1 and len(pending) > 1:
-        from repro.kernel.parallel import fault_tolerant_map
-        from repro.litmus.writer import write_litmus
-
-        spec_rows = tuple((s.key, s.name, s.arch) for s in specs)
-        payloads = [
-            (write_litmus(test.program), spec_rows, row_budget)
-            for test in pending
-        ]
-        rows = fault_tolerant_map(
+    with rearm(row_budget, ambient()[1]):
+        outcomes = parallel.fault_tolerant_map(
             _sweep_task,
-            payloads,
+            [(test.program, specs) for test in pending],
             jobs,
             task_timeout=task_timeout,
             max_attempts=max_attempts,
-            on_result=lambda index, outcome: _accept(
-                pending[index], outcome[1]
-            ),
+            on_result=_accept,
             stop=_expired,
         )
-        for test, outcome in zip(pending, rows):
-            if outcome is None:
-                result.abandoned.append(test.name)
-    else:
-        budget, token = ambient()
-        for test in pending:
-            if _expired():
-                result.abandoned.append(test.name)
-                continue
-            with rearm(budget, token):
-                row = sweep_row(test.program, specs, budget=row_budget)
-            _accept(test, row)
+    result.abandoned = [
+        test.name
+        for test, outcome in zip(pending, outcomes)
+        if outcome is None
+    ]
     return result

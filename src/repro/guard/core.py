@@ -83,10 +83,10 @@ class Budget:
     boundary so each pooled task self-limits) and reusable (each
     :class:`Guard` arms a fresh set of counters).
 
-    A sweep spends an ambient budget *per program*: each program of
-    :func:`repro.herd.verdicts` or :func:`repro.corpus.sweep.sweep_corpus`
-    runs under a fresh copy of it (:func:`rearm`), with its own clock and
-    counters, whether it runs serially or on a pool worker.
+    A sweep spends an ambient budget *per program*: each task of
+    :func:`repro.kernel.parallel.fault_tolerant_map` runs under a fresh
+    copy of it (:func:`rearm`), with its own clock and counters, whether
+    it runs in the calling process or on a pool worker.
     """
 
     #: Wall-clock ceiling in seconds, measured from arming.
@@ -336,11 +336,13 @@ def rearm(
     own clock and counters, or nothing when ``budget`` is None.
 
     The one place a sweep spends a budget, so a limit means the same at
-    any ``--jobs``: a pooled task
-    (:func:`repro.kernel.parallel._faulted_call`) and the serial loops of
-    :func:`repro.herd.verdicts` and :func:`repro.corpus.sweep.sweep_corpus`
-    each run a program under ``rearm(*ambient())`` of the parent.  A
-    token does not cross the pool, so only a serial loop passes one on.
+    any ``--jobs``: :func:`repro.kernel.parallel.fault_tolerant_map`, the
+    one sweep path, runs every task under ``rearm(*ambient())`` of its
+    caller, in the calling process or on a pool worker.  A caller with a
+    per-program budget (``repro-herd``, the ``row_budget`` of
+    :func:`repro.corpus.sweep.sweep_corpus`) arms it around the map with
+    this function too.  A token does not cross the pool, so only the
+    in-process path passes one on.
     """
     return nullcontext() if budget is None else guard(budget, token)
 

@@ -23,9 +23,12 @@ test instead of replaying a verdict for a different program.  Every
 bundled caller passes digests; rows and queries without one match by
 name alone.
 
-Only *conclusive* rows belong in a journal: an ``Inconclusive`` verdict
-reflects the budget it was produced under, not the test, so callers skip
-journaling it and the test reruns on resume.
+The journal owns its two rules, so no sweep restates them.  Only
+*conclusive* rows belong in it: an :data:`INCONCLUSIVE` verdict reflects
+the budget it was produced under, not the test, so :meth:`SweepJournal.record`
+drops such a row and the test reruns on resume.  And every row
+:meth:`SweepJournal.completed` hands back counts one
+``guard.journal_skips`` observation.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+from repro.obs import core as _obs
+
+#: The verdict of a run whose budget stopped it before the condition was
+#: settled (:mod:`repro.herd` re-exports it; it lives here because
+#: ``herd`` imports this module).
+INCONCLUSIVE = "Inconclusive"
 
 
 class SweepJournal:
@@ -78,7 +88,8 @@ class SweepJournal:
     def completed(
         self, test_name: str, digest: Optional[str] = None
     ) -> Optional[Dict[str, str]]:
-        """The journaled verdict row for ``test_name``, if any.
+        """The journaled verdict row for ``test_name``, if any; a row
+        handed back counts as a ``guard.journal_skips`` observation.
 
         When both the query and the journaled row carry a ``digest`` they
         must agree; a mismatch means the test's *program* changed since
@@ -91,6 +102,8 @@ class SweepJournal:
         recorded = self._digests.get(test_name)
         if digest is not None and recorded is not None and digest != recorded:
             return None
+        if _obs.ENABLED:
+            _obs.count("guard.journal_skips")
         return row
 
     def completed_names(self) -> List[str]:
@@ -104,7 +117,10 @@ class SweepJournal:
         verdicts: Dict[str, str],
         digest: Optional[str] = None,
     ) -> None:
-        """Append one completed row, durably."""
+        """Append one completed row, durably; a row with an
+        :data:`INCONCLUSIVE` verdict is dropped."""
+        if INCONCLUSIVE in verdicts.values():
+            return
         self._done[test_name] = dict(verdicts)
         entry = {
             "test": test_name,

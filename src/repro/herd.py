@@ -38,7 +38,7 @@ from repro.executions.enumerate import (
     candidate_executions as candidate_executions_sharded,
 )
 from repro.guard import core as _guard
-from repro.guard.journal import SweepJournal
+from repro.guard.journal import INCONCLUSIVE, SweepJournal
 from repro.kernel import config as _config
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Exists, Forall, FinalState, NotExists, pinned_atoms
@@ -48,7 +48,6 @@ from repro.obs import core as _obs
 
 ALLOW = "Allow"
 FORBID = "Forbid"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass
@@ -288,7 +287,7 @@ def verdict_row(models: List[Model], program: Program) -> Dict[str, str]:
 
 
 def _verdict_row_task(payload: Tuple[List[Model], Program]) -> Dict[str, str]:
-    """One pooled :func:`verdicts` row (a module-level, picklable task)."""
+    """One :func:`verdicts` row (a module-level, picklable task)."""
     models, program = payload
     return verdict_row(models, program)
 
@@ -301,18 +300,16 @@ def verdicts(
 ) -> Dict[str, Dict[str, str]]:
     """Verdict table: ``{test name: {model name: Allow/Forbid}}``.
 
-    Each program is enumerated once, for all models together.  ``jobs > 1``
-    distributes whole programs, one row per task, over at most that many
-    worker processes (:func:`repro.kernel.parallel.fault_tolerant_map`,
-    which also carries the ambient budget and each worker's observability
-    report across); this function owns the sweep policy for both paths,
-    so they scan the same candidate prefixes and their merged counters
-    agree (``tests/test_obs.py``).
+    Each program is enumerated once, for all models together, one row
+    per task of :func:`repro.kernel.parallel.fault_tolerant_map`: in
+    this process at ``jobs=1``, else over at most ``jobs`` worker
+    processes, whose observability reports it brings home, so both scan
+    the same candidate prefixes and their merged counters agree
+    (``tests/test_obs.py``).
 
     An ambient budget (:func:`repro.guard.guard`) is spent per program:
     each row runs under a fresh copy of it (:func:`repro.guard.core.rearm`),
-    serially just as on a pool worker, so a limit gives the same table at
-    any ``jobs``.
+    so a limit gives the same table at any ``jobs``.
 
     Only verdicts are exposed, so each row is a :func:`verdict_row`: its
     sweep early-exits once every verdict is final (first witness for
@@ -320,12 +317,14 @@ def verdicts(
     cannot influence the verdict.
 
     ``journal`` checkpoints each completed row as it lands
-    (:class:`repro.guard.SweepJournal`): programs already journaled are
-    skipped, so an interrupted sweep resumes instead of restarting.  Rows
-    carry the program digest, so a test edited under the same name reruns.
-    ``Inconclusive`` rows are reported but never journaled — they reflect
-    the budget, not the test.  The table keeps the input program order.
+    (:class:`repro.guard.SweepJournal`, which keeps ``Inconclusive`` rows
+    out): programs already journaled are skipped, so an interrupted sweep
+    resumes instead of restarting.  Rows carry the program digest, so a
+    test edited under the same name reruns.  The table keeps the input
+    program order.
     """
+    from repro.kernel.parallel import fault_tolerant_map
+
     table: Dict[str, Dict[str, str]] = {}
     pending: List[Program] = []
     for program in programs:
@@ -335,8 +334,6 @@ def verdicts(
             else None
         )
         if done is not None:
-            if _obs.ENABLED:
-                _obs.count("guard.journal_skips")
             table[program.name] = done
         else:
             pending.append(program)
@@ -344,24 +341,15 @@ def verdicts(
     def land(index: int, row: Dict[str, str]) -> None:
         program = pending[index]
         table[program.name] = row
-        if journal is not None and INCONCLUSIVE not in row.values():
+        if journal is not None:
             journal.record(program.name, row, digest=program_digest(program))
 
-    if jobs > 1 and len(pending) > 1:
-        from repro.kernel.parallel import fault_tolerant_map
-
-        fault_tolerant_map(
-            _verdict_row_task,
-            [(models, program) for program in pending],
-            jobs,
-            on_result=land,
-        )
-    else:
-        budget, token = _guard.ambient()
-        for index, program in enumerate(pending):
-            with _guard.rearm(budget, token):
-                row = verdict_row(models, program)
-            land(index, row)
+    fault_tolerant_map(
+        _verdict_row_task,
+        [(models, program) for program in pending],
+        jobs,
+        on_result=land,
+    )
     return {
         program.name: table[program.name]
         for program in programs

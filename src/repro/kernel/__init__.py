@@ -13,13 +13,14 @@ A performance layer under the public ``Relation``/``EventSet``/
   model is lowered once to a flat instruction array over numbered
   registers of raw bitset values; trace-invariant registers are computed
   once per skeleton and shared by reference across rf×co siblings;
-* :mod:`repro.kernel.parallel` — distributes whole programs, one per
-  task, over a ``multiprocessing`` worker pool, surfaced as ``--jobs N``
-  on the CLIs and ``jobs=N`` on the ``verdicts``/``sweep_corpus`` APIs.
-  Every task crosses the pool through one call, ``fault_tolerant_map``,
-  which forwards the ambient budget and brings each worker's
-  observability report home; pools persist across programs so spawn and
-  model compile costs amortise over a library sweep;
+* :mod:`repro.kernel.parallel` — the one sweep path,
+  ``fault_tolerant_map``: every ``--jobs N`` of the CLIs and ``jobs=N``
+  of the ``verdicts``/``sweep_corpus`` APIs maps whole programs, one per
+  task, through it.  At ``N <= 1`` it runs them in the calling process;
+  otherwise on a ``multiprocessing`` worker pool, forwarding the ambient
+  budget and bringing each worker's observability report home.  Pools
+  persist across programs so spawn and model compile costs amortise over
+  a library sweep;
 * :mod:`repro.kernel.config` — the one switch, ``REPRO_ORACLE``: unset,
   the kernel runs production (all of the above plus condition-directed
   enumeration for verdict-only runs); set, it runs the oracle

@@ -1,47 +1,52 @@
 """Parallel litmus driving over fault-tolerant worker pools.
 
 The parallel work is the many tests, so programs are distributed whole,
-one per task: :func:`repro.herd.verdicts`, ``repro-herd --jobs``,
-``repro-lint --races --jobs`` and :func:`repro.corpus.sweep.sweep_corpus`
-each map a plain task function over their programs with
-:func:`fault_tolerant_map`.  The parent's kernel configuration
-(production or oracle) is replicated into each worker explicitly (an
-initializer, not environment inheritance), so a ``use_oracle`` context
-applies to parallel runs too.
+one per task.  :func:`fault_tolerant_map` is the one sweep path, at every
+``--jobs``: :func:`repro.herd.verdicts`, ``repro-herd``, ``repro-lint
+--races`` and :func:`repro.corpus.sweep.sweep_corpus` each map a plain
+task function over their programs with it and keep no loop of their
+own.  At ``jobs <= 1``, or with fewer than two payloads, it runs the
+tasks in the calling process, in input order, and records no
+``parallel.*`` observation; otherwise it runs them on a pool.  The
+parent's kernel configuration (production or oracle) is replicated into
+each worker explicitly (an initializer, not environment inheritance), so
+a ``use_oracle`` context applies to parallel runs too.  The pool
+machinery (:mod:`multiprocessing`, :mod:`concurrent.futures`) is imported
+on first pooled use, so a serial run does not pay for it.
 
-**Fault tolerance** (:func:`fault_tolerant_map`, the single submission
-path): pools are :class:`concurrent.futures.ProcessPoolExecutor` objects,
-so a worker that dies mid-task (OOM kill, segfault, injected
-``REPRO_FAULT`` crash) surfaces promptly as ``BrokenProcessPool`` instead
-of hanging the sweep; a worker that *hangs* is caught by the per-task
-deadline.  Either way the driver kills the poisoned pool, re-spawns a
-fresh one, and retries only the lost tasks, one at a time, with
-exponential backoff and deterministic jitter, until a task has failed
-alone :data:`MAX_ATTEMPTS` times.  Completed
-results are never recomputed.  Recovery activity is published as
-``guard.worker_deaths`` / ``guard.worker_hangs`` / ``guard.retries``
+**Fault tolerance** (the pooled path): pools are
+:class:`concurrent.futures.ProcessPoolExecutor` objects, so a worker that
+dies mid-task (OOM kill, segfault, injected ``REPRO_FAULT`` crash)
+surfaces promptly as ``BrokenProcessPool`` instead of hanging the sweep;
+a worker that *hangs* is caught by the per-task deadline.  Either way the
+map kills the poisoned pool, re-spawns a fresh one, and retries only
+the lost tasks, one at a time, with exponential backoff and deterministic
+jitter, until a task has failed alone :data:`MAX_ATTEMPTS` times.
+Completed results are never recomputed.  Recovery activity is published
+as ``guard.worker_deaths`` / ``guard.worker_hangs`` / ``guard.retries``
 observability counters.
 
-**The pool is crossed in one place.**  Every task runs in the worker
-under :func:`_faulted_call`, so task functions are plain functions of
-their payload.  Two things cross with each task:
+**Budgets cross one way: as the ambient budget.**  Each task runs under
+``rearm(*ambient())`` (:func:`repro.guard.core.rearm`): a fresh copy of
+the caller's armed :class:`repro.guard.Budget`, with its own clock and
+counters, so a limit means the same per program at any ``--jobs``.  A
+caller with a per-program budget arms it around the map; no payload
+carries one.  In the calling process the cancel token applies too; a
+pooled task gets the budget by value (a token does not cross the pool),
+and a forked worker first drops any guard it inherited.  Unless the
+caller gives ``task_timeout``, a pooled map also derives a *hard*
+per-task deadline from the wall budget (:func:`task_deadline`) as a
+backstop against workers that cannot reach a safepoint.
 
-* the parent's ambient :class:`repro.guard.Budget`, by value: the worker
-  re-arms it locally, so tasks self-limit cooperatively and ship
-  partial results home.  A task runs under that budget or none: the
-  initializer drops any guard a forked worker inherits.  Unless the
-  caller gives ``task_timeout``, :func:`fault_tolerant_map` also derives
-  a *hard* per-task deadline from its wall budget
-  (:func:`task_deadline`) as a backstop against workers that cannot
-  reach a safepoint;
-* observability (:mod:`repro.obs`): when the parent has a collector
-  installed, the worker runs the task under a local
-  :func:`repro.obs.collect` block and ships the serialised
-  :class:`~repro.obs.RunReport` home with the result.  The parent absorbs
-  it before ``on_result`` sees the result, so counter totals are *exact*:
-  a serial run and a merged parallel run of the same work produce
-  identical enumeration/judgement counters (``tests/test_obs.py``).
-  Worker spans arrive as aggregates; raw trace events stay parent-only.
+**Observability** (:mod:`repro.obs`): a pooled task crosses the pool in
+one place, :func:`_faulted_call`.  When the parent has a collector
+installed, the worker runs the task under a local
+:func:`repro.obs.collect` block and ships the serialised
+:class:`~repro.obs.RunReport` home with the result.  The parent absorbs
+it before ``on_result`` sees the result, so counter totals are *exact*:
+a serial run and a merged parallel run of the same work produce
+identical enumeration/judgement counters (``tests/test_obs.py``).
+Worker spans arrive as aggregates; raw trace events stay parent-only.
 
 **Signals**: workers ignore SIGINT (the parent owns interruption); a
 ``KeyboardInterrupt`` in the parent terminates every pool promptly —
@@ -53,12 +58,9 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import multiprocessing
 import signal
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.guard import core as _guard_core
@@ -123,6 +125,9 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self.jobs = jobs
         self._dead = False
         self._started = False
@@ -302,17 +307,29 @@ def fault_tolerant_map(
     on_result: Optional[Callable[[int, Any], None]] = None,
     stop: Optional[Callable[[], bool]] = None,
 ) -> List:
-    """Run ``fn`` over ``payloads`` on a worker pool, surviving crashes
-    and hangs.
+    """Run ``fn`` over ``payloads``: the one sweep path, at every ``jobs``.
 
-    ``fn`` is a plain function of one payload: :func:`_faulted_call`
-    carries the ambient budget and the observability report across the
-    pool, and each report is absorbed here before ``on_result`` sees the
-    result.  Results are returned bare, in payload order, from a pool of
-    at most ``len(payloads)`` workers.  ``on_result`` is invoked as
-    ``on_result(index, result)`` in completion order — the
-    checkpoint-journal hook.
+    ``fn`` is a plain function of one payload, run under a fresh copy of
+    the ambient budget (:func:`repro.guard.core.rearm`).  Results are
+    returned bare, in payload order.  ``on_result`` is invoked as
+    ``on_result(index, result)`` as each result lands — the
+    checkpoint-journal hook.  ``stop`` is polled before each task (in the
+    calling process) or between completions and after each lost pool
+    (pooled): when it returns true the map ends early and the partial
+    result list is returned with ``None`` in the unfinished slots.
+    Completed results (and their ``on_result`` checkpoints) are always
+    kept, which is what makes a budgeted, journal-backed corpus sweep
+    resumable: the next run picks up exactly the abandoned tail.
 
+    At ``jobs <= 1``, or with fewer than two payloads, the tasks run in
+    the calling process, in input order, under the ambient cancel token
+    too; a task exception propagates as it is, and no ``parallel.*``
+    observation is recorded.
+
+    Otherwise they run on a pool of at most ``len(payloads)`` workers,
+    ``on_result`` sees them in completion order, and :func:`_faulted_call`
+    carries the budget and each task's observability report across;
+    each report is absorbed here before ``on_result`` sees the result.
     At most two tasks per worker are in flight, so a pool that dies (a
     worker crashed, or a task outlived ``task_timeout``, which runs from
     its submission and defaults to :func:`task_deadline` of the ambient
@@ -321,28 +338,33 @@ def fault_tolerant_map(
     flight: the collateral of a crash never uses up a retry budget.
     Raises :class:`WorkerPoolError` when a task has failed alone
     ``max_attempts`` times, and re-raises any genuine task exception
-    immediately (a deterministic bug is not retryable).
-
-    ``stop`` is polled between completions and after each lost pool:
-    when it returns true the map ends early — queued tasks are abandoned,
-    the pool is retired (running tasks cannot be evicted individually),
-    and the partial result list is returned with ``None`` in the
-    unfinished slots.  Completed results (and their ``on_result``
-    checkpoints) are always kept, which is what makes a budgeted,
-    journal-backed corpus sweep resumable: the next run picks up exactly
-    the abandoned tail.
+    immediately (a deterministic bug is not retryable).  A stop retires
+    the pool, since running tasks cannot be evicted individually.
     """
+    results: List[Any] = [None] * len(payloads)
+    budget, token = _guard_core.ambient()
+    if jobs <= 1 or len(payloads) < 2:
+        for index, payload in enumerate(payloads):
+            if stop is not None and stop():
+                break
+            with _guard_core.rearm(budget, token):
+                results[index] = fn(payload)
+            if on_result is not None:
+                on_result(index, results[index])
+        return results
+
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     if max_attempts is None:
         max_attempts = MAX_ATTEMPTS
-    budget, _ = _guard_core.ambient()
     if task_timeout is None:
         task_timeout = task_deadline(budget)
     # The executor forks every worker at the first submit, so a pool
     # larger than the batch would only fork idle processes.
-    jobs = max(1, min(jobs, len(payloads)))
+    jobs = min(jobs, len(payloads))
     if _obs.ENABLED:
         _obs.gauge("parallel.jobs", jobs)
-    results: List[Any] = [None] * len(payloads)
     queue = deque(range(len(payloads)))
     # Tasks in flight when a pool died, retried alone before the queue.
     suspects: Deque[int] = deque()

@@ -22,12 +22,13 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro import obs
 from repro.cat import load_model
 from repro.executions.enumerate import candidate_executions
-from repro.guard import Budget, SweepJournal
+from repro.guard import Budget, SweepJournal, guard
+from repro.guard.core import rearm
 from repro.herd import INCONCLUSIVE, RunResult, run_litmus
 from repro.hardware import run_klitmus
 from repro.hardware.archspec import ARCHITECTURES
@@ -285,20 +286,13 @@ def herd_main(argv: List[str] | None = None) -> int:
         _emit_observations(args, collector)
         return EXIT_OK
 
+    from repro.kernel.parallel import fault_tolerant_map
+
     journal = (
         SweepJournal(Path(args.journal), [model.name])
         if args.journal
         else None
     )
-    # One slot per test, in input order: its journaled row, its
-    # RunResult once it lands, or None while it is still running.
-    outcomes: List[Union[Dict[str, str], RunResult, None]] = [
-        None
-        if journal is None
-        else journal.completed(program.name, program_digest(program))
-        for program in programs
-    ]
-    pending = [index for index, done in enumerate(outcomes) if done is None]
     printed = 0
     inconclusive = 0
 
@@ -314,59 +308,45 @@ def herd_main(argv: List[str] | None = None) -> int:
         outcomes[index] = result
         if result.verdict == INCONCLUSIVE:
             inconclusive += 1
-        elif journal is not None:
+        if journal is not None:
             program = programs[index]
             journal.record(
                 program.name,
                 {model.name: result.verdict},
                 digest=program_digest(program),
             )
-        flush()
+        # --explain and --check-races enumerate here, in this process:
+        # shadow the per-test budget armed around the map.
+        with guard():
+            flush()
 
     with _observe(args) as collector:
-        pending_programs = [programs[index] for index in pending]
-        _herd_runs(model, pending_programs, budget, args.jobs, land)
+        # One slot per test, in input order: its journaled row, its
+        # RunResult once it lands, or None while it is still running.
+        outcomes: List[Union[Dict[str, str], RunResult, None]] = [
+            None
+            if journal is None
+            else journal.completed(program.name, program_digest(program))
+            for program in programs
+        ]
+        pending = [index for index, row in enumerate(outcomes) if row is None]
+        # Armed around the map, the budget is spent per test at any --jobs.
+        with rearm(budget):
+            fault_tolerant_map(
+                _herd_task,
+                [(model, programs[index]) for index in pending],
+                args.jobs,
+                on_result=land,
+            )
         flush()
     _emit_observations(args, collector)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def _herd_task(payload) -> RunResult:
-    """One pooled ``repro-herd`` test (a module-level, picklable task)."""
-    model, program, budget = payload
-    return run_litmus(model, program, budget=budget)
-
-
-def _herd_runs(
-    model,
-    programs: List[Program],
-    budget: Optional[Budget],
-    jobs: int,
-    on_result: Callable[[int, RunResult], None],
-) -> List[RunResult]:
-    """Run each program under its own ``budget``, on ``jobs`` workers.
-
-    ``on_result(index, result)`` sees each result as it lands (in
-    completion order when pooled); the list keeps the input order.  The
-    budget travels in each payload, not as an ambient guard, so the hard
-    per-task deadline is derived from it here.
-    """
-    payloads = [(model, program, budget) for program in programs]
-    if jobs > 1 and len(payloads) > 1:
-        from repro.kernel.parallel import fault_tolerant_map, task_deadline
-
-        return fault_tolerant_map(
-            _herd_task,
-            payloads,
-            jobs,
-            task_timeout=task_deadline(budget),
-            on_result=on_result,
-        )
-    results = []
-    for index, payload in enumerate(payloads):
-        results.append(_herd_task(payload))
-        on_result(index, results[-1])
-    return results
+    """One ``repro-herd`` test (a module-level, picklable task)."""
+    model, program = payload
+    return run_litmus(model, program)
 
 
 def _print_outcome(
@@ -491,17 +471,6 @@ def diy_main(argv: List[str] | None = None) -> int:
         result = run_litmus(LinuxKernelModel(), program)
         print(result.describe())
     return 0
-
-
-def _race_reports(race_targets: List[Program], jobs: int):
-    """Race reports for each target, in input order, on ``jobs`` workers."""
-    from repro.analysis.races import check_races
-
-    if jobs > 1 and len(race_targets) > 1:
-        from repro.kernel.parallel import fault_tolerant_map
-
-        return fault_tolerant_map(check_races, race_targets, jobs)
-    return [check_races(program) for program in race_targets]
 
 
 def lint_main(argv: List[str] | None = None) -> int:
@@ -656,8 +625,13 @@ def lint_main(argv: List[str] | None = None) -> int:
                 print(f"repro-lint: {target}: {message}", file=sys.stderr)
                 return 2
 
+        from repro.analysis.races import check_races
+        from repro.kernel.parallel import fault_tolerant_map
+
         with obs.span("lint.races"):
-            race_reports = _race_reports(race_targets, args.jobs)
+            race_reports = fault_tolerant_map(
+                check_races, race_targets, args.jobs
+            )
         for report in race_reports:
             findings.extend(report.findings())
             if report.racy:

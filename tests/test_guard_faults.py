@@ -14,13 +14,13 @@ import time
 import pytest
 
 from repro import obs
+from repro.analysis.races import check_races
 from repro.cat.eval import load_model
 from repro.guard import SweepJournal, faults, parse_fault_spec
 from repro.herd import verdicts
 from repro.kernel import parallel
 from repro.litmus import library
 from repro.litmus.parser import parse_litmus
-from repro.tools import cli
 
 
 SC = load_model("sc")
@@ -179,9 +179,9 @@ def test_race_reports_survive_crashes():
     ]
     faults.set_spec(parse_fault_spec("crash:0.3,seed=8"))
     with obs.collect() as collector:
-        chaotic = cli._race_reports(programs, 2)
+        chaotic = parallel.fault_tolerant_map(check_races, programs, 2)
     faults.set_spec(None)
-    calm = cli._race_reports(programs, 1)
+    calm = parallel.fault_tolerant_map(check_races, programs, 1)
     assert [report.describe() for report in chaotic] == [
         report.describe() for report in calm
     ]

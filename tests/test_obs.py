@@ -24,9 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.analysis.races import check_races
 from repro.corpus.golden import load_golden
 from repro.corpus.sweep import sweep_corpus
 from repro.herd import run_litmus, verdicts
+from repro.kernel.parallel import fault_tolerant_map
 from repro.litmus import library
 from repro.lkmm import LinuxKernelModel
 from repro.obs import RunReport
@@ -326,16 +328,15 @@ class TestShardingExactness:
             programs = [library.get(name) for name in ("MP", "SB", "LB")]
 
             def run(jobs):
-                return [
-                    report.racy for report in cli._race_reports(programs, jobs)
-                ]
+                reports = fault_tolerant_map(check_races, programs, jobs)
+                return [report.racy for report in reports]
 
         else:
             programs = [library.get(name) for name in ("SB", "MP+wmb+rmb")]
 
             def run(jobs):
-                results = cli._herd_runs(
-                    lkmm, programs, None, jobs, lambda index, result: None
+                results = fault_tolerant_map(
+                    cli._herd_task, [(lkmm, p) for p in programs], jobs
                 )
                 return [result.describe() for result in results]
 

@@ -2,14 +2,14 @@
 
 :func:`repro.kernel.parallel.fault_tolerant_map` forwards the parent's
 armed budget with every task and re-arms it in the worker, and
-``repro-herd`` ships its per-test budget in each task's payload, so each
-pooled caller degrades to ``Inconclusive`` exactly where its serial path
-does, and a task runs under no budget but its own: a worker forked while
-the parent had a guard armed does not keep that guard.  The pool is also
+``repro-herd`` arms its per-test budget around the map, so each pooled
+caller degrades to ``Inconclusive`` exactly where its serial path does,
+and a task runs under no budget but its own: a worker forked while the
+parent had a guard armed does not keep that guard.  The pool is also
 never larger than the batch it runs.  A budget that is spent before a run
 starts stops the run at its entry, serially and in a worker.  An ambient
-budget is spent per program at any ``jobs``: the serial loops re-arm it
-for each program just as a pooled task does.
+budget is spent per program at any ``jobs``: the map re-arms it for each
+task in the calling process just as it does on a pool worker.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ def test_budget_crosses_the_pool(caller):
         programs = [library.get(name) for name in ("SB", "MP", "LB")]
 
         def run(jobs):
-            results = cli._herd_runs(
-                sc, programs, NO_CANDIDATES, jobs, lambda index, result: None
-            )
+            with guard(NO_CANDIDATES):
+                results = parallel.fault_tolerant_map(
+                    cli._herd_task, [(sc, p) for p in programs], jobs
+                )
             return {r.program.name: {sc.name: r.verdict} for r in results}
 
     # Fork the workers outside the guard: the budget can then reach them
