@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.generate import CorpusTest
 from repro.guard import Budget, SweepJournal
-from repro.guard.core import ambient, rearm
+from repro.guard.core import rearm
 from repro.obs import core as _obs
 # Bound here by name: the benchmark's tracer wraps load_model,
 # compile_program, verdict_row and parse_litmus as attributes of this
@@ -159,10 +159,11 @@ def sweep_corpus(
     is returned; resuming with the same journal picks up exactly there.
     ``row_budget`` bounds each row individually (sound ``Inconclusive``
     degradation; such rows are never journaled, so they rerun on resume):
-    it is armed as the ambient budget around the map, so a pooled sweep
-    also derives its hard per-task deadline from it.  Without it, an
-    ambient budget (:func:`repro.guard.guard`) is spent per row: each
-    row runs under a fresh copy of it (:func:`repro.guard.core.rearm`)
+    it is armed as the ambient budget around the map, met with any
+    budget armed around the call (it narrows a caller's limits, never
+    widens them), so a pooled sweep also derives its hard per-task
+    deadline from it.  Either way the ambient budget is spent per row:
+    each row runs under a fresh copy of it (:func:`repro.guard.core.renew`)
     at any ``jobs``.
     """
     # Looked up per call, not bound at import: the benchmark rebinds
@@ -195,7 +196,7 @@ def sweep_corpus(
         if journal is not None:
             journal.record(test.name, row, digest=test.digest)
 
-    with rearm(row_budget, ambient()[1]):
+    with rearm(row_budget):
         outcomes = parallel.fault_tolerant_map(
             _sweep_task,
             [(test.program, specs) for test in pending],

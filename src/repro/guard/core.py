@@ -31,6 +31,16 @@ Memory is a *soft* ceiling: resident set size is read from
 ``/proc/self/statm`` where available; elsewhere the guard falls back to
 :mod:`tracemalloc` (started on arming when a memory budget is present and
 rss sampling is unsupported).
+
+Budgets compose: an inner guard narrows, never widens.  A guard armed
+while another is armed runs under the meet of the two: each limit is
+the smaller of the two (:meth:`Budget.meet`), its deadline is the
+earlier of its own and the outer guard's, and the outer cancel token
+still stops it.  Only the inner guard counts while it is armed, so its
+spending is not charged to the outer guard.  A sweep's per-program copy
+of the armed budget (:func:`renew`) keeps the limits and the tokens but
+starts a clock of its own, as a pooled copy does.  Work that must run
+outside every budget says so with :func:`detached`.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ class Budget:
 
     A sweep spends an ambient budget *per program*: each task of
     :func:`repro.kernel.parallel.fault_tolerant_map` runs under a fresh
-    copy of it (:func:`rearm`), with its own clock and counters, whether
+    copy of it (:func:`renew`), with its own clock and counters, whether
     it runs in the calling process or on a pool worker.
     """
 
@@ -111,8 +121,24 @@ class Budget:
             )
         )
 
+    def meet(self, other: "Budget") -> "Budget":
+        """The tighter of two budgets: each limit is the smaller of the
+        two, ``None`` being unlimited."""
+        return Budget(
+            wall_seconds=_smaller(self.wall_seconds, other.wall_seconds),
+            max_candidates=_smaller(self.max_candidates, other.max_candidates),
+            max_states=_smaller(self.max_states, other.max_states),
+            max_mem_mb=_smaller(self.max_mem_mb, other.max_mem_mb),
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
+
+
+def _smaller(a, b):
+    if a is None:
+        return b
+    return a if b is None or a <= b else b
 
 
 @dataclass
@@ -192,6 +218,7 @@ class Guard:
         "token",
         "candidates",
         "states",
+        "_tokens",
         "_ticks",
         "_start",
         "_deadline",
@@ -202,9 +229,19 @@ class Guard:
         self,
         budget: Optional[Budget] = None,
         token: Optional[CancelToken] = None,
+        outer: Optional["Guard"] = None,
     ):
-        self.budget = budget if budget is not None else Budget()
-        self.token = token
+        """A guard for ``budget``, met with ``outer``'s when it is armed
+        inside another guard (see the module docstring)."""
+        budget = budget if budget is not None else Budget()
+        tokens: Tuple[CancelToken, ...] = () if token is None else (token,)
+        if outer is not None:
+            budget = budget.meet(outer.budget)
+            tokens += tuple(t for t in outer._tokens if t is not token)
+        self.budget = budget
+        #: This guard's own cancel token, else the nearest outer one.
+        self.token = tokens[0] if tokens else None
+        self._tokens = tokens
         self.candidates = 0
         self.states = 0
         self._ticks = 0
@@ -214,12 +251,22 @@ class Guard:
             if self.budget.wall_seconds is None
             else self._start + self.budget.wall_seconds
         )
+        if outer is not None and outer._deadline is not None:
+            if self._deadline is None or outer._deadline < self._deadline:
+                self._deadline = outer._deadline
         self._started_tracemalloc = False
         if self.budget.max_mem_mb is not None and rss_mb() is None:
             # No /proc rss on this platform: fall back to tracemalloc.
             if not tracemalloc.is_tracing():  # pragma: no cover - non-linux
                 tracemalloc.start()
                 self._started_tracemalloc = True
+
+    def fresh(self) -> "Guard":
+        """One program's copy: the same limits and cancel tokens, with a
+        clock and counters of its own."""
+        copy = Guard(self.budget, self.token)
+        copy._tokens = self._tokens
+        return copy
 
     # -- safepoints ------------------------------------------------------
 
@@ -259,9 +306,9 @@ class Guard:
         return time.perf_counter() - self._start
 
     def _check_clock(self) -> None:
-        token = self.token
-        if token is not None and token.cancelled:
-            raise Cancelled(self._interruption("cancelled", None, None))
+        for token in self._tokens:
+            if token.cancelled:
+                raise Cancelled(self._interruption("cancelled", None, None))
         if self._deadline is not None:
             now = time.perf_counter()
             if now > self._deadline:
@@ -315,36 +362,66 @@ def disarm() -> None:
     had armed at the fork and must run each task under only the budget
     forwarded with it.
     """
-    global _current, ACTIVE
-    _current = None
-    ACTIVE = False
+    _install(None)
 
 
-def ambient() -> Tuple[Optional[Budget], Optional[CancelToken]]:
-    """The armed guard's budget and cancel token (``(None, None)`` when
-    no guard is armed)."""
+def ambient() -> Optional[Budget]:
+    """The armed guard's budget, which a pooled sweep sends with each
+    task (``None`` when no guard is armed)."""
     active = _current
-    if active is None:
-        return None, None
-    return active.budget, active.token
+    return None if active is None else active.budget
 
 
-def rearm(
-    budget: Optional[Budget], token: Optional[CancelToken] = None
-) -> ContextManager:
-    """A fresh copy of ``budget`` for one program: a :func:`guard` with its
-    own clock and counters, or nothing when ``budget`` is None.
+def rearm(budget: Optional[Budget]) -> ContextManager:
+    """A :func:`guard` for ``budget``, or nothing when ``budget`` is None.
 
-    The one place a sweep spends a budget, so a limit means the same at
-    any ``--jobs``: :func:`repro.kernel.parallel.fault_tolerant_map`, the
-    one sweep path, runs every task under ``rearm(*ambient())`` of its
-    caller, in the calling process or on a pool worker.  A caller with a
-    per-program budget (``repro-herd``, the ``row_budget`` of
-    :func:`repro.corpus.sweep.sweep_corpus`) arms it around the map with
-    this function too.  A token does not cross the pool, so only the
-    in-process path passes one on.
+    A caller with a per-program budget (``repro-herd``, the
+    ``row_budget`` of :func:`repro.corpus.sweep.sweep_corpus`) arms it
+    around :func:`repro.kernel.parallel.fault_tolerant_map` with this
+    function, met with any budget armed around the caller; the map then
+    spends it per task (:func:`renew` in the calling process, a re-armed
+    copy on a pool worker), so a limit means the same at any ``--jobs``.
     """
-    return nullcontext() if budget is None else guard(budget, token)
+    return nullcontext() if budget is None else guard(budget)
+
+
+@contextmanager
+def renew():
+    """Run the block under a fresh copy of the armed guard
+    (:meth:`Guard.fresh`): how a sweep spends the ambient budget per
+    program in the calling process.  Nothing when no guard is armed."""
+    if _current is None:
+        yield None
+        return
+    armed = _current.fresh()
+    previous = _install(armed)
+    try:
+        yield armed
+    finally:
+        _install(previous)
+        armed.release()
+
+
+@contextmanager
+def detached():
+    """Run the block with no guard armed, whatever encloses it: the
+    explicit way out of a budget, for work that is not part of the run
+    the budget bounds (``repro-herd`` printing and explaining a verdict
+    as it lands)."""
+    previous = _install(None)
+    try:
+        yield
+    finally:
+        _install(previous)
+
+
+def _install(armed: Optional[Guard]) -> Optional[Guard]:
+    """Make ``armed`` the current guard; return the one it replaces."""
+    global _current, ACTIVE
+    previous = _current
+    _current = armed
+    ACTIVE = armed is not None
+    return previous
 
 
 def tick(n: int = 1) -> None:
@@ -367,18 +444,14 @@ def guard(
 ):
     """Arm a :class:`Guard` for the duration of the block.
 
-    Nested guards shadow the outer one (the outer guard resumes, with its
-    clock still running, when the inner block exits) — mirroring
-    :func:`repro.obs.collect`.
+    Inside another guard it runs under the meet of the two budgets (see
+    the module docstring) and does the counting; the outer guard
+    resumes, with its clock still running, when the inner block exits.
     """
-    global _current, ACTIVE
-    previous = _current
-    armed = Guard(budget, token)
-    _current = armed
-    ACTIVE = True
+    armed = Guard(budget, token, outer=_current)
+    previous = _install(armed)
     try:
         yield armed
     finally:
-        _current = previous
-        ACTIVE = previous is not None
+        _install(previous)
         armed.release()

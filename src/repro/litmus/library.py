@@ -3,8 +3,9 @@
 Contains every named test of the paper — the fifteen rows of Table 5 and
 the tests of Figures 2, 4, 5, 6, 7, 9, 10, 11, 13 and 14 — plus the
 classic variations used by the soundness experiments (Section 5).  Tests
-are stored in the herd-style C litmus format and parsed on demand, so the
-corpus also doubles as a parser test-bed.
+are stored in the herd-style C litmus format, keyed by the name on their
+header line, and parsed on first use, so the corpus also doubles as a
+parser test-bed.
 
 ``PAPER_VERDICTS`` records the Model and C11 columns of Table 5 verbatim;
 the benchmarks compare our implementations against it.
@@ -17,15 +18,22 @@ from functools import lru_cache
 from typing import Dict, List
 
 from repro.litmus.ast import Program
-from repro.litmus.parser import parse_litmus
+from repro.litmus.parser import _HEADER_RE, parse_litmus
 
-#: Raw sources, keyed by test name.
+#: Raw sources, keyed by test name.  A source is parsed on its first
+#: :func:`get`, not at import.
 SOURCES: Dict[str, str] = {}
 
 
 def _register(source: str) -> None:
-    program = parse_litmus(source)
-    SOURCES[program.name] = source
+    """Add ``source`` under the name its ``C <name>`` header line gives."""
+    header = _HEADER_RE.match(source)
+    if header is None:
+        raise ValueError(f"library source has no header line: {source[:40]!r}")
+    name = header.group("name")
+    if name in SOURCES:
+        raise ValueError(f"two library tests are named {name!r}")
+    SOURCES[name] = source
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from typing import Dict, List, Optional, Union
 from repro import obs
 from repro.cat import load_model
 from repro.executions.enumerate import candidate_executions
-from repro.guard import Budget, SweepJournal, guard
-from repro.guard.core import rearm
+from repro.guard import Budget, SweepJournal
+from repro.guard.core import detached, rearm
 from repro.herd import INCONCLUSIVE, RunResult, run_litmus
-from repro.hardware import run_klitmus
-from repro.hardware.archspec import ARCHITECTURES
 from repro.kernel import config as kernel_config
 from repro.litmus import library
 from repro.litmus.ast import Program
@@ -315,9 +313,9 @@ def herd_main(argv: List[str] | None = None) -> int:
                 {model.name: result.verdict},
                 digest=program_digest(program),
             )
-        # --explain and --check-races enumerate here, in this process:
-        # shadow the per-test budget armed around the map.
-        with guard():
+        # --explain and --check-races enumerate here, in this process,
+        # outside the per-test budget armed around the map.
+        with detached():
             flush()
 
     with _observe(args) as collector:
@@ -402,6 +400,9 @@ def _first_match(program: Program):
 
 
 def klitmus_main(argv: List[str] | None = None) -> int:
+    from repro.hardware import run_klitmus
+    from repro.hardware.archspec import ARCHITECTURES
+
     parser = argparse.ArgumentParser(
         prog="repro-klitmus",
         description="Run litmus tests on a simulated machine, klitmus-style.",

@@ -274,6 +274,27 @@ class TestLibraryRoundTrip:
             assert program.condition is not None
 
 
+    def test_every_source_parses_to_its_key(self):
+        """The library is keyed by its header lines without parsing at
+        import, so the parse is checked here: each source parses, and
+        its name is the key it is filed under."""
+        from repro.litmus import library
+
+        assert len(library.SOURCES) == len(library.all_names()) >= 57
+        for name, source in library.SOURCES.items():
+            assert parse_litmus(source).name == name
+
+    def test_register_refuses_a_duplicate_name(self):
+        from repro.litmus import library
+
+        before = dict(library.SOURCES)
+        with pytest.raises(ValueError, match="two library tests are named 'MP'"):
+            library._register(library.SOURCES["MP"])
+        with pytest.raises(ValueError, match="no header line"):
+            library._register("{ x=0; }\nP0(int *x) { }\n")
+        assert library.SOURCES == before
+
+
 class TestLibraryLookup:
     def test_unknown_name_suggests_close_matches(self):
         from repro.litmus import library
