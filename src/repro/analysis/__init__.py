@@ -14,7 +14,7 @@ The passes, all new correctness tooling on top of the paper's stack:
   (conditions naming unknown registers or locations, syntactic
   plain-race heuristic, dangling fences);
 * :mod:`repro.analysis.flow` — an intraprocedural dataflow framework
-  (CFGs, a generic worklist solver, reaching definitions / liveness /
+  (CFGs, a generic one-pass solver, reaching definitions / liveness /
   constant propagation / region analysis) and the path-sensitive
   checkers on top: RCU discipline, spinlock discipline, fragile
   compiler-breakable dependencies, precise uninitialised-read and

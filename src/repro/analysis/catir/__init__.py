@@ -13,10 +13,16 @@ hash-consed relational IR and builds three things on top of it:
   executes in production (``REPRO_ORACLE=1`` selects the statement
   walker instead).
 
+The compiled IR of a model lives on its :class:`repro.cat.eval.CatModel`
+(:attr:`~repro.cat.eval.CatModel.compiled`), built once per model and
+process on first use; the VM lowering, the SC-per-location test, the
+symbolic prover, the model diff and the semantic lint all read that one
+compile.
+
 Module map: :mod:`~repro.analysis.catir.ir` (interned nodes and smart
 constructors), :mod:`~repro.analysis.catir.facts` (ground truths about
 the builtin environment — the single source the surface linter shares),
-:mod:`~repro.analysis.catir.compile` (AST → IR).
+:mod:`~repro.analysis.catir.compile` (flattened statements → IR).
 """
 
 from repro.analysis.catir import facts, ir  # noqa: F401
@@ -24,7 +30,6 @@ from repro.analysis.catir.compile import (  # noqa: F401
     CatIRError,
     CompiledCheck,
     CompiledModel,
-    compile_cat_file,
     compile_model,
     compile_source,
 )

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.cat import ast as C
-from repro.cat.eval import _free_identifiers
+from repro.cat.eval import CatModel, _free_identifiers
 
 from repro.analysis.catir import facts, ir
 from repro.analysis.catir.compile import CompiledCheck, CompiledModel
@@ -632,12 +632,8 @@ def analyze_cat_file(cat_file: C.CatFile, source: Optional[str] = None,
     does not compile (surface errors — unbound names, sort clashes,
     missing includes — which the CAT001–CAT009 lint already reports)
     yields no semantic findings."""
-    from repro.analysis.catir.compile import compile_cat_file
-    from repro.cat.eval import CatError
-
-    try:
-        compiled = compile_cat_file(cat_file, name=source)
-    except CatError:
+    compiled = CatModel(cat_file, name=source).compiled
+    if compiled is None:
         return []
     findings = analyze_compiled(compiled, source=source or cat_file.name)
     if suppress:

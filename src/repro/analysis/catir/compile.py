@@ -1,7 +1,8 @@
 """Compile the cat AST to the relational IR.
 
-The compiler mirrors the evaluator's statement walk exactly — includes
-flattened, non-recursive ``let``s bound in order, function applications
+The compiler takes the statement list :class:`~repro.cat.eval.CatModel`
+flattens (includes expanded) and mirrors the evaluator's walk of it
+exactly — non-recursive ``let``s bound in order, function applications
 inlined at their call sites with lexical scoping — but produces interned
 :class:`~repro.analysis.catir.ir.Node` graphs instead of values.  Every
 implicit coercion the evaluator performs (a set in relation position
@@ -19,10 +20,10 @@ value bindings eagerly and would raise the equivalent error on its first
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union as TUnion
+from typing import Dict, List, Sequence, Tuple, Union as TUnion
 
 from repro.cat import ast as C
-from repro.cat.eval import CatError, _load_cat_file
+from repro.cat.eval import CatError, CatModel, load_model
 from repro.cat.parser import parse_cat
 
 from repro.analysis.catir import facts, ir
@@ -250,37 +251,18 @@ def _compile_rec(statement: C.Let, env, definitions, rec_groups) -> None:
     rec_groups.append(group)
 
 
-def _flatten(cat_file: C.CatFile, out: List) -> None:
-    for statement in cat_file.statements:
-        if isinstance(statement, C.Include):
-            _flatten(_load_cat_file(statement.path), out)
-        else:
-            out.append(statement)
-
-
-def compile_cat_file(cat_file: C.CatFile,
-                     name: Optional[str] = None) -> CompiledModel:
-    """Compile a parsed cat file (includes expanded from the bundled
-    models directory, exactly as evaluation flattens them)."""
-    statements: List = []
-    _flatten(cat_file, statements)
-    return compile_statements(statements, name or cat_file.name)
-
-
 def compile_source(text: str, name: str = "cat-model") -> CompiledModel:
-    """Parse and compile cat source text."""
-    return compile_cat_file(parse_cat(text, default_name=name), name=name)
+    """Parse and compile cat source text, raising :class:`CatIRError`
+    (or the :class:`CatError` of a missing include) when it does not
+    compile."""
+    model = CatModel(parse_cat(text, default_name=name), name=name)
+    return compile_statements(model._flattened(), name)
 
 
 def compile_model(name: str) -> CompiledModel:
-    """Compile a bundled model by name (``lkmm``, ``c11``, ``tso``, ...)."""
-    from repro.cat.eval import MODELS_DIR
-
-    path = MODELS_DIR / f"{name}.cat"
-    if not path.exists():
-        available = sorted(p.stem for p in MODELS_DIR.glob("*.cat"))
-        raise CatError(f"unknown model {name!r}; available: {available}")
-    cat_file = parse_cat(
-        path.read_text(), default_name=path.stem, path=str(path)
-    )
-    return compile_cat_file(cat_file)
+    """The IR of a bundled model (``lkmm``, ``c11``, ``tso``, ...): the
+    one compile its shared :func:`~repro.cat.eval.load_model` instance
+    owns.  A model the compiler rejects is compiled again only to raise
+    the error, as :func:`compile_source` does."""
+    model = load_model(name)
+    return model.compiled or compile_statements(model._flattened(), model.name)

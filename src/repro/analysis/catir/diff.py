@@ -185,7 +185,8 @@ def _listing(header: str, names: List[str]) -> str:
 
 
 def diff_models(left: str, right: str) -> ModelDiff:
-    """Diff two bundled models by name."""
+    """Diff two bundled models by name, over the IR each shared
+    :class:`~repro.cat.eval.CatModel` owns."""
     return ModelDiff(compile_model(left), compile_model(right))
 
 

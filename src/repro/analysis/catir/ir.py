@@ -32,7 +32,7 @@ commutative operand order.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: The two cat sorts (same spelling as repro.analysis.catlint).
 SET = "set"
@@ -427,47 +427,3 @@ def intern_group(names: Sequence[str], rec_nodes: Sequence[Node],
     _GROUPS[group.gid] = group
     _GROUP_CANON[key] = group
     return group
-
-
-# -- substitution -------------------------------------------------------------
-
-_REBUILD = {
-    "union": union,
-    "inter": inter,
-    "seq": seq,
-    "compl": lambda ops: compl(ops[0]),
-    "inverse": lambda ops: inverse(ops[0]),
-    "opt": lambda ops: opt(ops[0]),
-    "plus": lambda ops: plus(ops[0]),
-    "star": lambda ops: star(ops[0]),
-    "setid": lambda ops: setid(ops[0]),
-    "domain": lambda ops: domain(ops[0]),
-    "range": lambda ops: range_(ops[0]),
-    "fencerel": lambda ops: fencerel(ops[0]),
-    "diff": lambda ops: diff(ops[0], ops[1]),
-    "cartesian": lambda ops: cartesian(ops[0], ops[1]),
-}
-
-
-def substitute(node: Node, mapping: Dict[Node, Node],
-               _memo: Optional[Dict[int, Node]] = None) -> Node:
-    """Rebuild ``node`` with ``mapping`` applied to matching subnodes
-    (used when a rec group unifies with an already-interned one)."""
-    if _memo is None:
-        _memo = {}
-    cached = _memo.get(id(node))
-    if cached is not None:
-        return cached
-    mapped = mapping.get(node)
-    if mapped is not None:
-        result = mapped
-    elif not node.operands:
-        result = node
-    else:
-        children = [substitute(op, mapping, _memo) for op in node.operands]
-        if all(child is op for child, op in zip(children, node.operands)):
-            result = node
-        else:
-            result = _REBUILD[node.kind](children)
-    _memo[id(node)] = result
-    return result

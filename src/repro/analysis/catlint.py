@@ -67,6 +67,7 @@ from repro.analysis.catir.facts import (  # noqa: F401  (re-exported API)
 from repro.analysis.findings import Finding, describe_findings  # noqa: F401
 from repro.cat import MODELS_DIR, TAG_SETS, parse_cat  # noqa: F401
 from repro.cat import ast as C
+from repro.cat.eval import _load_cat_file
 
 BUILTINS = BUILTIN_RELATIONS | BUILTIN_SETS
 
@@ -191,10 +192,7 @@ class _CatLinter:
             return
         # Bindings of the included file become visible here, exactly as in
         # the evaluator; its own findings are reported against its name.
-        included = parse_cat(
-            path.read_text(), default_name=path.stem, path=str(path)
-        )
-        self.run(included)
+        self.run(_load_cat_file(statement.path))
 
     def _let(self, statement: C.Let) -> None:
         group = {binding.name for binding in statement.bindings}

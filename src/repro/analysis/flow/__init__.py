@@ -5,7 +5,7 @@ Layers, bottom up:
 * :mod:`repro.analysis.flow.cfg` — lowering of structured thread bodies
   to acyclic control-flow graphs;
 * :mod:`repro.analysis.flow.dataflow` — a generic forward/backward
-  worklist solver over small join-semilattices;
+  one-pass solver over small join-semilattices;
 * :mod:`repro.analysis.flow.analyses` — reaching definitions, liveness,
   constant propagation, and the path-sensitive RCU/lock region analysis;
 * :mod:`repro.analysis.flow.checkers` — the ``repro-lint`` checkers built

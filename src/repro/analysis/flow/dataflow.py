@@ -3,11 +3,10 @@
 An analysis supplies a small join-semilattice of abstract values (anything
 with ``==`` — the implementations here use frozensets and tuples) and a
 transfer function per instruction; the solver computes the least fixpoint
-of block-in/block-out values by worklist iteration.  Litmus CFGs are
-acyclic (see :mod:`repro.analysis.flow.cfg`), so the fixpoint is reached
-in a single pass over the topologically sorted block list — the worklist
-loop is kept anyway so the solver stays correct should cyclic CFGs ever
-appear (e.g. genuine loops instead of bounded unrolling).
+of block-in/block-out values.  Litmus CFGs are DAGs whose block ids
+increase along every edge (see :mod:`repro.analysis.flow.cfg`: loops are
+unrolled to a bound), so the fixpoint is exactly one pass over the block
+list in topological order (reverse order for backward analyses).
 
 Program points use the convention of :data:`repro.analysis.flow.cfg.Point`:
 a block's straight-line instructions occupy indices ``0..n-1`` and its
@@ -182,20 +181,16 @@ def solve(cfg: Cfg, analysis: DataflowAnalysis) -> DataflowResult:
         analysis, cfg.block(boundary_bid), block_in[boundary_bid]
     )
 
-    changed = True
-    while changed:
-        changed = False
-        for block in order:
-            if block.bid == boundary_bid:
-                continue
-            value = analysis.bottom()
-            for source in inputs(block):
-                value = analysis.join(value, block_out[source])
-            out = _transfer_block(analysis, block, value)
-            if value != block_in[block.bid] or out != block_out[block.bid]:
-                block_in[block.bid] = value
-                block_out[block.bid] = out
-                changed = True
+    # One pass in (reverse) topological order is the fixpoint: every
+    # input of a block is final before the block is reached.
+    for block in order:
+        if block.bid == boundary_bid:
+            continue
+        value = analysis.bottom()
+        for source in inputs(block):
+            value = analysis.join(value, block_out[source])
+        block_in[block.bid] = value
+        block_out[block.bid] = _transfer_block(analysis, block, value)
 
     if forward:
         return DataflowResult(cfg, analysis, block_in, block_out)

@@ -24,24 +24,24 @@ do not (:func:`repro.herd.verdict_row` enumerates, condition-directed).
   (``model.allows``) — exact by construction.
 * **None** — anything else: the prover does not decide the cell.
 
-The Forbid direction needs the model's compiled relational IR
-(:mod:`repro.analysis.catir.compile`); native Python models still get
-the ``unsat-condition`` and witness paths.
+The Forbid direction reads the relational IR the model owns
+(:attr:`repro.cat.eval.CatModel.compiled`, compiled once per model);
+native Python models still get the ``unsat-condition`` and witness
+paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.cat import CatError
 from repro.guard import core as _guard
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Exists, NotExists, pinned_atoms
 from repro.model import Model
 from repro.obs import core as _obs
 
-from repro.analysis.catir.compile import CompiledModel, compile_statements
+from repro.analysis.catir.compile import CompiledModel
 from repro.analysis.symbolic.footprint import (
     guaranteed_edges,
     resolve_footprint,
@@ -80,26 +80,11 @@ class StaticDecision:
 # Model IR
 
 
-#: Per-process compiled-IR cache keyed on the CatModel token; ``None``
-#: records "this model does not lower" so it is attempted only once.
-_COMPILED: Dict[int, Optional[CompiledModel]] = {}
-
-
 def compiled_model(model: Model) -> Optional[CompiledModel]:
-    """The model's relational IR, or ``None`` for models that have no cat
-    statement list or whose cat dialect the IR compiler rejects."""
-    token = getattr(model, "_token", None)
-    flattened = getattr(model, "_flattened", None)
-    if token is None or flattened is None:
-        return None
-    if token in _COMPILED:
-        return _COMPILED[token]
-    try:
-        compiled = compile_statements(model._flattened(), model.name)
-    except CatError:
-        compiled = None
-    _COMPILED[token] = compiled
-    return compiled
+    """The relational IR the model owns (:attr:`CatModel.compiled
+    <repro.cat.eval.CatModel.compiled>`), or ``None`` for models that
+    have no cat text or whose cat dialect the IR compiler rejects."""
+    return getattr(model, "compiled", None)
 
 
 # ---------------------------------------------------------------------------

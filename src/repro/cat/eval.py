@@ -23,9 +23,9 @@ The builtin environment exposes:
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union as TUnion
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Union as TUnion
 
 from repro.cat import ast as C
 from repro.cat.parser import parse_cat
@@ -37,6 +37,9 @@ from repro.kernel import vm as _vm
 from repro.model import AxiomViolation, Model, ModelResult
 from repro.obs import core as _obs
 from repro.relations import EventSet, Relation
+
+if TYPE_CHECKING:
+    from repro.analysis.catir.compile import CompiledModel
 
 #: Directory holding the shipped .cat model files.
 MODELS_DIR = Path(__file__).parent / "models"
@@ -307,40 +310,32 @@ class _Evaluator:
         raise CatError(f"unknown function {expr.func!r}")
 
 
-#: Process-unique model tokens, the key of the symbolic prover's
-#: compiled-IR cache (id() is unsafe: recyclable).
-_MODEL_TOKENS = itertools.count()
-
-
 class CatModel(Model):
     """A consistency model defined by a cat file.
 
     On first use the statement list is flattened (includes expanded).
-    Production checks run the model lowered to bytecode on the VM
-    (:mod:`repro.kernel.vm`), which :meth:`allows` stops at the first
-    violated check; :meth:`_walk` evaluates the statements per
-    candidate, as the oracle and as the fallback.
+    The model owns its relational IR (:attr:`compiled`), compiled from
+    that list once per model and process; every consumer reads that one
+    compile: the VM lowering, :attr:`sc_per_location`, the symbolic
+    prover and the model diff.  Production checks run the IR lowered to
+    bytecode on the VM (:mod:`repro.kernel.vm`), which :meth:`allows`
+    stops at the first violated check; :meth:`_walk` evaluates the
+    statements per candidate, as the oracle and as the fallback.
     """
 
     def __init__(self, cat_file: C.CatFile, name: Optional[str] = None):
         self.cat_file = cat_file
         self.name = name or cat_file.name
-        self._token = next(_MODEL_TOKENS)
         self._flat: Optional[List] = None
-        #: Lazily lowered VM bytecode (None = does not lower) and the
-        #: SC-per-location fact of the same compile; see :meth:`_vm_program`.
-        self._program = None
-        self._program_tried = False
-        self._sc_per_location = False
 
     def __getstate__(self):
-        # A program's token keys per-skeleton VM state and is unique only
-        # within its process, so it must not cross a pickle boundary
-        # (pool workers); each process lowers its own program
-        # on first check.
+        # The hash-consed IR and the program lowered from it (whose token
+        # keys per-skeleton VM state) are per-process, so they must not
+        # cross a pickle boundary (pool workers); each process compiles
+        # its own on first use.
         state = self.__dict__.copy()
-        state["_program"] = None
-        state["_program_tried"] = False
+        state.pop("compiled", None)
+        state.pop("_program", None)
         return state
 
     @classmethod
@@ -436,33 +431,42 @@ class CatModel(Model):
         result.flags = flags  # informational, does not affect the verdict
         return result
 
+    @cached_property
+    def compiled(self) -> Optional["CompiledModel"]:
+        """The model's relational IR, compiled on first use, or None when
+        the IR compiler rejects the model.  A compile failure is not an
+        error here: the walker evaluates all value bindings eagerly, so
+        its first ``check()`` raises the equivalent :class:`CatError` —
+        falling back keeps the two paths observably identical."""
+        from repro.analysis.catir.compile import compile_statements
+
+        try:
+            return compile_statements(self._flattened(), self.name)
+        except CatError:
+            return None
+
     def _vm_program(self):
-        """The model lowered to VM bytecode, or None when it does not
-        lower.  A compile failure is not an error here: the walker
-        evaluates all value bindings eagerly, so its first ``check()``
-        raises the equivalent :class:`CatError` — falling back keeps the
-        two paths observably identical."""
-        if not self._program_tried:
-            self._program_tried = True
-            from repro.analysis.catir.analyses import implies_sc_per_location
-            from repro.analysis.catir.compile import compile_statements
+        """:attr:`compiled` lowered to VM bytecode on first use, or None
+        when the model does not compile or lower."""
+        if "_program" not in self.__dict__:
             from repro.analysis.catir.plan import lower_plan
 
             try:
-                compiled = compile_statements(self._flattened(), self.name)
-                self._sc_per_location = implies_sc_per_location(compiled)
-                self._program = lower_plan(compiled)
+                self._program = self.compiled and lower_plan(self.compiled)
             except CatError:
                 self._program = None
         return self._program
 
-    @property
+    @cached_property
     def sc_per_location(self) -> bool:
         """Derived from the compiled checks (False when the model does
         not compile): some enforcing check implies
         ``acyclic(po-loc | com)``."""
-        self._vm_program()
-        return self._sc_per_location
+        from repro.analysis.catir.analyses import implies_sc_per_location
+
+        return self.compiled is not None and implies_sc_per_location(
+            self.compiled
+        )
 
     def _bind(
         self, let: C.Let, evaluator: _Evaluator, env: Dict[str, Value]
@@ -556,9 +560,10 @@ def _load_cat_file(name: str) -> C.CatFile:
 def load_model(name: str) -> CatModel:
     """Load a shipped model by name (e.g. ``lkmm``, ``c11``, ``tso``).
 
-    Models are parsed once per process and the instance is shared:
-    :class:`CatModel` is immutable after its lazy statement flattening, so
-    callers may freely reuse it across runs and threads of enumeration.
+    Models are parsed once per process and the instance is shared, so
+    each is compiled once too: :class:`CatModel` is immutable after its
+    lazy flattening and compile, so callers may freely reuse it across
+    runs and threads of enumeration.
     """
     cached = _MODEL_CACHE.get(name)
     if _obs.ENABLED:

@@ -146,8 +146,6 @@ def sweep_corpus(
     journal: Optional[SweepJournal] = None,
     row_budget: Optional[Budget] = None,
     wall_seconds: Optional[float] = None,
-    task_timeout: Optional[float] = None,
-    max_attempts: Optional[int] = None,
 ) -> SweepResult:
     """Judge every test under every model, resumably.
 
@@ -201,8 +199,6 @@ def sweep_corpus(
             _sweep_task,
             [(test.program, specs) for test in pending],
             jobs,
-            task_timeout=task_timeout,
-            max_attempts=max_attempts,
             on_result=_accept,
             stop=_expired,
         )

@@ -17,7 +17,9 @@ machinery that makes real hardware weak:
 * native **RCU grace periods**: ``synchronize_rcu`` snapshots the threads
   currently inside a read-side critical section and cannot complete until
   each of them has left it, exactly the "wait for pre-existing readers"
-  behaviour of the kernel's implementation.
+  behaviour of the kernel's implementation; nor until every thread's
+  store buffer is empty, as every CPU passes a full barrier within a
+  grace period in the kernel.
 
 The simulator is deliberately *at least as strong* as the corresponding
 axiomatic model (e.g. it is multicopy atomic and never reorders dependent
@@ -635,6 +637,10 @@ class OperationalSimulator:
                 current, _ = self._buffered_value(thread, loc, memory)
                 if current == ins.require_read_value:
                     actions.append(action)
+        if any(thread.buffer for thread in threads):
+            # Every CPU passes a full barrier within a grace period: none
+            # ends while a store is still buffered.
+            return actions
         for sync in syncs:
             if not any(
                 threads[tid].rcu_depth > 0 for tid in sync.waiting_for

@@ -185,10 +185,6 @@ def synchronize_body(
 # ---------------------------------------------------------------------------
 
 
-class InlineError(Exception):
-    """Raised when a program cannot be transformed."""
-
-
 def inline_rcu(
     program: Program, loop_bound: int = 1, full: bool = False
 ) -> Program:

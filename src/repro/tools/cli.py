@@ -258,6 +258,12 @@ def herd_main(argv: List[str] | None = None) -> int:
     if not budget.bounded():
         budget = None
 
+    if args.explain and args.model not in ("lkmm", "lkmm-native", "native"):
+        print(
+            f"repro-herd: --explain is LKMM only, not --model {args.model}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         model = _resolve_model(args.model)
         programs = _resolve_tests(args.tests)

@@ -156,8 +156,8 @@ class TestOptOut:
         execution = next(iter(candidate_executions(program)))
         with config.use_oracle():
             assert model.check(execution).allowed
-        # The model was never lowered on the oracle path.
-        assert model._program is None and not model._program_tried
+        # The model was never compiled nor lowered on the oracle path.
+        assert "compiled" not in vars(model) and "_program" not in vars(model)
 
 
 class TestPlanStructure:
@@ -184,7 +184,8 @@ class TestPlanStructure:
         with config.use_oracle(False):
             with pytest.raises(CatError, match="unbound identifier"):
                 model.check(execution)
-        assert model._program is None and model._program_tried
+        assert vars(model)["compiled"] is None
+        assert vars(model)["_program"] is None
 
     def test_model_pickles_without_plan(self):
         import pickle
@@ -195,7 +196,7 @@ class TestPlanStructure:
         with config.use_oracle(False):
             before = result_fingerprint(model, execution)
         clone = pickle.loads(pickle.dumps(model))
-        assert clone._program is None and not clone._program_tried
+        assert "compiled" not in vars(clone) and "_program" not in vars(clone)
         with config.use_oracle(False):
             assert result_fingerprint(clone, execution) == before
 
@@ -211,3 +212,31 @@ def test_golden_style_verdicts_match():
     with config.use_oracle():
         without = verdicts(models, programs)
     assert with_plan == without
+
+
+def test_each_model_compiles_once(monkeypatch):
+    """A verdict, the SC-per-location test, the symbolic prover and the
+    model diff all read the one IR the shared :class:`CatModel` owns.
+    Every ``compile_statements`` call builds one ``CompiledModel``."""
+    from repro.analysis.catir.compile import CompiledModel
+    from repro.analysis.catir.diff import diff_models
+    from repro.analysis.symbolic import prover
+    from repro.cat import eval as cat_eval
+    from repro.herd import run_litmus
+
+    compiles = []
+    original = CompiledModel.__init__
+
+    def counting(self, name, *args):
+        compiles.append(name)
+        original(self, name, *args)
+
+    monkeypatch.setattr(CompiledModel, "__init__", counting)
+    monkeypatch.setattr(cat_eval, "_MODEL_CACHE", {})
+    lkmm = load_model("lkmm")
+    run_litmus(lkmm, library.get("MP+wmb+rmb"))
+    assert lkmm.sc_per_location
+    assert prover.compiled_model(lkmm) is not None
+    diff_models("lkmm", "lkmm-core")
+    assert compiles.count("LKMM") == 1
+    assert compiles.count("LKMM-core") == 1

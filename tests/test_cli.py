@@ -35,6 +35,15 @@ class TestHerdCli:
         out = capsys.readouterr().out
         assert "violated axiom" in out
 
+    @pytest.mark.parametrize("model", ["c11", "sc", "lkmm-core"])
+    def test_explain_is_lkmm_only(self, capsys, model):
+        # The explanation is LKMM's: under another model it would explain
+        # a verdict that model did not reach.
+        assert herd_main(["--model", model, "--explain", "WRC+wmb+acq"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--explain is LKMM only" in captured.err
+
     @pytest.mark.parametrize("model", ["lkmm-native", "lkmm"])
     def test_explain_scpv_violation(self, capsys, model):
         # CoRR's only forbidden matching candidates violate SC-per-location,

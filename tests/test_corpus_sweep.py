@@ -123,7 +123,9 @@ def test_wall_budget_abandons_the_tail(corpus):
     assert result.matrix == {}
 
 
-def test_interrupted_sweep_resumes_to_identical_matrix(tmp_path, corpus):
+def test_interrupted_sweep_resumes_to_identical_matrix(
+    tmp_path, corpus, monkeypatch
+):
     """Kill the sweep mid-run (injected worker crashes, no retries),
     resume with the same journal, and demand the merged matrix be
     byte-identical to an uninterrupted sweep's."""
@@ -131,8 +133,10 @@ def test_interrupted_sweep_resumes_to_identical_matrix(tmp_path, corpus):
 
     faults.set_spec(parse_fault_spec("crash:0.4,seed=8"))
     journal = SweepJournal(tmp_path / "sweep.jsonl", MODEL_NAMES)
+    monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
     with pytest.raises(parallel.WorkerPoolError):
-        sweep_corpus(corpus, jobs=2, journal=journal, max_attempts=1)
+        sweep_corpus(corpus, jobs=2, journal=journal)
+    monkeypatch.undo()
     parallel.shutdown_pools()
     faults.set_spec(None)
 

@@ -3,10 +3,12 @@
 import copy
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.corpus.golden import load_golden
 from repro.hardware import compile_program, get_arch
 from repro.hardware.archspec import TABLE5_ARCHS
 from repro.hardware.opsim import (
@@ -17,6 +19,8 @@ from repro.hardware.opsim import (
     _ThreadTable,
 )
 from repro.litmus import dsl, library
+
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 
 def simulator(name, arch_name):
@@ -214,6 +218,24 @@ def reachable_states(sim):
     return seen
 
 
+def terminal_states(sim):
+    """The final state of every terminal node, the state graph closed by
+    expanding every action slot; a deadlocked node fails the test."""
+    sim._walk(random.Random(0))  # builds the root
+    seen, stack, finals = set(), [sim._root], []
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        assert node.error is None, node.error
+        if node.final is not None:
+            finals.append(node.final)
+        for index, successor in enumerate(node.successors):
+            stack.append(successor or sim._expand(node, index))
+    return finals
+
+
 class TestStateGraph:
     """Untraced runs walk the interned state graph; traced runs run the
     full simulator; both draw the same random stream."""
@@ -281,6 +303,12 @@ class TestStateGraph:
         assert edges == 98
 
 
+@pytest.fixture(scope="module")
+def golden_rows():
+    entries = load_golden(GOLDEN_CORPUS)
+    return {test.name: (test, verdicts) for test, verdicts in entries}
+
+
 class TestRcuOperationalSemantics:
     @pytest.mark.parametrize("arch", ["Power8", "ARMv8", "ARMv7", "x86"])
     def test_rcu_mp_never_observed(self, arch):
@@ -296,6 +324,40 @@ class TestRcuOperationalSemantics:
 
     def test_nested_rscs(self):
         assert observed("RCU-MP+nested", "ARMv8", runs=1000) == 0
+
+    @pytest.mark.parametrize(
+        "name, arch",
+        [
+            (name, arch)
+            for name in (
+                "Coe+SyncdWR+Fre+PodWW+PodWR+Fre+PodWW+SyncdWW+rcu-lock",
+                "AcqdR+Fre+PodWR+Fre+SyncdWW+Coe+Coe+MbdWR+rcu-lock",
+            )
+            for arch in TABLE5_ARCHS
+        ]
+        + [
+            (
+                "Coe+PodWR+PodRW+Rfe+SyncdRR+DpAddrdR+Fre+MbdWW+SyncdWR"
+                "+Fre+MbdWW+rcu-lock",
+                "Power8",
+            )
+        ],
+    )
+    def test_grace_period_drains_every_store_buffer(
+        self, golden_rows, name, arch
+    ):
+        """Golden rows whose cycle passes a grace period and a reader's
+        buffered store: no reachable final state satisfies the condition
+        LKMM forbids, and no state deadlocks."""
+        test, verdicts = golden_rows[name]
+        assert verdicts["LKMM"] == "Forbid"
+        arch_spec = get_arch(arch)
+        sim = OperationalSimulator(
+            compile_program(test.program, arch_spec, rcu="keep"), arch_spec
+        )
+        finals = terminal_states(sim)
+        assert finals
+        assert not any(test.program.condition.evaluate(s) for s in finals)
 
 
 class TestReproducibility:

@@ -164,7 +164,7 @@ def test_repro_herd_budget_spares_the_printing(jobs, capsys):
     """The per-test budget is armed around the map, but ``--check-races``
     and ``--explain`` run in this process as results land: they stay
     outside it."""
-    argv = ["--model", "sc", "--max-candidates", "1", "--check-races"]
+    argv = ["--model", "lkmm", "--max-candidates", "0", "--check-races"]
     argv += ["--explain", "--jobs", jobs, "SB", "MP"]
     assert cli.herd_main(argv) == cli.EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
