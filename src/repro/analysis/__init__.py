@@ -13,12 +13,12 @@ The passes, all new correctness tooling on top of the paper's stack:
 * :mod:`repro.analysis.litmuslint` — lint for litmus programs
   (conditions naming unknown registers or locations, syntactic
   plain-race heuristic, dangling fences);
-* :mod:`repro.analysis.flow` — an intraprocedural dataflow framework
-  (CFGs, a generic one-pass solver, reaching definitions / liveness /
-  constant propagation / region analysis) and the path-sensitive
-  checkers on top: RCU discipline, spinlock discipline, fragile
-  compiler-breakable dependencies, precise uninitialised-read and
-  dead-store detection.
+* :mod:`repro.analysis.flow` — intraprocedural dataflow analyses
+  (reaching definitions / liveness / constant propagation / region
+  analysis, each solved by one walk over a structured thread body) and
+  the path-sensitive checkers on top: RCU discipline, spinlock
+  discipline, fragile compiler-breakable dependencies, precise
+  uninitialised-read and dead-store detection.
 
 Every pass reports :class:`~repro.analysis.findings.Finding` values with
 stable codes and severities; the ``repro-lint`` command-line tool
@@ -50,8 +50,8 @@ _EXPORTS = {
         (
             "repro.analysis.flow",
             (
-                "Cfg", "build_cfg", "check_dataflow", "check_dependencies", "check_locks",
-                "check_rcu", "lint_program_flow", "solve",
+                "check_dataflow", "check_dependencies", "check_locks", "check_rcu",
+                "lint_program_flow",
             ),
         ),
         (

@@ -45,11 +45,12 @@ be comma-separated); :func:`parse_suppressions` extracts them.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.cat import ast as C
-from repro.cat.eval import CatModel, _free_identifiers
+from repro.cat.eval import MODELS_DIR, CatModel, _free_identifiers, load_model
 
 from repro.analysis.catir import facts, ir
 from repro.analysis.catir.compile import CompiledCheck, CompiledModel
@@ -626,13 +627,27 @@ def _unreachable_bindings(model: CompiledModel,
     return findings
 
 
+def _model_of(cat_file: C.CatFile, source: Optional[str]) -> CatModel:
+    """The shared :func:`~repro.cat.eval.load_model` instance when
+    ``source`` is the path of a bundled model that parses to ``cat_file``
+    (so its IR is compiled once per process), else a new model."""
+    if source is not None:
+        path = Path(source)
+        if (path.suffix == ".cat" and path.is_file()
+                and path.parent.resolve() == MODELS_DIR.resolve()):
+            shared = load_model(path.stem)
+            if shared.cat_file == cat_file:
+                return shared
+    return CatModel(cat_file, name=source)
+
+
 def analyze_cat_file(cat_file: C.CatFile, source: Optional[str] = None,
                      suppress: Sequence[str] = ()) -> List[Finding]:
     """Compile ``cat_file`` and run the semantic analyses; a model that
     does not compile (surface errors — unbound names, sort clashes,
     missing includes — which the CAT001–CAT009 lint already reports)
     yields no semantic findings."""
-    compiled = CatModel(cat_file, name=source).compiled
+    compiled = _model_of(cat_file, source).compiled
     if compiled is None:
         return []
     findings = analyze_compiled(compiled, source=source or cat_file.name)

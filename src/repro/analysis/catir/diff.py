@@ -17,7 +17,7 @@ lint findings for every bundled model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.catir import ir
 from repro.analysis.catir.compile import (

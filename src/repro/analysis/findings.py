@@ -16,7 +16,7 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 #: Severity levels, in increasing order of badness.

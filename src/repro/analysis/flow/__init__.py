@@ -1,26 +1,16 @@
 """Intraprocedural static analysis over litmus thread ASTs.
 
-Layers, bottom up:
+Two layers, bottom up:
 
-* :mod:`repro.analysis.flow.cfg` — lowering of structured thread bodies
-  to acyclic control-flow graphs;
-* :mod:`repro.analysis.flow.dataflow` — a generic forward/backward
-  one-pass solver over small join-semilattices;
 * :mod:`repro.analysis.flow.analyses` — reaching definitions, liveness,
-  constant propagation, and the path-sensitive RCU/lock region analysis;
+  constant propagation and the path-sensitive RCU/lock region analysis,
+  each solved by one walk over a thread's structured, loop-free body
+  (:func:`forward`, :func:`backward`);
 * :mod:`repro.analysis.flow.checkers` — the ``repro-lint`` checkers built
   on top (RCU discipline, lock discipline, fragile dependencies, precise
   uninit/dead-store lint).
 """
 
-from repro.analysis.flow.cfg import BasicBlock, Cfg, Point, build_cfg
-from repro.analysis.flow.dataflow import (
-    BACKWARD,
-    DataflowAnalysis,
-    DataflowResult,
-    FORWARD,
-    solve,
-)
 from repro.analysis.flow.analyses import (
     ConstantPropagation,
     Liveness,
@@ -29,13 +19,11 @@ from repro.analysis.flow.analyses import (
     RegionState,
     UNINIT,
     VARIES,
-    cfg_registers,
+    backward,
     environment,
-    expr_registers,
     fold_expr,
-    instruction_def,
-    instruction_uses,
-    possibly_uninit,
+    forward,
+    live_registers,
     program_lock_locations,
     static_location,
 )
@@ -50,15 +38,6 @@ from repro.analysis.flow.checkers import (
 )
 
 __all__ = [
-    "BasicBlock",
-    "Cfg",
-    "Point",
-    "build_cfg",
-    "BACKWARD",
-    "FORWARD",
-    "DataflowAnalysis",
-    "DataflowResult",
-    "solve",
     "ConstantPropagation",
     "Liveness",
     "ReachingDefinitions",
@@ -66,13 +45,11 @@ __all__ = [
     "RegionState",
     "UNINIT",
     "VARIES",
-    "cfg_registers",
+    "backward",
     "environment",
-    "expr_registers",
     "fold_expr",
-    "instruction_def",
-    "instruction_uses",
-    "possibly_uninit",
+    "forward",
+    "live_registers",
     "program_lock_locations",
     "static_location",
     "CHECKERS",

@@ -1,31 +1,44 @@
-"""The concrete dataflow analyses: reaching definitions, liveness,
-constant propagation, and the RCU/lock region analysis.
+"""The litmus flow analyses and the structural walk that solves them.
 
-All four use deliberately small lattices over hashable values:
+A thread body is structured and loop-free: the only control flow is the
+``If``, and loops are unrolled into ``Assume``-terminated straight-line
+code before they reach the AST (see :class:`~repro.litmus.ast.Assume`).
+So an analysis is solved exactly by one walk over the body.
+:func:`forward` folds an analysis's transfer over the instructions; at
+an ``If`` it applies the transfer of the condition, walks each arm from
+that value and joins the arm exits.  :func:`backward` walks the same
+structure from the end.  An arm that the ``If``'s condition, folded with
+no environment (:func:`fold_expr`), never takes carries no run-time
+state: it is walked from the analysis bottom and its exit is not
+joined, and inside it every straight-line run starts from bottom again,
+since nothing reaches it.
+
+Four analyses, each with a deliberately small lattice over hashable
+values:
 
 * reaching definitions — sets of ``(register, site)`` pairs, where a site
-  is a CFG :data:`~repro.analysis.flow.cfg.Point` or :data:`UNINIT`;
-* liveness — sets of live register names (backward);
+  is the ``id`` of the defining instruction or :data:`UNINIT`;
+* liveness — sets of live register names (backward;
+  :func:`live_registers` runs it over a thread body);
 * constant propagation — per-register flat lattice
   ``unknown < constant < VARIES``, encoded as ``(register, value)`` pairs;
 * region analysis — *sets of path states* ``(rcu_depth, held_locks)``.
-  Litmus CFGs are acyclic with finitely many paths, so tracking one state
-  per path is both exact and terminating (see DESIGN.md's soundness note).
+  A loop-free body has finitely many paths, so tracking one state per
+  path is both exact and terminating (see DESIGN.md's soundness note).
 
-The shared expression helpers (:func:`expr_registers`, :func:`fold_expr`)
-also serve the fragile-dependency checker: :func:`fold_expr` evaluates an
-expression to a compile-time constant whenever a compiler could — constant
-operands, but also dependency-breaking algebraic identities such as
-``r ^ r``, ``r - r``, ``r * 0``, ``r & 0`` and always-true comparisons.
+:func:`fold_expr` also serves the fragile-dependency checker: it
+evaluates an expression to a compile-time constant whenever a compiler
+could — constant operands, but also dependency-breaking algebraic
+identities such as ``r ^ r``, ``r - r``, ``r * 0``, ``r & 0`` and
+always-true comparisons.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.events import Pointer, RCU_LOCK, RCU_UNLOCK, RELEASE, Value
 from repro.litmus.ast import (
-    Assume,
     BinOp,
     CmpXchg,
     Const,
@@ -33,16 +46,18 @@ from repro.litmus.ast import (
     Fence,
     If,
     Instruction,
-    Load,
     LocalAssign,
     LitmusError,
+    Program,
     Reg,
     Rmw,
     Store,
     UnOp,
+    const_location,
+    preorder,
+    register_written,
+    registers_read,
 )
-from repro.analysis.flow.cfg import Cfg, Point
-from repro.analysis.flow.dataflow import BACKWARD, DataflowAnalysis, FORWARD
 
 #: The reaching-definitions site of a register never assigned.
 UNINIT = "uninit"
@@ -50,29 +65,14 @@ UNINIT = "uninit"
 #: The constant-propagation token for "varies at runtime".
 VARIES = "<varies>"
 
-Site = Union[str, Point]
+#: Each instruction of a body (in :func:`~repro.litmus.ast.preorder`
+#: order) with the analysis value at it.
+States = List[Tuple[Instruction, object]]
 
 
 # ---------------------------------------------------------------------------
 # Expression helpers
 # ---------------------------------------------------------------------------
-
-
-def expr_registers(expr: Expr) -> FrozenSet[str]:
-    """All register names an expression mentions."""
-    out: Set[str] = set()
-    _collect_registers(expr, out)
-    return frozenset(out)
-
-
-def _collect_registers(expr: Expr, out: Set[str]) -> None:
-    if isinstance(expr, Reg):
-        out.add(expr.name)
-    elif isinstance(expr, BinOp):
-        _collect_registers(expr.lhs, out)
-        _collect_registers(expr.rhs, out)
-    elif isinstance(expr, UnOp):
-        _collect_registers(expr.operand, out)
 
 
 def fold_expr(expr: Expr, env: Optional[Dict[str, Value]] = None) -> Optional[Value]:
@@ -126,58 +126,12 @@ def fold_expr(expr: Expr, env: Optional[Dict[str, Value]] = None) -> Optional[Va
     return None
 
 
-def instruction_def(ins: Instruction) -> Optional[str]:
-    """The register the instruction assigns, if any."""
-    if isinstance(ins, (Load, Rmw, CmpXchg, LocalAssign)):
-        return ins.reg
-    return None
-
-
-def instruction_uses(ins: Instruction) -> FrozenSet[str]:
-    """The registers whose *prior* values the instruction reads.
-
-    For RMWs, ``new_value`` mentioning the destination register refers to
-    the value just read (see :mod:`repro.executions.thread_sem`), so that
-    register is excluded from the uses.
-    """
-    if isinstance(ins, Load):
-        return expr_registers(ins.addr)
-    if isinstance(ins, Store):
-        return expr_registers(ins.addr) | expr_registers(ins.value)
-    if isinstance(ins, Rmw):
-        return expr_registers(ins.addr) | (
-            expr_registers(ins.new_value) - {ins.reg}
-        )
-    if isinstance(ins, CmpXchg):
-        return (
-            expr_registers(ins.addr)
-            | expr_registers(ins.expected)
-            | (expr_registers(ins.new_value) - {ins.reg})
-        )
-    if isinstance(ins, LocalAssign):
-        return expr_registers(ins.expr)
-    if isinstance(ins, (If, Assume)):
-        return expr_registers(ins.cond)
-    return frozenset()
-
-
-def cfg_registers(cfg: Cfg) -> FrozenSet[str]:
-    """Every register a CFG assigns or reads."""
-    regs: Set[str] = set()
-    for _, ins in cfg.instructions():
-        defined = instruction_def(ins)
-        if defined is not None:
-            regs.add(defined)
-        regs |= instruction_uses(ins)
-        if isinstance(ins, (Rmw, CmpXchg)):
-            regs |= expr_registers(ins.new_value)
-    return frozenset(regs)
-
-
 def static_location(addr: Expr) -> Optional[str]:
-    """The statically-known location of an address expression, if any."""
-    if isinstance(addr, Const) and isinstance(addr.value, Pointer):
-        return addr.value.loc
+    """The statically-known location of an address expression, if any:
+    a literal ``&loc``, or an expression that folds to one."""
+    loc = const_location(addr)
+    if loc is not None:
+        return loc
     value = fold_expr(addr)
     if isinstance(value, Pointer):
         return value.loc
@@ -185,11 +139,76 @@ def static_location(addr: Expr) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
+# The structural walk
+# ---------------------------------------------------------------------------
+
+
+def _arms_taken(branch: If, reachable: bool) -> Tuple[bool, bool]:
+    """Whether the then- and else-arm of ``branch`` can run: neither in
+    unreachable code, one when the condition folds to a constant."""
+    if not reachable:
+        return False, False
+    value = fold_expr(branch.cond)
+    if value is None:
+        return True, True
+    return bool(value), not value
+
+
+def forward(analysis, body: Sequence[Instruction]) -> Tuple[States, object]:
+    """Solve a forward ``analysis`` over ``body``: each instruction with
+    the value *before* it, and the value at the body's exit."""
+    states: States = []
+
+    def walk(instructions, value, reachable):
+        for ins in instructions:
+            states.append((ins, value))
+            value = analysis.transfer(ins, value)
+            if isinstance(ins, If):
+                then_taken, else_taken = _arms_taken(ins, reachable)
+                exit_value = analysis.bottom()
+                for arm, taken in ((ins.then, then_taken), (ins.orelse, else_taken)):
+                    arm_exit = walk(arm, value if taken else analysis.bottom(), taken)
+                    if taken:
+                        exit_value = analysis.join(exit_value, arm_exit)
+                value = exit_value
+        return value
+
+    return states, walk(body, analysis.boundary(), True)
+
+
+def backward(analysis, body: Sequence[Instruction]) -> Tuple[States, object]:
+    """Solve a backward ``analysis`` over ``body``: each instruction (in
+    program order) with the value *after* it, and the value at the
+    body's entry."""
+    states: States = []
+
+    def walk(instructions, value, reachable):
+        for ins in reversed(instructions):
+            if isinstance(ins, If):
+                then_taken, else_taken = _arms_taken(ins, reachable)
+                entry_value = analysis.bottom()
+                # The else-arm first: the states come out in reverse
+                # program order, and are reversed once at the end.
+                for arm, taken in ((ins.orelse, else_taken), (ins.then, then_taken)):
+                    arm_entry = walk(arm, value if taken else analysis.bottom(), taken)
+                    if taken:
+                        entry_value = analysis.join(entry_value, arm_entry)
+                value = entry_value
+            states.append((ins, value))
+            value = analysis.transfer(ins, value)
+        return value
+
+    entry = walk(body, analysis.boundary(), True)
+    states.reverse()
+    return states, entry
+
+
+# ---------------------------------------------------------------------------
 # Reaching definitions (forward)
 # ---------------------------------------------------------------------------
 
 
-class ReachingDefinitions(DataflowAnalysis):
+class ReachingDefinitions:
     """Which definition sites may supply each register's current value.
 
     Values are frozensets of ``(register, site)`` pairs; the pseudo-site
@@ -197,10 +216,13 @@ class ReachingDefinitions(DataflowAnalysis):
     value on some path to that point.
     """
 
-    direction = FORWARD
-
-    def __init__(self, cfg: Cfg):
-        self.registers = cfg_registers(cfg)
+    def __init__(self, body: Sequence[Instruction]):
+        #: Every register the body assigns or reads.
+        self.registers: Set[str] = set()
+        for ins in preorder(body):
+            self.registers |= registers_read(ins)
+            self.registers.add(register_written(ins))
+        self.registers.discard(None)
 
     def boundary(self):
         return frozenset((reg, UNINIT) for reg in self.registers)
@@ -211,17 +233,12 @@ class ReachingDefinitions(DataflowAnalysis):
     def join(self, a, b):
         return a | b
 
-    def transfer(self, ins: Instruction, value, point: Point):
-        defined = instruction_def(ins)
+    def transfer(self, ins: Instruction, value):
+        defined = register_written(ins)
         if defined is None:
             return value
         kept = frozenset(pair for pair in value if pair[0] != defined)
-        return kept | {(defined, point)}
-
-
-def possibly_uninit(value: Iterable[Tuple[str, Site]], reg: str) -> bool:
-    """Whether ``reg`` may be unassigned in a reaching-defs value."""
-    return (reg, UNINIT) in value
+        return kept | {(defined, id(ins))}
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +246,13 @@ def possibly_uninit(value: Iterable[Tuple[str, Site]], reg: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Liveness(DataflowAnalysis):
+class Liveness:
     """Registers whose current value may still be read later.
 
     ``exit_live`` seeds the analysis with the registers observable after
     the thread ends — those the litmus final-state condition mentions for
     this thread.
     """
-
-    direction = BACKWARD
 
     def __init__(self, exit_live: Iterable[str] = ()):
         self.exit_live = frozenset(exit_live)
@@ -251,11 +266,20 @@ class Liveness(DataflowAnalysis):
     def join(self, a, b):
         return a | b
 
-    def transfer(self, ins: Instruction, value, point: Point):
-        defined = instruction_def(ins)
+    def transfer(self, ins: Instruction, value):
+        defined = register_written(ins)
         if defined is not None:
             value = value - {defined}
-        return value | instruction_uses(ins)
+        return value | registers_read(ins)
+
+
+def live_registers(
+    body: Sequence[Instruction], exit_live: Iterable[str] = ()
+) -> States:
+    """Each instruction of ``body`` (in program order, each ``If`` before
+    its arms) with the set of registers live just after it; ``exit_live``
+    are the registers read after the body ends."""
+    return backward(Liveness(exit_live), body)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +287,7 @@ class Liveness(DataflowAnalysis):
 # ---------------------------------------------------------------------------
 
 
-class ConstantPropagation(DataflowAnalysis):
+class ConstantPropagation:
     """Per-register constants, for folding dependency expressions through
     local arithmetic (``r1 = r0 & 0; WRITE_ONCE(*p, r1)`` is as fragile
     as writing ``r0 & 0`` inline).
@@ -272,8 +296,6 @@ class ConstantPropagation(DataflowAnalysis):
     registers not yet assigned are absent (their value is undefined, which
     we conservatively treat as varying when used).
     """
-
-    direction = FORWARD
 
     def boundary(self):
         return frozenset()
@@ -304,10 +326,10 @@ class ConstantPropagation(DataflowAnalysis):
             merged[reg] = VARIES
         return frozenset(merged.items())
 
-    def transfer(self, ins: Instruction, value, point: Point):
+    def transfer(self, ins: Instruction, value):
         if value is None:  # unreached
             return None
-        defined = instruction_def(ins)
+        defined = register_written(ins)
         if defined is None:
             return value
         kept = frozenset(pair for pair in value if pair[0] != defined)
@@ -367,27 +389,25 @@ def lock_release_location(
     return None
 
 
-def program_lock_locations(cfgs: Iterable[Cfg]) -> FrozenSet[str]:
+def program_lock_locations(program: Program) -> FrozenSet[str]:
     """Locations any thread lock-acquires — these are the test's locks."""
     locks: Set[str] = set()
-    for cfg in cfgs:
-        for _, ins in cfg.instructions():
+    for thread in program.threads:
+        for ins in preorder(thread.body):
             loc = lock_acquire_location(ins)
             if loc is not None:
                 locks.add(loc)
     return frozenset(locks)
 
 
-class RegionAnalysis(DataflowAnalysis):
+class RegionAnalysis:
     """Path-sensitive RCU-section and lock-held tracking.
 
     The abstract value is the *set* of :data:`RegionState` reachable at a
-    point — one per path, joined by union.  On acyclic litmus CFGs this
+    point — one per path, joined by union.  On loop-free bodies this
     terminates and is exact: no path is merged away, so "unbalanced on
     some path" is a real path, never a join artefact.
     """
-
-    direction = FORWARD
 
     def __init__(self, lock_locations: FrozenSet[str] = frozenset()):
         self.lock_locations = lock_locations
@@ -401,7 +421,7 @@ class RegionAnalysis(DataflowAnalysis):
     def join(self, a, b):
         return a | b
 
-    def transfer(self, ins: Instruction, value, point: Point):
+    def transfer(self, ins: Instruction, value):
         if isinstance(ins, Fence):
             if ins.tag == RCU_LOCK:
                 return frozenset((d + 1, held) for d, held in value)

@@ -1,4 +1,4 @@
-"""Path-sensitive checkers over the dataflow framework.
+"""Path-sensitive checkers over the flow analyses.
 
 Four checkers, all reporting through the shared
 :class:`~repro.analysis.findings.Finding` machinery and registered with
@@ -27,15 +27,23 @@ Four checkers, all reporting through the shared
   reads that may precede any assignment on some path, and dead local
   stores (by liveness).
 
-Soundness note: litmus CFGs are acyclic with finitely many paths, so the
-region analysis tracks the *exact* set of (rcu-depth, held-locks) states
-per point — "on some path" findings name a real path, and clean output
-means no path misbehaves.
+Each checker reads one walk per analysis over a thread's structured body
+(:func:`~repro.analysis.flow.analyses.forward` and
+:func:`~repro.analysis.flow.analyses.live_registers`, solved once and
+shared through :class:`_ThreadFlow`) and the instruction facts of
+:mod:`repro.litmus.ast`.  Findings come out in program order, each
+``If`` before its arms.
+
+Soundness note: litmus thread bodies are loop-free with finitely many
+paths, so the region analysis tracks the *exact* set of (rcu-depth,
+held-locks) states per point — "on some path" findings name a real path,
+and clean output means no path misbehaves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.events import Pointer, RCU_LOCK, RCU_UNLOCK, SYNC_RCU
 from repro.litmus.ast import (
@@ -49,27 +57,27 @@ from repro.litmus.ast import (
     Program,
     Rmw,
     Store,
+    accesses,
+    expr_registers,
+    preorder,
+    registers_read,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.flow.analyses import (
     ConstantPropagation,
-    Liveness,
     ReachingDefinitions,
     RegionAnalysis,
     UNINIT,
-    cfg_registers,
     environment,
-    expr_registers,
     fold_expr,
-    instruction_uses,
+    forward,
+    live_registers,
     lock_acquire_is_blocking,
     lock_acquire_location,
     lock_release_location,
     program_lock_locations,
     static_location,
 )
-from repro.analysis.flow.cfg import Cfg
-from repro.analysis.flow.dataflow import DataflowResult, solve
 
 #: Deeper nesting than this is reported as ``rcu-over-nesting``.  Nesting
 #: is legal (RCU-MP+nested in the library nests to depth 2, the axioms of
@@ -79,42 +87,32 @@ MAX_RCU_NESTING = 2
 
 
 class _ThreadFlow:
-    """All analyses for one thread, computed lazily and shared between
-    checkers so each CFG is solved at most once per analysis."""
+    """All analyses for one thread, each solved on first use and shared
+    between checkers.  Forward results are ``(states, exit value)``
+    pairs (see :func:`~repro.analysis.flow.analyses.forward`)."""
 
-    def __init__(self, tid: int, cfg: Cfg, lock_locations: FrozenSet[str],
-                 condition_regs: FrozenSet[str]):
+    def __init__(self, tid: int, body: Sequence[Instruction],
+                 lock_locations: FrozenSet[str], condition_regs: FrozenSet[str]):
         self.tid = tid
-        self.cfg = cfg
+        self.body = body
         self.lock_locations = lock_locations
         self.condition_regs = condition_regs
-        self._results: Dict[str, DataflowResult] = {}
 
-    def region(self) -> DataflowResult:
-        if "region" not in self._results:
-            self._results["region"] = solve(
-                self.cfg, RegionAnalysis(self.lock_locations)
-            )
-        return self._results["region"]
+    @cached_property
+    def region(self):
+        return forward(RegionAnalysis(self.lock_locations), self.body)
 
-    def reaching(self) -> DataflowResult:
-        if "reaching" not in self._results:
-            self._results["reaching"] = solve(
-                self.cfg, ReachingDefinitions(self.cfg)
-            )
-        return self._results["reaching"]
+    @cached_property
+    def reaching(self):
+        return forward(ReachingDefinitions(self.body), self.body)
 
-    def liveness(self) -> DataflowResult:
-        if "liveness" not in self._results:
-            self._results["liveness"] = solve(
-                self.cfg, Liveness(self.condition_regs)
-            )
-        return self._results["liveness"]
+    @cached_property
+    def constants(self):
+        return forward(ConstantPropagation(), self.body)
 
-    def constants(self) -> DataflowResult:
-        if "constants" not in self._results:
-            self._results["constants"] = solve(self.cfg, ConstantPropagation())
-        return self._results["constants"]
+    @cached_property
+    def liveness(self):
+        return live_registers(self.body, self.condition_regs)
 
 
 def _condition_registers_by_thread(program: Program) -> Dict[int, Set[str]]:
@@ -127,12 +125,11 @@ def _condition_registers_by_thread(program: Program) -> Dict[int, Set[str]]:
 
 
 def _thread_flows(program: Program) -> List[_ThreadFlow]:
-    cfgs = program.cfgs()
-    locks = program_lock_locations(cfgs)
+    locks = program_lock_locations(program)
     condition_regs = _condition_registers_by_thread(program)
     return [
-        _ThreadFlow(tid, cfg, locks, frozenset(condition_regs.get(tid, ())))
-        for tid, cfg in enumerate(cfgs)
+        _ThreadFlow(tid, thread.body, locks, frozenset(condition_regs.get(tid, ())))
+        for tid, thread in enumerate(program.threads)
     ]
 
 
@@ -158,8 +155,8 @@ def check_rcu(program: Program, flows: Optional[List[_ThreadFlow]] = None) -> Li
     flows = flows if flows is not None else _thread_flows(program)
     findings: List[Finding] = []
     for flow in flows:
-        region = flow.region()
-        for _, ins, states in region.states():
+        region, exit_states = flow.region
+        for ins, states in region:
             if not isinstance(ins, Fence) or not states:
                 continue
             depths = sorted(d for d, _ in states)
@@ -192,7 +189,6 @@ def check_rcu(program: Program, flows: Optional[List[_ThreadFlow]] = None) -> Li
                     "period can never end (self-deadlock)",
                     line=ins.lineno,
                 ))
-        exit_states = region.at_exit()
         open_depths = sorted(d for d, _ in exit_states if d > 0)
         if open_depths:
             findings.append(Finding.of(
@@ -216,8 +212,8 @@ def check_locks(program: Program, flows: Optional[List[_ThreadFlow]] = None) -> 
     for flow in flows:
         if not flow.lock_locations:
             continue
-        region = flow.region()
-        for _, ins, states in region.states():
+        region, exit_states = flow.region
+        for ins, states in region:
             if not states:
                 continue
             acquired = lock_acquire_location(ins)
@@ -246,7 +242,6 @@ def check_locks(program: Program, flows: Optional[List[_ThreadFlow]] = None) -> 
                         "only as a cross-thread lock hand-off)",
                         line=ins.lineno,
                     ))
-        exit_states = region.at_exit()
         still_held: Set[str] = set()
         for _, held in exit_states:
             still_held |= held
@@ -266,7 +261,7 @@ def check_locks(program: Program, flows: Optional[List[_ThreadFlow]] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _tainted_registers(cfg: Cfg) -> FrozenSet[str]:
+def _tainted_registers(body: Sequence[Instruction]) -> FrozenSet[str]:
     """Registers that may (transitively) carry a read's value — the ones
     whose use in an address/data/control expression creates a dependency
     edge in the model (:mod:`repro.executions.thread_sem`)."""
@@ -274,7 +269,7 @@ def _tainted_registers(cfg: Cfg) -> FrozenSet[str]:
     changed = True
     while changed:
         changed = False
-        for _, ins in cfg.instructions():
+        for ins in preorder(body):
             if isinstance(ins, (Load, Rmw, CmpXchg)):
                 if ins.reg not in tainted:
                     tainted.add(ins.reg)
@@ -298,9 +293,8 @@ def check_dependencies(
     flows = flows if flows is not None else _thread_flows(program)
     findings: List[Finding] = []
     for flow in flows:
-        tainted = _tainted_registers(flow.cfg)
-        constants = flow.constants()
-        for _, ins, state in constants.states():
+        tainted = _tainted_registers(flow.body)
+        for ins, state in flow.constants[0]:
             env = environment(state or ())
             for kind, expr in _dependency_expressions(ins):
                 regs = expr_registers(expr)
@@ -392,8 +386,8 @@ def _check_uninit_locations(
     reads: Dict[str, Optional[int]] = {}
     written: Set[str] = set()
     for flow in flows:
-        for _, ins in flow.cfg.instructions():
-            for is_write, addr in _accesses(ins):
+        for ins in preorder(flow.body):
+            for is_write, addr, _ in accesses(ins):
                 loc = static_location(addr)
                 if loc is None:
                     if is_write:
@@ -415,22 +409,12 @@ def _check_uninit_locations(
     return findings
 
 
-def _accesses(ins: Instruction) -> List[Tuple[bool, Expr]]:
-    if isinstance(ins, Load):
-        return [(False, ins.addr)]
-    if isinstance(ins, Store):
-        return [(True, ins.addr)]
-    if isinstance(ins, (Rmw, CmpXchg)):
-        return [(False, ins.addr), (True, ins.addr)]
-    return []
-
-
 def _check_uninit_registers(program: Program, flow: _ThreadFlow) -> List[Finding]:
-    reaching = flow.reaching()
+    reaching, exit_state = flow.reaching
     findings = []
     reported: Set[Tuple[str, Optional[int]]] = set()
-    for _, ins, state in reaching.states():
-        for reg in sorted(instruction_uses(ins)):
+    for ins, state in reaching:
+        for reg in sorted(registers_read(ins)):
             if (reg, UNINIT) not in state:
                 continue
             definite = not any(
@@ -448,7 +432,6 @@ def _check_uninit_registers(program: Program, flow: _ThreadFlow) -> List[Finding
                 f"assignment{qualifier}",
                 line=ins.lineno,
             ))
-    exit_state = reaching.at_exit()
     for reg in sorted(flow.condition_regs):
         if (reg, UNINIT) not in exit_state:
             continue
@@ -464,9 +447,8 @@ def _check_uninit_registers(program: Program, flow: _ThreadFlow) -> List[Finding
 
 
 def _check_dead_stores(program: Program, flow: _ThreadFlow) -> List[Finding]:
-    liveness = flow.liveness()
     findings = []
-    for _, ins, live_after in liveness.states():
+    for ins, live_after in flow.liveness:
         # Loads and RMWs are exempt: their *event* matters even when the
         # fetched value is ignored (e.g. SB+xchgs discards it).
         if isinstance(ins, LocalAssign) and ins.reg not in live_after:

@@ -24,8 +24,13 @@ fragile dependencies, and the dataflow-precise ``uninitialized-read`` /
 ``uninit-register-read`` / ``dead-store`` checks (which replaced the old
 single-pass heuristics here).
 
-No candidate executions are enumerated anywhere — linting the whole
-library is instant.
+The syntactic checks here read each thread once, in
+:func:`~repro.litmus.ast.preorder` (both arms of every ``If``), through
+the instruction facts :mod:`repro.litmus.ast` defines for every pass
+(:func:`~repro.litmus.ast.accesses`,
+:func:`~repro.litmus.ast.register_written`): a location is known here
+only when the address is a literal ``&loc``.  No candidate executions
+are enumerated anywhere — linting the whole library is instant.
 """
 
 from __future__ import annotations
@@ -34,18 +39,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.events import PLAIN, Pointer, RB_DEP, MB, RMB, WMB
 from repro.litmus.ast import (
-    CmpXchg,
-    Const,
     Expr,
     Fence,
-    If,
     Instruction,
-    Load,
-    LocalAssign,
     Program,
-    Rmw,
-    RMW_VARIANTS,
-    Store,
+    accesses,
+    const_location,
+    preorder,
+    register_written,
 )
 from repro.litmus.outcomes import (
     And,
@@ -106,7 +107,6 @@ class _ProgramLinter:
         #: access through a register-held pointer has no static location).
         self.accesses: Dict[str, List[_Access]] = {}
         self.has_dynamic_store = False
-        self.has_dynamic_load = False
         #: Per thread: registers assigned anywhere in the thread.
         self.assigned: List[Set[str]] = []
 
@@ -119,53 +119,28 @@ class _ProgramLinter:
 
     def run(self) -> List[Finding]:
         for tid, thread in enumerate(self.program.threads):
-            self.assigned.append(set())
-            self._walk_body(tid, thread.body)
-            self._check_fences(tid, thread.body)
+            body = list(preorder(thread.body))
+            self.assigned.append(
+                {reg for reg in map(register_written, body) if reg is not None}
+            )
+            for ins in body:
+                for is_write, addr, tag in accesses(ins):
+                    self._record_access(tid, addr, is_write, tag)
+            self._check_fences(tid, body)
         self._check_condition()
         self._check_plain_races()
         return self.findings
 
     # -- collection ------------------------------------------------------
 
-    def _static_loc(self, addr: Expr) -> Optional[str]:
-        if isinstance(addr, Const) and isinstance(addr.value, Pointer):
-            return addr.value.loc
-        return None
-
     def _record_access(
         self, tid: int, addr: Expr, is_write: bool, tag: str
     ) -> None:
-        loc = self._static_loc(addr)
+        loc = const_location(addr)
         if loc is None:
-            if is_write:
-                self.has_dynamic_store = True
-            else:
-                self.has_dynamic_load = True
+            self.has_dynamic_store |= is_write
             return
         self.accesses.setdefault(loc, []).append(_Access(tid, is_write, tag))
-
-    def _walk_body(self, tid: int, body: Sequence[Instruction]) -> None:
-        for ins in body:
-            if isinstance(ins, Load):
-                self._record_access(tid, ins.addr, False, ins.tag)
-                self.assigned[tid].add(ins.reg)
-            elif isinstance(ins, Store):
-                self._record_access(tid, ins.addr, True, ins.tag)
-            elif isinstance(ins, Rmw):
-                self.assigned[tid].add(ins.reg)
-                self._record_access(tid, ins.addr, False, ins.read_tag)
-                self._record_access(tid, ins.addr, True, ins.write_tag)
-            elif isinstance(ins, CmpXchg):
-                self.assigned[tid].add(ins.reg)
-                read_tag, write_tag, _ = RMW_VARIANTS[ins.variant]
-                self._record_access(tid, ins.addr, False, read_tag)
-                self._record_access(tid, ins.addr, True, write_tag)
-            elif isinstance(ins, LocalAssign):
-                self.assigned[tid].add(ins.reg)
-            elif isinstance(ins, If):
-                self._walk_body(tid, ins.then)
-                self._walk_body(tid, ins.orelse)
 
     # -- checks ----------------------------------------------------------
 
@@ -216,13 +191,14 @@ class _ProgramLinter:
                     )
                     break  # one finding per location is enough
 
-    def _check_fences(self, tid: int, body: Sequence[Instruction]) -> None:
-        flat = _flatten(body)
+    def _check_fences(self, tid: int, flat: List[Instruction]) -> None:
+        """``flat`` is the thread's body in pre-order (both arms of every
+        ``If``): a presence check, not a path check."""
         for index, ins in enumerate(flat):
             if not isinstance(ins, Fence) or ins.tag not in _ORDERING_FENCES:
                 continue
-            before = any(_is_access(prior) for prior in flat[:index])
-            after = any(_is_access(later) for later in flat[index + 1:])
+            before = any(accesses(prior) for prior in flat[:index])
+            after = any(accesses(later) for later in flat[index + 1:])
             if not before or not after:
                 side = "before" if not before else "after"
                 self._report(
@@ -231,22 +207,6 @@ class _ProgramLinter:
                     f"{side} it — it orders nothing",
                     line=ins.lineno,
                 )
-
-
-def _flatten(body: Sequence[Instruction]) -> List[Instruction]:
-    """Linearise a body; If contributes both branches (presence check)."""
-    out: List[Instruction] = []
-    for ins in body:
-        if isinstance(ins, If):
-            out.extend(_flatten(ins.then))
-            out.extend(_flatten(ins.orelse))
-        else:
-            out.append(ins)
-    return out
-
-
-def _is_access(ins: Instruction) -> bool:
-    return isinstance(ins, (Load, Store, Rmw, CmpXchg))
 
 
 def _condition_registers(

@@ -38,8 +38,8 @@ already computes (:class:`repro.lkmm.model.LkmmRelations`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.events import Event, PLAIN

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import And, Condition, LocValue, RegValue
 
-from repro.analysis.symbolic.match import EdgeSet, Key, Pair
+from repro.analysis.symbolic.match import EdgeSet, Key
 from repro.analysis.symbolic.skeleton import (
     ProgramSkeleton,
     SkelEvent,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.events import FENCE, Pointer, READ, Value, WRITE
+from repro.events import FENCE, Pointer, READ, WRITE
 from repro.litmus.ast import (
     BinOp,
     Const,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.corpus.generate import CorpusTest
 from repro.corpus.sweep import (
     CORPUS_MODELS,
     NOT_APPLICABLE,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.events import ACQUIRE, ONCE, Pointer, READ, RELEASE, WRITE
-from repro.diy.edges import ANY, EDGES, Edge, edge
+from repro.diy.edges import ANY, Edge, edge
 from repro.litmus.ast import (
     BinOp,
     Const,

@@ -21,7 +21,6 @@ Dependencies are computed by taint tracking, as herd does:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 

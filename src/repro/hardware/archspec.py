@@ -19,7 +19,7 @@ ones the axiomatic cat models in ``repro/cat/models`` refer to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.events import READ, WRITE

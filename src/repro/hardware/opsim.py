@@ -100,6 +100,10 @@ from repro.litmus.ast import (
     Rmw,
     Store,
     UnOp,
+    const_location,
+    expr_registers,
+    register_written,
+    registers_read,
 )
 from repro.litmus.outcomes import FinalState
 from repro.obs import core as _obs
@@ -187,11 +191,11 @@ class _ThreadTable:
         instructions = self.instructions
         #: Registers each instruction reads before it can start.
         self.needed: List[FrozenSet[str]] = [
-            _needed_registers(ins) for ins in instructions
+            registers_read(ins) for ins in instructions
         ]
         #: The register each instruction writes when it completes, if any.
         self.written: List[Optional[str]] = [
-            _written_register(ins) for ins in instructions
+            register_written(ins) for ins in instructions
         ]
         #: Nothing later may start while this one is pending (fetch order).
         self.stops: List[bool] = [_blocks_window(ins) for ins in instructions]
@@ -880,9 +884,7 @@ class OperationalSimulator:
     def _taints(self, expr: Expr, thread: _ThreadState) -> FrozenSet[int]:
         """Ids of the reads ``expr``'s current value derives from."""
         taints: Set[int] = set()
-        regs: Set[str] = set()
-        _collect_regs(expr, regs)
-        for name in regs:
+        for name in expr_registers(expr):
             taints |= thread.taints.get(name, _NO_TAINTS)
         return frozenset(taints)
 
@@ -933,56 +935,8 @@ def _blocks_window(ins: Instruction) -> bool:
     return False
 
 
-def _needed_registers(ins: Instruction) -> FrozenSet[str]:
-    """Registers that must hold a value before ``ins`` can start."""
-    needed: Set[str] = set()
-    if isinstance(ins, (Rmw, CmpXchg)):
-        # new_value may reference the destination register (the value just
-        # read), which the RMW itself produces — don't require it.
-        _collect_regs(ins.new_value, needed)
-        needed.discard(ins.reg)
-    for expr in _read_operands(ins):
-        _collect_regs(expr, needed)
-    return frozenset(needed)
-
-
-def _read_operands(ins: Instruction) -> List[Expr]:
-    if isinstance(ins, Load):
-        return [ins.addr]
-    if isinstance(ins, Store):
-        return [ins.addr, ins.value]
-    if isinstance(ins, Rmw):
-        return [ins.addr]
-    if isinstance(ins, CmpXchg):
-        return [ins.addr, ins.expected]
-    if isinstance(ins, If):
-        return [ins.cond]
-    if isinstance(ins, LocalAssign):
-        return [ins.expr]
-    return []
-
-
-def _collect_regs(expr: Expr, out: Set[str]) -> None:
-    if isinstance(expr, Reg):
-        out.add(expr.name)
-    elif isinstance(expr, BinOp):
-        _collect_regs(expr.lhs, out)
-        _collect_regs(expr.rhs, out)
-    elif isinstance(expr, UnOp):
-        _collect_regs(expr.operand, out)
-
-
-def _written_register(ins: Instruction) -> Optional[str]:
-    if isinstance(ins, (Load, Rmw, CmpXchg)):
-        return ins.reg
-    if isinstance(ins, LocalAssign):
-        return ins.reg
-    return None
-
-
 def _static_location(ins: Instruction) -> Optional[str]:
-    """The statically-known location of an access, or None if dynamic."""
-    addr = ins.addr if isinstance(ins, (Load, Store)) else None
-    if isinstance(addr, Const) and isinstance(addr.value, Pointer):
-        return addr.value.loc
+    """The literal location of a load or store, or None if dynamic."""
+    if isinstance(ins, (Load, Store)):
+        return const_location(ins.addr)
     return None

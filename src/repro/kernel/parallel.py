@@ -34,10 +34,9 @@ own clock and counters, so a limit means the same per program at any
 In the calling process the copy is :func:`repro.guard.core.renew`, and
 the cancel tokens apply too; a pooled task gets the budget by value (a
 token does not cross the pool), and a forked worker first drops any
-guard it inherited.  Unless the caller gives ``task_timeout``, a pooled
-map also derives a *hard* per-task deadline from the wall budget
-(:func:`task_deadline`) as a backstop against workers that cannot reach
-a safepoint.
+guard it inherited.  A pooled map also derives a *hard* per-task
+deadline from the wall budget (:func:`task_deadline`) as a backstop
+against workers that cannot reach a safepoint.
 
 **Observability** (:mod:`repro.obs`): a pooled task crosses the pool in
 one place, :func:`_faulted_call`.  When the parent has a collector
@@ -303,8 +302,6 @@ def fault_tolerant_map(
     fn: Callable,
     payloads: Sequence,
     jobs: int,
-    task_timeout: Optional[float] = None,
-    max_attempts: Optional[int] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
     stop: Optional[Callable[[], bool]] = None,
 ) -> List:
@@ -332,13 +329,12 @@ def fault_tolerant_map(
     carries the budget and each task's observability report across;
     each report is absorbed here before ``on_result`` sees the result.
     At most two tasks per worker are in flight, so a pool that dies (a
-    worker crashed, or a task outlived ``task_timeout``, which runs from
-    its submission and defaults to :func:`task_deadline` of the ambient
-    budget) loses only those.  They are retried one at a time on a fresh
+    worker crashed, or a task outlived :func:`task_deadline` of the
+    ambient budget, counted from its submission) loses only those.  They are retried one at a time on a fresh
     pool, so a failure is charged only to a task that was alone in
     flight: the collateral of a crash never uses up a retry budget.
     Raises :class:`WorkerPoolError` when a task has failed alone
-    ``max_attempts`` times, and re-raises any genuine task exception
+    :data:`MAX_ATTEMPTS` times, and re-raises any genuine task exception
     immediately (a deterministic bug is not retryable).  A stop retires
     the pool, since running tasks cannot be evicted individually.
     """
@@ -357,10 +353,7 @@ def fault_tolerant_map(
     from concurrent.futures.process import BrokenProcessPool
 
     budget = _guard_core.ambient()
-    if max_attempts is None:
-        max_attempts = MAX_ATTEMPTS
-    if task_timeout is None:
-        task_timeout = task_deadline(budget)
+    task_timeout = task_deadline(budget)
     # The executor forks every worker at the first submit, so a pool
     # larger than the batch would only fork idle processes.
     jobs = min(jobs, len(payloads))
@@ -475,10 +468,10 @@ def fault_tolerant_map(
                     # Alone in flight: the failure is this task's own.
                     (index,) = failed
                     charged[index] += 1
-                    if charged[index] >= max_attempts:
+                    if charged[index] >= MAX_ATTEMPTS:
                         raise WorkerPoolError(
                             f"worker task {index} still failing after "
-                            f"{max_attempts} attempts"
+                            f"{MAX_ATTEMPTS} attempts"
                         )
                 suspects.extendleft(reversed(failed))
                 if _obs.ENABLED:

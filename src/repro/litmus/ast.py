@@ -34,9 +34,9 @@ how the address, data, and control dependency relations are computed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.events import ACQUIRE, MB, ONCE, Pointer, RELEASE, Value
+from repro.events import ACQUIRE, ONCE, Pointer, RELEASE, Value
 from repro.litmus.outcomes import Condition
 
 
@@ -341,6 +341,78 @@ class Assume(Instruction):
 
 
 # ---------------------------------------------------------------------------
+# What an instruction reads, writes and accesses
+# ---------------------------------------------------------------------------
+
+
+def expr_registers(expr: Expr) -> FrozenSet[str]:
+    """Every register name ``expr`` mentions."""
+    if isinstance(expr, Reg):
+        return frozenset((expr.name,))
+    if isinstance(expr, BinOp):
+        return expr_registers(expr.lhs) | expr_registers(expr.rhs)
+    if isinstance(expr, UnOp):
+        return expr_registers(expr.operand)
+    return frozenset()
+
+
+def registers_read(ins: Instruction) -> FrozenSet[str]:
+    """The registers whose *prior* values ``ins`` reads.
+
+    An RMW's ``new_value`` naming its own destination register means the
+    value just read (see :class:`Rmw`), so that is no read of the register.
+    """
+    if isinstance(ins, (Rmw, CmpXchg)):
+        regs = expr_registers(ins.addr) | (expr_registers(ins.new_value) - {ins.reg})
+        if isinstance(ins, CmpXchg):
+            regs |= expr_registers(ins.expected)
+        return regs
+    regs = frozenset()
+    for expr in _instruction_exprs(ins):
+        regs |= expr_registers(expr)
+    return regs
+
+
+def register_written(ins: Instruction) -> Optional[str]:
+    """The register ``ins`` assigns, if any."""
+    if isinstance(ins, (Load, Rmw, CmpXchg, LocalAssign)):
+        return ins.reg
+    return None
+
+
+def accesses(ins: Instruction) -> Tuple[Tuple[bool, Expr, str], ...]:
+    """The shared-memory accesses of ``ins`` as ``(is_write, addr, tag)``,
+    in program order: an RMW reads, then writes (a ``cmpxchg`` writes only
+    on success)."""
+    if isinstance(ins, Load):
+        return ((False, ins.addr, ins.tag),)
+    if isinstance(ins, Store):
+        return ((True, ins.addr, ins.tag),)
+    if isinstance(ins, (Rmw, CmpXchg)):
+        read_tag, write_tag, _ = RMW_VARIANTS[ins.variant]
+        return ((False, ins.addr, read_tag), (True, ins.addr, write_tag))
+    return ()
+
+
+def const_location(addr: Expr) -> Optional[str]:
+    """The location a literal ``&loc`` address names; ``None`` for any
+    other expression (no folding: ``&x + 0`` has no syntactic location)."""
+    if isinstance(addr, Const) and isinstance(addr.value, Pointer):
+        return addr.value.loc
+    return None
+
+
+def preorder(body: Sequence[Instruction]) -> Iterator[Instruction]:
+    """Every instruction of ``body`` in program order, each ``If``
+    followed by its then-arm and then its else-arm."""
+    for ins in body:
+        yield ins
+        if isinstance(ins, If):
+            yield from preorder(ins.then)
+            yield from preorder(ins.orelse)
+
+
+# ---------------------------------------------------------------------------
 # Threads and programs
 # ---------------------------------------------------------------------------
 
@@ -353,15 +425,6 @@ class Thread:
 
     def __len__(self) -> int:
         return len(self.body)
-
-    def cfg(self):
-        """The thread's control-flow graph
-        (:class:`repro.analysis.flow.cfg.Cfg`); ``If`` bodies become basic
-        blocks with branch/join edges.  Imported lazily so the core AST
-        stays dependency-free."""
-        from repro.analysis.flow.cfg import build_cfg
-
-        return build_cfg(self.body)
 
 
 @dataclass(frozen=True)
@@ -390,16 +453,14 @@ class Program:
     def num_threads(self) -> int:
         return len(self.threads)
 
-    def cfgs(self):
-        """One control-flow graph per thread, in thread order."""
-        return [thread.cfg() for thread in self.threads]
-
     def locations(self) -> List[str]:
         """All shared locations: those in ``init`` plus any statically named
         in the program text, sorted for determinism."""
         locs = set(self.init)
         for th in self.threads:
-            _collect_locations(th.body, locs)
+            for ins in preorder(th.body):
+                for expr in _instruction_exprs(ins):
+                    _collect_expr_locations(expr, locs)
         return sorted(locs)
 
     def initial_value(self, location: str) -> Value:
@@ -407,15 +468,6 @@ class Program:
 
     def __repr__(self) -> str:
         return f"<Program {self.name}: {self.num_threads} threads>"
-
-
-def _collect_locations(body: Sequence[Instruction], locs: set) -> None:
-    for ins in body:
-        for expr in _instruction_exprs(ins):
-            _collect_expr_locations(expr, locs)
-        if isinstance(ins, If):
-            _collect_locations(ins.then, locs)
-            _collect_locations(ins.orelse, locs)
 
 
 def _instruction_exprs(ins: Instruction) -> List[Expr]:

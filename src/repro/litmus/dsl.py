@@ -57,18 +57,16 @@ from repro.litmus.ast import (
     Rmw,
     Store,
     Thread,
-    UnOp,
 )
 from repro.litmus.outcomes import (
-    And,
     Condition,
     Exists,
-    LocValue,
+    LocValue,  # noqa: F401 - re-exported as dsl.LocValue
     NotExists,
     RegValue,
     conj,
     exists,
-    forall,
+    forall,  # noqa: F401 - re-exported as dsl.forall
     not_exists,
 )
 

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.events import Event
 from repro.executions.candidate import CandidateExecution
 from repro.lkmm.model import LinuxKernelModel, LkmmRelations
-from repro.model import ModelResult
 from repro.relations import Relation
 
 

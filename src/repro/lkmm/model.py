@@ -54,15 +54,12 @@ This is a line-by-line rendering of the paper's formal definitions:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.events import (
     ACQUIRE,
-    Event,
     MB,
     RB_DEP,
-    RCU_LOCK,
-    RCU_UNLOCK,
     RELEASE,
     RMB,
     SYNC_RCU,
@@ -71,7 +68,7 @@ from repro.events import (
 from repro.executions.candidate import CandidateExecution
 from repro.model import AxiomViolation, Model, ModelResult
 from repro.obs import core as _obs
-from repro.relations import EventSet, Relation, least_fixpoint
+from repro.relations import Relation, least_fixpoint
 
 
 class LkmmRelations:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.events import Event
 from repro.executions.candidate import CandidateExecution
 
 

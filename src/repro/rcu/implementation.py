@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.events import RCU_LOCK, RCU_UNLOCK, SYNC_RCU
 from repro.herd import run_litmus
@@ -43,10 +43,8 @@ from repro.litmus.ast import (
     Fence,
     If,
     Instruction,
-    Load,
     Program,
     Reg,
-    Store,
     Thread,
     UnOp,
 )

@@ -12,7 +12,7 @@ No graphviz dependency is required to *produce* the text; render it with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.events import Event
 from repro.executions.candidate import CandidateExecution

@@ -1,6 +1,10 @@
 """Tests for the command-line tools."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,35 @@ class TestLintCli:
         # warnings never gate the exit status.
         assert lint_main(["--all-models", "--library"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_each_bundled_model_compiles_once(self):
+        # Linting a bundled model file analyses the IR of the shared
+        # load_model instance that the --models report reads, so the 9
+        # bundled models make 9 CompiledModels, not 18.  A fresh
+        # interpreter: this process's models may be compiled already.
+        script = (
+            "import contextlib, io\n"
+            "from repro.analysis.catir.compile import CompiledModel\n"
+            "from repro.tools.cli import lint_main\n"
+            "made = []\n"
+            "init = CompiledModel.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    made.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "CompiledModel.__init__ = counting\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    lint_main(['--all-models', '--library', '--models'])\n"
+            "print(len(made))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert int(out.stdout) == 9
 
     def test_no_args_defaults_to_everything(self, capsys):
         assert lint_main([]) == 0

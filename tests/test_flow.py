@@ -3,23 +3,23 @@
 import pytest
 
 from repro.analysis.flow import (
-    Cfg,
     ConstantPropagation,
     Liveness,
     ReachingDefinitions,
     RegionAnalysis,
     UNINIT,
     VARIES,
-    build_cfg,
+    backward,
     check_dependencies,
     check_locks,
     check_rcu,
     environment,
     fold_expr,
+    forward,
     lint_program_flow,
-    solve,
+    live_registers,
 )
-from repro.litmus.ast import BinOp, If, Reg
+from repro.litmus.ast import BinOp, LocalAssign, Reg
 from repro.litmus.parser import parse_litmus
 
 
@@ -39,70 +39,7 @@ def findings_for(text, category=None):
 
 
 # ---------------------------------------------------------------------------
-# CFG construction
-# ---------------------------------------------------------------------------
-
-
-class TestCfg:
-    def test_straight_line_is_one_block(self):
-        prog = program(
-            "C t\n{ x=0; }\n"
-            "P0(int *x) { WRITE_ONCE(*x, 1); int r0 = READ_ONCE(*x); }\n"
-            "exists (0:r0=1)\n"
-        )
-        cfg = prog.threads[0].cfg()
-        assert len(cfg.blocks) == 1
-        assert len(cfg.entry.instructions) == 2
-        assert cfg.path_count() == 1
-
-    def test_if_makes_a_diamond(self):
-        prog = program(
-            "C t\n{ x=0; y=0; }\n"
-            "P0(int *x, int *y) {\n"
-            "  int r0 = READ_ONCE(*x);\n"
-            "  if (r0) { WRITE_ONCE(*y, 1); } else { WRITE_ONCE(*y, 2); }\n"
-            "  WRITE_ONCE(*y, 3);\n"
-            "}\n"
-            "exists (0:r0=1)\n"
-        )
-        cfg = prog.threads[0].cfg()
-        assert len(cfg.blocks) == 4  # entry, then, else, join
-        entry = cfg.entry
-        assert isinstance(entry.branch, If)
-        assert len(entry.succs) == 2
-        assert cfg.exit.instructions  # the trailing store lands in the join
-        assert cfg.path_count() == 2
-
-    def test_block_ids_increase_along_edges(self):
-        prog = program(
-            "C t\n{ x=0; }\n"
-            "P0(int *x) {\n"
-            "  int r0 = READ_ONCE(*x);\n"
-            "  if (r0) { if (r0) { WRITE_ONCE(*x, 1); } }\n"
-            "  WRITE_ONCE(*x, 2);\n"
-            "}\n"
-            "exists (0:r0=1)\n"
-        )
-        cfg = prog.threads[0].cfg()
-        for block in cfg.blocks:
-            for succ in block.succs:
-                assert succ > block.bid  # topological: the DAG invariant
-        assert cfg.path_count() == 3
-
-    def test_program_cfgs_matches_threads(self):
-        prog = program(
-            "C t\n{ x=0; }\n"
-            "P0(int *x) { WRITE_ONCE(*x, 1); }\n"
-            "P1(int *x) { int r0 = READ_ONCE(*x); }\n"
-            "exists (1:r0=1)\n"
-        )
-        cfgs = prog.cfgs()
-        assert len(cfgs) == 2
-        assert all(isinstance(cfg, Cfg) for cfg in cfgs)
-
-
-# ---------------------------------------------------------------------------
-# The solver and the concrete analyses
+# The structural walk and the concrete analyses
 # ---------------------------------------------------------------------------
 
 
@@ -119,25 +56,39 @@ DIAMOND = (
 )
 
 
+DEAD_ARM = (
+    "C t\n{ x=0; }\n"
+    "P0(int *x) {\n"
+    "  int r0 = READ_ONCE(*x);\n"
+    "  int r1 = 0;\n"
+    "  if (0) {\n"
+    "    r1 = 1;\n"
+    "    if (r0) { WRITE_ONCE(*x, r1); }\n"
+    "    r1 = 2;\n"
+    "  }\n"
+    "  WRITE_ONCE(*x, r1);\n"
+    "}\n"
+    "exists (0:r0=1)\n"
+)
+
+
 class TestAnalyses:
     def test_reaching_definitions_merge_at_join(self):
-        cfg = program(DIAMOND).threads[0].cfg()
-        result = solve(cfg, ReachingDefinitions(cfg))
-        exit_value = result.at_exit()
+        body = program(DIAMOND).threads[0].body
+        _, exit_value = forward(ReachingDefinitions(body), body)
         r1_sites = {site for reg, site in exit_value if reg == "r1"}
         assert len(r1_sites) == 2  # both assignments reach the final store
         assert UNINIT not in r1_sites
 
     def test_liveness_respects_exit_live(self):
-        cfg = program(DIAMOND).threads[0].cfg()
-        live_at_entry = solve(cfg, Liveness(exit_live={"r0"})).at_exit()
+        body = program(DIAMOND).threads[0].body
+        _, live_at_entry = backward(Liveness(exit_live={"r0"}), body)
         # Nothing is live before the first instruction: r0 is defined here.
         assert "r0" not in live_at_entry
 
     def test_constant_propagation_joins_to_varies(self):
-        cfg = program(DIAMOND).threads[0].cfg()
-        result = solve(cfg, ConstantPropagation())
-        exit_env = dict(result.at_exit())
+        body = program(DIAMOND).threads[0].body
+        exit_env = dict(forward(ConstantPropagation(), body)[1])
         assert exit_env["r1"] == VARIES  # 0 on one path, 1 on the other
 
     def test_region_analysis_tracks_paths_separately(self):
@@ -150,13 +101,12 @@ class TestAnalyses:
             "}\n"
             "exists (0:r0=1)\n"
         )
-        cfg = prog.threads[0].cfg()
-        result = solve(cfg, RegionAnalysis())
-        depths = {d for d, _ in result.at_exit()}
+        states, exit_states = forward(RegionAnalysis(), prog.threads[0].body)
+        depths = {d for d, _ in exit_states}
         assert depths == {0}  # both paths recover, but ...
         # ... the unlock itself sees both depth-0 and depth-1 states:
         states_at_unlock = [
-            value for _, ins, value in result.states()
+            value for ins, value in states
             if getattr(ins, "tag", None) == "rcu-unlock"
         ]
         assert {d for d, _ in states_at_unlock[0]} == {0, 1}
@@ -172,6 +122,27 @@ class TestAnalyses:
 
     def test_environment_drops_varies(self):
         assert environment([("a", 3), ("b", VARIES)]) == {"a": 3}
+
+    def test_live_registers_in_program_order(self):
+        body = program(DIAMOND).threads[0].body
+        states = live_registers(body)
+        assert [ins.lineno for ins, _ in states] == [4, 5, 6, 6, 7]
+        live = dict((ins.lineno, regs) for ins, regs in states)
+        assert live[4] == {"r0"}  # read by the branch
+        assert live[7] == frozenset()  # nothing is read after the store
+
+    def test_dead_arm_is_walked_from_bottom(self):
+        # Nothing reaches the `if (0)` arm, so each of its straight-line
+        # runs starts with nothing live: both assignments there are dead,
+        # although a later (or nested) read names r1.
+        states = live_registers(program(DEAD_ARM).threads[0].body)
+        dead = [
+            ins.lineno for ins, live in states
+            if isinstance(ins, LocalAssign) and ins.reg not in live
+        ]
+        assert dead == [7, 9]
+        found = findings_for(DEAD_ARM, "dead-store")
+        assert [f.line for f in found] == [7, 9]
 
 
 # ---------------------------------------------------------------------------

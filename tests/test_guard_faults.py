@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.analysis.races import check_races
 from repro.cat.eval import load_model
-from repro.guard import SweepJournal, faults, parse_fault_spec
+from repro.guard import Budget, SweepJournal, faults, guard, parse_fault_spec
 from repro.herd import verdicts
 from repro.kernel import parallel
 from repro.litmus import library
@@ -101,14 +101,13 @@ def test_fault_tolerant_map_on_result_ordering():
     assert sorted(seen) == [(0, 2), (1, 4), (2, 6)]
 
 
-def test_crash_recovery_with_counters():
+def test_crash_recovery_with_counters(monkeypatch):
     """Injected worker crashes are retried to completion and counted."""
     faults.set_spec(parse_fault_spec("crash:0.4,seed=8"))
+    monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 10)
     payloads = list(range(10))
     with obs.collect() as collector:
-        results = parallel.fault_tolerant_map(
-            _double, payloads, jobs=2, max_attempts=10
-        )
+        results = parallel.fault_tolerant_map(_double, payloads, jobs=2)
     assert results == [value * 2 for value in payloads]
     counters = collector.report().counters
     assert counters.get("guard.worker_deaths", 0) > 0
@@ -127,24 +126,25 @@ def test_crash_collateral_never_exhausts_attempts():
     assert collector.report().counters.get("guard.worker_deaths", 0) > 3
 
 
-def test_hang_recovery_with_deadline():
-    """A hung worker trips the attempt deadline and the task is retried
-    on a fresh pool."""
+def test_hang_recovery_with_deadline(monkeypatch):
+    """A hung worker trips the hard per-task deadline that the ambient
+    wall budget gives (2 × 1.5 s, no slack) and the task is retried on
+    a fresh pool."""
     faults.set_spec(parse_fault_spec("hang:0.3,seed=8"))
-    with obs.collect() as collector:
-        results = parallel.fault_tolerant_map(
-            _double, list(range(6)), jobs=2, task_timeout=3.0
-        )
+    monkeypatch.setattr(parallel, "DEADLINE_SLACK_S", 0)
+    with obs.collect() as collector, guard(Budget(wall_seconds=1.5)):
+        results = parallel.fault_tolerant_map(_double, list(range(6)), jobs=2)
     assert results == [value * 2 for value in range(6)]
     counters = collector.report().counters
     assert counters.get("guard.worker_hangs", 0) > 0
     assert counters.get("guard.retries", 0) > 0
 
 
-def test_all_attempts_exhausted_raises():
+def test_all_attempts_exhausted_raises(monkeypatch):
     faults.set_spec(parse_fault_spec("crash:1.0,seed=8"))
+    monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
     with pytest.raises(parallel.WorkerPoolError):
-        parallel.fault_tolerant_map(_double, [1, 2], jobs=2, max_attempts=2)
+        parallel.fault_tolerant_map(_double, [1, 2], jobs=2)
 
 
 def test_parallel_verdicts_survive_crashes():
