@@ -384,28 +384,24 @@ class CatModel(Model):
     def _run_vm(self, execution: CandidateExecution, first: bool):
         """``(violations, flags)`` from the VM (see
         :func:`repro.kernel.vm.run_checks`), or None when the walker must
-        judge: the oracle, an unlowerable model, an Unavailable execution."""
+        judge: under the oracle, or for a model the IR compiler rejects
+        (counted as ``cat.fallback.unlowerable``)."""
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one per-candidate model check
         if _config.oracle():
             return None
         program = self._vm_program()
-        if program is None:
-            reason = "unlowerable"
-        else:
-            try:
-                return _vm.run_checks(program, execution, self.name, first)
-            except _vm.Unavailable:
-                reason = "unavailable"
+        if program is not None:
+            return _vm.run_checks(program, execution, self.name, first)
         if _obs.ENABLED:
-            _obs.count(f"cat.fallback.{reason}")
+            _obs.count("cat.fallback.unlowerable")
         return None
 
     def _walk(self, execution: CandidateExecution) -> ModelResult:
         """The statement walker: evaluate the cat text top to bottom.
 
         This is the oracle, and the production fallback for a model that
-        does not lower to bytecode or an execution the VM cannot index.
+        does not lower to bytecode.
         """
         evaluator = _Evaluator(execution)
         env = builtin_environment(execution)

@@ -358,15 +358,13 @@ def generate_corpus(
     seed: int = 0,
     target: Optional[int] = 10000,
     threads: Sequence[int] = (2, 3, 4, 5),
-    lint: bool = True,
-    rcu_variants: bool = True,
 ) -> Iterator[CorpusTest]:
     """Yield unique, lint-clean corpus tests deterministically.
 
-    The stream for a given ``(seed, threads, lint, rcu_variants)`` is
-    fixed: ``target`` only truncates it, so any shorter run is a prefix
-    of a longer one (``tests/test_corpus_generate.py`` locks this,
-    including across worker processes).
+    The stream for a given ``(seed, threads)`` is fixed: ``target`` only
+    truncates it, so any shorter run is a prefix of a longer one
+    (``tests/test_corpus_generate.py`` locks this, including across
+    worker processes).
     """
     skeletons = _skeletons(seed, threads)
     seen_cycles: Set[Tuple[str, ...]] = set()
@@ -405,7 +403,7 @@ def generate_corpus(
                     if _obs.ENABLED:
                         _obs.count("corpus.alias_skips")
                     continue
-                if lint and not _lint_clean(program):
+                if not _lint_clean(program):
                     if _obs.ENABLED:
                         _obs.count("corpus.lint_rejects")
                     continue
@@ -423,13 +421,11 @@ def generate_corpus(
                 )
                 emitted += 1
                 produced = True
-                if rcu_variants and not done():
+                if not done():
                     variant, tids = rcu_wrap(program)
                     if variant is not None:
                         vdigest = program_digest(variant)
-                        if vdigest not in seen_digests and (
-                            not lint or _lint_clean(variant)
-                        ):
+                        if vdigest not in seen_digests and _lint_clean(variant):
                             seen_digests.add(vdigest)
                             if _obs.ENABLED:
                                 _obs.count("corpus.rcu_variants")
@@ -457,21 +453,13 @@ def corpus_slice(
     start: int,
     stop: int,
     threads: Sequence[int] = (2, 3, 4, 5),
-    lint: bool = True,
-    rcu_variants: bool = True,
 ) -> List[CorpusTest]:
     """Tests ``start..stop`` of the deterministic stream — the unit of
     cross-process generation (and of the determinism test: any process
     computing the same slice must produce identical bytes)."""
     return list(
         itertools.islice(
-            generate_corpus(
-                seed=seed,
-                target=stop,
-                threads=threads,
-                lint=lint,
-                rcu_variants=rcu_variants,
-            ),
+            generate_corpus(seed=seed, target=stop, threads=threads),
             start,
             stop,
         )

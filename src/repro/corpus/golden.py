@@ -33,7 +33,6 @@ from repro.corpus.generate import CorpusTest, program_digest
 from repro.corpus.mine import row_signature
 from repro.corpus.sweep import (
     CORPUS_MODELS,
-    ModelSpec,
     SweepResult,
     sweep_row,
 )
@@ -100,14 +99,13 @@ def freeze_golden(
     path,
     size: int = GOLDEN_SIZE,
     seed: int = 0,
-    specs: Sequence[ModelSpec] = CORPUS_MODELS,
 ) -> List[str]:
     """Write the stratified sample + locked verdicts to ``path``.
 
     Returns the chosen test names.  Rows are sorted by name: the file is
     a canonical function of (matrix, size, seed).
     """
-    order = [spec.name for spec in specs]
+    order = [spec.name for spec in CORPUS_MODELS]
     names = stratified_sample(result, size=size, seed=seed, order=order)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -132,10 +130,7 @@ def load_golden(path) -> List[Tuple[CorpusTest, Dict[str, str]]]:
     return entries
 
 
-def verify_golden(
-    path,
-    specs: Sequence[ModelSpec] = CORPUS_MODELS,
-) -> List[str]:
+def verify_golden(path) -> List[str]:
     """Re-judge every frozen test; return human-readable mismatches.
 
     Three failure modes, in checking order: the stored litmus text no
@@ -152,7 +147,7 @@ def verify_golden(
                 f"({test.digest} -> {digest})"
             )
             continue
-        row = sweep_row(test.program, specs)
+        row = sweep_row(test.program)
         for model, expected in sorted(locked.items()):
             actual = row.get(model)
             if actual != expected:

@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.corpus.sweep import (
     CORPUS_MODELS,
     NOT_APPLICABLE,
-    ModelSpec,
     SweepResult,
 )
 from repro.herd import ALLOW, FORBID, INCONCLUSIVE
@@ -128,13 +127,10 @@ def _disagrees(row: Dict[str, str]) -> bool:
     return len(decided) > 1
 
 
-def mine(
-    result: SweepResult,
-    specs: Sequence[ModelSpec] = CORPUS_MODELS,
-) -> MiningReport:
+def mine(result: SweepResult) -> MiningReport:
     """Classify every completed row of a sweep."""
-    order = [spec.name for spec in specs]
-    hardware = [spec.name for spec in specs if spec.arch is not None]
+    order = [spec.name for spec in CORPUS_MODELS]
+    hardware = [spec.name for spec in CORPUS_MODELS if spec.arch is not None]
     report = MiningReport(model_order=order)
     for name, row in sorted(result.matrix.items()):
         test = result.tests.get(name)

@@ -13,8 +13,8 @@ mapping of Table 4, and RCU-bearing tests — which no mapping can express
 Rows are tasks of :func:`repro.kernel.parallel.fault_tolerant_map`,
 serial or on a fault-tolerant worker pool (a crashed or hung worker
 costs a retry, not the sweep).  Each task is sent its program as an
-object with the spec tuple, the same way :func:`repro.herd.verdicts`
-sends programs, so the serial path serialises nothing.  Each completed
+object, the same way :func:`repro.herd.verdicts` sends programs, so the
+serial path serialises nothing.  Each completed
 conclusive row is checkpointed to a digest-carrying
 :class:`repro.guard.SweepJournal` before the next lands, so a sweep
 killed at row 7,000 resumes at row 7,001 — and a journal row whose
@@ -72,19 +72,13 @@ CORPUS_MODELS: Tuple[ModelSpec, ...] = (
 )
 
 
-def model_names(specs: Sequence[ModelSpec] = CORPUS_MODELS) -> List[str]:
-    return [spec.name for spec in specs]
-
-
 def _model(key: str):
     """One battery model; :func:`load_model` parses it once per process,
     so a persistent pool worker pays for it once, not once per row."""
     return load_model(key)
 
 
-def sweep_row(
-    program, specs: Sequence[ModelSpec] = CORPUS_MODELS
-) -> Dict[str, str]:
+def sweep_row(program) -> Dict[str, str]:
     """Judge one program under the full battery: ``{model name: verdict}``.
 
     An ambient budget covers the whole row; once it trips, the remaining
@@ -94,10 +88,9 @@ def sweep_row(
     row: Dict[str, str] = {}
     # One verdict_row shares a single condition-directed candidate sweep
     # across the directly judged models.
-    direct = [_model(spec.key) for spec in specs if spec.arch is None]
-    if direct:
-        row.update(verdict_row(direct, program))
-    for spec in specs:
+    direct = [_model(spec.key) for spec in CORPUS_MODELS if spec.arch is None]
+    row.update(verdict_row(direct, program))
+    for spec in CORPUS_MODELS:
         if spec.arch is None:
             continue
         try:
@@ -113,10 +106,9 @@ def sweep_row(
     return row
 
 
-def _sweep_task(payload: Tuple) -> Tuple[str, Dict[str, str]]:
-    """One row task: ``(program, specs)`` in, ``(name, row)`` out."""
-    program, specs = payload
-    return program.name, sweep_row(program, specs)
+def _sweep_task(program) -> Tuple[str, Dict[str, str]]:
+    """One row task: a program in, ``(name, row)`` out."""
+    return program.name, sweep_row(program)
 
 
 @dataclass
@@ -141,7 +133,6 @@ class SweepResult:
 
 def sweep_corpus(
     tests: Sequence[CorpusTest],
-    specs: Sequence[ModelSpec] = CORPUS_MODELS,
     jobs: int = 1,
     journal: Optional[SweepJournal] = None,
     row_budget: Optional[Budget] = None,
@@ -197,7 +188,7 @@ def sweep_corpus(
     with rearm(row_budget):
         outcomes = parallel.fault_tolerant_map(
             _sweep_task,
-            [(test.program, specs) for test in pending],
+            [test.program for test in pending],
             jobs,
             on_result=_accept,
             stop=_expired,

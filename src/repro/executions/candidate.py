@@ -269,14 +269,13 @@ class CandidateExecution:
         co-maximal write's value."""
         memory: Dict[str, object] = {}
         co = self.co
-        dense = co._densify()
-        if dense is not None and self.universe <= dense.index.universe:
+        rows = co.rows
+        if rows is not None:
             # Bitset fast path: a write is co-maximal iff its co row meets
             # no other write to the same location.  Same predicate as the
             # pair-scan below, one mask test per write instead of a scan
             # over every write pair.
-            pos = dense.index.pos
-            rows = dense.rows
+            pos = co.index.pos
             loc_writes: Dict[str, int] = {}
             writes = []
             for event in self.events:

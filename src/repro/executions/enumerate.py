@@ -68,7 +68,7 @@ from repro.events import Event, FENCE, INIT_TID, ONCE, READ, WRITE, _index_to_la
 from repro.guard import core as _guard
 from repro.kernel import config as _config
 from repro.obs import core as _obs
-from repro.kernel.bitrel import DenseRelation, _bits, index_for, reaches
+from repro.kernel.bitrel import _bits, index_for, reaches
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Condition, RegValue
@@ -725,7 +725,7 @@ def _sweep(
             rf_rows = [0] * n
             for w, r in zip(rf_choice, reads):
                 rf_rows[w] |= 1 << r
-            rf = Relation._from_dense(DenseRelation(index, rf_rows), universe)
+            rf = Relation.from_rows(index, rf_rows, universe)
             for combo in itertools.product(*chosen):
                 co_rows = [0] * n
                 for order in combo:
@@ -733,7 +733,7 @@ def _sweep(
                     for w in reversed(order):
                         co_rows[w] = after
                         after |= 1 << w
-                co = Relation._from_dense(DenseRelation(index, co_rows), universe)
+                co = Relation.from_rows(index, co_rows, universe)
                 if _guard.ACTIVE:
                     _guard._current.note_candidate()
                 if _obs.ENABLED:

@@ -1,12 +1,14 @@
-"""Integer-indexed relation representation: adjacency bitset rows.
+"""Integer-indexed relations: adjacency bitset rows.
 
-The frozenset-of-pairs representation of :class:`repro.relations.Relation`
-is convenient but slow: every operator re-hashes event pairs, and closures
-build large intermediate sets.  This module maps the events of one
-execution to dense indices ``0..n-1`` once (:class:`EventIndex`) and
-represents a relation as ``n`` Python integers, row ``i`` holding a
-bitmask of the successors of event ``i``.  All cat operators then become
-word-parallel bit operations:
+In production a :class:`repro.relations.Relation` is an
+:class:`EventIndex` plus bitset rows (the oracle keeps frozenset pairs
+only).  The index maps the events of one execution to dense positions
+``0..n-1`` once, and a relation is ``n`` Python integers, row ``i``
+holding a bitmask of the successors of event ``i``.  This module holds
+the index and the operators as plain functions over row lists, shared by
+``Relation``, the bytecode VM (:mod:`repro.kernel.vm`, whose registers
+hold bare rows) and the symbolic prover.  Every cat operator is
+word-parallel bit arithmetic:
 
 * union / intersection / difference / complement — one ``|``/``&``/``&~``
   per row;
@@ -27,8 +29,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.events import Event
 from repro.obs import core as _obs
-
-Pair = Tuple[Event, Event]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -52,9 +52,10 @@ _popcount = getattr(int, "bit_count", _popcount_fallback)
 
 # -- row operations ----------------------------------------------------------
 #
-# The relational operators on bare row lists, shared by DenseRelation and
-# the symbolic prover's must/may matrices (which index skeleton events,
-# not an execution's events).
+# The relational operators on bare row lists, shared by the bitset
+# representation of :class:`repro.relations.Relation`, the VM's verdicts
+# and the symbolic prover's must/may matrices (which index skeleton
+# events, not an execution's events).
 
 
 def inverse_rows(rows: List[int]) -> List[int]:
@@ -97,6 +98,100 @@ def closure_rows(rows: List[int]) -> List[int]:
             if rows[i] & bit:
                 rows[i] |= rows[k]
     return rows
+
+
+def complement_rows(rows: List[int], full: int) -> List[int]:
+    """``~rows``, with ``full`` the mask of every position."""
+    return [full & ~row for row in rows]
+
+
+def optional_rows(rows: List[int]) -> List[int]:
+    """``rows?``: every position related to itself as well."""
+    return [row | (1 << i) for i, row in enumerate(rows)]
+
+
+def restrict_rows(
+    rows: List[int], domain_mask: Optional[int], range_mask: Optional[int]
+) -> List[int]:
+    """The pairs of ``rows`` whose source lies in ``domain_mask`` and
+    whose target lies in ``range_mask`` (``None``: unrestricted)."""
+    out = rows
+    if range_mask is not None:
+        out = [row & range_mask for row in out]
+    if domain_mask is not None:
+        out = [row if domain_mask >> i & 1 else 0 for i, row in enumerate(out)]
+    return out if out is not rows else list(rows)
+
+
+def domain_mask(rows: List[int]) -> int:
+    """Bitmask of the positions with a successor."""
+    mask = 0
+    for i, row in enumerate(rows):
+        if row:
+            mask |= 1 << i
+    return mask
+
+
+def range_mask(rows: List[int]) -> int:
+    """Bitmask of the positions with a predecessor."""
+    mask = 0
+    for row in rows:
+        mask |= row
+    return mask
+
+
+def reflexive_mask(rows: List[int]) -> int:
+    """Bitmask of the positions related to themselves."""
+    mask = 0
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        if row & bit:
+            mask |= bit
+    return mask
+
+
+def find_cycle_rows(rows: List[int]) -> Optional[List[int]]:
+    """One cycle as positions ``[i0, ..., i0]``, or ``None``.
+
+    Mirrors the reference DFS of :meth:`repro.relations.Relation.find_cycle`
+    (three-colour, iterative) so cycle witnesses have the same shape in
+    both configurations.
+    """
+    n = len(rows)
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = [WHITE] * n
+    parent = [0] * n
+
+    for root in range(n):
+        if colour[root] != WHITE or not rows[root]:
+            continue
+        colour[root] = GREY
+        stack: List[Tuple[int, Iterator[int]]] = [(root, _bits(rows[root]))]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                state = colour[nxt]
+                if state == GREY:
+                    cycle = [nxt, node]
+                    cursor = node
+                    while cursor != nxt:
+                        cursor = parent[cursor]
+                        cycle.append(cursor)
+                    cycle.reverse()
+                    if cycle[0] != cycle[-1]:
+                        cycle.append(cycle[0])
+                    return cycle
+                if state == WHITE:
+                    colour[nxt] = GREY
+                    parent[nxt] = node
+                    stack.append((nxt, _bits(rows[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                colour[node] = BLACK
+                stack.pop()
+    return None
 
 
 class EventIndex:
@@ -150,197 +245,6 @@ def index_for(universe: frozenset) -> EventIndex:
         _INDEX_CACHE.clear()
     _INDEX_CACHE[key] = (universe, index)
     return index
-
-
-class DenseRelation:
-    """A binary relation as adjacency bitset rows over an :class:`EventIndex`.
-
-    Instances are immutable by convention: operators return new instances
-    and never mutate ``rows`` after construction.
-    """
-
-    __slots__ = ("index", "rows")
-
-    def __init__(self, index: EventIndex, rows: List[int]):
-        self.index = index
-        self.rows = rows
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def empty(cls, index: EventIndex) -> "DenseRelation":
-        return cls(index, [0] * index.n)
-
-    @classmethod
-    def from_pairs(cls, index: EventIndex, pairs: Iterable[Pair]) -> "DenseRelation":
-        """Build from event pairs.  Raises ``KeyError`` if a pair mentions
-        an event outside the index's universe."""
-        rows = [0] * index.n
-        pos = index.pos
-        for a, b in pairs:
-            rows[pos[a]] |= 1 << pos[b]
-        return cls(index, rows)
-
-    # -- conversion ------------------------------------------------------
-
-    def pairs(self) -> Iterator[Pair]:
-        events = self.index.events
-        for i, row in enumerate(self.rows):
-            source = events[i]
-            for j in _bits(row):
-                yield (source, events[j])
-
-    def successor_positions(self, i: int) -> Iterator[int]:
-        return _bits(self.rows[i])
-
-    # -- set algebra -----------------------------------------------------
-
-    def union(self, other: "DenseRelation") -> "DenseRelation":
-        return DenseRelation(
-            self.index, [a | b for a, b in zip(self.rows, other.rows)]
-        )
-
-    def intersection(self, other: "DenseRelation") -> "DenseRelation":
-        return DenseRelation(
-            self.index, [a & b for a, b in zip(self.rows, other.rows)]
-        )
-
-    def difference(self, other: "DenseRelation") -> "DenseRelation":
-        return DenseRelation(
-            self.index, [a & ~b for a, b in zip(self.rows, other.rows)]
-        )
-
-    def complement(self) -> "DenseRelation":
-        full = self.index.full_row
-        return DenseRelation(self.index, [full & ~row for row in self.rows])
-
-    # -- relational operators --------------------------------------------
-
-    def inverse(self) -> "DenseRelation":
-        return DenseRelation(self.index, inverse_rows(self.rows))
-
-    def sequence(self, other: "DenseRelation") -> "DenseRelation":
-        return DenseRelation(self.index, sequence_rows(self.rows, other.rows))
-
-    def optional(self) -> "DenseRelation":
-        return DenseRelation(
-            self.index, [row | (1 << i) for i, row in enumerate(self.rows)]
-        )
-
-    def transitive_closure(self) -> "DenseRelation":
-        return DenseRelation(self.index, closure_rows(self.rows))
-
-    def reflexive_transitive_closure(self) -> "DenseRelation":
-        return self.transitive_closure().optional()
-
-    def restrict(self, domain_mask: Optional[int], range_mask: Optional[int]) -> "DenseRelation":
-        rows = self.rows
-        if range_mask is not None:
-            rows = [row & range_mask for row in rows]
-        if domain_mask is not None:
-            rows = [
-                row if domain_mask & (1 << i) else 0
-                for i, row in enumerate(rows)
-            ]
-        return DenseRelation(self.index, rows if rows is not self.rows else list(rows))
-
-    def domain_mask(self) -> int:
-        mask = 0
-        for i, row in enumerate(self.rows):
-            if row:
-                mask |= 1 << i
-        return mask
-
-    def range_mask(self) -> int:
-        mask = 0
-        for row in self.rows:
-            mask |= row
-        return mask
-
-    # -- checks ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(_popcount(row) for row in self.rows)
-
-    def is_empty(self) -> bool:
-        return not any(self.rows)
-
-    def contains(self, a: Event, b: Event) -> bool:
-        pos = self.index.pos
-        try:
-            return bool(self.rows[pos[a]] & (1 << pos[b]))
-        except KeyError:
-            return False
-
-    def reflexive_mask(self) -> int:
-        """Bitmask of events related to themselves."""
-        mask = 0
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            if row & bit:
-                mask |= bit
-        return mask
-
-    def is_irreflexive(self) -> bool:
-        return not self.reflexive_mask()
-
-    def is_acyclic(self) -> bool:
-        return self.find_cycle_positions() is None
-
-    def find_cycle_positions(self) -> Optional[List[int]]:
-        """One cycle as positions ``[i0, ..., i0]``, or ``None``.
-
-        Mirrors the reference DFS (three-colour, iterative) so cycle
-        witnesses have the same shape under both backends.
-        """
-        rows = self.rows
-        n = self.index.n
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = [WHITE] * n
-        parent = [0] * n
-
-        for root in range(n):
-            if colour[root] != WHITE or not rows[root]:
-                continue
-            colour[root] = GREY
-            stack: List[Tuple[int, Iterator[int]]] = [(root, _bits(rows[root]))]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    state = colour[nxt]
-                    if state == GREY:
-                        cycle = [nxt, node]
-                        cursor = node
-                        while cursor != nxt:
-                            cursor = parent[cursor]
-                            cycle.append(cursor)
-                        cycle.reverse()
-                        if cycle[0] != cycle[-1]:
-                            cycle.append(cycle[0])
-                        return cycle
-                    if state == WHITE:
-                        colour[nxt] = GREY
-                        parent[nxt] = node
-                        stack.append((nxt, _bits(rows[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return None
-
-    def find_cycle(self) -> Optional[List[Event]]:
-        positions = self.find_cycle_positions()
-        if positions is None:
-            return None
-        events = self.index.events
-        return [events[i] for i in positions]
-
-    # -- equality --------------------------------------------------------
-
-    def equals(self, other: "DenseRelation") -> bool:
-        return self.rows == other.rows
 
 
 def reaches(rows: List[int], start: int, targets: int) -> bool:

@@ -2,16 +2,19 @@
 
 The kernel runs in exactly one of two configurations:
 
-* **production** (the default) — bitset relations
-  (:mod:`repro.kernel.bitrel`), incremental per-trace checking with
-  coherence pruning (:mod:`repro.kernel.skeleton`), cat checks executed
-  by the relational bytecode VM (:mod:`repro.kernel.vm`), and
-  condition-directed enumeration for verdict-only runs of
+* **production** (the default) — bitset relations (an event index plus
+  adjacency rows, :mod:`repro.kernel.bitrel`), incremental per-trace
+  checking with coherence pruning (:mod:`repro.kernel.skeleton`), cat
+  checks executed by the relational bytecode VM (:mod:`repro.kernel.vm`),
+  and condition-directed enumeration for verdict-only runs of
   ``exists``/``~exists`` tests (:func:`repro.herd.run_litmus_many`);
 * **oracle** (``REPRO_ORACLE=1``, or :func:`use_oracle`) — the small
-  reference path: frozenset-of-pairs relations, naive
-  enumerate-then-filter over the full candidate stream, and the
+  reference path: frozenset-of-pairs relations (no rows are ever built),
+  naive enumerate-then-filter over the full candidate stream, and the
   statement-walking cat evaluator of :mod:`repro.cat.eval`.
+
+A :class:`~repro.relations.Relation` takes its representation from the
+configuration current when it is built, and keeps it.
 
 The oracle is the executable specification of production: verdicts,
 witness counts and final-state sets are identical under both (see

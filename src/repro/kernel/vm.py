@@ -19,7 +19,7 @@ The program is split into two instruction streams:
   because no opcode ever mutates an operand row list, so sharing is
   indistinguishable from recomputation;
 * the **main** stream loads ``rf``/``co`` (zero-copy from the enumerator's
-  dense relations) and computes the witness-dependent nodes into a copy
+  bitset relations) and computes the witness-dependent nodes into a copy
   of the prelude register file.
 
 The prelude reads its base values (``po``, the tag masks, ``loc``,
@@ -47,8 +47,9 @@ the statement walker: the final raw value is wrapped back into a
 (the all-clear fast paths answer on the raw rows).
 
 This is the production evaluator; the walker is the oracle
-(``REPRO_ORACLE=1``) and the fallback when a model does not lower or
-:func:`run_checks` raises :class:`Unavailable`.
+(``REPRO_ORACLE=1``) and the fallback for a model the IR compiler
+rejects.  Base relations are read as their bitset rows
+(:attr:`repro.relations.Relation.rows`), zero-copy.
 
 Per-opcode execution counts are published as ``vm.op.<NAME>`` counters
 when an observability collector is installed (``repro-herd --bench``),
@@ -62,7 +63,7 @@ from typing import Dict, List, Tuple
 
 from repro.events import FENCE, READ, WRITE
 from repro.guard import core as _guard
-from repro.kernel.bitrel import DenseRelation, _bits, index_for
+from repro.kernel.bitrel import _bits, find_cycle_rows, index_for
 from repro.model import AxiomViolation
 from repro.obs import core as _obs
 from repro.relations import EventSet, Relation
@@ -116,16 +117,6 @@ OPNAMES = {
     FENCEREL: "FENCEREL",
     FIXPOINT: "FIXPOINT",
 }
-
-
-class Unavailable(Exception):
-    """Raised when a base relation has no dense form over the candidate's
-    canonical event index (frozenset relations, or stranger events); the
-    caller falls back to the statement walker for this execution."""
-
-
-#: Cached prelude slot marking "this skeleton cannot run the VM".
-_UNAVAILABLE = object()
 
 
 class VMCheck:
@@ -185,17 +176,6 @@ _REL_ATTRS = {"po": "po", "addr": "addr", "data": "data", "ctrl": "ctrl",
               "rmw": "rmw", "rf": "rf", "co": "co"}
 
 
-def _dense_rows(relation, index) -> List[int]:
-    """Zero-copy rows of an already-dense relation, validated against the
-    candidate's canonical index."""
-    dense = relation._densify()
-    if dense is None:
-        raise Unavailable
-    if dense.index is not index and dense.index.universe != index.universe:
-        raise Unavailable
-    return dense.rows
-
-
 def base_value(name: str, execution, index):
     """The raw value (rows or mask) of one builtin base identifier.
 
@@ -205,7 +185,7 @@ def base_value(name: str, execution, index):
     """
     attr = _REL_ATTRS.get(name)
     if attr is not None:
-        return _dense_rows(getattr(execution, attr), index)
+        return getattr(execution, attr).rows
     events = index.events
     n = index.n
     if name == "_":
@@ -251,7 +231,7 @@ def base_value(name: str, execution, index):
     if name == "crit":
         from repro.executions.derived import crit_relation
 
-        return _dense_rows(crit_relation(execution), index)
+        return crit_relation(execution).rows
     from repro.cat.eval import TAG_SETS
 
     tag = TAG_SETS.get(name)
@@ -261,7 +241,7 @@ def base_value(name: str, execution, index):
             if event.has_tag(tag):
                 mask |= 1 << i
         return mask
-    raise Unavailable
+    raise KeyError(name)
 
 
 # -- the executor ----------------------------------------------------------
@@ -320,7 +300,7 @@ def _execute(instrs, regs, execution, names, index, env) -> None:
                 regs[instr[1]] = env[name]
             else:
                 relation = execution.rf if name == "rf" else execution.co
-                regs[instr[1]] = _dense_rows(relation, index)
+                regs[instr[1]] = relation.rows
         elif op == CARTESIAN:
             a = regs[instr[2]]
             b = regs[instr[3]]
@@ -340,7 +320,7 @@ def _execute(instrs, regs, execution, names, index, env) -> None:
                 row | (1 << i) for i, row in enumerate(regs[instr[2]])
             ]
         elif op == PLUS or op == STAR:
-            # Bitset Floyd-Warshall, same sweep order as DenseRelation.
+            # Bitset Floyd-Warshall, same sweep order as closure_rows.
             rows = list(regs[instr[2]])
             for k in range(n):
                 if not rows[k]:
@@ -404,7 +384,7 @@ def _execute(instrs, regs, execution, names, index, env) -> None:
                         regs[rec_reg] = new
                         changed = True
         else:  # pragma: no cover - lowering only emits known opcodes
-            raise Unavailable
+            raise AssertionError(f"unknown opcode {op}")
     if counts:
         for op, hits in counts.items():
             _obs.count(f"vm.op.{OPNAMES[op]}", hits)
@@ -431,7 +411,7 @@ def _judge(check: VMCheck, raw, index, universe):
                 return None
         elif kind == "acyclic":
             if not check.is_set:
-                positions = DenseRelation(index, raw).find_cycle_positions()
+                positions = find_cycle_rows(raw)
                 if positions is None:
                     return None
                 # The cycle DFS already ran; building the witness directly
@@ -457,7 +437,7 @@ def _judge(check: VMCheck, raw, index, universe):
         events = index.events
         value = EventSet((events[i] for i in _bits(raw)), universe)
     else:
-        value = Relation._from_dense(DenseRelation(index, raw), universe)
+        value = Relation.from_rows(index, raw, universe)
     return check_axiom(kind, check.label, check.negated, value)
 
 
@@ -621,8 +601,7 @@ def run_checks(
     produce them.  With ``first=True`` the run stops at the first non-flag
     violation, an invariant one from the prelude before any stage, and
     returns ``([violation], [])``, or ``([], [])`` when the candidate is
-    allowed; flag checks are not judged.  Raises :class:`Unavailable` when
-    this execution has no dense relations.
+    allowed; flag checks are not judged.
     """
     if _guard.ACTIVE:
         _guard._current.tick()  # budget safepoint: one per-candidate VM run
@@ -634,17 +613,11 @@ def run_checks(
         cache = skeleton.vm_state
         state = cache.get(program.token)
         if state is None:
-            try:
-                state = _build_prelude(
-                    program, execution, index, model_name, cache
-                )
-            except Unavailable:
-                state = _UNAVAILABLE
-            cache[program.token] = state
+            state = cache[program.token] = _build_prelude(
+                program, execution, index, model_name, cache
+            )
         elif _obs.ENABLED:
             _obs.count("vm.prelude_hits")
-        if state is _UNAVAILABLE:
-            raise Unavailable
     base_regs, invariant_violations, blocking = state
     verdict_stages, flagged_stages = program.stages()
     universe = execution.universe

@@ -31,7 +31,6 @@ from repro.events import (
     ACQUIRE,
     MB,
     ONCE,
-    PLAIN,
     Pointer,
     RB_DEP,
     RCU_LOCK,
@@ -62,12 +61,10 @@ from repro.litmus.outcomes import (
     Condition,
     Exists,
     LocValue,  # noqa: F401 - re-exported as dsl.LocValue
-    NotExists,
     RegValue,
     conj,
     exists,
     forall,  # noqa: F401 - re-exported as dsl.forall
-    not_exists,
 )
 
 AddrLike = Union[str, Expr]
@@ -125,11 +122,6 @@ def load_acquire(register: str, address: AddrLike) -> Load:
     return Load(register, _addr(address), ACQUIRE)
 
 
-def read_plain(register: str, address: AddrLike) -> Load:
-    """A plain (non-ONCE) load — used by architecture-level programs."""
-    return Load(register, _addr(address), PLAIN)
-
-
 def write_once(address: AddrLike, value: ValueLike) -> Store:
     """``WRITE_ONCE(*address, value)``"""
     return Store(_addr(address), _value(value), ONCE)
@@ -138,11 +130,6 @@ def write_once(address: AddrLike, value: ValueLike) -> Store:
 def store_release(address: AddrLike, value: ValueLike) -> Store:
     """``smp_store_release(address, value)``"""
     return Store(_addr(address), _value(value), RELEASE)
-
-
-def write_plain(address: AddrLike, value: ValueLike) -> Store:
-    """A plain (non-ONCE) store — used by architecture-level programs."""
-    return Store(_addr(address), _value(value), PLAIN)
 
 
 # -- fences ------------------------------------------------------------------
@@ -292,7 +279,3 @@ def program(
 def exists_regs(*clauses: Tuple[int, str, Value]) -> Exists:
     """``exists (t0:r0=v0 /\\ t1:r1=v1 /\\ ...)`` from (tid, reg, val) triples."""
     return exists(conj(*(RegValue(t, r, v) for t, r, v in clauses)))
-
-
-def not_exists_regs(*clauses: Tuple[int, str, Value]) -> NotExists:
-    return not_exists(conj(*(RegValue(t, r, v) for t, r, v in clauses)))

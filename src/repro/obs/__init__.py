@@ -10,8 +10,8 @@ counting exercises observable:
 * **counters / gauges** — ``obs.count("enumerate.candidates")`` tallies
   the search: candidates enumerated vs pruned, cache hits vs misses,
   model checks, axiom violations, and production checks that fell back
-  from the bytecode VM to the statement walker
-  (``cat.fallback.unlowerable`` / ``cat.fallback.unavailable``);
+  from the bytecode VM to the statement walker because the IR compiler
+  rejects the model (``cat.fallback.unlowerable``);
 * **RunReport** — the serialisable summary, mergeable across
   :mod:`repro.kernel.parallel` workers, exported as a human ``--profile``
   table or ``--trace-json`` JSON.

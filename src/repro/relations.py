@@ -11,19 +11,22 @@ Relations are immutable; every operator returns a new relation.  Both kinds
 of value carry a *universe* (the event set of the candidate execution) so
 that complement (`~r`) and reflexive closure (`r?`) are well defined.
 
-Two interchangeable backends implement the operators, one per kernel
-configuration (:mod:`repro.kernel.config`):
+A :class:`Relation` has one representation per kernel configuration
+(:mod:`repro.kernel.config`), fixed when it is built:
 
-* **bitset** (production) — events are mapped to dense indices
-  ``0..n-1`` once per universe and the relation is held as adjacency
-  bitmask rows (:mod:`repro.kernel.bitrel`); operators are word-parallel
-  integer arithmetic.  ``pairs`` is materialised lazily on demand.
-* **frozenset** (the oracle, ``REPRO_ORACLE=1``) — the original reference
-  implementation over ``frozenset`` of event pairs.
+* **production** — an :class:`~repro.kernel.bitrel.EventIndex` mapping the
+  universe to positions ``0..n-1`` plus adjacency bitset rows; operators
+  are word-parallel integer arithmetic over the row functions of
+  :mod:`repro.kernel.bitrel`, and ``pairs`` is materialised on demand.
+  Events outside the universe raise ``KeyError``;
+* **oracle** (``REPRO_ORACLE=1``) — a ``frozenset`` of event pairs, the
+  reference implementation.
 
-Both produce identical results (``tests/test_kernel_equiv.py``); the
-frozenset backend is kept as the executable specification of the bitset
-one.
+An operator over two relations takes the row path when both hold rows
+and the pair path otherwise; operands over different universes raise
+``ValueError``.  Both configurations produce identical results
+(``tests/test_kernel_equiv.py``); the oracle is the executable
+specification of production.
 """
 
 from __future__ import annotations
@@ -43,7 +46,22 @@ from typing import (
 
 from repro.events import Event
 from repro.kernel import config as _config
-from repro.kernel.bitrel import DenseRelation, index_for
+from repro.kernel.bitrel import (
+    EventIndex,
+    _bits,
+    _popcount,
+    closure_rows,
+    complement_rows,
+    domain_mask,
+    find_cycle_rows,
+    index_for,
+    inverse_rows,
+    optional_rows,
+    range_mask,
+    reflexive_mask,
+    restrict_rows,
+    sequence_rows,
+)
 
 Pair = Tuple[Event, Event]
 
@@ -110,24 +128,19 @@ class EventSet:
 
     def product(self, other: "EventSet") -> "Relation":
         """``S * T`` in cat: the cartesian product."""
-        if not _config.oracle():
-            try:
-                index = index_for(self.universe)
-                self_mask = index.mask_of(self.events)
-                other_mask = index.mask_of(other.events)
-            except KeyError:
-                pass
-            else:
-                rows = [
-                    other_mask if self_mask & (1 << i) else 0
-                    for i in range(index.n)
-                ]
-                return Relation._from_dense(
-                    DenseRelation(index, rows), self.universe
-                )
-        return Relation(
-            ((a, b) for a in self.events for b in other.events), self.universe
-        )
+        if _config.oracle():
+            return Relation(
+                ((a, b) for a in self.events for b in other.events),
+                self.universe,
+            )
+        # An event outside the universe raises KeyError.
+        index = index_for(self.universe)
+        self_mask = index.mask_of(self.events)
+        other_mask = index.mask_of(other.events)
+        rows = [
+            other_mask if self_mask >> i & 1 else 0 for i in range(index.n)
+        ]
+        return Relation.from_rows(index, rows, self.universe)
 
     __mul__ = product
 
@@ -135,88 +148,89 @@ class EventSet:
 class Relation:
     """An immutable binary relation over events.
 
-    Supports the full cat operator suite.  Internally either a
-    :class:`~repro.kernel.bitrel.DenseRelation` (bitset backend) or a
-    ``frozenset`` of pairs (reference backend); ``pairs`` is always
-    available, materialised lazily from the dense form when needed.
+    Supports the full cat operator suite.  The representation is fixed
+    when the relation is built, by the kernel configuration: in
+    production an :class:`~repro.kernel.bitrel.EventIndex` of the
+    universe (``index``) plus adjacency bitset ``rows``, with ``pairs``
+    materialised on demand; under the oracle a frozenset of ``pairs``
+    only.  In production a pair naming an event outside the universe
+    raises ``KeyError``.
     """
 
-    __slots__ = ("universe", "_pairs", "_dense", "_succ")
+    __slots__ = ("universe", "index", "_rows", "_pairs", "_succ")
 
     def __init__(self, pairs: Iterable[Pair], universe: FrozenSet[Event]):
         self.universe: FrozenSet[Event] = universe
-        self._pairs: Optional[FrozenSet[Pair]] = None
-        self._dense: Optional[DenseRelation] = None
         self._succ: Optional[Dict[Event, Set[Event]]] = None
-        if not _config.oracle():
-            if not isinstance(pairs, (frozenset, set, list, tuple)):
-                pairs = list(pairs)
-            try:
-                self._dense = DenseRelation.from_pairs(
-                    index_for(universe), pairs
-                )
-                return
-            except KeyError:
-                # A pair mentions an event outside the universe; keep the
-                # tolerant frozenset representation for this relation.
-                pass
-        self._pairs = frozenset(pairs)
+        if _config.oracle():
+            self.index: Optional[EventIndex] = None
+            self._rows: Optional[List[int]] = None
+            self._pairs: Optional[FrozenSet[Pair]] = frozenset(pairs)
+            return
+        index = self.index = index_for(universe)
+        rows = [0] * index.n
+        pos = index.pos
+        for a, b in pairs:
+            rows[pos[a]] |= 1 << pos[b]
+        self._rows = rows
+        self._pairs = None
 
     @classmethod
-    def _from_dense(
-        cls, dense: DenseRelation, universe: FrozenSet[Event]
+    def from_rows(
+        cls, index: EventIndex, rows: List[int], universe: FrozenSet[Event]
     ) -> "Relation":
+        """A production relation from bitset ``rows`` over ``index``, the
+        index of ``universe``.  The rows are taken, not copied."""
         relation = cls.__new__(cls)
         relation.universe = universe
+        relation.index = index
+        relation._rows = rows
         relation._pairs = None
-        relation._dense = dense
         relation._succ = None
         return relation
 
-    # -- backend plumbing ------------------------------------------------
+    @property
+    def rows(self) -> Optional[List[int]]:
+        """The bitset rows, or ``None`` under the oracle.  A relation built
+        under the oracle and read in production gets its rows here."""
+        if self._rows is None and not _config.oracle():
+            built = Relation(self._pairs, self.universe)
+            self.index, self._rows = built.index, built._rows
+        return self._rows
 
     @property
     def pairs(self) -> FrozenSet[Pair]:
         if self._pairs is None:
-            self._pairs = frozenset(self._dense.pairs())
+            events = self.index.events
+            self._pairs = frozenset(
+                (events[i], events[j])
+                for i, row in enumerate(self._rows)
+                for j in _bits(row)
+            )
         return self._pairs
 
-    def _densify(self) -> Optional[DenseRelation]:
-        """This relation's dense form, building and caching it if the
-        bitset backend is active.  ``None`` when unavailable."""
-        if self._dense is not None:
-            return self._dense
-        if _config.oracle():
-            return None
-        try:
-            self._dense = DenseRelation.from_pairs(
-                index_for(self.universe), self._pairs
-            )
-        except KeyError:
-            return None
-        return self._dense
-
-    def _dense_with(
-        self, other: "Relation"
-    ) -> Optional[Tuple[DenseRelation, DenseRelation]]:
-        """Dense forms of both operands over one index, or ``None``."""
+    def _row_path(self, other: "Relation") -> bool:
+        """True when both operands hold rows.  Raises ``ValueError`` when
+        the universes differ, so that positions never mismatch."""
         if self.universe is not other.universe and self.universe != other.universe:
-            return None
-        mine = self._densify()
-        if mine is None:
-            return None
-        theirs = other._densify()
-        if theirs is None:
-            return None
-        return mine, theirs
+            raise ValueError(
+                f"relations over different universes ({len(self.universe)}"
+                f" and {len(other.universe)} events)"
+            )
+        return self._rows is not None and other._rows is not None
+
+    def _with_rows(self, rows: List[int]) -> "Relation":
+        return Relation.from_rows(self.index, rows, self.universe)
+
+    def _event_set(self, mask: int) -> EventSet:
+        events = self.index.events
+        return EventSet((events[i] for i in _bits(mask)), self.universe)
 
     def __getstate__(self):
         return (self.pairs, self.universe)
 
     def __setstate__(self, state):
-        self._pairs, self.universe = state
-        self._dense = None
-        self._succ = None
+        self.__init__(*state)
 
     # -- basics ---------------------------------------------------------
 
@@ -224,27 +238,32 @@ class Relation:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        if self._pairs is None:
-            return len(self._dense)
+        if self._rows is not None:
+            return sum(map(_popcount, self._rows))
         return len(self._pairs)
 
     def __contains__(self, pair: Pair) -> bool:
-        if self._pairs is None:
-            return self._dense.contains(*pair)
-        return pair in self._pairs
+        if self._rows is None:
+            return pair in self._pairs
+        pos = self.index.pos
+        a, b = pair
+        try:
+            return bool(self._rows[pos[a]] >> pos[b] & 1)
+        except KeyError:
+            return False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
         if (
-            self._dense is not None
-            and other._dense is not None
+            self._rows is not None
+            and other._rows is not None
             and (
                 self.universe is other.universe
                 or self.universe == other.universe
             )
         ):
-            return self._dense.equals(other._dense)
+            return self._rows == other._rows
         return self.pairs == other.pairs
 
     def __hash__(self) -> int:
@@ -263,14 +282,11 @@ class Relation:
         """Adjacency index, built lazily and cached."""
         if self._succ is None:
             succ: Dict[Event, Set[Event]] = {}
-            if self._pairs is None:
-                events = self._dense.index.events
-                for i, row in enumerate(self._dense.rows):
+            if self._rows is not None:
+                events = self.index.events
+                for i, row in enumerate(self._rows):
                     if row:
-                        succ[events[i]] = {
-                            events[j]
-                            for j in self._dense.successor_positions(i)
-                        }
+                        succ[events[i]] = {events[j] for j in _bits(row)}
             else:
                 for a, b in self._pairs:
                     succ.setdefault(a, set()).add(b)
@@ -280,31 +296,31 @@ class Relation:
     # -- set algebra ----------------------------------------------------
 
     def union(self, other: "Relation") -> "Relation":
-        both = self._dense_with(other)
-        if both is not None:
-            return Relation._from_dense(both[0].union(both[1]), self.universe)
+        if self._row_path(other):
+            return self._with_rows(
+                [a | b for a, b in zip(self._rows, other._rows)]
+            )
         return self._wrap(self.pairs | other.pairs)
 
     def intersection(self, other: "Relation") -> "Relation":
-        both = self._dense_with(other)
-        if both is not None:
-            return Relation._from_dense(
-                both[0].intersection(both[1]), self.universe
+        if self._row_path(other):
+            return self._with_rows(
+                [a & b for a, b in zip(self._rows, other._rows)]
             )
         return self._wrap(self.pairs & other.pairs)
 
     def difference(self, other: "Relation") -> "Relation":
-        both = self._dense_with(other)
-        if both is not None:
-            return Relation._from_dense(
-                both[0].difference(both[1]), self.universe
+        if self._row_path(other):
+            return self._with_rows(
+                [a & ~b for a, b in zip(self._rows, other._rows)]
             )
         return self._wrap(self.pairs - other.pairs)
 
     def complement(self) -> "Relation":
-        dense = self._densify()
-        if dense is not None:
-            return Relation._from_dense(dense.complement(), self.universe)
+        if self._rows is not None:
+            return self._with_rows(
+                complement_rows(self._rows, self.index.full_row)
+            )
         full = {(a, b) for a in self.universe for b in self.universe}
         return self._wrap(full - self.pairs)
 
@@ -317,18 +333,14 @@ class Relation:
 
     def inverse(self) -> "Relation":
         """``r^-1``."""
-        dense = self._densify()
-        if dense is not None:
-            return Relation._from_dense(dense.inverse(), self.universe)
+        if self._rows is not None:
+            return self._with_rows(inverse_rows(self._rows))
         return self._wrap((b, a) for a, b in self.pairs)
 
     def sequence(self, other: "Relation") -> "Relation":
         """``r1 ; r2`` — relational composition."""
-        both = self._dense_with(other)
-        if both is not None:
-            return Relation._from_dense(
-                both[0].sequence(both[1]), self.universe
-            )
+        if self._row_path(other):
+            return self._with_rows(sequence_rows(self._rows, other._rows))
         succ = other.successors()
         out: Set[Pair] = set()
         for a, b in self.pairs:
@@ -338,18 +350,14 @@ class Relation:
 
     def optional(self) -> "Relation":
         """``r?`` — reflexive closure over the universe."""
-        dense = self._densify()
-        if dense is not None:
-            return Relation._from_dense(dense.optional(), self.universe)
+        if self._rows is not None:
+            return self._with_rows(optional_rows(self._rows))
         return self._wrap(self.pairs | {(e, e) for e in self.universe})
 
     def transitive_closure(self) -> "Relation":
         """``r+``."""
-        dense = self._densify()
-        if dense is not None:
-            return Relation._from_dense(
-                dense.transitive_closure(), self.universe
-            )
+        if self._rows is not None:
+            return self._with_rows(closure_rows(self._rows))
         succ = {a: set(bs) for a, bs in self.successors().items()}
         # Floyd-Warshall style saturation via BFS from every source node.
         closure: Set[Pair] = set()
@@ -367,11 +375,8 @@ class Relation:
 
     def reflexive_transitive_closure(self) -> "Relation":
         """``r*``."""
-        dense = self._densify()
-        if dense is not None:
-            return Relation._from_dense(
-                dense.reflexive_transitive_closure(), self.universe
-            )
+        if self._rows is not None:
+            return self._with_rows(optional_rows(closure_rows(self._rows)))
         return self._wrap(
             self.transitive_closure().pairs | {(e, e) for e in self.universe}
         )
@@ -383,22 +388,17 @@ class Relation:
         domain: Optional[EventSet] = None,
         range_: Optional[EventSet] = None,
     ) -> "Relation":
-        """Restrict domain and/or range to the given event sets."""
-        dense = self._densify()
-        if dense is not None:
-            try:
-                domain_mask = (
-                    None if domain is None else dense.index.mask_of(domain)
+        """Restrict domain and/or range to the given event sets.  In
+        production an event outside the universe raises ``KeyError``."""
+        if self._rows is not None:
+            mask_of = self.index.mask_of
+            return self._with_rows(
+                restrict_rows(
+                    self._rows,
+                    None if domain is None else mask_of(domain),
+                    None if range_ is None else mask_of(range_),
                 )
-                range_mask = (
-                    None if range_ is None else dense.index.mask_of(range_)
-                )
-            except KeyError:
-                pass
-            else:
-                return Relation._from_dense(
-                    dense.restrict(domain_mask, range_mask), self.universe
-                )
+            )
         pairs = self.pairs
         if domain is not None:
             pairs = {(a, b) for a, b in pairs if a in domain}
@@ -407,26 +407,13 @@ class Relation:
         return self._wrap(pairs)
 
     def domain(self) -> EventSet:
-        if self._pairs is None:
-            index = self._dense.index
-            return EventSet(
-                (
-                    index.events[i]
-                    for i, row in enumerate(self._dense.rows)
-                    if row
-                ),
-                self.universe,
-            )
+        if self._rows is not None:
+            return self._event_set(domain_mask(self._rows))
         return EventSet((a for a, _ in self._pairs), self.universe)
 
     def range(self) -> EventSet:
-        if self._pairs is None:
-            index = self._dense.index
-            mask = self._dense.range_mask()
-            return EventSet(
-                (index.events[i] for i in range(index.n) if mask & (1 << i)),
-                self.universe,
-            )
+        if self._rows is not None:
+            return self._event_set(range_mask(self._rows))
         return EventSet((b for _, b in self._pairs), self.universe)
 
     def filter(self, predicate: Callable[[Event, Event], bool]) -> "Relation":
@@ -435,24 +422,22 @@ class Relation:
     # -- checks -----------------------------------------------------------
 
     def is_empty(self) -> bool:
-        if self._pairs is None:
-            return self._dense.is_empty()
+        if self._rows is not None:
+            return not any(self._rows)
         return not self._pairs
 
     def is_irreflexive(self) -> bool:
-        if self._pairs is None:
-            return self._dense.is_irreflexive()
+        if self._rows is not None:
+            return not reflexive_mask(self._rows)
         return all(a is not b and a != b for a, b in self.pairs)
 
     def reflexive_pairs(self) -> List[Pair]:
         """The ``(e, e)`` pairs of the relation (irreflexivity witnesses)."""
-        if self._pairs is None:
-            index = self._dense.index
-            mask = self._dense.reflexive_mask()
+        if self._rows is not None:
+            events = self.index.events
             return [
-                (index.events[i], index.events[i])
-                for i in range(index.n)
-                if mask & (1 << i)
+                (events[i], events[i])
+                for i in _bits(reflexive_mask(self._rows))
             ]
         return sorted(
             ((a, b) for a, b in self._pairs if a == b),
@@ -470,8 +455,12 @@ class Relation:
         the human-readable explanations of *why* an execution is forbidden
         (:mod:`repro.lkmm.explain`).
         """
-        if self._pairs is None:
-            return self._dense.find_cycle()
+        if self._rows is not None:
+            positions = find_cycle_rows(self._rows)
+            if positions is None:
+                return None
+            events = self.index.events
+            return [events[i] for i in positions]
         succ = self.successors()
         WHITE, GREY, BLACK = 0, 1, 2
         colour: Dict[Event, int] = {}

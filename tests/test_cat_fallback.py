@@ -2,8 +2,7 @@
 
 :meth:`repro.cat.eval.CatModel.check` falls back from the VM to the
 statement walker (the oracle's evaluator) when a model does not lower
-(``cat.fallback.unlowerable``) or the VM raises ``Unavailable``
-(``cat.fallback.unavailable``).  A fallback costs speed, never a
+(``cat.fallback.unlowerable``).  A fallback costs speed, never a
 verdict; this suite pins both halves of that:
 
 * every bundled model lowers, and the whole library under all nine
@@ -25,7 +24,7 @@ from repro.obs import core as obs
 
 BUNDLED = sorted(path.stem for path in MODELS_DIR.glob("*.cat"))
 
-FALLBACKS = ("cat.fallback.unlowerable", "cat.fallback.unavailable")
+FALLBACKS = ("cat.fallback.unlowerable",)
 
 
 def test_nine_models_are_bundled():
@@ -104,6 +103,5 @@ def test_unlowerable_model_falls_back_to_oracle_verdict(test_name, source):
         collector.counters["cat.fallback.unlowerable"]
         == production.candidates
     )
-    assert "cat.fallback.unavailable" not in collector.counters
     # The hand-built model is SC: it agrees with the bundled one.
     assert production.verdict == run_litmus(load_model("sc"), program).verdict

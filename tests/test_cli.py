@@ -82,7 +82,6 @@ class TestHerdCli:
         assert "vm.op.SEQ" in out
         assert "vm.runs" in out
         assert "cat.fallback.unlowerable = 0" in out
-        assert "cat.fallback.unavailable = 0" in out
 
     def test_bench_flag_reports_vm_off(self, capsys):
         from repro.kernel import config as kconfig

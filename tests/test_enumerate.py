@@ -403,8 +403,8 @@ class TestConditionDirected:
         )
         monkeypatch.setattr(
             Relation,
-            "_from_dense",
-            classmethod(counting("dense", Relation._from_dense.__func__)),
+            "from_rows",
+            classmethod(counting("dense", Relation.from_rows.__func__)),
         )
         programs = {
             name: library.get(name)

@@ -78,8 +78,8 @@ class TestEnvReRead:
         reference = Relation([], events)
         monkeypatch.setenv("REPRO_ORACLE", "0")
         bitset = Relation([], events)
-        assert reference._dense is None and reference._pairs == frozenset()
-        assert bitset._dense is not None
+        assert reference._rows is None and reference._pairs == frozenset()
+        assert bitset._rows is not None
 
     def test_verdict_invariant_across_env_backends(self, monkeypatch):
         """Same verdict under both env-selected configurations, one

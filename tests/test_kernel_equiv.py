@@ -30,9 +30,9 @@ from repro.executions.enumerate import candidate_executions
 from repro.herd import run_litmus, run_litmus_many, verdicts
 from repro.kernel import config as kconfig
 from repro.kernel.bitrel import (
-    DenseRelation,
     EventIndex,
     _bits,
+    find_cycle_rows,
     index_for,
     reaches,
 )
@@ -186,10 +186,11 @@ class TestBitsetPrimitives:
         assert index_for(UNIVERSE) is not index_for(other_universe)
 
     def test_dense_roundtrip(self):
-        index = index_for(UNIVERSE)
         pairs = [(EVENTS[0], EVENTS[1]), (EVENTS[5], EVENTS[2])]
-        dense = DenseRelation.from_pairs(index, pairs)
-        assert set(dense.pairs()) == set(pairs)
+        with kconfig.use_oracle(False):
+            dense = Relation(pairs, UNIVERSE)
+        assert dense.index is index_for(UNIVERSE)
+        assert set(dense.pairs) == set(pairs)
         assert len(dense) == 2
 
     def test_reaches(self):
@@ -200,16 +201,18 @@ class TestBitsetPrimitives:
         assert not reaches(rows, 3, 0b0111)
 
     def test_acyclicity(self):
-        index = index_for(UNIVERSE)
-        chain = DenseRelation.from_pairs(
-            index, [(EVENTS[i], EVENTS[i + 1]) for i in range(N - 1)]
-        )
+        with kconfig.use_oracle(False):
+            chain = Relation(
+                [(EVENTS[i], EVENTS[i + 1]) for i in range(N - 1)], UNIVERSE
+            )
+            looped = Relation(
+                [(EVENTS[i], EVENTS[i + 1]) for i in range(N - 1)]
+                + [(EVENTS[N - 1], EVENTS[0])],
+                UNIVERSE,
+            )
+        assert find_cycle_rows(chain.rows) is None
         assert chain.is_acyclic()
-        looped = DenseRelation.from_pairs(
-            index,
-            [(EVENTS[i], EVENTS[i + 1]) for i in range(N - 1)]
-            + [(EVENTS[N - 1], EVENTS[0])],
-        )
+        assert find_cycle_rows(looped.rows) is not None
         assert not looped.is_acyclic()
         assert looped.find_cycle() is not None
 

@@ -112,26 +112,20 @@ def test_vm_model_results_identical(lkmm_cat, name):
             assert fast.violations == reference.violations
 
 
-def test_vm_unavailable_on_frozenset_backend(lkmm_cat, monkeypatch):
-    """With frozenset relations there are no dense rows: the VM raises
-    Unavailable.  A production check that meets Unavailable falls back
-    to the statement walker — counted, and with the oracle's answer."""
+def test_vm_judges_oracle_built_executions(lkmm_cat):
+    """Executions built under the oracle hold pairs only.  Judged in
+    production, the VM builds their rows on first use and gives the
+    oracle's verdicts, with no walker fallback."""
     program = library.get("MP+wmb+rmb")
-    lowered = lkmm_cat._vm_program()
     with kconfig.use_oracle():
         executions = list(candidate_executions(program))
-        with pytest.raises(vm.Unavailable):
-            vm.run_checks(lowered, executions[0], lkmm_cat.name)
+        assert all(x.rf._rows is None for x in executions)
         oracle = [lkmm_cat.check(x).allowed for x in executions]
-
-    def unavailable(*args):
-        raise vm.Unavailable
-
-    monkeypatch.setattr(vm, "run_checks", unavailable)
     with kconfig.use_oracle(False), obs.collect() as collector:
-        fallback = [lkmm_cat.check(x).allowed for x in executions]
-    assert fallback == oracle
-    assert collector.counters["cat.fallback.unavailable"] == len(executions)
+        production = [lkmm_cat.check(x).allowed for x in executions]
+    assert production == oracle
+    assert collector.counters["vm.runs"] == len(executions)
+    assert "cat.fallback.unlowerable" not in collector.counters
 
 
 # -- random litmus tests: production == oracle -------------------------------
