@@ -7,8 +7,8 @@ nightlies.  The compromise is a frozen sample: ``freeze_golden`` picks a
 remaining seats allocated proportionally, all choices seeded) and writes
 each test's litmus source *and* full verdict row to
 ``tests/data/golden_corpus.jsonl``.  ``tests/test_golden_corpus.py``
-re-judges the sample on every tier-1 run, under both relation backends
-and both VM lanes, and demands exact equality.
+re-judges the sample on every tier-1 run, in the kernel configuration
+the environment selects, and demands exact equality.
 
 The freeze policy: the file only changes via
 ``benchmarks/regen_golden_corpus.py`` after an *intentional* semantic

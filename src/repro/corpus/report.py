@@ -19,20 +19,21 @@ from typing import Optional
 from repro.corpus.mine import MiningReport
 from repro.corpus.sweep import SweepResult
 
+TITLE = "Corpus stress report"
+#: Rows of the signature census and of the family leaderboard.
+SIGNATURE_LIMIT = 20
+FAMILY_LIMIT = 15
+
 
 def _pct(part: int, whole: int) -> str:
     return f"{100.0 * part / whole:.1f}%" if whole else "n/a"
 
 
 def stress_report(
-    report: MiningReport,
-    result: Optional[SweepResult] = None,
-    title: str = "Corpus stress report",
-    signature_limit: int = 20,
-    family_limit: int = 15,
+    report: MiningReport, result: Optional[SweepResult] = None
 ) -> str:
     """The full markdown report for one mined sweep."""
-    lines = [f"# {title}", ""]
+    lines = [f"# {TITLE}", ""]
 
     disagreeing = report.total - report.agreeing
     lines += [
@@ -89,7 +90,7 @@ def stress_report(
         "| --- | --- | --- | --- | --- |",
     ]
     for rank, bucket in enumerate(
-        report.ranked_signatures()[:signature_limit], start=1
+        report.ranked_signatures()[:SIGNATURE_LIMIT], start=1
     ):
         top_families = ", ".join(
             f"{fam} ({n})"
@@ -102,7 +103,7 @@ def stress_report(
             f"| {rank} | `{bucket.signature}` | {bucket.count} "
             f"| {top_families} | {exemplars} |"
         )
-    hidden = len(report.signatures) - signature_limit
+    hidden = len(report.signatures) - SIGNATURE_LIMIT
     if hidden > 0:
         lines.append(f"| … | {hidden} more signatures | | | |")
     lines.append("")
@@ -116,7 +117,7 @@ def stress_report(
         "| family | tests | disagreements | density |",
         "| --- | --- | --- | --- |",
     ]
-    for stats in report.ranked_families()[:family_limit]:
+    for stats in report.ranked_families()[:FAMILY_LIMIT]:
         lines.append(
             f"| `{stats.family}` | {stats.tests} | {stats.disagreements} "
             f"| {_pct(stats.disagreements, stats.tests)} |"

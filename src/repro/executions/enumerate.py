@@ -19,44 +19,36 @@ discards the spurious values the fixpoint of step 1 may over-approximate.
 Such a trace combination is dropped by a value-first test before any
 event or relation of it is built (in both configurations).
 
-Given condition *pins* (:func:`candidate_executions`), the
-enumeration is condition-directed: traces and coherence orders whose
-final registers or final memory contradict a pinned value are dropped
-before any candidate is built, leaving the full stream filtered by the
-pins, in the same order.
+Given condition *pins* (:func:`candidate_executions`), the stream is
+the full stream filtered by the pins, in the same order.
 
-Two performance mechanisms (both from :mod:`repro.kernel`, both
-behaviour-preserving, both off in the oracle configuration —
-``REPRO_ORACLE=1`` restores the naive enumerate-then-filter path):
+Production has one rf×co enumerator, the *per-location sweep*
+(:func:`_pruned_candidates`, :func:`_sweep`).  Every edge of
+``po-loc | rf | co | fr`` joins two events on the same location, so a
+location's rf×co choices never constrain another's, and the check graph
+of ``require_sc_per_location`` is a disjoint union of per-location
+graphs, acyclic iff each of them is.  A location's part is fixed by its
+*signature* — its init value, its condition pins and each thread's
+projection onto it (the ``(kind, value)`` sequence of the trace's
+events there) — and by its own reads' rf sources.  One memo per call
+maps each signature to a :class:`_LocationFate`: whether a read is
+unwritable, whether any rf sub-assignment keeps a co order, and the
+co orders kept, on location-local indices, that meet its pins.  With
+the filter these are per rf sub-assignment the orders that keep the
+graph acyclic (*pruned as they are extended*: a cyclic permutation
+prefix skips its whole subtree); without it, every order, once for all
+rf sub-assignments.  A combination with an unwritable or infeasible
+location is rejected with one dict lookup per location and builds
+nothing; one that keeps a candidate is swept on integer event ids and
+materialised (:func:`_materialise`: events, base relations, ``po-loc``
+and the :class:`~repro.kernel.skeleton.TraceSkeleton` its candidates
+share) at its first candidate, whose ``rf`` and ``co`` are dense
+bitset rows.  The stream is the oracle's, in the same order.
 
-* when ``require_sc_per_location`` is set, the rf×co sweep is *decided
-  location by location*.  Every edge of ``po-loc | rf | co | fr`` joins
-  two events on the same location, so the check graph is a disjoint
-  union of per-location graphs, acyclic iff each of them is.  A
-  location's graph is fixed by its *signature* — its init value, its
-  condition pins and each thread's projection onto it (the
-  ``(kind, value)`` sequence of the trace's events there) — and by its
-  own reads' rf sources.  One memo per call maps each signature to a
-  :class:`_LocationFate`: whether a read is unwritable, whether any rf
-  sub-assignment keeps a co order, and the surviving co orders per rf
-  sub-assignment, on location-local indices (coherence orders are
-  *pruned as they are extended*: a permutation prefix whose partial
-  graph already has a cycle cannot lead to any surviving candidate, so
-  its whole subtree is skipped).  A combination with an unwritable or
-  infeasible location is rejected with one dict lookup per location and
-  builds nothing; only one that keeps a candidate is swept, on integer
-  event ids, and materialised (:func:`_materialise`: events, base
-  relations, ``po-loc`` and skeleton) at its first candidate.  Kept
-  candidates get their ``rf`` and ``co`` as dense bitset rows.  The
-  surviving stream is the naive path's, in the same order
-  (:func:`_pruned_candidates`, :func:`_sweep`);
-* the trace-invariant structure of step 3 — events, base relations, and
-  everything derivable from them — is computed once per materialised
-  trace combination and shared across all its rf×co candidates via a
-  :class:`~repro.kernel.skeleton.TraceSkeleton`.
-
-The naive path materialises each combination with the same
-:func:`_materialise`, before its first candidate.
+The oracle (``REPRO_ORACLE=1``) is the naive path alone: it
+materialises each combination with the same :func:`_materialise`,
+builds every rf×co candidate, then drops those that violate
+SC PER LOCATION (when asked) or miss a pin.
 """
 
 from __future__ import annotations
@@ -95,47 +87,41 @@ def candidate_executions(
     ``pins`` (``RegValue``/``LocValue`` atoms, see
     :func:`repro.litmus.outcomes.pinned_atoms`) make the stream
     *condition-directed*: the full stream restricted to the candidates
-    whose final state satisfies every pin, in the same order.  A thread
-    trace whose final registers contradict a register pin is dropped
-    before any combination is formed, and a coherence order whose
-    co-last write has the wrong value for a pinned location is dropped
-    before its candidate is built; each drop counts as
-    ``enumerate.pruned.condition``.
+    whose final state satisfies every pin, in the same order.  In
+    production a thread trace whose final registers contradict a
+    register pin is dropped before any combination is formed, and a
+    coherence order whose co-last write has the wrong value for a pinned
+    location is dropped before its candidate is built; the oracle builds
+    every candidate and drops those that miss a pin.  Each drop counts
+    as ``enumerate.pruned.condition``.
     """
-    reg_pins: Dict[int, List[Tuple[str, object]]] = {}
-    loc_pins: Dict[str, List[object]] = {}
-    for atom in pins:
-        if isinstance(atom, RegValue):
-            reg_pins.setdefault(atom.tid, []).append((atom.reg, atom.value))
-        else:
-            loc_pins.setdefault(atom.loc, []).append(atom.value)
-
     with _obs.span("enumerate.thread_traces"):
         per_thread = traces_at_fixpoint(program)[1]
         locations = program.locations()
-    for tid, tid_pins in reg_pins.items():
-        if not 0 <= tid < len(per_thread):
-            continue
-        traces = per_thread[tid]
-        kept = [
-            trace
-            for trace in traces
-            if all(trace.final_regs.get(reg) == v for reg, v in tid_pins)
-        ]
-        if _obs.ENABLED:
-            _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
-        per_thread[tid] = kept
-
     memo = None
-    if require_sc_per_location and not _config.oracle():
-        memo = _LocationMemo(program, locations, loc_pins)
+    if not _config.oracle():
+        loc_pins: Dict[str, List[object]] = {}
+        for atom in pins:
+            if not isinstance(atom, RegValue):
+                loc_pins.setdefault(atom.loc, []).append(atom.value)
+            elif 0 <= atom.tid < len(per_thread):
+                traces = per_thread[atom.tid]
+                kept = [
+                    trace
+                    for trace in traces
+                    if trace.final_regs.get(atom.reg) == atom.value
+                ]
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
+                per_thread[atom.tid] = kept
+        memo = _LocationMemo(program, locations, loc_pins, require_sc_per_location)
     for traces in itertools.product(*per_thread):
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one trace combination
         if _obs.ENABLED:
             _obs.count("enumerate.trace_combos")
         yield from _executions_of_traces(
-            program, locations, traces, require_sc_per_location, loc_pins, memo
+            program, locations, traces, require_sc_per_location, memo, pins
         )
 
 
@@ -151,25 +137,20 @@ def _order_pairs(order: List[Event]) -> Iterator[Tuple[Event, Event]]:
             yield (order[i], order[j])
 
 
-def _pin_holds(pinned: List[object], value: object) -> bool:
-    """True when a location's final ``value`` meets each of its pins."""
-    return all(value == pin for pin in pinned)
-
-
 def _executions_of_traces(
     program: Program,
     locations: List[str],
     traces: Tuple[ThreadTrace, ...],
     require_sc_per_location: bool,
-    loc_pins: Optional[Dict[str, List[object]]] = None,
     memo: Optional[_LocationMemo] = None,
+    pins: Sequence[Condition] = (),
 ) -> Iterator[CandidateExecution]:
-    """The candidates of one trace combination.  ``memo``, the call's
-    per-location memo, selects the production per-location sweep; without
-    one, a fresh memo is made when that sweep applies."""
-    loc_pins = loc_pins or {}
-    if memo is None and require_sc_per_location and not _config.oracle():
-        memo = _LocationMemo(program, locations, loc_pins)
+    """The candidates of one trace combination.  In production they come
+    from the per-location sweep of ``memo``, the call's memo, which holds
+    its location pins (a fresh memo without pins when none is given).
+    The oracle builds every candidate and keeps those that meet ``pins``."""
+    if memo is None and not _config.oracle():
+        memo = _LocationMemo(program, locations, {}, require_sc_per_location)
     if memo is not None:
         yield from _pruned_candidates(program, locations, traces, memo)
         return
@@ -193,7 +174,7 @@ def _executions_of_traces(
                 return
 
     # Naive path: materialise the combination, then enumerate complete
-    # rf×co candidates, filtering (when asked) after construction.
+    # rf×co candidates, filtering after construction.
     events, universe, build = _materialise(program, locations, traces)
 
     # Reads-from candidates (never empty, by the value-first test above).
@@ -219,20 +200,6 @@ def _executions_of_traces(
         ]
         for init, location in zip(events, locations)
     ]
-    for g, location in enumerate(locations):
-        pinned = loc_pins.get(location)
-        if pinned is not None:
-            kept = [
-                order
-                for order in co_orders_per_loc[g]
-                if _pin_holds(pinned, order[-1].value)
-            ]
-            if _obs.ENABLED:
-                _obs.count(
-                    "enumerate.pruned.condition",
-                    len(co_orders_per_loc[g]) - len(kept),
-                )
-            co_orders_per_loc[g] = kept
 
     survived = False
     for rf_choice in itertools.product(*rf_candidates):
@@ -251,6 +218,10 @@ def _executions_of_traces(
                     _obs.count("enumerate.pruned.sc_filtered")
                 continue
             survived = True
+            if not all(pin.evaluate(execution.final_state) for pin in pins):
+                if _obs.ENABLED:
+                    _obs.count("enumerate.pruned.condition")
+                continue
             if _guard.ACTIVE:
                 _guard._current.note_candidate()
             if _obs.ENABLED:
@@ -414,7 +385,8 @@ class _Projection:
 class _LocationMemo:
     """The per-location memo of one :func:`candidate_executions`
     call: each trace's :class:`_Projection` and each location signature's
-    :class:`_LocationFate`.
+    :class:`_LocationFate`, filtered by SC PER LOCATION or not, as the
+    call asks.
 
     A location's signature is its init value and pins with each thread's
     projection onto it.  It fixes the location's ``po-loc | rf | co | fr``
@@ -430,11 +402,13 @@ class _LocationMemo:
         program: Program,
         locations: List[str],
         loc_pins: Dict[str, List[object]],
+        sc_per_location: bool,
     ) -> None:
         self.locations = locations
         self.group_of = {location: g for g, location in enumerate(locations)}
         self._program = program
         self._loc_pins = loc_pins
+        self._sc_per_location = sc_per_location
         self._interned: Dict[Tuple[Tuple[str, object], ...], int] = {(): 0}
         self._sequences: List[Tuple[Tuple[str, object], ...]] = [()]
         self._projections: Dict[int, _Projection] = {}
@@ -482,12 +456,13 @@ class _LocationMemo:
         head, pids = key[0], key[1:]
         sequences = [self._sequences[pid] for pid in pids]
         if not isinstance(head, int):
-            return _LocationFate(_NO_INIT, None, sequences)
+            return _LocationFate(_NO_INIT, None, sequences, self._sc_per_location)
         location = self.locations[head]
         return _LocationFate(
             self._program.initial_value(location),
             self._loc_pins.get(location),
             sequences,
+            self._sc_per_location,
         )
 
 
@@ -505,12 +480,14 @@ class _LocationFate:
     the location *unwritable*.  An rf sub-assignment is keyed as a
     mixed-radix int of its candidate indices, first read most
     significant, so keys ``0, 1, 2, ...`` run in ``itertools.product``
-    order.  :meth:`orders` memoises the surviving co orders per key;
-    ``feasible`` says whether any key keeps one.
+    order.  :meth:`orders` memoises the kept co orders per key;
+    ``feasible`` says whether any key keeps one.  Without the
+    SC-per-location filter (``sc_per_location`` false) the orders do not
+    depend on the rf sub-assignment, so every key shares key 0's.
     """
 
     __slots__ = (
-        "reads", "rf_candidates", "unwritable", "_feasible",
+        "reads", "rf_candidates", "unwritable", "sc_per_location", "_feasible",
         "_rows", "_init", "_writes", "_values", "_pins", "_orders",
     )
 
@@ -519,6 +496,7 @@ class _LocationFate:
         init: object,
         pins: Optional[List[object]],
         sequences: List[Tuple[Tuple[str, object], ...]],
+        sc_per_location: bool,
     ) -> None:
         kinds: List[str] = []
         values: List[object] = []
@@ -539,11 +517,12 @@ class _LocationFate:
             [w for w in writes if values[w] == values[r]] for r in reads
         ]
         self.reads = reads
+        self.sc_per_location = sc_per_location
         self._rows = rows
         self._values = values
         self._pins = pins
-        # A location without an init write gets no coherence order, as in
-        # the naive path.
+        # A location without an init write gets one empty coherence order,
+        # as in the naive path.
         self._init: Optional[int] = None if init is _NO_INIT else 0
         self._writes = [] if init is _NO_INIT else writes[1:]
         self._orders: Dict[int, List[Tuple[int, ...]]] = {}
@@ -554,9 +533,10 @@ class _LocationFate:
         """Whether some rf sub-assignment keeps a co order.  Decided on
         first use, trying keys in order up to the first that does."""
         if self._feasible is None:
-            keys = 1
-            for candidates in self.rf_candidates:
-                keys *= len(candidates)
+            keys = 1  # unfiltered, key 0 decides for every key
+            if self.sc_per_location:
+                for candidates in self.rf_candidates:
+                    keys *= len(candidates)
             self._feasible = False
             for key in range(keys):
                 if _guard.ACTIVE:
@@ -567,34 +547,46 @@ class _LocationFate:
         return self._feasible
 
     def orders(self, key: int) -> List[Tuple[int, ...]]:
-        """The co orders, in local indices, that keep the location's graph
-        acyclic under rf sub-assignment ``key`` and meet its pins: a cycle
-        test of ``po-loc | rf`` (such a cycle survives every co order),
-        then :func:`_coherence_orders`."""
+        """The co orders, in local indices, kept under rf sub-assignment
+        ``key`` that meet the location's pins.  Filtered: a cycle test of
+        ``po-loc | rf`` (such a cycle survives every co order), then
+        :func:`_coherence_orders`.  Unfiltered: the init write, then each
+        permutation of the other writes, in ``itertools.permutations``
+        order."""
+        if not self.sc_per_location:
+            key = 0
         orders = self._orders.get(key)
         if orders is not None:
             return orders
-        rows = list(self._rows)
-        readers_of = [0] * len(rows)  # write -> bitmask of its readers
-        rest = key
-        for j in range(len(self.reads) - 1, -1, -1):
-            candidates = self.rf_candidates[j]
-            rest, i = divmod(rest, len(candidates))
-            r_bit = 1 << self.reads[j]
-            rows[candidates[i]] |= r_bit
-            readers_of[candidates[i]] |= r_bit
-        if _has_cycle(rows, (1 << len(rows)) - 1):
-            if _obs.ENABLED:
-                _obs.count("enumerate.pruned.rf_cycle")
-            orders = []
+        if not self.sc_per_location:
+            head = () if self._init is None else (self._init,)
+            orders = [head + perm for perm in itertools.permutations(self._writes)]
         else:
-            orders = _coherence_orders(rows, readers_of, self._init, self._writes)
-            pinned = self._pins
-            if pinned is not None:
-                kept = [o for o in orders if _pin_holds(pinned, self._values[o[-1]])]
+            rows = list(self._rows)
+            readers_of = [0] * len(rows)  # write -> bitmask of its readers
+            rest = key
+            for j in range(len(self.reads) - 1, -1, -1):
+                candidates = self.rf_candidates[j]
+                rest, i = divmod(rest, len(candidates))
+                r_bit = 1 << self.reads[j]
+                rows[candidates[i]] |= r_bit
+                readers_of[candidates[i]] |= r_bit
+            if _has_cycle(rows, (1 << len(rows)) - 1):
                 if _obs.ENABLED:
-                    _obs.count("enumerate.pruned.condition", len(orders) - len(kept))
-                orders = kept
+                    _obs.count("enumerate.pruned.rf_cycle")
+                orders = []
+            else:
+                orders = _coherence_orders(
+                    rows, readers_of, self._init, self._writes
+                )
+        pinned = self._pins
+        if pinned is not None:
+            kept = [
+                o for o in orders if all(self._values[o[-1]] == v for v in pinned)
+            ]
+            if _obs.ENABLED:
+                _obs.count("enumerate.pruned.condition", len(orders) - len(kept))
+            orders = kept
         self._orders[key] = orders
         return orders
 
@@ -605,15 +597,16 @@ def _pruned_candidates(
     traces: Tuple[ThreadTrace, ...],
     memo: _LocationMemo,
 ) -> Iterator[CandidateExecution]:
-    """rf×co enumeration with ``acyclic(po-loc | com)`` pruning, decided
-    location by location.
+    """rf×co enumeration decided location by location, with
+    ``acyclic(po-loc | com)`` pruning when ``memo`` filters.
 
     Every edge of the check graph (po-loc, rf, co, fr) joins two events on
     the same location, so the graph is the disjoint union of one graph per
     location and is acyclic iff each of them is.  A location's graph
     depends only on its signature (see :class:`_LocationMemo`) and on the
     rf sources of its own reads, so the combination has a candidate iff
-    no location is unwritable and every location is feasible.  Both are
+    no location is unwritable and every location is feasible (unfiltered,
+    iff no location is unwritable and no pin empties its co orders).  Both are
     looked up in ``memo``: a combination that fails either is rejected
     here, counted as ``enumerate.pruned.unwritable_trace`` or
     ``enumerate.pruned.no_survivor``, and never reaches :func:`_sweep`.
@@ -645,13 +638,14 @@ def _sweep(
     event's bitset position.  Each location's local indices map to its
     eids in order.  rf choices are enumerated over the reads in eid
     order, last read fastest, which is ``itertools.product`` order.  When
-    the last read of a location receives its source, that location's co
-    orders are looked up in its fate; an empty list prunes the whole rf
-    subtree, since every completion keeps the location's graph.  At a
+    the last read of a filtered location receives its source, that
+    location's co orders are looked up in its fate; an empty list prunes
+    the whole rf subtree, since every completion keeps the location's
+    graph.  An unfiltered location's orders are fixed up front.  At a
     full rf assignment the candidates are the product of the per-location
     lists, location 0 outermost.  Each list is in
-    ``itertools.permutations`` order, so the surviving stream is
-    *identical* to the naive path's: same candidates, same order.  That
+    ``itertools.permutations`` order, so the stream is *identical* to the
+    oracle's naive path: same candidates, same order.  That
     is what early exit and ``max_candidates`` partial results rely on.
     The combination is materialised at its first candidate, and each
     candidate's ``rf`` and ``co`` are built straight into dense rows.
@@ -684,9 +678,11 @@ def _sweep(
         [eids_of[g][w] for w in fates[g].rf_candidates[j]]
         for _, g, j in located_reads
     ]
+    # The reads each location's co orders hang on: none when unfiltered.
     reads_of: List[List[int]] = [[] for _ in fates]
     for k, (_, g, _) in enumerate(located_reads):
-        reads_of[g].append(k)
+        if fates[g].sc_per_location:
+            reads_of[g].append(k)
 
     # The rf walk is an odometer: ``cursor[k] - 1`` indexes the source
     # chosen for read ``k`` in ``rf_candidates[k]``.
@@ -709,7 +705,7 @@ def _sweep(
             ]
         return orders
 
-    # Locations without reads have one order list, fixed up front.
+    # Locations whose orders hang on no read have one list, fixed up front.
     chosen: List[List[Tuple[int, ...]]] = [
         [] if reads_of[g] else orders_of(g) for g in range(len(fates))
     ]

@@ -151,7 +151,8 @@ def run_litmus_many(
     forbidden by every model, so ``allowed``, ``witnesses`` and ``states``
     are those of the full stream and only ``candidates`` (and
     ``forbidden_witness``) see the difference.  One model without the
-    property keeps the whole call on the full stream.
+    property keeps the whole call on the full stream, which production
+    enumerates with the same per-location sweep, unfiltered.
 
     ``verdict_only`` serves callers that read only verdicts.  It ends the
     candidate sweep as soon as every model's verdict is final (see

@@ -13,9 +13,11 @@ from repro.executions.thread_sem import enumerate_thread_traces, possible_value_
 from repro.kernel import config as kconfig
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
+from repro.litmus.parser import parse_litmus
 from repro.litmus.outcomes import Exists, LocValue, NotExists, pinned_atoms
 from repro.rcu.implementation import inline_rcu
 from repro.relations import Relation
+from tests.test_kernel_equiv import POINTER_ONLY_LOCATION
 
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
@@ -321,9 +323,10 @@ def _candidate_key(execution):
     )
 
 
-def _scpv_streams(program, pins=()):
-    """The pruned (Scpv) candidate stream in production and in the
-    oracle, as candidate keys."""
+def _scpv_streams(program, pins=(), scpv=True):
+    """The candidate stream in production and in the oracle, as candidate
+    keys: the pruned (Scpv) stream, or with ``scpv`` false the
+    unfiltered one."""
     streams = []
     for oracle in (False, True):
         with kconfig.use_oracle(oracle):
@@ -331,7 +334,7 @@ def _scpv_streams(program, pins=()):
                 [
                     _candidate_key(execution)
                     for execution in enumeration.candidate_executions(
-                        program, require_sc_per_location=True, pins=pins
+                        program, require_sc_per_location=scpv, pins=pins
                     )
                 ]
             )
@@ -380,10 +383,25 @@ class TestConditionDirected:
             pruned += len(stream) < full
         assert checked > 100 and pruned > 50
 
+    @pytest.mark.parametrize("scpv", [False, True])
+    def test_production_stream_is_the_oracle_stream(self, scpv):
+        # One production enumerator serves the filtered and the unfiltered
+        # call alike; the oracle's naive enumerate-build-filter path must
+        # yield the same candidates, key by key and in order, pinned or not.
+        programs = dict(_identity_programs())
+        programs["pointer-only-location"] = parse_litmus(POINTER_ONLY_LOCATION)
+        for name, program in programs.items():
+            condition = program.condition
+            pinned = pinned_atoms(condition.body) if condition else []
+            for pins in ((), pinned):
+                production, oracle = _scpv_streams(program, pins, scpv)
+                assert production == oracle, (name, pins)
+
     def test_nothing_is_built_for_a_dropped_candidate(self, monkeypatch):
         # On the per-location path a combination is materialised (its
         # events and five base relations plus po-loc) only for a kept
-        # candidate, and rf and co rows only for kept candidates.
+        # candidate, and rf and co rows only for kept candidates, with
+        # and without the SC-per-location filter.
         built = {"materialised": 0, "relations": 0, "dense": 0}
 
         def counting(name, original):
@@ -412,19 +430,21 @@ class TestConditionDirected:
         }
         programs["RCU-MP@1"] = inline_rcu(library.get("RCU-MP"), loop_bound=1)
         with kconfig.use_oracle(False):
-            for name, program in programs.items():
+            for (name, program), scpv in itertools.product(
+                programs.items(), (True, False)
+            ):
                 built.update(materialised=0, relations=0, dense=0)
                 kept = list(
                     enumeration.candidate_executions(
                         program,
-                        require_sc_per_location=True,
+                        require_sc_per_location=scpv,
                         pins=pinned_atoms(program.condition.body),
                     )
                 )
                 combos = len({id(execution.universe) for execution in kept})
-                assert built["materialised"] == combos, name
-                assert built["relations"] == 6 * combos, name
-                assert built["dense"] <= 2 * len(kept), name
+                assert built["materialised"] == combos, (name, scpv)
+                assert built["relations"] == 6 * combos, (name, scpv)
+                assert built["dense"] <= 2 * len(kept), (name, scpv)
 
 
 class TestLocationMemo:
@@ -518,6 +538,63 @@ class TestLocationMemo:
         next(stream)
         assert calls[0] == fixpoint
 
+    def test_unfiltered_production_runs_the_sweep(self):
+        # Without the SC-per-location filter production still decides the
+        # call location by location: one fate per distinct signature (MP's
+        # x and y, each with the reader reading 0 or 1 there).  The oracle
+        # decides no fate.
+        for oracle, fates in ((False, 4), (True, 0)):
+            with kconfig.use_oracle(oracle), obs.collect() as collector:
+                assert count_candidate_executions(library.get("MP")) == 4
+            counters = collector.counters
+            assert counters.get("enumerate.location_fates", 0) == fates
+        # Unfiltered, a fate runs no rf cycle test and no co extension:
+        # CoRW prunes one of each only under the filter.
+        program = library.get("CoRW")
+        with kconfig.use_oracle(False):
+            for scpv, pruned in ((True, 1), (False, 0)):
+                with obs.collect() as collector:
+                    count_candidate_executions(
+                        program, require_sc_per_location=scpv
+                    )
+                counters = collector.counters
+                assert counters.get("enumerate.pruned.rf_cycle", 0) == pruned
+                assert counters.get("enumerate.pruned.co_prefix", 0) == pruned
+        # Unfiltered, a fate keeps every co order, one list for every rf
+        # sub-assignment, even one that reads its own po-later write.
+        from repro.events import READ, WRITE
+
+        fate = enumeration._LocationFate(
+            0, None, [((READ, 1), (WRITE, 1)), ((WRITE, 1),)], False
+        )
+        assert fate.feasible()
+        assert fate.orders(0) is fate.orders(1)
+        assert fate.orders(0) == [(0, 2, 3), (0, 3, 2)]
+
+    def test_oracle_pins_filter_built_candidates(self, monkeypatch):
+        # The oracle builds every candidate of the full stream, then drops
+        # the ones that miss a pin.  2+2W pins both final values, which one
+        # of its four co order pairs meets; all four are SC per location.
+        built = [0]
+        original = enumeration._order_pairs
+
+        def counting(order):
+            built[0] += 1
+            return original(order)
+
+        monkeypatch.setattr(enumeration, "_order_pairs", counting)
+        program = library.get("2+2W")
+        pins = pinned_atoms(program.condition.body)
+        with kconfig.use_oracle(), obs.collect() as collector:
+            for scpv in (False, True):
+                assert count_candidate_executions(
+                    program, require_sc_per_location=scpv, pins=pins
+                ) == 1
+        assert built[0] == 2 * 4 * 2  # two locations, four candidates, twice
+        counters = collector.counters
+        assert counters["enumerate.pruned.condition"] == 3 + 3
+        assert "enumerate.pruned.sc_filtered" not in counters
+
     def test_deciding_a_fate_ticks_the_guard(self):
         # Every rf step and co extension spent on a signature is a budget
         # safepoint, whether or not any combination then keeps it.
@@ -526,13 +603,17 @@ class TestLocationMemo:
 
         # A read of its own thread's later write: one rf step, whose
         # po-loc | rf part is already cyclic.
-        cyclic = enumeration._LocationFate(0, None, [((READ, 1), (WRITE, 1))])
+        cyclic = enumeration._LocationFate(
+            0, None, [((READ, 1), (WRITE, 1))], True
+        )
         with guard(Budget()) as armed:
             assert not cyclic.feasible()
         assert armed.states == 1
         # Two racing writes: one rf step (no reads), then 2 co extension
         # steps after init and 1 after each first write.
-        racy = enumeration._LocationFate(0, None, [((WRITE, 1),), ((WRITE, 2),)])
+        racy = enumeration._LocationFate(
+            0, None, [((WRITE, 1),), ((WRITE, 2),)], True
+        )
         with guard(Budget()) as armed:
             assert racy.feasible()
         assert armed.states == 1 + 2 + 1 + 1
@@ -574,8 +655,8 @@ class TestLocationMemo:
 
     def test_location_read_through_a_pointer_only(self):
         # z is named nowhere but in p's initial value, so it is outside
-        # program.locations(): no init write and no coherence order, in
-        # both configurations.  Its reads of 0 are unwritable.
+        # program.locations(): no init write and one empty coherence
+        # order, in both configurations.  Its reads of 0 are unwritable.
         p = dsl.reg
         program = dsl.program(
             "t",

@@ -226,7 +226,8 @@ EQUIV_TESTS = [
     "SB+mbs",
     "LB+ctrl+mb",
     "R+mbs",
-    "MP+rcu-sync+rcu-lock",
+    "RCU-MP",
+    "At-inc",
 ]
 
 
@@ -284,7 +285,10 @@ def _stream_programs():
 
 def _library_subset():
     names = set(library.all_names())
-    return [name for name in EQUIV_TESTS if name in names]
+    unknown = [name for name in EQUIV_TESTS if name not in names]
+    if unknown:
+        raise KeyError(f"EQUIV_TESTS names no library test: {unknown}")
+    return EQUIV_TESTS
 
 
 def _summary(result):
@@ -312,11 +316,11 @@ class TestWholeRunEquivalence:
                 reference = _summary(run_litmus(model, program))
             assert fast == reference
 
-    @pytest.mark.parametrize("name", _library_subset()[:3])
+    @pytest.mark.parametrize("name", _library_subset())
     def test_unfiltered_enumeration_agrees(self, models, name):
         # C11 lacks sc_per_location, so a run that includes it takes the
-        # full stream and the pruning path is off; the skeleton sharing
-        # alone must not change anything either.
+        # full stream: production's per-location sweep without the
+        # SC-per-location filter against the oracle's naive product.
         program = library.get(name)
         battery = [models[0], load_model("c11")]
 
