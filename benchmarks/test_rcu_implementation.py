@@ -98,9 +98,12 @@ def test_theorem2_at_loop_bound_3(benchmark, lkmm):
 
 @pytest.mark.parametrize("name", ["RCU-MP", "RCU-deferred-free"])
 def test_theorem2_at_loop_bound_4(benchmark, lkmm, name):
-    """Bound 4: the grace period may wait three full iterations.  The
-    per-location sweep rejects most of the 115,200 trace combinations
-    with memo lookups, one decision per location signature."""
+    """Bound 4: the grace period may wait three full iterations.  Of the
+    115,200 trace combinations, 111,744 have an unwritable read.  The
+    per-location sweep rejects them without forming them: under each of
+    the reader's 8 traces it looks up one fate per distinct projection
+    of the updater's 14,400 traces onto each location, and masks out
+    every trace whose fate rules it out."""
 
     def experiment():
         inlined = inline_rcu(library.get(name), loop_bound=4)

@@ -5,8 +5,8 @@ The enumeration follows herd's structure:
 1. compute per-location *possible value sets* (a fixpoint seeded with the
    initial values — :func:`repro.executions.thread_sem.possible_value_sets`);
 2. enumerate every *trace* of every thread (each trace fixes the values its
-   reads return and therefore its control-flow path): the traces of the
-   fixpoint's final round (:func:`~repro.executions.thread_sem.traces_at_fixpoint`);
+   reads return and therefore its control-flow path): the traces the
+   fixpoint ends with (:func:`~repro.executions.thread_sem.traces_at_fixpoint`);
 3. for each combination of traces, enumerate every *reads-from* assignment
    (each read is mapped to a same-location write of the value it chose,
    including the implicit initialising writes) and every *coherence order*
@@ -23,11 +23,11 @@ Given condition *pins* (:func:`candidate_executions`), the stream is
 the full stream filtered by the pins, in the same order.
 
 Production has one rf×co enumerator, the *per-location sweep*
-(:func:`_pruned_candidates`, :func:`_sweep`).  Every edge of
-``po-loc | rf | co | fr`` joins two events on the same location, so a
-location's rf×co choices never constrain another's, and the check graph
-of ``require_sc_per_location`` is a disjoint union of per-location
-graphs, acyclic iff each of them is.  A location's part is fixed by its
+(:func:`_joined_candidates`, :func:`_pruned_candidates`, :func:`_sweep`).
+Every edge of ``po-loc | rf | co | fr`` joins two events on the same
+location, so a location's rf×co choices never constrain another's, and
+the check graph of ``require_sc_per_location`` is a disjoint union of
+per-location graphs, acyclic iff each of them is.  A location's part is fixed by its
 *signature* — its init value, its condition pins and each thread's
 projection onto it (the ``(kind, value)`` sequence of the trace's
 events there) — and by its own reads' rf sources.  One memo per call
@@ -37,13 +37,17 @@ co orders kept, on location-local indices, that meet its pins.  With
 the filter these are per rf sub-assignment the orders that keep the
 graph acyclic (*pruned as they are extended*: a cyclic permutation
 prefix skips its whole subtree); without it, every order, once for all
-rf sub-assignments.  A combination with an unwritable or infeasible
-location is rejected with one dict lookup per location and builds
-nothing; one that keeps a candidate is swept on integer event ids and
-materialised (:func:`_materialise`: events, base relations, ``po-loc``
-and the :class:`~repro.kernel.skeleton.TraceSkeleton` its candidates
-share) at its first candidate, whose ``rf`` and ``co`` are dense
-bitset rows.  The stream is the oracle's, in the same order.
+rf sub-assignments.  The combinations are not formed one by one: for
+each combination of all threads but the last, the last thread's traces
+are grouped by their projection onto each location, and one fate lookup
+per group rejects, with bitmask arithmetic over the last thread's trace
+indices, every combination with an unwritable or infeasible location.
+Such a combination builds nothing; one that keeps a candidate is swept
+on integer event ids and materialised (:func:`_materialise`: events,
+base relations, ``po-loc`` and the
+:class:`~repro.kernel.skeleton.TraceSkeleton` its candidates share) at
+its first candidate, whose ``rf`` and ``co`` are dense bitset rows.
+The stream is the oracle's, in the same order.
 
 The oracle (``REPRO_ORACLE=1``) is the naive path alone: it
 materialises each combination with the same :func:`_materialise`,
@@ -54,13 +58,15 @@ SC PER LOCATION (when asked) or miss a pin.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.events import Event, FENCE, INIT_TID, ONCE, READ, WRITE, _index_to_label
 from repro.guard import core as _guard
 from repro.kernel import config as _config
 from repro.obs import core as _obs
-from repro.kernel.bitrel import _bits, index_for, reaches
+from repro.kernel.bitrel import _bits, _popcount, index_for, reaches
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Condition, RegValue
@@ -89,7 +95,8 @@ def candidate_executions(
     *condition-directed*: the full stream restricted to the candidates
     whose final state satisfies every pin, in the same order.  In
     production a thread trace whose final registers contradict a
-    register pin is dropped before any combination is formed, and a
+    register pin is dropped before any combination is formed (a pin on
+    a thread the program lacks leaves no trace and no candidate), and a
     coherence order whose co-last write has the wrong value for a pinned
     location is dropped before its candidate is built; the oracle builds
     every candidate and drops those that miss a pin.  Each drop counts
@@ -98,31 +105,36 @@ def candidate_executions(
     with _obs.span("enumerate.thread_traces"):
         per_thread = traces_at_fixpoint(program)[1]
         locations = program.locations()
-    memo = None
-    if not _config.oracle():
-        loc_pins: Dict[str, List[object]] = {}
-        for atom in pins:
-            if not isinstance(atom, RegValue):
-                loc_pins.setdefault(atom.loc, []).append(atom.value)
-            elif 0 <= atom.tid < len(per_thread):
-                traces = per_thread[atom.tid]
-                kept = [
-                    trace
-                    for trace in traces
-                    if trace.final_regs.get(atom.reg) == atom.value
-                ]
-                if _obs.ENABLED:
-                    _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
-                per_thread[atom.tid] = kept
-        memo = _LocationMemo(program, locations, loc_pins, require_sc_per_location)
-    for traces in itertools.product(*per_thread):
-        if _guard.ACTIVE:
-            _guard._current.tick()  # budget safepoint: one trace combination
-        if _obs.ENABLED:
-            _obs.count("enumerate.trace_combos")
-        yield from _executions_of_traces(
-            program, locations, traces, require_sc_per_location, memo, pins
-        )
+    if _config.oracle():
+        for traces in itertools.product(*per_thread):
+            if _guard.ACTIVE:
+                _guard._current.tick()  # budget safepoint: one trace combination
+            if _obs.ENABLED:
+                _obs.count("enumerate.trace_combos")
+            yield from _executions_of_traces(
+                program, locations, traces, require_sc_per_location, None, pins
+            )
+        return
+    loc_pins: Dict[str, List[object]] = {}
+    for atom in pins:
+        if not isinstance(atom, RegValue):
+            loc_pins.setdefault(atom.loc, []).append(atom.value)
+        elif not 0 <= atom.tid < len(per_thread):
+            return  # a register of a thread the program lacks meets no pin
+        else:
+            traces = per_thread[atom.tid]
+            kept = [
+                trace
+                for trace in traces
+                if trace.final_regs.get(atom.reg) == atom.value
+            ]
+            if _obs.ENABLED:
+                _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
+            per_thread[atom.tid] = kept
+    memo = _LocationMemo(program, locations, loc_pins, require_sc_per_location)
+    yield from _joined_candidates(
+        program, locations, per_thread, require_sc_per_location, memo
+    )
 
 
 def count_candidate_executions(program: Program, **kwargs) -> int:
@@ -442,17 +454,20 @@ class _LocationMemo:
                 key = (loc,) + tuple(q.outside.get(loc, 0) for q in projections)
                 if key not in keys:
                     keys.append(key)
-        fates = []
-        for key in keys:
-            fate = self._fates.get(key)
-            if fate is None:
-                fate = self._fates[key] = self._fate(key)
-                if _obs.ENABLED:
-                    _obs.count("enumerate.location_fates")
-            fates.append(fate)
-        return fates
+        return [self.fate(key) for key in keys]
 
-    def _fate(self, key: tuple) -> "_LocationFate":
+    def fate(self, key: tuple) -> "_LocationFate":
+        """The fate of signature ``key``: a location (its index, or its
+        name when outside ``locations``), then one projection id per
+        thread."""
+        fate = self._fates.get(key)
+        if fate is None:
+            fate = self._fates[key] = self._decide(key)
+            if _obs.ENABLED:
+                _obs.count("enumerate.location_fates")
+        return fate
+
+    def _decide(self, key: tuple) -> "_LocationFate":
         head, pids = key[0], key[1:]
         sequences = [self._sequences[pid] for pid in pids]
         if not isinstance(head, int):
@@ -622,6 +637,127 @@ def _pruned_candidates(
             _obs.count("enumerate.pruned.no_survivor")
         return
     yield from _sweep(program, locations, traces, projections, fates)
+
+
+def _joined_candidates(
+    program: Program,
+    locations: List[str],
+    per_thread: List[List[ThreadTrace]],
+    require_sc_per_location: bool,
+    memo: _LocationMemo,
+) -> Iterator[CandidateExecution]:
+    """Every combination's candidates, deciding each combination's fate
+    per distinct projection of the innermost (last) thread.
+
+    The walk runs over the product of all threads but the last.  Under
+    one such *prefix* a location's signature varies only with the last
+    thread's projection onto it, so the last thread's traces are grouped
+    by projection id per location (bitmasks over their indices, built
+    once per call) and each group looks up one fate.  The fates are
+    applied as :func:`_pruned_candidates` applies them to one
+    combination: every unwritable group is masked out first, then,
+    location by location, each group still alive asks
+    :meth:`_LocationFate.feasible`.  So the fates decided, the feasibility
+    tests run and every ``enumerate.*`` counter are those of the
+    combination-by-combination walk.  A location outside ``locations``
+    gets a fate for a group when the prefix or the group reads it; one
+    that only the last thread reads is decided, like
+    :meth:`_LocationMemo.fates` does, in the order of that trace's reads,
+    so those traces are taken per distinct order.  The surviving
+    combinations go through :func:`_executions_of_traces` in ascending
+    index order, which is ``itertools.product`` order.
+    """
+    *head, last = per_thread
+    if not last:
+        return
+    width = len(last)
+    full = (1 << width) - 1
+    last_projections = memo.projections(tuple(last))
+    columns = [
+        _groups(p.pids[g] for p in last_projections) for g in range(len(locations))
+    ]
+    # Outside ``locations``: the groups of each location, built on first
+    # use, and the traces per distinct order of their reads there.
+    outside_columns: Dict[str, List[Tuple[int, int]]] = {}
+    read_orders = [
+        (order, mask)
+        for order, mask in _groups(p.read_outside for p in last_projections)
+        if order
+    ]
+
+    def outside_column(loc: str) -> List[Tuple[int, int]]:
+        groups = outside_columns.get(loc)
+        if groups is None:
+            groups = outside_columns[loc] = _groups(
+                p.outside.get(loc, 0) for p in last_projections
+            )
+        return groups
+
+    for prefix in itertools.product(*head):
+        if _guard.ACTIVE:
+            _guard._current.tick(width)  # budget safepoint: one per combination
+        if _obs.ENABLED:
+            _obs.count("enumerate.trace_combos", width)
+        projections = memo.projections(prefix)
+        # (fate, traces) pairs, one list per location, in the order a
+        # combination's fates are tested.
+        steps: List[List[Tuple[_LocationFate, int]]] = []
+        for g, groups in enumerate(columns):
+            key = (g,) + tuple(p.pids[g] for p in projections)
+            steps.append([(memo.fate(key + (pid,)), mask) for pid, mask in groups])
+        shared: List[str] = []
+        for p in projections:
+            for loc in p.read_outside:
+                if loc not in shared:
+                    shared.append(loc)
+        for loc in shared:
+            key = (loc,) + tuple(p.outside.get(loc, 0) for p in projections)
+            steps.append(
+                [(memo.fate(key + (pid,)), mask) for pid, mask in outside_column(loc)]
+            )
+        for order, traces in read_orders:
+            for loc in order:
+                if loc in shared:
+                    continue
+                key = (loc,) + tuple(p.outside.get(loc, 0) for p in projections)
+                steps.append(
+                    [
+                        (memo.fate(key + (pid,)), mask & traces)
+                        for pid, mask in outside_column(loc)
+                        if mask & traces
+                    ]
+                )
+
+        alive = full
+        for step in steps:
+            for fate, mask in step:
+                if fate.unwritable:
+                    alive &= ~mask
+        writable = alive
+        for step in steps:
+            for fate, mask in step:
+                if alive & mask and not fate.feasible():
+                    alive &= ~mask
+        if _obs.ENABLED:
+            if writable != full:
+                _obs.count(
+                    "enumerate.pruned.unwritable_trace", _popcount(full & ~writable)
+                )
+            if alive != writable:
+                _obs.count("enumerate.pruned.no_survivor", _popcount(writable & ~alive))
+        for i in _bits(alive):
+            yield from _executions_of_traces(
+                program, locations, prefix + (last[i],), require_sc_per_location, memo
+            )
+
+
+def _groups(ids: Iterable[Hashable]) -> List[Tuple[Hashable, int]]:
+    """Each distinct id with the bitmask of the positions it appears at,
+    in order of first appearance."""
+    masks: Dict[Hashable, int] = {}
+    for i, value in enumerate(ids):
+        masks[value] = masks.get(value, 0) | (1 << i)
+    return list(masks.items())
 
 
 def _sweep(

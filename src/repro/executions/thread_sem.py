@@ -22,7 +22,7 @@ Dependencies are computed by taint tracking, as herd does:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.events import FENCE, MB, Pointer, READ, Value, WRITE
 from repro.litmus.ast import (
@@ -38,6 +38,7 @@ from repro.litmus.ast import (
     LocalAssign,
     Program,
     Reg,
+    RMW_VARIANTS,
     Rmw,
     Store,
     Thread,
@@ -96,174 +97,200 @@ class ThreadTrace:
 
 ValueSets = Dict[str, Set[Value]]
 
+#: The instructions still to run, as a cons list ``(first, rest)``, or
+#: ``None`` when there are none.
+Todo = Optional[Tuple[Instruction, "Todo"]]
+
 
 def enumerate_thread_traces(
-    thread: Thread, value_sets: ValueSets
+    thread: Thread, value_sets: ValueSets, queried: Optional[Set[str]] = None
 ) -> List[ThreadTrace]:
-    """All traces of ``thread``, branching reads over ``value_sets``."""
-    return list(_run(list(thread.body), {}, [], [], frozenset(), value_sets))
+    """All traces of ``thread``, branching reads over ``value_sets``.
+
+    Every location a read looks up in ``value_sets`` is added to
+    ``queried`` (when given), even one whose every branch an ``assume``
+    then discards: the traces depend on ``value_sets`` only there.
+    """
+    traces: List[ThreadTrace] = []
+    todo: Todo = None
+    for ins in reversed(thread.body):
+        todo = (ins, todo)
+    _run(
+        todo, {}, [], [], frozenset(), value_sets,
+        set() if queried is None else queried, traces,
+    )
+    return traces
 
 
 def _run(
-    todo: List[Instruction],
+    todo: Todo,
     regs: RegEnv,
     events: List[ProtoEvent],
     rmw_pairs: List[Tuple[int, int]],
     ctrl: FrozenSet[int],
     value_sets: ValueSets,
-) -> Iterator[ThreadTrace]:
-    """DFS over the remaining instructions; yields complete traces."""
-    if not todo:
-        yield ThreadTrace(
-            tuple(events),
-            tuple(rmw_pairs),
-            {name: value for name, (value, _) in regs.items()},
-        )
-        return
+    queried: Set[str],
+    out: List[ThreadTrace],
+) -> None:
+    """DFS over the remaining instructions; appends complete traces to
+    ``out``.
 
-    ins, rest = todo[0], todo[1:]
+    Straight-line instructions run in this frame, which owns ``regs`` and
+    ``events`` and updates them in place.  A read recurses once per value
+    it may return, on fresh copies, then ends the frame.
+    """
+    while todo is not None:
+        ins, todo = todo
 
-    if isinstance(ins, LocalAssign):
-        value, deps = _eval(ins.expr, regs)
-        new_regs = dict(regs)
-        new_regs[ins.reg] = (value, deps)
-        yield from _run(rest, new_regs, events, rmw_pairs, ctrl, value_sets)
-        return
+        if isinstance(ins, LocalAssign):
+            regs[ins.reg] = _eval(ins.expr, regs)
+            continue
 
-    if isinstance(ins, Assume):
-        value, _ = _eval(ins.cond, regs)
-        if isinstance(value, Pointer) or value:
-            yield from _run(rest, regs, events, rmw_pairs, ctrl, value_sets)
-        return  # falsy assumption: the trace is discarded
-
-    if isinstance(ins, Fence):
-        fence = ProtoEvent(FENCE, ins.tag, ctrl_deps=ctrl)
-        yield from _run(rest, regs, events + [fence], rmw_pairs, ctrl, value_sets)
-        return
-
-    if isinstance(ins, Store):
-        loc, addr_deps = _eval_address(ins.addr, regs)
-        value, data_deps = _eval(ins.value, regs)
-        write = ProtoEvent(
-            WRITE, ins.tag, loc, value, addr_deps, data_deps, ctrl
-        )
-        yield from _run(rest, regs, events + [write], rmw_pairs, ctrl, value_sets)
-        return
-
-    if isinstance(ins, Load):
-        loc, addr_deps = _eval_address(ins.addr, regs)
-        read_index = len(events)
-        for chosen in _location_values(loc, value_sets):
-            read = ProtoEvent(
-                READ, ins.tag, loc, chosen, addr_deps, ctrl_deps=ctrl
-            )
-            new_events = events + [read]
-            if ins.rb_dep:
-                new_events.append(ProtoEvent(FENCE, "rb-dep", ctrl_deps=ctrl))
-            new_regs = dict(regs)
-            new_regs[ins.reg] = (chosen, frozenset({read_index}))
-            yield from _run(
-                rest, new_regs, new_events, rmw_pairs, ctrl, value_sets
-            )
-        return
-
-    if isinstance(ins, Rmw):
-        loc, addr_deps = _eval_address(ins.addr, regs)
-        for chosen in _location_values(loc, value_sets):
-            if ins.require_read_value is not None and chosen != ins.require_read_value:
+        if isinstance(ins, Assume):
+            value, _ = _eval(ins.cond, regs)
+            if isinstance(value, Pointer) or value:
                 continue
-            new_events = list(events)
-            if ins.full_fences:
-                new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
-            read_index = len(new_events)
-            new_events.append(
-                ProtoEvent(READ, ins.read_tag, loc, chosen, addr_deps, ctrl_deps=ctrl)
+            return  # falsy assumption: the trace is discarded
+
+        if isinstance(ins, Fence):
+            events.append(ProtoEvent(FENCE, ins.tag, ctrl_deps=ctrl))
+            continue
+
+        if isinstance(ins, Store):
+            loc, addr_deps = _eval_address(ins.addr, regs)
+            value, data_deps = _eval(ins.value, regs)
+            events.append(
+                ProtoEvent(WRITE, ins.tag, loc, value, addr_deps, data_deps, ctrl)
             )
-            new_regs = dict(regs)
-            new_regs[ins.reg] = (chosen, frozenset({read_index}))
-            new_value, data_deps = _eval(ins.new_value, new_regs)
-            write_index = len(new_events)
-            new_events.append(
-                ProtoEvent(
-                    WRITE,
-                    ins.write_tag,
-                    loc,
-                    new_value,
-                    addr_deps,
-                    data_deps | frozenset({read_index}),
-                    ctrl,
+            continue
+
+        if isinstance(ins, If):
+            cond, cond_deps = _eval(ins.cond, regs)
+            if isinstance(cond, Pointer):
+                taken = True  # non-NULL pointer
+            else:
+                taken = bool(cond)
+            for branch_ins in reversed(ins.then if taken else ins.orelse):
+                todo = (branch_ins, todo)
+            ctrl = ctrl | cond_deps
+            continue
+
+        if isinstance(ins, Load):
+            loc, addr_deps = _eval_address(ins.addr, regs)
+            read_index = len(events)
+            for chosen in _location_values(loc, value_sets, queried):
+                read = ProtoEvent(
+                    READ, ins.tag, loc, chosen, addr_deps, ctrl_deps=ctrl
                 )
-            )
-            if ins.full_fences:
-                new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
-            yield from _run(
-                rest,
-                new_regs,
-                new_events,
-                rmw_pairs + [(read_index, write_index)],
-                ctrl,
-                value_sets,
-            )
-        return
+                new_events = events + [read]
+                if ins.rb_dep:
+                    new_events.append(ProtoEvent(FENCE, "rb-dep", ctrl_deps=ctrl))
+                new_regs = dict(regs)
+                new_regs[ins.reg] = (chosen, frozenset({read_index}))
+                _run(
+                    todo, new_regs, new_events, rmw_pairs, ctrl, value_sets,
+                    queried, out,
+                )
+            return
 
-    if isinstance(ins, CmpXchg):
-        loc, addr_deps = _eval_address(ins.addr, regs)
-        expected, expected_deps = _eval(ins.expected, regs)
-        from repro.litmus.ast import RMW_VARIANTS
-
-        read_tag, write_tag, full_fences = RMW_VARIANTS[ins.variant]
-        for chosen in _location_values(loc, value_sets):
-            success = chosen == expected
-            new_events = list(events)
-            if success and full_fences:
-                new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
-            read_index = len(new_events)
-            # A failed cmpxchg provides no ordering: its read stays "once".
-            tag = read_tag if success else "once"
-            new_events.append(
-                ProtoEvent(READ, tag, loc, chosen, addr_deps, ctrl_deps=ctrl)
-            )
-            new_regs = dict(regs)
-            new_regs[ins.reg] = (chosen, frozenset({read_index}))
-            new_rmw = list(rmw_pairs)
-            if success:
+        if isinstance(ins, Rmw):
+            loc, addr_deps = _eval_address(ins.addr, regs)
+            for chosen in _location_values(loc, value_sets, queried):
+                required = ins.require_read_value
+                if required is not None and chosen != required:
+                    continue
+                new_events = list(events)
+                if ins.full_fences:
+                    new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
+                read_index = len(new_events)
+                new_events.append(
+                    ProtoEvent(
+                        READ, ins.read_tag, loc, chosen, addr_deps, ctrl_deps=ctrl
+                    )
+                )
+                new_regs = dict(regs)
+                new_regs[ins.reg] = (chosen, frozenset({read_index}))
                 new_value, data_deps = _eval(ins.new_value, new_regs)
                 write_index = len(new_events)
                 new_events.append(
                     ProtoEvent(
                         WRITE,
-                        write_tag,
+                        ins.write_tag,
                         loc,
                         new_value,
                         addr_deps,
-                        data_deps | expected_deps | frozenset({read_index}),
+                        data_deps | frozenset({read_index}),
                         ctrl,
                     )
                 )
-                new_rmw.append((read_index, write_index))
-                if full_fences:
+                if ins.full_fences:
                     new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
-            yield from _run(
-                rest, new_regs, new_events, new_rmw, ctrl, value_sets
-            )
-        return
+                _run(
+                    todo,
+                    new_regs,
+                    new_events,
+                    rmw_pairs + [(read_index, write_index)],
+                    ctrl,
+                    value_sets,
+                    queried,
+                    out,
+                )
+            return
 
-    if isinstance(ins, If):
-        cond, cond_deps = _eval(ins.cond, regs)
-        if isinstance(cond, Pointer):
-            taken = True  # non-NULL pointer
-        else:
-            taken = bool(cond)
-        branch = list(ins.then if taken else ins.orelse)
-        yield from _run(
-            branch + rest, regs, events, rmw_pairs, ctrl | cond_deps, value_sets
+        if isinstance(ins, CmpXchg):
+            loc, addr_deps = _eval_address(ins.addr, regs)
+            expected, expected_deps = _eval(ins.expected, regs)
+            read_tag, write_tag, full_fences = RMW_VARIANTS[ins.variant]
+            for chosen in _location_values(loc, value_sets, queried):
+                success = chosen == expected
+                new_events = list(events)
+                if success and full_fences:
+                    new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
+                read_index = len(new_events)
+                # A failed cmpxchg provides no ordering: its read stays "once".
+                tag = read_tag if success else "once"
+                new_events.append(
+                    ProtoEvent(READ, tag, loc, chosen, addr_deps, ctrl_deps=ctrl)
+                )
+                new_regs = dict(regs)
+                new_regs[ins.reg] = (chosen, frozenset({read_index}))
+                new_rmw = list(rmw_pairs)
+                if success:
+                    new_value, data_deps = _eval(ins.new_value, new_regs)
+                    write_index = len(new_events)
+                    new_events.append(
+                        ProtoEvent(
+                            WRITE,
+                            write_tag,
+                            loc,
+                            new_value,
+                            addr_deps,
+                            data_deps | expected_deps | frozenset({read_index}),
+                            ctrl,
+                        )
+                    )
+                    new_rmw.append((read_index, write_index))
+                    if full_fences:
+                        new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
+                _run(
+                    todo, new_regs, new_events, new_rmw, ctrl, value_sets,
+                    queried, out,
+                )
+            return
+
+        raise SemanticsError(f"unknown instruction {ins!r}")
+
+    out.append(
+        ThreadTrace(
+            tuple(events),
+            tuple(rmw_pairs),
+            {name: value for name, (value, _) in regs.items()},
         )
-        return
-
-    raise SemanticsError(f"unknown instruction {ins!r}")
+    )
 
 
-def _location_values(loc: str, value_sets: ValueSets):
+def _location_values(loc: str, value_sets: ValueSets, queried: Set[str]):
+    queried.add(loc)
     values = value_sets.get(loc)
     if not values:
         return [0]
@@ -298,11 +325,12 @@ def _eval_address(expr: Expr, regs: RegEnv) -> Tuple[str, FrozenSet[int]]:
 def possible_value_sets(program: Program, max_rounds: Optional[int] = None) -> ValueSets:
     """Fixpoint of the per-location possible-value sets.
 
-    Starts from the initial values and repeatedly re-evaluates every thread,
-    adding any value some write can produce.  The fixpoint is reached in at
-    most as many rounds as there are instructions (each round can only
-    lengthen real read-to-write value chains by one); ``max_rounds`` guards
-    against pathological programs.
+    Starts from the initial values and repeatedly re-evaluates the threads
+    whose reads may now return more values, adding any value some write
+    can produce.  The fixpoint is reached in at most as many rounds as
+    there are instructions (each round can only lengthen real
+    read-to-write value chains by one); ``max_rounds`` guards against
+    pathological programs.
     """
     return traces_at_fixpoint(program, max_rounds)[0]
 
@@ -312,37 +340,51 @@ def traces_at_fixpoint(
 ) -> Tuple[ValueSets, List[List[ThreadTrace]]]:
     """:func:`possible_value_sets` and every thread's traces under them.
 
-    The round that finds no new value evaluated each thread under the
-    final sets, so its traces are returned as they are: equal to a fresh
-    :func:`enumerate_thread_traces` per thread, without enumerating again.
-    Only when ``max_rounds`` runs out first are the threads enumerated
-    once more.
+    The iteration is incremental.  A thread's traces depend on the value
+    sets only at the locations its reads queried (see
+    :func:`enumerate_thread_traces`), so a thread is enumerated again
+    only when one of those gained a value since its last enumeration.
+    Each round enumerates, in thread order, the threads that are stale
+    when reached, adding their writes' values as it goes; the round that
+    finds none stale ends the iteration.  Every thread's traces are then
+    those a fresh enumeration under the final sets returns, in the same
+    order.  The value sets grow as in a round that enumerates every
+    thread, so they are the same after each round.  When ``max_rounds``
+    runs out first, the stale threads are enumerated once more.
     """
+    threads = program.threads
     if max_rounds is None:
-        max_rounds = sum(_instruction_count(t.body) for t in program.threads) + 2
+        max_rounds = sum(_instruction_count(t.body) for t in threads) + 2
 
     values: ValueSets = {
         location: {program.initial_value(location)}
         for location in program.locations()
     }
+    per_thread: List[List[ThreadTrace]] = [[] for _ in threads]
+    queried: List[Set[str]] = [set() for _ in threads]
+    stale = [True] * len(threads)
     for _ in range(max_rounds):
-        changed = False
-        per_thread: List[List[ThreadTrace]] = []
-        for thread in program.threads:
-            traces = enumerate_thread_traces(thread, values)
-            per_thread.append(traces)
-            for trace in traces:
+        if not any(stale):
+            break
+        for tid, thread in enumerate(threads):
+            if not stale[tid]:
+                continue
+            stale[tid] = False
+            queried[tid] = set()
+            per_thread[tid] = enumerate_thread_traces(thread, values, queried[tid])
+            for trace in per_thread[tid]:
                 for event in trace.events:
-                    if event.is_write:
+                    if event.kind == WRITE:
                         locs = values.setdefault(event.loc, {0})
                         if event.value not in locs:
                             locs.add(event.value)
-                            changed = True
-        if not changed:
-            return values, per_thread
-    return values, [
-        enumerate_thread_traces(thread, values) for thread in program.threads
-    ]
+                            for other, locations in enumerate(queried):
+                                if event.loc in locations:
+                                    stale[other] = True
+    for tid, thread in enumerate(threads):
+        if stale[tid]:
+            per_thread[tid] = enumerate_thread_traces(thread, values)
+    return values, per_thread
 
 
 def _instruction_count(body: Sequence[Instruction]) -> int:

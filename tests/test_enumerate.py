@@ -10,9 +10,12 @@ from repro.corpus.golden import load_golden
 from repro.executions import candidate_executions, count_candidate_executions
 from repro.executions import enumerate as enumeration
 from repro.executions.thread_sem import enumerate_thread_traces, possible_value_sets
+from repro.guard import Budget, guard
+from repro.guard import core as guard_core
 from repro.kernel import config as kconfig
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus import dsl, library
+from repro.litmus.ast import Assume, BinOp, Const, Reg
 from repro.litmus.parser import parse_litmus
 from repro.litmus.outcomes import Exists, LocValue, NotExists, pinned_atoms
 from repro.rcu.implementation import inline_rcu
@@ -397,6 +400,19 @@ class TestConditionDirected:
                 production, oracle = _scpv_streams(program, pins, scpv)
                 assert production == oracle, (name, pins)
 
+    @pytest.mark.parametrize("scpv", [False, True])
+    def test_a_pin_on_a_missing_thread_keeps_nothing(self, scpv):
+        # No thread 3 means no register 3:r1, so no candidate meets the
+        # pin: production empties the stream as the oracle does.
+        program = parse_litmus(
+            POINTER_ONLY_LOCATION.replace("exists (0:r2=2)", "exists (3:r1=0)")
+        )
+        pins = pinned_atoms(program.condition.body)
+        assert [pin.tid for pin in pins] == [3]
+        production, oracle = _scpv_streams(program, pins, scpv)
+        assert production == oracle == []
+        assert _scpv_streams(program, (), scpv)[0]
+
     def test_nothing_is_built_for_a_dropped_candidate(self, monkeypatch):
         # On the per-location path a combination is materialised (its
         # events and five base relations plus po-loc) only for a kept
@@ -673,3 +689,161 @@ class TestLocationMemo:
         production, oracle = _scpv_streams(program)
         assert production == oracle
         assert len(production) == 4  # r2, r3 each read 1 or 2
+
+
+def _outside_read_orders():
+    """The last thread reads z and w, both outside ``program.locations()``
+    (P0 swaps the pointers to them), in an order that depends on its
+    trace: the location behind p first, then the one behind q.  Reading
+    2 then 1 from one location breaks SC per location (P1 writes 1 then
+    2), and the last thread then writes 1 to the other location, so that
+    location's projection arises only in combinations the first one has
+    already rejected: its fate must not be decided for them."""
+    p = dsl.reg
+
+    def mark(first, second, target):
+        return dsl.if_then(
+            dsl.eq(first, 2),
+            [dsl.if_then(dsl.eq(second, 1), [dsl.write_once(p(target), 1)])],
+        )
+
+    return dsl.program(
+        "outside-read-orders",
+        dsl.thread(
+            dsl.read_once("r7", "q"),
+            dsl.read_once("r8", "p"),
+            dsl.write_once("p", "r7"),
+            dsl.write_once("q", "r8"),
+        ),
+        dsl.thread(
+            dsl.read_once("r5", "q"),
+            dsl.write_once(p("r5"), 1),
+            dsl.write_once(p("r5"), 2),
+            dsl.read_once("r10", "p"),
+            dsl.write_once(p("r10"), 1),
+            dsl.write_once(p("r10"), 2),
+        ),
+        dsl.thread(
+            dsl.read_once("r1", "p"),
+            dsl.read_once("r3", "q"),
+            dsl.read_once("r2", p("r1")),
+            dsl.read_once("r6", p("r1")),
+            dsl.read_once("r4", p("r3")),
+            dsl.read_once("r9", p("r3")),
+            mark("r4", "r9", "r1"),
+            mark("r2", "r6", "r3"),
+        ),
+        init={"p": dsl.ptr("z"), "q": dsl.ptr("w")},
+        condition=dsl.exists_regs((2, "r2", 2), (2, "r6", 1)),
+    )
+
+
+def _with_a_traceless_thread(last):
+    """x is never 2, so the thread that assumes it has no trace."""
+    threads = [
+        dsl.thread(dsl.write_once("x", 1)),
+        dsl.thread(dsl.read_once("r1", "x")),
+    ]
+    traceless = dsl.thread(
+        dsl.read_once("r0", "x"), Assume(BinOp("==", Reg("r0"), Const(2)))
+    )
+    threads.insert(len(threads) if last else 1, traceless)
+    tid = 2 if last else 1
+    return dsl.program(
+        "traceless", *threads, condition=dsl.exists_regs((tid, "r0", 2))
+    )
+
+
+def _product_walk(program, locations, per_thread, require_sc_per_location, memo):
+    """The walk the innermost-thread join replaces: one
+    ``_executions_of_traces`` call per combination of
+    ``itertools.product``, all sharing the call's memo."""
+    for traces in itertools.product(*per_thread):
+        guard_core.tick()
+        obs.count("enumerate.trace_combos")
+        yield from enumeration._executions_of_traces(
+            program, locations, traces, require_sc_per_location, memo
+        )
+
+
+def _digest(stream):
+    """One hash per candidate of a production stream: its events and
+    its rf and co rows."""
+    events_of = {}
+    digest = []
+    for execution in stream:
+        universe = execution.universe
+        cached = events_of.get(id(universe))
+        if cached is None or cached[0] is not universe:
+            events = tuple(
+                (e.eid, e.tid, e.kind, e.tag, e.loc, e.value, e.label)
+                for e in execution.events
+            )
+            cached = events_of[id(universe)] = (universe, hash(events))
+        digest.append(
+            hash((cached[1], tuple(execution.rf.rows), tuple(execution.co.rows)))
+        )
+    return digest
+
+
+class TestInnermostJoin:
+    """Production decides each combination's fate per distinct projection
+    of the last thread.  The stream, every ``enumerate.*`` counter and the
+    guard's steps are those of the combination-by-combination walk."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "IRIW",
+            "pointer-only-location",
+            "outside-read-orders",
+            "traceless-inner",
+            "traceless-last",
+            "RCU-MP@2",
+        ],
+    )
+    def test_join_is_the_per_combination_walk(
+        self, name, rcu_mp_bound2, monkeypatch
+    ):
+        program = {
+            "IRIW": lambda: library.get("IRIW"),
+            "pointer-only-location": lambda: parse_litmus(POINTER_ONLY_LOCATION),
+            "outside-read-orders": _outside_read_orders,
+            "traceless-inner": lambda: _with_a_traceless_thread(last=False),
+            "traceless-last": lambda: _with_a_traceless_thread(last=True),
+            "RCU-MP@2": lambda: rcu_mp_bound2,
+        }[name]()
+
+        def run(scpv, pins):
+            with kconfig.use_oracle(False), obs.collect() as collector:
+                with guard(Budget()) as armed:
+                    stream = _digest(
+                        enumeration.candidate_executions(
+                            program, require_sc_per_location=scpv, pins=pins
+                        )
+                    )
+            counters = {
+                key: value
+                for key, value in collector.counters.items()
+                if key.startswith("enumerate.")
+            }
+            return stream, counters, armed.states
+
+        pinned = pinned_atoms(program.condition.body)
+        assert pinned
+        for scpv, pins in itertools.product((False, True), ((), pinned)):
+            joined = run(scpv, pins)
+            with monkeypatch.context() as patched:
+                patched.setattr(enumeration, "_joined_candidates", _product_walk)
+                walked = run(scpv, pins)
+            assert joined == walked, (scpv, pins)
+            # The oracle's naive sweep of RCU-MP at loop bound 2 takes
+            # minutes; benchmarks/test_rcu_implementation.py compares it.
+            if name != "RCU-MP@2":
+                production, oracle = _scpv_streams(program, pins, scpv)
+                assert production == oracle, (scpv, pins)
+        if name.startswith("traceless"):
+            assert "enumerate.trace_combos" not in joined[1]
+        if name == "outside-read-orders":
+            assert "z" not in program.locations()
+            assert joined[1]["enumerate.pruned.no_survivor"]

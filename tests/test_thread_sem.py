@@ -229,3 +229,69 @@ class TestTracesAtFixpoint:
                 enumerate_thread_traces(thread, values)
             )
 
+
+    @staticmethod
+    def _every_thread_every_round(program):
+        """The value sets of the plain fixpoint: every thread enumerated
+        in every round, until a round adds no value."""
+        values = {
+            location: {program.initial_value(location)}
+            for location in program.locations()
+        }
+        changed = True
+        while changed:
+            changed = False
+            for thread in program.threads:
+                for trace in enumerate_thread_traces(thread, values):
+                    for event in trace.events:
+                        if event.kind == WRITE:
+                            locs = values.setdefault(event.loc, {0})
+                            if event.value not in locs:
+                                locs.add(event.value)
+                                changed = True
+        return values
+
+    @pytest.mark.parametrize("name", ["RCU-MP@2", "assume-discards-all"])
+    def test_threads_are_enumerated_again_only_when_a_queried_location_grows(
+        self, name, monkeypatch
+    ):
+        from repro.executions import thread_sem
+
+        if name == "RCU-MP@2":
+            # Both threads are enumerated twice; a final round that only
+            # confirms the sets would enumerate both a third time.
+            program = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+            expected = [0, 1, 0, 1]
+        else:
+            # P0 reads x and assumes a value only P1 writes: in round 1
+            # every branch of P0 is discarded, so it has no trace and no
+            # write, yet it queried x.  P1's write to x makes it stale.
+            program = dsl.program(
+                "t",
+                dsl.thread(
+                    dsl.read_once("r0", "x"),
+                    Assume(BinOp("==", Reg("r0"), Const(1))),
+                    dsl.write_once("y", 1),
+                ),
+                dsl.thread(dsl.write_once("x", 1)),
+            )
+            expected = [0, 1, 0]
+        enumerated = []
+        original = thread_sem.enumerate_thread_traces
+
+        def counting(thread, *args, **kwargs):
+            enumerated.append(program.threads.index(thread))
+            return original(thread, *args, **kwargs)
+
+        monkeypatch.setattr(thread_sem, "enumerate_thread_traces", counting)
+        values, per_thread = traces_at_fixpoint(program)
+        assert enumerated == expected
+        monkeypatch.undo()
+        assert values == self._every_thread_every_round(program)
+        if name == "assume-discards-all":
+            assert values["y"] == {0, 1}
+        for thread, traces in zip(program.threads, per_thread):
+            assert traces
+            assert self._fingerprint(traces) == self._fingerprint(
+                enumerate_thread_traces(thread, values)
+            )
