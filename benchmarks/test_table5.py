@@ -17,6 +17,8 @@ shape must match exactly:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.hardware import run_klitmus
@@ -27,6 +29,13 @@ from repro.litmus import library
 from conftest import once, print_table
 
 RUNS = 4000
+
+#: sha256 of the 60 histograms at ``RUNS`` runs per cell (default seed),
+#: each in first-occurrence order: any change to the schedule stream at
+#: the paper's size changes it.
+HISTOGRAMS_SHA256 = (
+    "6e12dfd0314a2cc9b0b17e65e7f88a731c5a43e973db0a79f87ba3e87a54b989"
+)
 
 #: Cells Table 5 reports as non-zero observations.
 PAPER_NONZERO = {
@@ -53,6 +62,24 @@ def build_table5(lkmm, c11):
             c11_verdict = run_litmus(c11, program).verdict
         rows.append((name, model_verdict, counts, c11_verdict))
     return rows
+
+
+def histograms_sha256(rows) -> str:
+    digest = hashlib.sha256()
+    for name, _, counts, _ in rows:
+        for arch in TABLE5_ARCHS:
+            cells = [
+                (
+                    name,
+                    arch,
+                    sorted(state.registers.items()),
+                    sorted(state.memory.items()),
+                    count,
+                )
+                for state, count in counts[arch].histogram.items()
+            ]
+            digest.update(repr(cells).encode())
+    return digest.hexdigest()
 
 
 def test_table5(benchmark, lkmm, c11):
@@ -82,6 +109,8 @@ def test_table5(benchmark, lkmm, c11):
                 assert observed == 0, f"{name} observed on {arch}"
             if (name, arch) in PAPER_NONZERO:
                 assert observed > 0, f"{name} not observed on {arch}"
+    # The simulator replays the same schedules at the paper's size.
+    assert histograms_sha256(rows) == HISTOGRAMS_SHA256
 
 
 def test_table5_model_column_alone(benchmark, lkmm):

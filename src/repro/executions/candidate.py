@@ -23,6 +23,8 @@ from functools import cached_property
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.events import Event, FENCE, READ, WRITE
+from repro.kernel import config as _config
+from repro.kernel.bitrel import index_for
 from repro.kernel.skeleton import TraceSkeleton
 from repro.litmus.outcomes import FinalState
 from repro.relations import EventSet, Relation
@@ -157,16 +159,15 @@ class CandidateExecution:
     @cached_property
     def identity(self) -> Relation:
         """The cat ``id`` relation."""
-        return self.shared_memo(
-            "identity",
-            lambda: Relation(((e, e) for e in self.events), self.universe),
-        )
+        return self.shared_memo("identity", lambda: self.all_events.identity())
 
     @cached_property
     def loc(self) -> Relation:
         """Pairs of accesses to the same shared location."""
 
         def compute() -> Relation:
+            if not _config.oracle():
+                return _same_key(self.universe, lambda event: event.loc)
             by_loc: Dict[str, List[Event]] = {}
             for event in self.events:
                 if event.loc is not None:
@@ -186,6 +187,8 @@ class CandidateExecution:
         """Pairs of events on the same thread (cat ``int``)."""
 
         def compute() -> Relation:
+            if not _config.oracle():
+                return _same_key(self.universe, lambda event: event.tid)
             by_tid: Dict[int, List[Event]] = {}
             for event in self.events:
                 by_tid.setdefault(event.tid, []).append(event)
@@ -202,9 +205,11 @@ class CandidateExecution:
     @cached_property
     def ext(self) -> Relation:
         """Pairs of events on different threads (cat ``ext``)."""
-        return self.shared_memo(
-            "ext",
-            lambda: Relation(
+
+        def compute() -> Relation:
+            if not _config.oracle():
+                return self.int_.complement()
+            return Relation(
                 (
                     (a, b)
                     for a in self.events
@@ -212,8 +217,9 @@ class CandidateExecution:
                     if a.tid != b.tid
                 ),
                 self.universe,
-            ),
-        )
+            )
+
+        return self.shared_memo("ext", compute)
 
     # -- derived relations (Section 2) -------------------------------------
 
@@ -325,3 +331,15 @@ class CandidateExecution:
             f"<CandidateExecution {self.name}: {len(self.events)} events, "
             f"{len(self.rf)} rf, {len(self.co)} co>"
         )
+
+
+def _same_key(universe: FrozenSet[Event], key: Callable[[Event], Any]) -> Relation:
+    """Production: the pairs of events of ``universe`` whose ``key`` is
+    equal and not None, as one bitmask row per key value."""
+    index = index_for(universe)
+    keys = [key(event) for event in index.events]
+    masks: Dict[Any, int] = {}
+    for i, value in enumerate(keys):
+        masks[value] = masks.get(value, 0) | 1 << i
+    masks[None] = 0
+    return Relation.from_rows(index, [masks[value] for value in keys], universe)

@@ -753,11 +753,25 @@ def _joined_candidates(
 
 def _groups(ids: Iterable[Hashable]) -> List[Tuple[Hashable, int]]:
     """Each distinct id with the bitmask of the positions it appears at,
-    in order of first appearance."""
-    masks: Dict[Hashable, int] = {}
+    in order of first appearance.
+
+    Each mask is built once, from a bitmap of its group's positions:
+    ORing ``1 << i`` onto a growing int would copy the mask per position,
+    quadratic in the number of ids."""
+    positions: Dict[Hashable, List[int]] = {}
     for i, value in enumerate(ids):
-        masks[value] = masks.get(value, 0) | (1 << i)
-    return list(masks.items())
+        at = positions.get(value)
+        if at is None:
+            positions[value] = [i]
+        else:
+            at.append(i)
+    groups = []
+    for value, at in positions.items():
+        bitmap = bytearray((at[-1] >> 3) + 1)
+        for i in at:
+            bitmap[i >> 3] |= 1 << (i & 7)
+        groups.append((value, int.from_bytes(bitmap, "little")))
+    return groups
 
 
 def _sweep(

@@ -56,9 +56,12 @@ successor slot per action, filled the first time the action is taken,
 and the state itself, from which an unexplored action is executed by the
 full simulator (on the concrete state last expanded into, when that is
 still the node's).  A terminal node keeps its final state and a
-deadlocked one its error.  So a step of a walk costs one ``rng.randrange`` over the
-node's actions and one slot lookup, while each distinct state and edge is
-computed once however many runs pass through it.
+deadlocked one its error, and every node the number of its actions and
+the bits one draw among them takes.  So a step of a walk costs one
+``rng.getrandbits`` draw (redrawn while it is out of range, as
+``random.Random.randrange`` does) and one slot lookup, while each
+distinct state and edge is computed once however many runs pass through
+it.
 
 :meth:`OperationalSimulator.run_once_traced` runs the full simulator and
 also records a *trace* — which write each read observed (rf), the order
@@ -375,7 +378,7 @@ class _Memory:
 class _Node:
     """One interned untraced state of the simulator's state graph."""
 
-    __slots__ = ("state", "actions", "successors", "final", "error")
+    __slots__ = ("state", "actions", "successors", "width", "bits", "final", "error")
 
     def __init__(self, state: Tuple, actions: List[Tuple[str, int, int]]):
         #: The state itself: per-thread snapshots, memory values, pending
@@ -385,6 +388,10 @@ class _Node:
         self.actions = actions
         #: The node each action leads to, once it has been taken.
         self.successors: List[Optional[_Node]] = [None] * len(actions)
+        #: How many actions a step chooses among (0 at a terminal node),
+        #: and the bits one ``getrandbits`` draw of that choice takes.
+        self.width = len(actions)
+        self.bits = self.width.bit_length()
         #: A terminal node's final state (never handed out: callers get
         #: copies).
         self.final: Optional[FinalState] = None
@@ -449,15 +456,19 @@ class OperationalSimulator:
 
     def run_once(self, rng: random.Random) -> FinalState:
         """One complete run under a random schedule; returns the final
-        state (registers and memory)."""
-        return _copy(self._walk(rng).final)
+        state (registers and memory).  Draws from ``rng`` as
+        :meth:`sample` does."""
+        (state,) = self.sample(1, rng=rng)
+        return state
 
     def run_once_traced(
         self, rng: random.Random
     ) -> Tuple[FinalState, RunTrace]:
         """One complete run; returns the final state and the full trace.
 
-        Consumes ``rng`` exactly as :meth:`run_once` does and reaches the
+        The reference scheduler: it chooses each step's action with
+        ``rng.randrange(len(actions))``.  For a :class:`random.Random` it
+        consumes ``rng`` exactly as :meth:`run_once` does and reaches the
         same final state."""
         trace = RunTrace()
         memory = _Memory(self._initial, trace)
@@ -487,14 +498,34 @@ class OperationalSimulator:
         ``random`` state — so a fixed seed reproduces the exact histogram
         across processes and simulator instances.  The histogram lists
         the final states in the order the runs first reached them.
+
+        The rng contract: a step chooses among its ``n`` eligible actions
+        by drawing ``i = rng.getrandbits(n.bit_length())`` until
+        ``i < n``, and takes action ``i``.  For :class:`random.Random`
+        (and a subclass that overrides ``getrandbits`` or nothing) this
+        is exactly what ``rng.randrange(n)`` consumes and returns, so
+        every seed replays the schedules of :meth:`run_once_traced`.
         """
         if rng is None:
             rng = random.Random(seed)
+        getrandbits = rng.getrandbits
+        root = self._root or self._make_root()
         # Runs per terminal node, in the order the runs first reached it.
         ends: Dict[_Node, int] = {}
         for _ in range(runs):
-            end = self._walk(rng)
-            ends[end] = ends.get(end, 0) + 1
+            # One walk of the state graph from the root to a terminal node.
+            node = root
+            width = node.width
+            while width:
+                bits = node.bits
+                index = getrandbits(bits)
+                while index >= width:
+                    index = getrandbits(bits)
+                node = node.successors[index] or self._expand(node, index)
+                width = node.width
+            if node.error is not None:
+                raise SimulationError(node.error)
+            ends[node] = ends.get(node, 0) + 1
         histogram: Dict[FinalState, int] = {}
         for end, count in ends.items():
             # Distinct terminal nodes may share a final state (they differ
@@ -505,27 +536,17 @@ class OperationalSimulator:
 
     # -- the state graph --------------------------------------------------
 
-    def _walk(self, rng: random.Random) -> _Node:
-        """Follow one random schedule from the root to a terminal node."""
-        randrange = rng.randrange
-        node = self._root
-        if node is None:
-            world = _World(
-                [_ThreadState(table) for table in self._tables],
-                _Memory(self._initial, None),
-                [],
-            )
-            node = self._root = self._intern(
-                tuple(thread.snapshot() for thread in world.threads), world
-            )
-        successors = node.successors
-        while successors:
-            index = randrange(len(successors))
-            node = successors[index] or self._expand(node, index)
-            successors = node.successors
-        if node.error is not None:
-            raise SimulationError(node.error)
-        return node
+    def _make_root(self) -> _Node:
+        """Intern the initial state as the root of the state graph."""
+        world = _World(
+            [_ThreadState(table) for table in self._tables],
+            _Memory(self._initial, None),
+            [],
+        )
+        self._root = self._intern(
+            tuple(thread.snapshot() for thread in world.threads), world
+        )
+        return self._root
 
     def _expand(self, node: _Node, index: int) -> _Node:
         """Take ``node``'s action ``index`` for the first time.

@@ -124,7 +124,13 @@ class EventSet:
 
     def identity(self) -> "Relation":
         """``[S]`` in cat: the identity relation restricted to this set."""
-        return Relation(((e, e) for e in self.events), self.universe)
+        if _config.oracle():
+            return Relation(((e, e) for e in self.events), self.universe)
+        # An event outside the universe raises KeyError.
+        index = index_for(self.universe)
+        mask = index.mask_of(self.events)
+        rows = [mask & 1 << i for i in range(index.n)]
+        return Relation.from_rows(index, rows, self.universe)
 
     def product(self, other: "EventSet") -> "Relation":
         """``S * T`` in cat: the cartesian product."""

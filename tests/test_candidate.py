@@ -3,7 +3,10 @@
 import pytest
 
 from repro.executions import candidate_executions
+from repro.executions.candidate import CandidateExecution
+from repro.kernel.config import use_oracle
 from repro.litmus import library
+from repro.rcu.implementation import inline_rcu
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +85,43 @@ class TestFinalState:
     def test_registers_present(self, execution):
         assert (1, "r0") in execution.final_state.registers
         assert (1, "r1") in execution.final_state.registers
+
+
+def base_relations(execution):
+    """``int``, ``ext``, ``loc``, ``id`` and the identities of the event
+    sets of a fresh copy of ``execution``, built in the current kernel
+    configuration."""
+    copy = CandidateExecution(
+        execution.events,
+        execution.po,
+        execution.addr,
+        execution.data,
+        execution.ctrl,
+        execution.rmw,
+        execution.rf,
+        execution.co,
+    )
+    sets = (copy.reads, copy.writes, copy.fences, copy.initial_writes)
+    return [copy.int_, copy.ext, copy.loc, copy.identity] + [
+        events.identity() for events in sets
+    ]
+
+
+@pytest.mark.parametrize("name", library.all_names() + ["RCU-MP@2"])
+def test_base_relations_equal_the_oracle(name):
+    """Production builds these relations from per-thread and per-location
+    masks; the oracle keeps their pair definitions."""
+    if name == "RCU-MP@2":
+        # The SC-per-location stream (64 candidates of 28 trace
+        # combinations): the full one holds some 305k.
+        program = inline_rcu(library.get("RCU-MP"), loop_bound=2)
+        executions = candidate_executions(program, require_sc_per_location=True)
+    else:
+        executions = candidate_executions(library.get(name))
+    for execution in executions:
+        with use_oracle(False):
+            production = base_relations(execution)
+        with use_oracle(True):
+            oracle = base_relations(execution)
+        assert all(relation.rows is not None for relation in production)
+        assert production == oracle

@@ -847,3 +847,11 @@ class TestInnermostJoin:
         if name == "outside-read-orders":
             assert "z" not in program.locations()
             assert joined[1]["enumerate.pruned.no_survivor"]
+
+    @pytest.mark.parametrize("distinct", [1, 3, 300, 20_000])
+    def test_group_masks_equal_the_per_index_or(self, distinct):
+        ids = [(i * 7919 + i // 3) % distinct for i in range(20_000)]
+        masks = {}
+        for i, value in enumerate(ids):
+            masks[value] = masks.get(value, 0) | (1 << i)
+        assert enumeration._groups(iter(ids)) == list(masks.items())

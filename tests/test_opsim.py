@@ -15,10 +15,12 @@ from repro.hardware.opsim import (
     OperationalSimulator,
     SimulationError,
     _Memory,
+    _Node,
     _ThreadState,
     _ThreadTable,
 )
 from repro.litmus import dsl, library
+from repro.litmus.outcomes import FinalState
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
@@ -221,7 +223,7 @@ def reachable_states(sim):
 def terminal_states(sim):
     """The final state of every terminal node, the state graph closed by
     expanding every action slot; a deadlocked node fails the test."""
-    sim._walk(random.Random(0))  # builds the root
+    sim.sample(1, seed=0)  # builds the root
     seen, stack, finals = set(), [sim._root], []
     while stack:
         node = stack.pop()
@@ -301,6 +303,55 @@ class TestStateGraph:
         )
         assert collector.counters == {"opsim.states": 49, "opsim.edges": 98}
         assert edges == 98
+
+
+def fan(width):
+    """A simulator whose state graph is one root with ``width`` actions,
+    action ``i`` leading to a terminal node whose memory holds ``x = i``:
+    each run reports the index its one step drew."""
+    sim, _ = simulator("SB", "x86")
+    root = sim._root = _Node(("root",), [("drain", 0, -1)] * width)
+    for index in range(width):
+        end = root.successors[index] = _Node(("end", index), [])
+        end.final = FinalState({}, {"x": index})
+    return sim
+
+
+class LcgRandom(random.Random):
+    """A generator whose bits come from its own ``getrandbits``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.x = seed
+
+    def getrandbits(self, k):
+        self.x = (self.x * 6364136223846793005 + 1442695040888963407) % 2**64
+        return self.x >> (64 - k)
+
+
+class TestDraw:
+    """A walk's step draws exactly what ``randrange`` draws."""
+
+    WIDTHS = range(1, 131)  # every 2**k and 2**k + 1 up to 129
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draw_equals_randrange(self, seed):
+        walked, reference = random.Random(seed), random.Random(seed)
+        for width in self.WIDTHS:
+            sim = fan(width)
+            draws = [sim.run_once(walked).memory["x"] for _ in range(5)]
+            assert draws == [reference.randrange(width) for _ in range(5)], width
+            assert walked.getstate() == reference.getstate(), width
+
+    def test_subclass_overriding_getrandbits(self):
+        for seed in range(20):
+            walked, reference = LcgRandom(seed), LcgRandom(seed)
+            for width in self.WIDTHS:
+                sim = fan(width)
+                draws = [sim.run_once(walked).memory["x"] for _ in range(5)]
+                assert draws == [reference.randrange(width) for _ in range(5)]
+                assert walked.x == reference.x
+            assert walked.getstate() == reference.getstate()
 
 
 @pytest.fixture(scope="module")
