@@ -11,37 +11,72 @@ from __future__ import annotations
 import pytest
 
 from repro.executions.enumerate import candidate_executions
+from repro.guard import Budget, guard
+from repro.guard.journal import INCONCLUSIVE
 from repro.herd import run_litmus
 from repro.kernel.config import use_oracle
 from repro.litmus import library
 from repro.litmus.outcomes import pinned_atoms
 from repro.rcu import inline_rcu, verify_implementation
+from repro.rcu.implementation import HOLDS
 
 from conftest import once
 
+#: Every library test with an RCU primitive except RCU-2GP-2RSCS (see
+#: :func:`test_theorem2_rcu_2gp_2rscs_under_a_wall_budget`).
+RCU_TESTS = [
+    "RCU-1GP-2RSCS",
+    "RCU-MP",
+    "RCU-MP+mb",
+    "RCU-MP+nested",
+    "RCU-deferred-free",
+    "SB+mb+sync",
+]
 
-def test_theorem2_rcu_mp(benchmark):
+#: Wall budget of the RCU-2GP-2RSCS check, in seconds.
+WALL_BUDGET_S = 20
+
+
+@pytest.mark.parametrize(
+    "name, loop_bound",
+    [(name, 1) for name in RCU_TESTS]
+    + [
+        (name, bound)
+        for name in ("RCU-MP", "RCU-deferred-free")
+        for bound in (2, 3, 4)
+    ],
+)
+def test_theorem2_holds(benchmark, name, loop_bound):
+    """Outcome inclusion itself, not only the Forbid witness: on every RCU
+    library test that finishes at loop bound 1, and as the wait loops of
+    RCU-MP and RCU-deferred-free unroll further."""
+
     def experiment():
-        return verify_implementation(library.get("RCU-MP"), loop_bound=1)
+        return verify_implementation(library.get(name), loop_bound=loop_bound)
 
     report = once(benchmark, experiment)
     print(f"\n{report.describe()}")
     assert report.holds
     assert report.impl_allowed > 0
-    # Completeness too, on this test: the implementation reaches every
-    # specification outcome.
-    assert report.impl_outcomes == report.spec_outcomes
+    if name == "RCU-MP":
+        # Completeness too, on this test: the implementation reaches
+        # every specification outcome.
+        assert report.impl_outcomes == report.spec_outcomes
 
 
-def test_theorem2_deferred_free(benchmark):
-    def experiment():
-        return verify_implementation(
-            library.get("RCU-deferred-free"), loop_bound=1
-        )
-
-    report = once(benchmark, experiment)
+def test_theorem2_rcu_2gp_2rscs_under_a_wall_budget():
+    """The four-thread RCU-2GP-2RSCS does not finish at loop bound 1
+    within the budget: the candidate search over its inlined form's
+    4 × 2,048 × 4 × 2,048 thread-trace combinations outlasts it.  The
+    check must then say Inconclusive, never "holds"; should it finish, it
+    must hold."""
+    with guard(Budget(wall_seconds=WALL_BUDGET_S)):
+        report = verify_implementation(library.get("RCU-2GP-2RSCS"), loop_bound=1)
     print(f"\n{report.describe()}")
-    assert report.holds
+    assert report.verdict in (HOLDS, INCONCLUSIVE)
+    if report.verdict == INCONCLUSIVE:
+        cuts = [report.spec_interrupted, report.impl_interrupted]
+        assert any(cut is not None and cut.reason == "wall_clock" for cut in cuts)
 
 
 def test_forbidden_outcome_forbidden_in_implementation(benchmark, lkmm):

@@ -103,13 +103,18 @@ Todo = Optional[Tuple[Instruction, "Todo"]]
 
 
 def enumerate_thread_traces(
-    thread: Thread, value_sets: ValueSets, queried: Optional[Set[str]] = None
+    thread: Thread,
+    value_sets: ValueSets,
+    queried: Optional[Set[str]] = None,
+    written: Optional[Set[Tuple[str, Value]]] = None,
 ) -> List[ThreadTrace]:
     """All traces of ``thread``, branching reads over ``value_sets``.
 
     Every location a read looks up in ``value_sets`` is added to
     ``queried`` (when given), even one whose every branch an ``assume``
     then discards: the traces depend on ``value_sets`` only there.
+    The ``(location, value)`` pair of every write of a returned trace is
+    added to ``written`` (when given).
     """
     traces: List[ThreadTrace] = []
     todo: Todo = None
@@ -117,7 +122,8 @@ def enumerate_thread_traces(
         todo = (ins, todo)
     _run(
         todo, {}, [], [], frozenset(), value_sets,
-        set() if queried is None else queried, traces,
+        set() if queried is None else queried,
+        set() if written is None else written, traces,
     )
     return traces
 
@@ -130,6 +136,7 @@ def _run(
     ctrl: FrozenSet[int],
     value_sets: ValueSets,
     queried: Set[str],
+    written: Set[Tuple[str, Value]],
     out: List[ThreadTrace],
 ) -> None:
     """DFS over the remaining instructions; appends complete traces to
@@ -137,8 +144,13 @@ def _run(
 
     Straight-line instructions run in this frame, which owns ``regs`` and
     ``events`` and updates them in place.  A read recurses once per value
-    it may return, on fresh copies, then ends the frame.
+    it may return, on fresh copies, then ends the frame.  The writes a
+    frame adds go to ``written`` once, when the frame ends having added
+    a trace to ``out``: a write on a path every ``assume`` discards is not
+    recorded.
     """
+    start = len(out)
+    stores: List[Tuple[str, Value]] = []
     while todo is not None:
         ins, todo = todo
 
@@ -162,6 +174,7 @@ def _run(
             events.append(
                 ProtoEvent(WRITE, ins.tag, loc, value, addr_deps, data_deps, ctrl)
             )
+            stores.append((loc, value))
             continue
 
         if isinstance(ins, If):
@@ -189,9 +202,9 @@ def _run(
                 new_regs[ins.reg] = (chosen, frozenset({read_index}))
                 _run(
                     todo, new_regs, new_events, rmw_pairs, ctrl, value_sets,
-                    queried, out,
+                    queried, written, out,
                 )
-            return
+            break
 
         if isinstance(ins, Rmw):
             loc, addr_deps = _eval_address(ins.addr, regs)
@@ -225,6 +238,7 @@ def _run(
                 )
                 if ins.full_fences:
                     new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
+                before = len(out)
                 _run(
                     todo,
                     new_regs,
@@ -233,9 +247,12 @@ def _run(
                     ctrl,
                     value_sets,
                     queried,
+                    written,
                     out,
                 )
-            return
+                if len(out) > before:
+                    written.add((loc, new_value))
+            break
 
         if isinstance(ins, CmpXchg):
             loc, addr_deps = _eval_address(ins.addr, regs)
@@ -272,21 +289,26 @@ def _run(
                     new_rmw.append((read_index, write_index))
                     if full_fences:
                         new_events.append(ProtoEvent(FENCE, MB, ctrl_deps=ctrl))
+                before = len(out)
                 _run(
                     todo, new_regs, new_events, new_rmw, ctrl, value_sets,
-                    queried, out,
+                    queried, written, out,
                 )
-            return
+                if success and len(out) > before:
+                    written.add((loc, new_value))
+            break
 
         raise SemanticsError(f"unknown instruction {ins!r}")
-
-    out.append(
-        ThreadTrace(
-            tuple(events),
-            tuple(rmw_pairs),
-            {name: value for name, (value, _) in regs.items()},
+    else:
+        out.append(
+            ThreadTrace(
+                tuple(events),
+                tuple(rmw_pairs),
+                {name: value for name, (value, _) in regs.items()},
+            )
         )
-    )
+    if stores and len(out) > start:
+        written.update(stores)
 
 
 def _location_values(loc: str, value_sets: ValueSets, queried: Set[str]):
@@ -371,16 +393,17 @@ def traces_at_fixpoint(
                 continue
             stale[tid] = False
             queried[tid] = set()
-            per_thread[tid] = enumerate_thread_traces(thread, values, queried[tid])
-            for trace in per_thread[tid]:
-                for event in trace.events:
-                    if event.kind == WRITE:
-                        locs = values.setdefault(event.loc, {0})
-                        if event.value not in locs:
-                            locs.add(event.value)
-                            for other, locations in enumerate(queried):
-                                if event.loc in locations:
-                                    stale[other] = True
+            written: Set[Tuple[str, Value]] = set()
+            per_thread[tid] = enumerate_thread_traces(
+                thread, values, queried[tid], written
+            )
+            for loc, value in written:
+                locs = values.setdefault(loc, {0})
+                if value not in locs:
+                    locs.add(value)
+                    for other, locations in enumerate(queried):
+                        if loc in locations:
+                            stale[other] = True
     for tid, thread in enumerate(threads):
         if stale[tid]:
             per_thread[tid] = enumerate_thread_traces(thread, values)

@@ -30,7 +30,7 @@ that genuinely needed the unscanned suffix degrade.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.executions.candidate import CandidateExecution
 # Bound under its old name: the benchmark's tracer wraps it by that name.
@@ -66,7 +66,8 @@ class RunResult:
     allowed: int
     #: Allowed executions whose final state satisfies the condition body.
     witnesses: int
-    #: Distinct final states of allowed executions.
+    #: Distinct final states of allowed executions (their keys under
+    #: ``outcome_key``, see :func:`run_litmus_many`).
     states: Set[FinalState] = field(default_factory=set)
     #: One allowed execution matching the condition, if any (kept for
     #: explanation tooling).
@@ -138,6 +139,7 @@ def run_litmus_many(
     models: List[Model],
     program: Program,
     verdict_only: bool = False,
+    outcome_key: Optional[Callable[[FinalState], Hashable]] = None,
 ) -> Dict[str, RunResult]:
     """Run several models over one program with a *single* enumeration.
 
@@ -176,6 +178,16 @@ def run_litmus_many(
     exit and budget-cut partial results stay sound.  ``forall`` tests,
     runs without ``verdict_only`` and the oracle configuration enumerate
     the full stream.
+
+    ``outcome_key`` serves callers that read only which outcomes are
+    allowed, up to a key of the final state (Theorem 2's projection,
+    :func:`repro.rcu.implementation.verify_implementation`).  ``states``
+    then holds ``outcome_key(final_state)`` of the allowed executions,
+    and a candidate is model-checked only while no allowed execution has
+    reached its key with the same condition match: a later one cannot
+    change ``states`` or the verdict.  Every candidate is still
+    enumerated and counted in ``candidates``; ``allowed``, ``witnesses``
+    and ``forbidden_witness`` cover the checked candidates only.
     """
     condition = program.condition
     exists_like = condition is None or isinstance(condition, (Exists, NotExists))
@@ -194,6 +206,9 @@ def run_litmus_many(
         )
         for model in models
     ]
+    # Per model, the (key, condition match) pairs an allowed execution
+    # has reached; only read under ``outcome_key``.
+    reached: List[Set[Tuple[Hashable, bool]]] = [set() for _ in models]
     interruption: Optional[_guard.Interruption] = None
     with _obs.span("herd.run"):
         try:
@@ -207,9 +222,13 @@ def run_litmus_many(
                 matches = (
                     condition is None or condition.evaluate(execution.final_state)
                 )
-                for model, result in zip(models, results):
+                if outcome_key is not None:
+                    outcome = (outcome_key(execution.final_state), matches)
+                for model, result, seen in zip(models, results, reached):
                     result.candidates += 1
                     if verdict_only and (matches if not exists_like else not matches):
+                        continue
+                    if outcome_key is not None and outcome in seen:
                         continue
                     with _obs.span(f"model.{model.name}"):
                         allowed = model.allows(execution)
@@ -218,7 +237,9 @@ def run_litmus_many(
                             result.forbidden_witness = execution
                         continue
                     result.allowed += 1
-                    if not verdict_only:
+                    if outcome_key is not None:
+                        seen.add(outcome)
+                    elif not verdict_only:
                         result.states.add(execution.final_state)
                     if matches:
                         result.witnesses += 1
@@ -237,6 +258,9 @@ def run_litmus_many(
     if interruption is not None:
         for result in results:
             result.interrupted = interruption
+    if outcome_key is not None and not verdict_only:
+        for result, seen in zip(results, reached):
+            result.states = {key for key, _ in seen}
     if _obs.ENABLED:
         for result in results:
             _obs.count(f"herd.{result.model_name}.candidates", result.candidates)

@@ -17,7 +17,10 @@ primitives replaced by the implementation.  We mechanise the theorem as a
 paper cites): :func:`inline_rcu` performs the P -> P' transformation with
 the implementation's wait loops unrolled up to a bound, and
 :func:`verify_implementation` checks that every LK-allowed execution of P'
-projects onto an LK-allowed outcome of P.
+projects onto an LK-allowed outcome of P.  Every candidate execution is
+enumerated, but the model checks only one allowed execution per projected
+outcome: once an outcome is known to be allowed, no other execution
+reaching it can change the answer.
 
 Two renderings of the implementation are provided:
 
@@ -34,8 +37,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro import herd
 from repro.events import RCU_LOCK, RCU_UNLOCK, SYNC_RCU
-from repro.herd import run_litmus
+from repro.guard.core import Interruption
+from repro.guard.journal import INCONCLUSIVE
 from repro.litmus.ast import (
     Assume,
     BinOp,
@@ -287,6 +292,10 @@ def _project(state: FinalState) -> FrozenSet:
     return frozenset({("regs", registers), ("mem", memory)})
 
 
+HOLDS = "holds"
+FAILS = "FAILS"
+
+
 @dataclass
 class ImplementationReport:
     """Result of the bounded Theorem 2 check for one program."""
@@ -297,9 +306,15 @@ class ImplementationReport:
     spec_outcomes: Set[FrozenSet] = field(default_factory=set)
     #: Projected outcomes of P' allowed by the model.
     impl_outcomes: Set[FrozenSet] = field(default_factory=set)
-    #: Allowed executions inspected on each side.
+    #: Allowed executions of P inspected, one per outcome.
     spec_allowed: int = 0
+    #: Allowed executions of P' inspected, one per outcome.
     impl_allowed: int = 0
+    #: Budget-trip provenance of the run of P (:mod:`repro.guard`);
+    #: ``None`` when it is complete.
+    spec_interrupted: Optional[Interruption] = None
+    #: The same for the run of P'.
+    impl_interrupted: Optional[Interruption] = None
 
     @property
     def spurious(self) -> Set[FrozenSet]:
@@ -308,18 +323,40 @@ class ImplementationReport:
         return self.impl_outcomes - self.spec_outcomes
 
     @property
+    def verdict(self) -> str:
+        """``holds``, ``FAILS`` or ``Inconclusive``.
+
+        A spurious outcome is decisive once the specification run is
+        complete, even when the implementation run was cut: more
+        implementation outcomes cannot take it back.  The theorem holds
+        only when both runs are complete.
+        """
+        if self.spec_interrupted is None:
+            if self.spurious:
+                return FAILS
+            if self.impl_interrupted is None:
+                return HOLDS
+        return INCONCLUSIVE
+
+    @property
     def holds(self) -> bool:
-        return not self.spurious
+        return self.verdict == HOLDS
 
     def describe(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        return (
-            f"Theorem 2 {status} on {self.program_name} "
+        summary = (
+            f"Theorem 2 {self.verdict} on {self.program_name} "
             f"(loop bound {self.loop_bound}): "
             f"{len(self.impl_outcomes)} implementation outcomes vs "
             f"{len(self.spec_outcomes)} specification outcomes, "
             f"{len(self.spurious)} spurious"
         )
+        for side, interruption in (
+            ("specification", self.spec_interrupted),
+            ("implementation", self.impl_interrupted),
+        ):
+            if interruption is not None:
+                summary += f" [{side} interrupted: {interruption.describe()}]"
+        return summary
 
 
 def verify_implementation(
@@ -329,16 +366,37 @@ def verify_implementation(
     model: Optional[Model] = None,
 ) -> ImplementationReport:
     """Bounded Theorem 2 check: allowed outcomes of P' project into
-    allowed outcomes of P."""
+    allowed outcomes of P.
+
+    Both runs key their outcomes by :func:`_project`
+    (:func:`repro.herd.run_litmus_many`'s ``outcome_key``), so each
+    model-checks one allowed execution per projected outcome.  An armed
+    :mod:`repro.guard` budget spans both runs; a run it cuts short makes
+    the report's :attr:`~ImplementationReport.verdict` ``Inconclusive``
+    unless a spurious outcome already decides it.
+    """
     model = model or LinuxKernelModel()
     report = ImplementationReport(program.name, loop_bound)
-
-    spec_result = run_litmus(model, program)
-    report.spec_allowed = spec_result.allowed
-    report.spec_outcomes = {_project(s) for s in spec_result.states}
-
+    (
+        report.spec_allowed,
+        report.spec_outcomes,
+        report.spec_interrupted,
+    ) = _projected_run(model, program)
     inlined = inline_rcu(program, loop_bound=loop_bound, full=full)
-    impl_result = run_litmus(model, inlined)
-    report.impl_allowed = impl_result.allowed
-    report.impl_outcomes = {_project(s) for s in impl_result.states}
+    (
+        report.impl_allowed,
+        report.impl_outcomes,
+        report.impl_interrupted,
+    ) = _projected_run(model, inlined)
     return report
+
+
+def _projected_run(
+    model: Model, program: Program
+) -> Tuple[int, Set[FrozenSet], Optional[Interruption]]:
+    """Allowed executions checked, projected outcomes and interruption
+    of one run keyed by :func:`_project`."""
+    # Looked up on the module, so a wrapper bound there applies.
+    result = herd.run_litmus_many([model], program, outcome_key=_project)
+    run = result[model.name]
+    return run.allowed, run.states, run.interrupted

@@ -198,6 +198,47 @@ class TestValueSets:
         assert values["p"] == {Pointer("z"), Pointer("x")}
 
 
+class TestWritten:
+    """``written`` collects the writes of the returned traces, once per
+    DFS frame, never a write on a path an ``assume`` discards."""
+
+    @staticmethod
+    def _cases():
+        programs = [library.get(name) for name in library.all_names()]
+        programs.append(inline_rcu(library.get("RCU-MP"), loop_bound=2))
+        programs.append(
+            dsl.program(
+                "t",
+                dsl.thread(
+                    dsl.read_once("r0", "x"),
+                    dsl.write_once("z", Reg("r0")),
+                    dsl.cmpxchg(
+                        "r1", "y", Reg("r0"), BinOp("+", Reg("r0"), Const(5))
+                    ),
+                    dsl.xchg("r2", "v", Reg("r0")),
+                    Assume(BinOp("==", Reg("r0"), Const(1))),
+                    dsl.write_once("w", 3),
+                ),
+                dsl.thread(dsl.spin_lock("y"), dsl.write_once("x", 1)),
+            )
+        )
+        for program in programs:
+            values = possible_value_sets(program)
+            for thread in program.threads:
+                yield thread, values
+
+    def test_written_equals_a_scan_of_the_traces(self):
+        for thread, values in self._cases():
+            written = set()
+            result = enumerate_thread_traces(thread, values, written=written)
+            assert written == {
+                (event.loc, event.value)
+                for trace in result
+                for event in trace.events
+                if event.kind == WRITE
+            }
+
+
 class TestTracesAtFixpoint:
     @staticmethod
     def _fingerprint(traces):
