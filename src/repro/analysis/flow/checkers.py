@@ -62,6 +62,7 @@ from repro.litmus.ast import (
     preorder,
     registers_read,
 )
+from repro.litmus.outcomes import RegValue, condition_atoms
 from repro.analysis.findings import Finding
 from repro.analysis.flow.analyses import (
     ConstantPropagation,
@@ -116,11 +117,10 @@ class _ThreadFlow:
 
 
 def _condition_registers_by_thread(program: Program) -> Dict[int, Set[str]]:
-    from repro.analysis.litmuslint import _condition_registers
-
     by_tid: Dict[int, Set[str]] = {}
-    for tid, reg in _condition_registers(program.condition):
-        by_tid.setdefault(tid, set()).add(reg)
+    for atom in condition_atoms(program.condition):
+        if isinstance(atom, RegValue):
+            by_tid.setdefault(atom.tid, set()).add(atom.reg)
     return by_tid
 
 

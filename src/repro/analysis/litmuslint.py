@@ -6,7 +6,8 @@ misleading without ever failing to parse or run:
 * ``condition-unknown-register`` / ``condition-unknown-thread`` /
   ``condition-unknown-location`` — the final-state condition mentions a
   register, thread, or location the program never defines, so the
-  condition can never match the intended outcome;
+  condition can never match the intended outcome (the rule is
+  :func:`repro.litmus.ast.condition_errors`; such a test gets no verdict);
 * ``plain-race`` — a heuristic: a plain (non-``ONCE``) access to a
   location that another thread accesses conflictingly.  This is the
   syntactic shadow of the execution-level race detector
@@ -27,37 +28,25 @@ single-pass heuristics here).
 The syntactic checks here read each thread once, in
 :func:`~repro.litmus.ast.preorder` (both arms of every ``If``), through
 the instruction facts :mod:`repro.litmus.ast` defines for every pass
-(:func:`~repro.litmus.ast.accesses`,
-:func:`~repro.litmus.ast.register_written`): a location is known here
-only when the address is a literal ``&loc``.  No candidate executions
+(:func:`~repro.litmus.ast.accesses`): a location is known here only
+when the address is a literal ``&loc``.  No candidate executions
 are enumerated anywhere — linting the whole library is instant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.events import PLAIN, Pointer, RB_DEP, MB, RMB, WMB
+from repro.events import PLAIN, RB_DEP, MB, RMB, WMB
 from repro.litmus.ast import (
     Expr,
     Fence,
     Instruction,
     Program,
     accesses,
+    condition_errors,
     const_location,
     preorder,
-    register_written,
-)
-from repro.litmus.outcomes import (
-    And,
-    Condition,
-    Exists,
-    Forall,
-    LocValue,
-    Not,
-    NotExists,
-    Or,
-    RegValue,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.flow.checkers import lint_program_flow
@@ -106,9 +95,6 @@ class _ProgramLinter:
         #: Static accesses per location (only Const-pointer addresses; an
         #: access through a register-held pointer has no static location).
         self.accesses: Dict[str, List[_Access]] = {}
-        self.has_dynamic_store = False
-        #: Per thread: registers assigned anywhere in the thread.
-        self.assigned: List[Set[str]] = []
 
     def _report(
         self, category: str, message: str, line: Optional[int] = None
@@ -120,14 +106,12 @@ class _ProgramLinter:
     def run(self) -> List[Finding]:
         for tid, thread in enumerate(self.program.threads):
             body = list(preorder(thread.body))
-            self.assigned.append(
-                {reg for reg in map(register_written, body) if reg is not None}
-            )
             for ins in body:
                 for is_write, addr, tag in accesses(ins):
                     self._record_access(tid, addr, is_write, tag)
             self._check_fences(tid, body)
-        self._check_condition()
+        for category, message in condition_errors(self.program):
+            self._report(category, message)
         self._check_plain_races()
         return self.findings
 
@@ -137,39 +121,10 @@ class _ProgramLinter:
         self, tid: int, addr: Expr, is_write: bool, tag: str
     ) -> None:
         loc = const_location(addr)
-        if loc is None:
-            self.has_dynamic_store |= is_write
-            return
-        self.accesses.setdefault(loc, []).append(_Access(tid, is_write, tag))
+        if loc is not None:
+            self.accesses.setdefault(loc, []).append(_Access(tid, is_write, tag))
 
     # -- checks ----------------------------------------------------------
-
-    def _check_condition(self) -> None:
-        condition = self.program.condition
-        if condition is None:
-            return
-        known_locs = set(self.program.init) | set(self.accesses)
-        num_threads = self.program.num_threads
-        for tid, reg in _condition_registers(condition):
-            if tid >= num_threads:
-                self._report(
-                    "condition-unknown-thread",
-                    f"condition mentions thread {tid}, but the test has "
-                    f"only P0..P{num_threads - 1}",
-                )
-            elif reg not in self.assigned[tid]:
-                self._report(
-                    "condition-unknown-register",
-                    f"condition mentions {tid}:{reg}, but P{tid} never "
-                    f"assigns {reg!r}",
-                )
-        for loc in _condition_locations(condition):
-            if loc not in known_locs and not self.has_dynamic_store:
-                self._report(
-                    "condition-unknown-location",
-                    f"condition mentions location {loc!r}, which the "
-                    "program neither initialises nor accesses",
-                )
 
     def _check_plain_races(self) -> None:
         for loc, accesses in sorted(self.accesses.items()):
@@ -207,41 +162,3 @@ class _ProgramLinter:
                     f"{side} it — it orders nothing",
                     line=ins.lineno,
                 )
-
-
-def _condition_registers(
-    condition: Optional[Condition],
-) -> List[Tuple[int, str]]:
-    out: List[Tuple[int, str]] = []
-    _walk_condition(condition, out, [])
-    return out
-
-
-def _condition_locations(condition: Optional[Condition]) -> List[str]:
-    out: List[str] = []
-    _walk_condition(condition, [], out)
-    return out
-
-
-def _walk_condition(
-    condition: Optional[Condition],
-    regs: List[Tuple[int, str]],
-    locs: List[str],
-) -> None:
-    if condition is None:
-        return
-    if isinstance(condition, (Exists, NotExists, Forall)):
-        _walk_condition(condition.body, regs, locs)
-    elif isinstance(condition, (And, Or)):
-        _walk_condition(condition.lhs, regs, locs)
-        _walk_condition(condition.rhs, regs, locs)
-    elif isinstance(condition, Not):
-        _walk_condition(condition.operand, regs, locs)
-    elif isinstance(condition, RegValue):
-        regs.append((condition.tid, condition.reg))
-        if isinstance(condition.value, Pointer):
-            locs.append(condition.value.loc)
-    elif isinstance(condition, LocValue):
-        locs.append(condition.loc)
-        if isinstance(condition.value, Pointer):
-            locs.append(condition.value.loc)

@@ -115,8 +115,6 @@ def resolve_footprint(
 
     for atom in _conjuncts(condition):
         if isinstance(atom, RegValue):
-            if not 0 <= atom.tid < len(skeleton.threads):
-                return refuted()
             origin = skeleton.threads[atom.tid].final_regs.get(atom.reg)
             if origin is None:
                 return refuted()  # never assigned: absent from final state

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.guard import core as _guard
-from repro.litmus.ast import Program
+from repro.litmus.ast import Program, check_condition
 from repro.litmus.outcomes import Exists, NotExists, pinned_atoms
 from repro.model import Model
 from repro.obs import core as _obs
@@ -149,13 +149,16 @@ def decide(model: Model, program: Program) -> Optional[StaticDecision]:
     Sound by construction: a Forbid is a proof over every
     condition-satisfying execution, an Allow is a kernel-confirmed
     witness.  ``forall`` conditions (whose verdict quantifies over
-    non-witnesses too) are never decided.
+    non-witnesses too) are never decided, and a condition the verdict
+    path refuses raises as it does there
+    (:func:`~repro.litmus.ast.check_condition`).
 
     Owns the observability counters (``static.decided`` /
     ``static.witness_confirmed`` / ``static.fallback``) so every caller
     — ``repro-herd --static-only``, ``repro-lint --static-verdicts``,
     the coverage report — surfaces them uniformly under ``--profile``.
     """
+    check_condition(program)
     decision = _decide(model, program)
     if _obs.ENABLED:
         if decision is None:

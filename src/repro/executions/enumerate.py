@@ -93,10 +93,10 @@ def candidate_executions(
     ``pins`` (``RegValue``/``LocValue`` atoms, see
     :func:`repro.litmus.outcomes.pinned_atoms`) make the stream
     *condition-directed*: the full stream restricted to the candidates
-    whose final state satisfies every pin, in the same order.  In
-    production a thread trace whose final registers contradict a
-    register pin is dropped before any combination is formed (a pin on
-    a thread the program lacks leaves no trace and no candidate), and a
+    whose final state satisfies every pin, in the same order.  Each pin
+    names a thread of the program (:func:`repro.litmus.ast.check_condition`).
+    In production a thread trace whose final registers contradict a
+    register pin is dropped before any combination is formed, and a
     coherence order whose co-last write has the wrong value for a pinned
     location is dropped before its candidate is built; the oracle builds
     every candidate and drops those that miss a pin.  Each drop counts
@@ -119,8 +119,6 @@ def candidate_executions(
     for atom in pins:
         if not isinstance(atom, RegValue):
             loc_pins.setdefault(atom.loc, []).append(atom.value)
-        elif not 0 <= atom.tid < len(per_thread):
-            return  # a register of a thread the program lacks meets no pin
         else:
             traces = per_thread[atom.tid]
             kept = [

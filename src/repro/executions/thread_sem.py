@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.events import FENCE, MB, Pointer, READ, Value, WRITE
+from repro.guard import core as _guard
 from repro.litmus.ast import (
     Assume,
     BinOp,
@@ -149,6 +150,8 @@ def _run(
     a trace to ``out``: a write on a path every ``assume`` discards is not
     recorded.
     """
+    if _guard.ACTIVE:
+        _guard._current.tick()  # budget safepoint: one frame, a read branch
     start = len(out)
     stores: List[Tuple[str, Value]] = []
     while todo is not None:

@@ -26,7 +26,6 @@ of the unhelpful kind.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -134,6 +133,8 @@ def in_worker() -> bool:
 
 def _unit(seed: int, nonce: str) -> float:
     """A deterministic draw in [0, 1) from (seed, nonce)."""
+    import hashlib  # here, not at module level: only fault injection needs it
+
     digest = hashlib.sha256(f"{seed}|{nonce}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 

@@ -40,7 +40,7 @@ from repro.executions.enumerate import (
 from repro.guard import core as _guard
 from repro.guard.journal import INCONCLUSIVE, SweepJournal
 from repro.kernel import config as _config
-from repro.litmus.ast import Program
+from repro.litmus.ast import Program, check_condition
 from repro.litmus.outcomes import Exists, Forall, FinalState, NotExists, pinned_atoms
 from repro.litmus.writer import program_digest
 from repro.model import Model
@@ -188,7 +188,12 @@ def run_litmus_many(
     change ``states`` or the verdict.  Every candidate is still
     enumerated and counted in ``candidates``; ``allowed``, ``witnesses``
     and ``forbidden_witness`` cover the checked candidates only.
+
+    A condition naming a thread, register or location the program lacks
+    gets no verdict: :func:`~repro.litmus.ast.check_condition` raises
+    before anything is enumerated.
     """
+    check_condition(program)
     condition = program.condition
     exists_like = condition is None or isinstance(condition, (Exists, NotExists))
     sc_per_location = all(model.sc_per_location for model in models)

@@ -57,7 +57,6 @@ and safe to call from signal/atexit context.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import signal
 import time
 from collections import OrderedDict, deque
@@ -258,6 +257,8 @@ atexit.register(shutdown_pools)
 
 def _jitter(attempt: int, pending: int) -> float:
     """Deterministic jitter in [0, 1) — reproducible backoff schedules."""
+    import hashlib  # here, not at module level: only a retry needs it
+
     digest = hashlib.sha256(f"backoff|{attempt}|{pending}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 

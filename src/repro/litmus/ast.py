@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.events import ACQUIRE, ONCE, Pointer, RELEASE, Value
-from repro.litmus.outcomes import Condition
+from repro.litmus.outcomes import Condition, LocValue, condition_atoms
 
 
 class LitmusError(Exception):
@@ -468,6 +468,64 @@ class Program:
 
     def __repr__(self) -> str:
         return f"<Program {self.name}: {self.num_threads} threads>"
+
+
+def condition_errors(program: Program) -> List[Tuple[str, str]]:
+    """The ``(category, message)`` of each thread, register or location
+    that ``program``'s condition names and the program lacks: the one
+    validity rule, which the linter reports (LIT002–LIT004) and the
+    verdict path enforces (:func:`check_condition`).  Locations come
+    last.  A location is known when ``init`` has it or a literal ``&loc``
+    accesses it, and every location is when a store's address is
+    computed.  herd7 reads a location named only in the condition as 0;
+    here it is an error, like an unknown register, because its value is
+    the same in every execution and it is almost always a misspelling.
+    """
+    threads = program.threads
+    errors: List[Tuple[str, str]] = []
+    named: List[str] = []
+    for atom in condition_atoms(program.condition):
+        if isinstance(atom, LocValue):
+            named.append(atom.loc)
+        elif not 0 <= atom.tid < len(threads):
+            errors.append(("condition-unknown-thread", (
+                f"condition mentions thread {atom.tid}, but the test has "
+                f"only P0..P{len(threads) - 1}"
+            )))
+        elif atom.reg not in map(register_written, preorder(threads[atom.tid].body)):
+            errors.append(("condition-unknown-register", (
+                f"condition mentions {atom.tid}:{atom.reg}, but P{atom.tid} "
+                f"never assigns {atom.reg!r}"
+            )))
+        if isinstance(atom.value, Pointer):
+            named.append(atom.value.loc)
+    if not named:
+        return errors
+    known = set(program.init)
+    for thread in threads:
+        for ins in preorder(thread.body):
+            for is_write, addr, _ in accesses(ins):
+                loc = const_location(addr)
+                if loc is not None:
+                    known.add(loc)
+                elif is_write:
+                    return errors  # a computed store address: any location
+    return errors + [
+        ("condition-unknown-location", (
+            f"condition mentions location {loc!r}, which the program "
+            "neither initialises nor accesses"
+        ))
+        for loc in named
+        if loc not in known
+    ]
+
+
+def check_condition(program: Program) -> None:
+    """Raise :class:`LitmusError` with every :func:`condition_errors`
+    entry, if any: such a condition gets no verdict."""
+    errors = condition_errors(program)
+    if errors:
+        raise LitmusError(f"{program.name}: " + "; ".join(map(": ".join, errors)))
 
 
 def _instruction_exprs(ins: Instruction) -> List[Expr]:

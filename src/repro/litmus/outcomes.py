@@ -14,7 +14,7 @@ and ``forall`` (every allowed execution satisfies it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.events import Value
 
@@ -162,6 +162,22 @@ def not_exists(body: Condition) -> NotExists:
 
 def forall(body: Condition) -> Forall:
     return Forall(body)
+
+
+def condition_atoms(
+    condition: Optional[Condition],
+) -> Iterator[Union[RegValue, LocValue]]:
+    """Every ``tid:reg = v`` and ``loc = v`` atom of ``condition``, left
+    to right, at any depth (none for ``None``)."""
+    if isinstance(condition, (Exists, NotExists, Forall)):
+        yield from condition_atoms(condition.body)
+    elif isinstance(condition, (And, Or)):
+        yield from condition_atoms(condition.lhs)
+        yield from condition_atoms(condition.rhs)
+    elif isinstance(condition, Not):
+        yield from condition_atoms(condition.operand)
+    elif isinstance(condition, (RegValue, LocValue)):
+        yield condition
 
 
 def pinned_atoms(body: Condition) -> List[Condition]:

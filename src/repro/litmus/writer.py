@@ -11,7 +11,6 @@ corpus key on.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import List, Set
 
 from repro.events import Pointer
@@ -95,6 +94,8 @@ def program_digest(program: Program) -> str:
     them.  Stable across processes; used for deduplication and as the
     journal/golden integrity digest.
     """
+    import hashlib  # here, not at module level: a verdict needs no digest
+
     canonical = dataclasses.replace(program, name="@")
     return hashlib.sha256(write_litmus(canonical).encode()).hexdigest()[:16]
 

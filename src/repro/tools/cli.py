@@ -32,7 +32,7 @@ from repro.guard.core import detached, rearm
 from repro.herd import INCONCLUSIVE, RunResult, run_litmus
 from repro.kernel import config as kernel_config
 from repro.litmus import library
-from repro.litmus.ast import Program
+from repro.litmus.ast import LitmusError, Program, check_condition
 from repro.litmus.parser import ParseError, parse_litmus
 from repro.litmus.writer import program_digest
 from repro.lkmm import LinuxKernelModel, explain_forbidden
@@ -50,17 +50,18 @@ class CliError(Exception):
 
 
 def _resolve_tests(names: List[str]) -> List[Program]:
+    """The named tests, each checked to have a condition a verdict allows."""
     programs = []
     for name in names:
         path = Path(name)
         try:
             if path.exists():
-                programs.append(
-                    parse_litmus(path.read_text(), path=str(path))
-                )
+                program = parse_litmus(path.read_text(), path=str(path))
             else:
-                programs.append(library.get(name))
-        except ParseError as error:
+                program = library.get(name)
+            check_condition(program)
+            programs.append(program)
+        except (ParseError, LitmusError) as error:
             raise CliError(str(error)) from error
         except KeyError as error:
             message = error.args[0] if error.args else str(error)
@@ -988,7 +989,7 @@ def corpus_main(argv: List[str] | None = None) -> int:
         )
         print(f"froze {len(names)} tests to {args.output}")
         return EXIT_OK
-    except CliError as error:
+    except (CliError, LitmusError) as error:
         print(f"repro-corpus: {error}", file=sys.stderr)
         return EXIT_USAGE
 

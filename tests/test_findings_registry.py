@@ -11,6 +11,10 @@ from pathlib import Path
 from repro.analysis.findings import CATEGORIES, ERROR, INFO, WARNING
 
 ANALYSIS_ROOT = Path(__file__).parent.parent / "src" / "repro" / "analysis"
+#: The condition-validity rule (LIT002–LIT004) lives with the litmus AST,
+#: because the verdict path enforces it too; the linter reports its
+#: categories.
+CONDITION_RULE = ANALYSIS_ROOT.parent / "litmus" / "ast.py"
 
 # The two direct emission idioms used across the analysis packages:
 # the checker-local ``self._report("category", ...)`` wrappers, and
@@ -22,7 +26,7 @@ _CODE_RE = re.compile(r"^(CAT|LIT|FLOW|RCU|LOCK|DEP|RACE)\d{3}$")
 
 
 def _analysis_sources():
-    for path in sorted(ANALYSIS_ROOT.rglob("*.py")):
+    for path in sorted(ANALYSIS_ROOT.rglob("*.py")) + [CONDITION_RULE]:
         if path.name != "findings.py":
             yield path, path.read_text()
 

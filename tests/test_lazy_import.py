@@ -82,6 +82,13 @@ def test_import_repro_herd_skips_the_analysis_tools():
         assert not any(m == package or m.startswith(package + ".") for m in loaded), package
 
 
+def test_import_repro_herd_skips_hashlib():
+    # Only digests, fault injection and pool retries hash; each imports
+    # hashlib where it hashes, so a cold verdict does not pay for it.
+    code = "import json, sys, repro.herd; print(json.dumps('hashlib' in sys.modules))"
+    assert _fresh(code) is False
+
+
 def test_every_public_name_is_the_defining_modules_object():
     assert sorted(DEFINED_IN) == sorted(set(repro.__all__) - {"__version__"})
     code = f"""

@@ -11,6 +11,8 @@ from repro.executions.thread_sem import (
     possible_value_sets,
     traces_at_fixpoint,
 )
+from repro.guard import Budget, guard
+from repro.guard.core import GuardStop
 from repro.litmus import library
 from repro.rcu.implementation import inline_rcu
 
@@ -336,3 +338,16 @@ class TestTracesAtFixpoint:
             assert self._fingerprint(traces) == self._fingerprint(
                 enumerate_thread_traces(thread, values)
             )
+
+
+class TestBudget:
+    def test_a_state_budget_stops_the_fixpoint(self):
+        # Inlined RCU-MP at loop bound 3 has about 3,100 thread traces;
+        # each DFS frame ticks the armed budget, so 100 states stop the
+        # enumeration long before it ends.
+        program = inline_rcu(library.get("RCU-MP"), loop_bound=3)
+        with pytest.raises(GuardStop) as stopped:
+            with guard(Budget(max_states=100)):
+                traces_at_fixpoint(program)
+        assert stopped.value.interruption.reason == "states"
+        assert stopped.value.interruption.candidates == 0
