@@ -128,10 +128,24 @@ def test_interrupted_sweep_resumes_to_identical_matrix(
 ):
     """Kill the sweep mid-run (injected worker crashes, no retries),
     resume with the same journal, and demand the merged matrix be
-    byte-identical to an uninterrupted sweep's."""
+    byte-identical to an uninterrupted sweep's.
+
+    Which tasks share a pool when it dies depends on scheduling, and
+    only a task that fails alone is charged.  The spec makes the crash
+    bite on every schedule: some task draws a crash on its first two
+    attempts, so it is either charged at once or crashes again when it
+    is retried alone."""
     baseline = sweep_corpus(corpus)
 
-    faults.set_spec(parse_fault_spec("crash:0.4,seed=8"))
+    spec = parse_fault_spec("crash:0.4,seed=24")
+    assert any(
+        all(
+            faults._unit(spec.seed, f"_sweep_task:{index}:{attempt}") < spec.crash
+            for attempt in (0, 1)
+        )
+        for index in range(len(corpus))
+    )
+    faults.set_spec(spec)
     journal = SweepJournal(tmp_path / "sweep.jsonl", MODEL_NAMES)
     monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
     with pytest.raises(parallel.WorkerPoolError):
