@@ -43,7 +43,7 @@ WALL_BUDGET_S = 20
     + [
         (name, bound)
         for name in ("RCU-MP", "RCU-deferred-free")
-        for bound in (2, 3, 4)
+        for bound in (2, 3, 4, 5)
     ],
 )
 def test_theorem2_holds(benchmark, name, loop_bound):
@@ -135,10 +135,11 @@ def test_theorem2_at_loop_bound_3(benchmark, lkmm):
 def test_theorem2_at_loop_bound_4(benchmark, lkmm, name):
     """Bound 4: the grace period may wait three full iterations.  Of the
     115,200 trace combinations, 111,744 have an unwritable read.  The
-    per-location sweep rejects them without forming them: under each of
-    the reader's 8 traces it looks up one fate per distinct projection
-    of the updater's 14,400 traces onto each location, and masks out
-    every trace whose fate rules it out."""
+    per-location sweep rejects them without forming them: the updater's
+    14,400 traces are 120 × 120 paths of its two phases, and under each
+    of the reader's 8 traces and each first-phase path it looks up one
+    fate per distinct projection of the second-phase paths onto each
+    location, and masks out every path whose fate rules it out."""
 
     def experiment():
         inlined = inline_rcu(library.get(name), loop_bound=4)
@@ -151,6 +152,21 @@ def test_theorem2_at_loop_bound_4(benchmark, lkmm, name):
     )
     assert result.verdict == "Forbid"
     assert result.allowed > 0
+
+
+def test_theorem2_at_loop_bound_6(benchmark):
+    """Bound 6: the grace period may wait five full iterations.  The
+    updater's 254,016 traces are 504 × 504 paths of its two
+    flip-and-wait phases, each phase walked once per fixpoint round and
+    joined only for the surviving combinations."""
+
+    def experiment():
+        return verify_implementation(library.get("RCU-MP"), loop_bound=6)
+
+    report = once(benchmark, experiment)
+    print(f"\n{report.describe()}")
+    assert report.holds
+    assert report.impl_outcomes == report.spec_outcomes
 
 
 @pytest.mark.parametrize("name", ["RCU-MP", "RCU-deferred-free"])

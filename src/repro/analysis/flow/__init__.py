@@ -11,52 +11,34 @@ Two layers, bottom up:
   uninit/dead-store lint).
 """
 
-from repro.analysis.flow.analyses import (
-    ConstantPropagation,
-    Liveness,
-    ReachingDefinitions,
-    RegionAnalysis,
-    RegionState,
-    UNINIT,
-    VARIES,
-    backward,
-    environment,
-    fold_expr,
-    forward,
-    live_registers,
-    program_lock_locations,
-    static_location,
-)
-from repro.analysis.flow.checkers import (
-    CHECKERS,
-    MAX_RCU_NESTING,
-    check_dataflow,
-    check_dependencies,
-    check_locks,
-    check_rcu,
-    lint_program_flow,
-)
+from repro import _lazy
 
-__all__ = [
-    "ConstantPropagation",
-    "Liveness",
-    "ReachingDefinitions",
-    "RegionAnalysis",
-    "RegionState",
-    "UNINIT",
-    "VARIES",
-    "backward",
-    "environment",
-    "fold_expr",
-    "forward",
-    "live_registers",
-    "program_lock_locations",
-    "static_location",
-    "CHECKERS",
-    "MAX_RCU_NESTING",
-    "check_dataflow",
-    "check_dependencies",
-    "check_locks",
-    "check_rcu",
-    "lint_program_flow",
-]
+#: Imported on first use (PEP 562): thread segmentation, which needs only
+#: :func:`live_registers`, does not load the checkers and the findings.
+_EXPORTS = {
+    name: (module, name)
+    for module, names in (
+        (
+            "repro.analysis.flow.analyses",
+            (
+                "ConstantPropagation", "Liveness", "ReachingDefinitions",
+                "RegionAnalysis", "RegionState", "UNINIT", "VARIES", "backward",
+                "environment", "fold_expr", "forward", "live_registers",
+                "program_lock_locations", "static_location",
+            ),
+        ),
+        (
+            "repro.analysis.flow.checkers",
+            (
+                "CHECKERS", "MAX_RCU_NESTING", "check_dataflow",
+                "check_dependencies", "check_locks", "check_rcu",
+                "lint_program_flow",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -6,7 +6,8 @@ The enumeration follows herd's structure:
    initial values — :func:`repro.executions.thread_sem.possible_value_sets`);
 2. enumerate every *trace* of every thread (each trace fixes the values its
    reads return and therefore its control-flow path): the traces the
-   fixpoint ends with (:func:`~repro.executions.thread_sem.traces_at_fixpoint`);
+   fixpoint ends with, factored into the paths of each thread's segments
+   (:func:`~repro.executions.thread_sem.segments_at_fixpoint`);
 3. for each combination of traces, enumerate every *reads-from* assignment
    (each read is mapped to a same-location write of the value it chose,
    including the implicit initialising writes) and every *coherence order*
@@ -37,20 +38,26 @@ co orders kept, on location-local indices, that meet its pins.  With
 the filter these are per rf sub-assignment the orders that keep the
 graph acyclic (*pruned as they are extended*: a cyclic permutation
 prefix skips its whole subtree); without it, every order, once for all
-rf sub-assignments.  The combinations are not formed one by one: for
-each combination of all threads but the last, the last thread's traces
+rf sub-assignments.  A trace's projection is the concatenation of its
+segment paths' projections.  The combinations are not formed one by
+one: for each combination of the other threads' traces and the last
+thread's earlier segments, the paths of the last thread's last segment
 are grouped by their projection onto each location, and one fate lookup
-per group rejects, with bitmask arithmetic over the last thread's trace
-indices, every combination with an unwritable or infeasible location.
-Such a combination builds nothing; one that keeps a candidate is swept
+per group rejects, with bitmask arithmetic over those paths' indices,
+every combination with an unwritable or infeasible location.  Such a
+combination builds nothing, and no trace is joined
+(:func:`~repro.executions.thread_sem.join_paths`) before its
+combination survives.  One that keeps a candidate is swept
 on integer event ids and materialised (:func:`_materialise`: events,
 base relations, ``po-loc`` and the
 :class:`~repro.kernel.skeleton.TraceSkeleton` its candidates share) at
 its first candidate, whose ``rf`` and ``co`` are dense bitset rows.
 The stream is the oracle's, in the same order.
 
-The oracle (``REPRO_ORACLE=1``) is the naive path alone: it
-materialises each combination with the same :func:`_materialise`,
+The oracle (``REPRO_ORACLE=1``) is the naive path alone: it joins
+every thread's traces up front
+(:func:`~repro.executions.thread_sem.traces_at_fixpoint`), materialises
+each combination with the same :func:`_materialise`,
 builds every rf×co candidate, then drops those that violate
 SC PER LOCATION (when asked) or miss a pin.
 """
@@ -72,7 +79,9 @@ from repro.litmus.ast import Program
 from repro.litmus.outcomes import Condition, RegValue
 from repro.relations import Relation
 from repro.executions.candidate import CandidateExecution
-from repro.executions.thread_sem import ThreadTrace, traces_at_fixpoint
+from repro.executions.thread_sem import (
+    Segments, ThreadTrace, join_paths, segments_at_fixpoint, traces_at_fixpoint,
+)
 
 
 def candidate_executions(
@@ -102,10 +111,14 @@ def candidate_executions(
     every candidate and drops those that miss a pin.  Each drop counts
     as ``enumerate.pruned.condition``.
     """
+    oracle = _config.oracle()
     with _obs.span("enumerate.thread_traces"):
-        per_thread = traces_at_fixpoint(program)[1]
+        if oracle:
+            per_thread = traces_at_fixpoint(program)[1]
+        else:
+            segmented = segments_at_fixpoint(program)[1]
         locations = program.locations()
-    if _config.oracle():
+    if oracle:
         for traces in itertools.product(*per_thread):
             if _guard.ACTIVE:
                 _guard._current.tick()  # budget safepoint: one trace combination
@@ -120,19 +133,52 @@ def candidate_executions(
         if not isinstance(atom, RegValue):
             loc_pins.setdefault(atom.loc, []).append(atom.value)
         else:
-            traces = per_thread[atom.tid]
-            kept = [
-                trace
-                for trace in traces
-                if trace.final_regs.get(atom.reg) == atom.value
-            ]
+            segments = segmented[atom.tid]
+            kept = _pin_register(segments, atom.reg, atom.value)
             if _obs.ENABLED:
-                _obs.count("enumerate.pruned.condition", len(traces) - len(kept))
-            per_thread[atom.tid] = kept
+                _obs.count(
+                    "enumerate.pruned.condition", _width(segments) - _width(kept)
+                )
+            segmented[atom.tid] = kept
     memo = _LocationMemo(program, locations, loc_pins, require_sc_per_location)
     yield from _joined_candidates(
-        program, locations, per_thread, require_sc_per_location, memo
+        program, locations, segmented, require_sc_per_location, memo
     )
+
+
+def _width(segments: Segments) -> int:
+    """The number of traces of a thread: the product of its segments'
+    path counts."""
+    width = 1
+    for paths in segments:
+        width *= len(paths)
+    return width
+
+
+def _pin_register(segments: Segments, reg: str, value: object) -> Segments:
+    """The segments of the traces that end with ``reg`` equal to
+    ``value``.  A trace's ``reg`` is that of the last path assigning it,
+    so the segments that may assign it are joined into one, whose paths
+    are then filtered; a trace that never assigns ``reg`` misses the
+    pin."""
+    assigning = [
+        k
+        for k, paths in enumerate(segments)
+        if any(reg in path.final_regs for path in paths)
+    ]
+    if not assigning:
+        return [[]]
+    first, last = assigning[0], assigning[-1]
+    if first < last:
+        joined = [
+            join_paths(paths)
+            for paths in itertools.product(*segments[first : last + 1])
+        ]
+        segments = segments[:first] + [joined] + segments[last + 1 :]
+    kept = [path for path in segments[first] if path.final_regs.get(reg) == value]
+    if not kept:
+        return [[]]
+    return segments[:first] + [kept] + segments[first + 1 :]
 
 
 def count_candidate_executions(program: Program, **kwargs) -> int:
@@ -357,54 +403,24 @@ def _materialise(
     return events, universe, build
 
 
-class _Projection:
-    """One thread trace's projection onto the locations of a call.
-
-    ``pids[g]`` interns the ``(kind, value)`` sequence of the trace's
-    events on ``locations[g]`` (0 when it has none); ``outside`` does the
-    same for locations not in ``locations``, and ``read_outside`` lists
-    those the trace reads.
-    """
-
-    __slots__ = ("trace", "pids", "outside", "read_outside")
-
-    def __init__(self, trace: ThreadTrace, memo: "_LocationMemo") -> None:
-        self.trace = trace  # keeps the trace, and so its id, alive
-        sequences: Dict[str, List[Tuple[str, object]]] = {}
-        read_outside: List[str] = []
-        for proto in trace.events:
-            loc = proto.loc
-            if loc is None:
-                continue
-            sequences.setdefault(loc, []).append((proto.kind, proto.value))
-            if (
-                proto.kind == READ
-                and loc not in memo.group_of
-                and loc not in read_outside
-            ):
-                read_outside.append(loc)
-        self.pids = tuple(
-            memo.intern(tuple(sequences.pop(loc, ()))) for loc in memo.locations
-        )
-        self.outside = {
-            loc: memo.intern(tuple(seq)) for loc, seq in sequences.items()
-        }
-        self.read_outside = tuple(read_outside)
-
-
 class _LocationMemo:
     """The per-location memo of one :func:`candidate_executions`
-    call: each trace's :class:`_Projection` and each location signature's
-    :class:`_LocationFate`, filtered by SC PER LOCATION or not, as the
-    call asks.
+    call: each thread trace's or segment path's projection ids and each
+    location signature's :class:`_LocationFate`, filtered by SC PER
+    LOCATION or not, as the call asks.
+
+    A trace's *projection* onto a location is the ``(kind, value)``
+    sequence of its events there, interned as an id (0 for none).  A
+    trace that joins segment paths projects onto each location as the
+    concatenation of their projections, so its ids come from theirs
+    (:meth:`concat`) without the trace being built.
 
     A location's signature is its init value and pins with each thread's
     projection onto it.  It fixes the location's ``po-loc | rf | co | fr``
     subgraph, rf candidates and co orders up to renumbering, so its fate
     is decided once for every combination that shares it.  Within one
     call a location fixes its init value and pins, so fates are keyed by
-    the location (its index, or its name when it is outside
-    ``locations``) and one projection id per thread.
+    the location's index and one projection id per thread.
     """
 
     def __init__(
@@ -415,13 +431,13 @@ class _LocationMemo:
         sc_per_location: bool,
     ) -> None:
         self.locations = locations
-        self.group_of = {location: g for g, location in enumerate(locations)}
         self._program = program
         self._loc_pins = loc_pins
         self._sc_per_location = sc_per_location
         self._interned: Dict[Tuple[Tuple[str, object], ...], int] = {(): 0}
         self._sequences: List[Tuple[Tuple[str, object], ...]] = [()]
-        self._projections: Dict[int, _Projection] = {}
+        self._concat: Dict[Tuple[int, int], int] = {}
+        self._pids: Dict[int, Tuple[ThreadTrace, Tuple[int, ...]]] = {}
         self._fates: Dict[tuple, _LocationFate] = {}
 
     def intern(self, sequence: Tuple[Tuple[str, object], ...]) -> int:
@@ -431,64 +447,75 @@ class _LocationMemo:
             self._sequences.append(sequence)
         return pid
 
-    def projections(self, traces: Tuple[ThreadTrace, ...]) -> List[_Projection]:
-        cache = self._projections
-        projections = []
-        for trace in traces:
-            projection = cache.get(id(trace))
-            if projection is None:
-                projection = cache[id(trace)] = _Projection(trace, self)
-            projections.append(projection)
-        return projections
+    def concat(self, first: int, second: int) -> int:
+        """The id of projection ``first`` followed by ``second``."""
+        if not second:
+            return first
+        if not first:
+            return second
+        pid = self._concat.get((first, second))
+        if pid is None:
+            pid = self._concat[first, second] = self.intern(
+                self._sequences[first] + self._sequences[second]
+            )
+        return pid
 
-    def fates(self, projections: List[_Projection]) -> List["_LocationFate"]:
-        """One combination's fates: one per location of ``locations``,
-        then one per location outside it that the combination reads."""
-        keys = list(
-            zip(range(len(self.locations)), *(p.pids for p in projections))
-        )
-        for p in projections:
-            for loc in p.read_outside:
-                key = (loc,) + tuple(q.outside.get(loc, 0) for q in projections)
-                if key not in keys:
-                    keys.append(key)
-        return [self.fate(key) for key in keys]
+    def pids(self, trace: ThreadTrace) -> Tuple[int, ...]:
+        """The projection id of ``trace`` (a trace or a segment path) on
+        each location, in ``locations`` order."""
+        cached = self._pids.get(id(trace))
+        if cached is None:
+            sequences: Dict[str, List[Tuple[str, object]]] = {}
+            for proto in trace.events:
+                if proto.loc is not None:
+                    sequences.setdefault(proto.loc, []).append(
+                        (proto.kind, proto.value)
+                    )
+            pids = tuple(
+                self.intern(tuple(sequences.get(loc, ()))) for loc in self.locations
+            )
+            # The entry keeps the trace, and so its id, alive.
+            cached = self._pids[id(trace)] = (trace, pids)
+        return cached[1]
+
+    def joined(self, trace: ThreadTrace, pids: Tuple[int, ...]) -> ThreadTrace:
+        """Record ``pids`` as the projection ids of ``trace``, a join of
+        segment paths whose ids they concatenate; returns ``trace``."""
+        self._pids[id(trace)] = (trace, pids)
+        return trace
+
+    def fates(self, traces: Tuple[ThreadTrace, ...]) -> List["_LocationFate"]:
+        """One combination's fates, one per location."""
+        return [
+            self.fate(key)
+            for key in zip(
+                range(len(self.locations)), *(self.pids(t) for t in traces)
+            )
+        ]
 
     def fate(self, key: tuple) -> "_LocationFate":
-        """The fate of signature ``key``: a location (its index, or its
-        name when outside ``locations``), then one projection id per
-        thread."""
+        """The fate of signature ``key``: a location's index, then one
+        projection id per thread."""
         fate = self._fates.get(key)
         if fate is None:
-            fate = self._fates[key] = self._decide(key)
+            location = self.locations[key[0]]
+            fate = self._fates[key] = _LocationFate(
+                self._program.initial_value(location),
+                self._loc_pins.get(location),
+                [self._sequences[pid] for pid in key[1:]],
+                self._sc_per_location,
+            )
             if _obs.ENABLED:
                 _obs.count("enumerate.location_fates")
         return fate
-
-    def _decide(self, key: tuple) -> "_LocationFate":
-        head, pids = key[0], key[1:]
-        sequences = [self._sequences[pid] for pid in pids]
-        if not isinstance(head, int):
-            return _LocationFate(_NO_INIT, None, sequences, self._sc_per_location)
-        location = self.locations[head]
-        return _LocationFate(
-            self._program.initial_value(location),
-            self._loc_pins.get(location),
-            sequences,
-            self._sc_per_location,
-        )
-
-
-#: The init of a location outside ``locations``: it has no init write.
-_NO_INIT = object()
 
 
 class _LocationFate:
     """What one location signature decides, on location-local indices.
 
-    Local event 0 is the init write (when there is one), then each
-    thread's events on the location in program order, thread by thread:
-    the order of their eids in any combination.  ``rf_candidates[j]``
+    Local event 0 is the init write, then each thread's events on the
+    location in program order, thread by thread: the order of their eids
+    in any combination.  ``rf_candidates[j]``
     lists the writes local read ``j`` may read from; an empty list makes
     the location *unwritable*.  An rf sub-assignment is keyed as a
     mixed-radix int of its candidate indices, first read most
@@ -501,7 +528,7 @@ class _LocationFate:
 
     __slots__ = (
         "reads", "rf_candidates", "unwritable", "sc_per_location", "_feasible",
-        "_rows", "_init", "_writes", "_values", "_pins", "_orders",
+        "_rows", "_writes", "_values", "_pins", "_orders",
     )
 
     def __init__(
@@ -511,13 +538,9 @@ class _LocationFate:
         sequences: List[Tuple[Tuple[str, object], ...]],
         sc_per_location: bool,
     ) -> None:
-        kinds: List[str] = []
-        values: List[object] = []
-        rows: List[int] = []  # po-loc, as bitset rows
-        if init is not _NO_INIT:
-            kinds.append(WRITE)
-            values.append(init)
-            rows.append(0)
+        kinds: List[str] = [WRITE]
+        values: List[object] = [init]
+        rows: List[int] = [0]  # po-loc, as bitset rows
         for sequence in sequences:
             end = len(kinds) + len(sequence)
             for kind, value in sequence:
@@ -534,10 +557,7 @@ class _LocationFate:
         self._rows = rows
         self._values = values
         self._pins = pins
-        # A location without an init write gets one empty coherence order,
-        # as in the naive path.
-        self._init: Optional[int] = None if init is _NO_INIT else 0
-        self._writes = [] if init is _NO_INIT else writes[1:]
+        self._writes = writes[1:]
         self._orders: Dict[int, List[Tuple[int, ...]]] = {}
         self.unwritable = not all(self.rf_candidates)
         self._feasible: Optional[bool] = None
@@ -572,8 +592,7 @@ class _LocationFate:
         if orders is not None:
             return orders
         if not self.sc_per_location:
-            head = () if self._init is None else (self._init,)
-            orders = [head + perm for perm in itertools.permutations(self._writes)]
+            orders = [(0,) + perm for perm in itertools.permutations(self._writes)]
         else:
             rows = list(self._rows)
             readers_of = [0] * len(rows)  # write -> bitmask of its readers
@@ -589,9 +608,7 @@ class _LocationFate:
                     _obs.count("enumerate.pruned.rf_cycle")
                 orders = []
             else:
-                orders = _coherence_orders(
-                    rows, readers_of, self._init, self._writes
-                )
+                orders = _coherence_orders(rows, readers_of, self._writes)
         pinned = self._pins
         if pinned is not None:
             kept = [
@@ -624,8 +641,7 @@ def _pruned_candidates(
     here, counted as ``enumerate.pruned.unwritable_trace`` or
     ``enumerate.pruned.no_survivor``, and never reaches :func:`_sweep`.
     """
-    projections = memo.projections(traces)
-    fates = memo.fates(projections)
+    fates = memo.fates(traces)
     if any(fate.unwritable for fate in fates):
         if _obs.ENABLED:
             _obs.count("enumerate.pruned.unwritable_trace")
@@ -634,97 +650,64 @@ def _pruned_candidates(
         if _obs.ENABLED:
             _obs.count("enumerate.pruned.no_survivor")
         return
-    yield from _sweep(program, locations, traces, projections, fates)
+    yield from _sweep(program, locations, traces, fates)
 
 
 def _joined_candidates(
     program: Program,
     locations: List[str],
-    per_thread: List[List[ThreadTrace]],
+    per_thread: List[Segments],
     require_sc_per_location: bool,
     memo: _LocationMemo,
 ) -> Iterator[CandidateExecution]:
     """Every combination's candidates, deciding each combination's fate
-    per distinct projection of the innermost (last) thread.
+    per distinct projection of the innermost segment: the last segment
+    of the last thread.
 
-    The walk runs over the product of all threads but the last.  Under
-    one such *prefix* a location's signature varies only with the last
-    thread's projection onto it, so the last thread's traces are grouped
-    by projection id per location (bitmasks over their indices, built
-    once per call) and each group looks up one fate.  The fates are
+    Each thread's traces are the joins of its segment paths
+    (:func:`~repro.executions.thread_sem.enumerate_thread_segments`), in
+    ``itertools.product`` order.  The walk runs over the product of all
+    threads but the last and of the last thread's earlier segments.
+    Under one such *prefix* a location's signature varies only with the
+    innermost segment's projection onto it (joined after a fixed
+    projection, distinct ids stay distinct), so that segment's paths are
+    grouped by projection id per location (bitmasks over their indices,
+    built once per call) and each group looks up one fate.  The fates are
     applied as :func:`_pruned_candidates` applies them to one
     combination: every unwritable group is masked out first, then,
     location by location, each group still alive asks
-    :meth:`_LocationFate.feasible`.  So the fates decided, the feasibility
-    tests run and every ``enumerate.*`` counter are those of the
-    combination-by-combination walk.  A location outside ``locations``
-    gets a fate for a group when the prefix or the group reads it; one
-    that only the last thread reads is decided, like
-    :meth:`_LocationMemo.fates` does, in the order of that trace's reads,
-    so those traces are taken per distinct order.  The surviving
-    combinations go through :func:`_executions_of_traces` in ascending
-    index order, which is ``itertools.product`` order.
+    :meth:`_LocationFate.feasible`.  So the fates decided, the
+    feasibility tests run and every ``enumerate.*`` counter are those of
+    the combination-by-combination walk.  Only the traces of surviving
+    combinations are joined; they go through :func:`_executions_of_traces`
+    in ascending index order, which is ``itertools.product`` order.
     """
     *head, last = per_thread
-    if not last:
+    *outer, inner = last
+    width = len(inner)
+    if not width:
         return
-    width = len(last)
     full = (1 << width) - 1
-    last_projections = memo.projections(tuple(last))
     columns = [
-        _groups(p.pids[g] for p in last_projections) for g in range(len(locations))
+        _groups(memo.pids(path)[g] for path in inner) for g in range(len(locations))
     ]
-    # Outside ``locations``: the groups of each location, built on first
-    # use, and the traces per distinct order of their reads there.
-    outside_columns: Dict[str, List[Tuple[int, int]]] = {}
-    read_orders = [
-        (order, mask)
-        for order, mask in _groups(p.read_outside for p in last_projections)
-        if order
-    ]
-
-    def outside_column(loc: str) -> List[Tuple[int, int]]:
-        groups = outside_columns.get(loc)
-        if groups is None:
-            groups = outside_columns[loc] = _groups(
-                p.outside.get(loc, 0) for p in last_projections
-            )
-        return groups
-
-    for prefix in itertools.product(*head):
+    joined_last: Dict[tuple, ThreadTrace] = {}
+    for *prefix, before in _product(
+        [_Traces(segments, memo) for segments in head] + [_Traces(outer, memo)]
+    ):
         if _guard.ACTIVE:
             _guard._current.tick(width)  # budget safepoint: one per combination
         if _obs.ENABLED:
             _obs.count("enumerate.trace_combos", width)
-        projections = memo.projections(prefix)
         # (fate, traces) pairs, one list per location, in the order a
         # combination's fates are tested.
         steps: List[List[Tuple[_LocationFate, int]]] = []
         for g, groups in enumerate(columns):
-            key = (g,) + tuple(p.pids[g] for p in projections)
+            key = (g,) + tuple(trace.pids[g] for trace in prefix)
+            first = before.pids[g]
+            if first:
+                groups = [(memo.concat(first, pid), mask) for pid, mask in groups]
             steps.append([(memo.fate(key + (pid,)), mask) for pid, mask in groups])
-        shared: List[str] = []
-        for p in projections:
-            for loc in p.read_outside:
-                if loc not in shared:
-                    shared.append(loc)
-        for loc in shared:
-            key = (loc,) + tuple(p.outside.get(loc, 0) for p in projections)
-            steps.append(
-                [(memo.fate(key + (pid,)), mask) for pid, mask in outside_column(loc)]
-            )
-        for order, traces in read_orders:
-            for loc in order:
-                if loc in shared:
-                    continue
-                key = (loc,) + tuple(p.outside.get(loc, 0) for p in projections)
-                steps.append(
-                    [
-                        (memo.fate(key + (pid,)), mask & traces)
-                        for pid, mask in outside_column(loc)
-                        if mask & traces
-                    ]
-                )
 
         alive = full
         for step in steps:
@@ -743,10 +726,81 @@ def _joined_candidates(
                 )
             if alive != writable:
                 _obs.count("enumerate.pruned.no_survivor", _popcount(writable & ~alive))
+        if not alive:
+            continue
+        traces = tuple(trace.joined(memo) for trace in prefix)
         for i in _bits(alive):
+            paths = before.paths + (inner[i],)
+            key = tuple(map(id, paths))  # the paths live as long as the call
+            trace = joined_last.get(key)
+            if trace is None:
+                pids = tuple(map(memo.concat, before.pids, memo.pids(inner[i])))
+                trace = joined_last[key] = _Trace(paths, pids).joined(memo)
             yield from _executions_of_traces(
-                program, locations, prefix + (last[i],), require_sc_per_location, memo
+                program, locations, traces + (trace,), require_sc_per_location, memo
             )
+
+
+class _Trace:
+    """A thread trace as its segment paths, with its projection ids; the
+    paths are joined on first use, with the ids recorded in the memo."""
+
+    __slots__ = ("paths", "pids", "_joined")
+
+    def __init__(self, paths: Tuple[ThreadTrace, ...], pids: Tuple[int, ...]) -> None:
+        self.paths = paths
+        self.pids = pids
+        self._joined: Optional[ThreadTrace] = None
+
+    def joined(self, memo: _LocationMemo) -> ThreadTrace:
+        if self._joined is None:
+            if len(self.paths) == 1:
+                self._joined = self.paths[0]
+            else:
+                self._joined = memo.joined(join_paths(self.paths), self.pids)
+        return self._joined
+
+
+class _Traces:
+    """A thread's traces, in ``itertools.product`` order of its segments'
+    paths.  One segment's are listed once.  More segments' are made on
+    each pass, one at a time, each path prefix's projection ids joined
+    once for all its extensions: a thread of a million traces lists none
+    of them, and the walk's budget tick comes between any two.  No
+    segment has one empty trace."""
+
+    def __init__(self, segments: Segments, memo: _LocationMemo) -> None:
+        self._segments = segments
+        self._memo = memo
+        self._listed: Optional[List[_Trace]] = None
+        if len(segments) == 1:
+            self._listed = [_Trace((path,), memo.pids(path)) for path in segments[0]]
+
+    def __iter__(self) -> Iterator[_Trace]:
+        if self._listed is not None:
+            return iter(self._listed)
+        return self._extend((), tuple(0 for _ in self._memo.locations))
+
+    def _extend(self, paths: Tuple[ThreadTrace, ...], pids: Tuple[int, ...]) -> Iterator[_Trace]:
+        if len(paths) == len(self._segments):
+            yield _Trace(paths, pids)
+            return
+        memo = self._memo
+        for path in self._segments[len(paths)]:
+            yield from self._extend(
+                paths + (path,), tuple(map(memo.concat, pids, memo.pids(path)))
+            )
+
+
+def _product(threads: List[_Traces]) -> Iterator[Tuple[_Trace, ...]]:
+    """``itertools.product(*threads)``, which would list each first."""
+    if not threads:
+        yield ()
+        return
+    *earlier, last = threads
+    for prefix in _product(earlier):
+        for trace in last:
+            yield prefix + (trace,)
 
 
 def _groups(ids: Iterable[Hashable]) -> List[Tuple[Hashable, int]]:
@@ -776,7 +830,6 @@ def _sweep(
     program: Program,
     locations: List[str],
     traces: Tuple[ThreadTrace, ...],
-    projections: List[_Projection],
     fates: List[_LocationFate],
 ) -> Iterator[CandidateExecution]:
     """The candidates of one combination that keeps at least one, over
@@ -798,15 +851,9 @@ def _sweep(
     The combination is materialised at its first candidate, and each
     candidate's ``rf`` and ``co`` are built straight into dense rows.
     """
-    # Per location of ``fates`` (in the same order), its eids in local
-    # order.
+    # Per location, its eids in local order: the init write first.
     group_of = {location: g for g, location in enumerate(locations)}
-    for projection in projections:
-        for loc in projection.read_outside:
-            group_of.setdefault(loc, len(group_of))
-    eids_of: List[List[int]] = [
-        [g] if g < len(locations) else [] for g in range(len(fates))
-    ]
+    eids_of: List[List[int]] = [[g] for g in range(len(locations))]
     n = len(locations)
     for trace in traces:
         for proto in trace.events:
@@ -904,25 +951,18 @@ def _sweep(
 
 
 def _coherence_orders(
-    rows: List[int],
-    readers_of: List[int],
-    init: Optional[int],
-    writes: List[int],
+    rows: List[int], readers_of: List[int], writes: List[int]
 ) -> List[Tuple[int, ...]]:
-    """The co orders of one location (``init`` first, then each
-    permutation of ``writes`` in ``itertools.permutations`` order) that
-    keep its ``po-loc | rf | co | fr`` graph acyclic.
+    """The co orders of one location (its init write, local 0, first,
+    then each permutation of ``writes`` in ``itertools.permutations``
+    order) that keep its ``po-loc | rf | co | fr`` graph acyclic.
 
-    Writes are eids.  ``rows`` holds the location's acyclic
-    ``po-loc | rf`` graph as adjacency bitset rows; ``readers_of`` maps a
-    write to the bitmask of its readers.
+    ``rows`` holds the location's acyclic ``po-loc | rf`` graph as
+    adjacency bitset rows; ``readers_of`` maps a write to the bitmask of
+    its readers.
     """
     orders: List[Tuple[int, ...]] = []
-    if init is None:
-        _extend_order(orders, rows, readers_of, (), 0, writes)
-    else:
-        sources = (1 << init) | readers_of[init]
-        _extend_order(orders, rows, readers_of, (init,), sources, writes)
+    _extend_order(orders, rows, readers_of, (0,), 1 | readers_of[0], writes)
     return orders
 
 

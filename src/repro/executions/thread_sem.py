@@ -17,10 +17,20 @@ Dependencies are computed by taint tracking, as herd does:
 * after a conditional whose condition is tainted by a read, *every*
   subsequent event of the thread carries a **control dependency** from that
   read (herd's treatment: ``ctrl`` extends past the join point).
+
+A body whose later part reads no register its earlier part writes is
+cut there into *segments* (:func:`thread_segments`), each walked once
+(:func:`enumerate_thread_segments`): the thread's traces are the joins
+(:func:`join_paths`) of one path per segment, in ``itertools.product``
+order, which is the order of the whole-body walk.  The inlined urcu
+updater's two wait phases are two segments, so the value-set fixpoint
+(:func:`segments_at_fixpoint`) walks ``2 × n`` paths instead of ``n²``
+traces.  :func:`traces_at_fixpoint` joins them all.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -44,6 +54,8 @@ from repro.litmus.ast import (
     Store,
     Thread,
     UnOp,
+    preorder,
+    register_written,
 )
 
 
@@ -83,17 +95,21 @@ class ProtoEvent:
 
 @dataclass(frozen=True)
 class ThreadTrace:
-    """One possible trace of a thread.
+    """One possible trace of a thread, or one path of a segment of it
+    (:func:`enumerate_thread_segments`).
 
     Attributes:
         events: The events, in program order.
         rmw_pairs: Pairs of indices ``(read, write)`` forming RMWs.
         final_regs: Register values at the end of the trace.
+        ctrl: The reads every event after the trace's end would depend
+            on by control: the taints of every condition it branched on.
     """
 
     events: Tuple[ProtoEvent, ...]
     rmw_pairs: Tuple[Tuple[int, int], ...]
     final_regs: Dict[str, Value] = field(default_factory=dict, hash=False, compare=False)
+    ctrl: FrozenSet[int] = field(default=frozenset(), hash=False, compare=False)
 
 
 ValueSets = Dict[str, Set[Value]]
@@ -109,7 +125,8 @@ def enumerate_thread_traces(
     queried: Optional[Set[str]] = None,
     written: Optional[Set[Tuple[str, Value]]] = None,
 ) -> List[ThreadTrace]:
-    """All traces of ``thread``, branching reads over ``value_sets``.
+    """All traces of ``thread``, branching reads over ``value_sets``, by
+    one walk of its whole body.
 
     Every location a read looks up in ``value_sets`` is added to
     ``queried`` (when given), even one whose every branch an ``assume``
@@ -117,16 +134,145 @@ def enumerate_thread_traces(
     The ``(location, value)`` pair of every write of a returned trace is
     added to ``written`` (when given).
     """
-    traces: List[ThreadTrace] = []
-    todo: Todo = None
-    for ins in reversed(thread.body):
-        todo = (ins, todo)
-    _run(
-        todo, {}, [], [], frozenset(), value_sets,
+    return _paths(
+        thread.body, value_sets,
         set() if queried is None else queried,
-        set() if written is None else written, traces,
+        set() if written is None else written,
     )
-    return traces
+
+
+#: A thread's traces, factored: one list of paths per segment.  The
+#: traces are :func:`join_paths` of each ``itertools.product`` of them.
+Segments = List[List[ThreadTrace]]
+
+
+def enumerate_thread_segments(
+    thread: Thread,
+    value_sets: ValueSets,
+    queried: Optional[Set[str]] = None,
+    written: Optional[Set[Tuple[str, Value]]] = None,
+) -> Segments:
+    """The paths of each segment of ``thread`` (:func:`thread_segments`):
+    its traces, factored.
+
+    A segment reads no register an earlier one writes, so its paths do
+    not depend on which path ran before it, and the whole-body walk
+    (:func:`enumerate_thread_traces`) runs them, in the same order, after
+    every path of the segments before: the traces are the
+    :func:`join_paths` of ``itertools.product(*segments)``, in that
+    order.  A segment without a path leaves the thread without a trace,
+    ``[[]]``: the whole-body walk then never reaches the later segments,
+    so their locations are not queried, and records no write.
+    ``queried`` and ``written`` are otherwise the unions over segments.
+    """
+    queried = set() if queried is None else queried
+    found: Set[Tuple[str, Value]] = set()
+    segments: Segments = []
+    for body in thread_segments(thread.body):
+        paths = _paths(body, value_sets, queried, found)
+        if not paths:
+            return [[]]
+        segments.append(paths)
+    if written is not None:
+        written.update(found)
+    return segments
+
+
+def thread_segments(body: Sequence[Instruction]) -> List[Tuple[Instruction, ...]]:
+    """``body`` cut at each top-level join point (just after an ``If``)
+    where no register live after the cut is written before it, and both
+    the segment the cut closes and the rest of the body read memory.
+
+    A segment then starts from no register value an earlier one made
+    (an unwritten register reads as 0 with no taint, in the segment and
+    in the whole body alike), so its paths are the same after every path
+    of the earlier segments.  A cut between reads only pays: a segment
+    without a read has one path.  Straight-line bodies, and those whose
+    every ``If`` has no read on one side, are one segment.
+    """
+    if not any(isinstance(ins, If) for ins in body[:-1]):
+        return [tuple(body)]
+    reads = [
+        any(isinstance(i, (Load, Rmw, CmpXchg)) for i in preorder((ins,)))
+        for ins in body
+    ]
+    joins = [
+        cut
+        for cut in range(1, len(body))
+        if isinstance(body[cut - 1], If) and any(reads[cut:])
+    ]
+    if not joins or not any(reads[: joins[-1]]):
+        return [tuple(body)]
+    from repro.analysis.flow.analyses import Liveness, live_registers
+
+    states = live_registers(body)
+    segments: List[Tuple[Instruction, ...]] = []
+    start = at = 0  # ``at``: the preorder index of ``body[cut]``
+    written: Set[Optional[str]] = set()
+    for cut, ins in enumerate(body, 1):
+        for nested in preorder((ins,)):
+            written.add(register_written(nested))
+            at += 1
+        if cut in joins and any(reads[start:cut]):
+            live = Liveness().transfer(body[cut], states[at][1])
+            if not live & written:
+                segments.append(tuple(body[start:cut]))
+                start = cut
+    segments.append(tuple(body[start:]))
+    return segments
+
+
+def join_paths(paths: Sequence[ThreadTrace]) -> ThreadTrace:
+    """The trace that runs ``paths``, one path per segment, in order.
+
+    A later path's event indices, dependency indices and RMW pairs move
+    past the events before it, and its events also depend by control on
+    every read an earlier path branched on (``ctrl`` extends past a join
+    point).  Its registers update the earlier ones: a register both
+    assign ends with the later value, and keeps its earlier place in
+    ``final_regs``, as in the whole-body walk.
+    """
+    first = paths[0]
+    if len(paths) == 1:
+        return first
+    events = list(first.events)
+    rmw_pairs = list(first.rmw_pairs)
+    final_regs = dict(first.final_regs)
+    ctrl = first.ctrl
+    for path in paths[1:]:
+        shift = len(events)
+        for e in path.events:
+            events.append(
+                ProtoEvent(
+                    e.kind, e.tag, e.loc, e.value,
+                    _shifted(e.addr_deps, shift),
+                    _shifted(e.data_deps, shift),
+                    ctrl | _shifted(e.ctrl_deps, shift),
+                )
+            )
+        rmw_pairs.extend((r + shift, w + shift) for r, w in path.rmw_pairs)
+        final_regs.update(path.final_regs)
+        ctrl = ctrl | _shifted(path.ctrl, shift)
+    return ThreadTrace(tuple(events), tuple(rmw_pairs), final_regs, ctrl)
+
+
+def _shifted(indices: FrozenSet[int], shift: int) -> FrozenSet[int]:
+    return frozenset(i + shift for i in indices) if indices else indices
+
+
+def _paths(
+    body: Sequence[Instruction],
+    value_sets: ValueSets,
+    queried: Set[str],
+    written: Set[Tuple[str, Value]],
+) -> List[ThreadTrace]:
+    """Every path of ``body`` run from no register and no event."""
+    paths: List[ThreadTrace] = []
+    todo: Todo = None
+    for ins in reversed(body):
+        todo = (ins, todo)
+    _run(todo, {}, [], [], frozenset(), value_sets, queried, written, paths)
+    return paths
 
 
 def _run(
@@ -308,6 +454,7 @@ def _run(
                 tuple(events),
                 tuple(rmw_pairs),
                 {name: value for name, (value, _) in regs.items()},
+                ctrl,
             )
         )
     if stores and len(out) > start:
@@ -357,25 +504,39 @@ def possible_value_sets(program: Program, max_rounds: Optional[int] = None) -> V
     read-to-write value chains by one); ``max_rounds`` guards against
     pathological programs.
     """
-    return traces_at_fixpoint(program, max_rounds)[0]
+    return segments_at_fixpoint(program, max_rounds)[0]
 
 
 def traces_at_fixpoint(
     program: Program, max_rounds: Optional[int] = None
 ) -> Tuple[ValueSets, List[List[ThreadTrace]]]:
-    """:func:`possible_value_sets` and every thread's traces under them.
+    """:func:`possible_value_sets` and every thread's traces under them:
+    :func:`segments_at_fixpoint` with each thread's segment paths
+    joined, in ``itertools.product`` order."""
+    values, per_thread = segments_at_fixpoint(program, max_rounds)
+    return values, [
+        [join_paths(paths) for paths in itertools.product(*segments)]
+        for segments in per_thread
+    ]
 
-    The iteration is incremental.  A thread's traces depend on the value
-    sets only at the locations its reads queried (see
-    :func:`enumerate_thread_traces`), so a thread is enumerated again
-    only when one of those gained a value since its last enumeration.
-    Each round enumerates, in thread order, the threads that are stale
-    when reached, adding their writes' values as it goes; the round that
-    finds none stale ends the iteration.  Every thread's traces are then
-    those a fresh enumeration under the final sets returns, in the same
-    order.  The value sets grow as in a round that enumerates every
-    thread, so they are the same after each round.  When ``max_rounds``
-    runs out first, the stale threads are enumerated once more.
+
+def segments_at_fixpoint(
+    program: Program, max_rounds: Optional[int] = None
+) -> Tuple[ValueSets, List[Segments]]:
+    """:func:`possible_value_sets` and every thread's segment paths
+    under them (:func:`enumerate_thread_segments`).
+
+    The iteration is incremental.  A thread's paths depend on the value
+    sets only at the locations its reads queried, so a thread is
+    enumerated again only when one of those gained a value since its
+    last enumeration.  Each round enumerates, in thread order, the
+    threads that are stale when reached, adding their writes' values as
+    it goes; the round that finds none stale ends the iteration.  Every
+    thread's paths are then those a fresh enumeration under the final
+    sets returns, in the same order.  The value sets grow as in a round
+    that enumerates every thread, so they are the same after each round.
+    When ``max_rounds`` runs out first, the stale threads are enumerated
+    once more.
     """
     threads = program.threads
     if max_rounds is None:
@@ -385,7 +546,7 @@ def traces_at_fixpoint(
         location: {program.initial_value(location)}
         for location in program.locations()
     }
-    per_thread: List[List[ThreadTrace]] = [[] for _ in threads]
+    per_thread: List[Segments] = [[[]] for _ in threads]
     queried: List[Set[str]] = [set() for _ in threads]
     stale = [True] * len(threads)
     for _ in range(max_rounds):
@@ -397,7 +558,7 @@ def traces_at_fixpoint(
             stale[tid] = False
             queried[tid] = set()
             written: Set[Tuple[str, Value]] = set()
-            per_thread[tid] = enumerate_thread_traces(
+            per_thread[tid] = enumerate_thread_segments(
                 thread, values, queried[tid], written
             )
             for loc, value in written:
@@ -409,7 +570,7 @@ def traces_at_fixpoint(
                             stale[other] = True
     for tid, thread in enumerate(threads):
         if stale[tid]:
-            per_thread[tid] = enumerate_thread_traces(thread, values)
+            per_thread[tid] = enumerate_thread_segments(thread, values)
     return values, per_thread
 
 

@@ -454,9 +454,12 @@ class Program:
         return len(self.threads)
 
     def locations(self) -> List[str]:
-        """All shared locations: those in ``init`` plus any statically named
-        in the program text, sorted for determinism."""
+        """All shared locations: those in ``init``, those an ``init`` value
+        points to, and any statically named in the program text, sorted
+        for determinism.  Every pointer a run can hold comes from one of
+        these, so every location a run accesses is among them."""
         locs = set(self.init)
+        locs.update(_init_pointees(self.init))
         for th in self.threads:
             for ins in preorder(th.body):
                 for expr in _instruction_exprs(ins):
@@ -475,8 +478,8 @@ def condition_errors(program: Program) -> List[Tuple[str, str]]:
     that ``program``'s condition names and the program lacks: the one
     validity rule, which the linter reports (LIT002–LIT004) and the
     verdict path enforces (:func:`check_condition`).  Locations come
-    last.  A location is known when ``init`` has it or a literal ``&loc``
-    accesses it, and every location is when a store's address is
+    last.  A location is known when ``init`` has it or points to it, or a
+    literal ``&loc`` accesses it, and every location is when a store's address is
     computed.  herd7 reads a location named only in the condition as 0;
     here it is an error, like an unknown register, because its value is
     the same in every execution and it is almost always a misspelling.
@@ -502,6 +505,7 @@ def condition_errors(program: Program) -> List[Tuple[str, str]]:
     if not named:
         return errors
     known = set(program.init)
+    known.update(_init_pointees(program.init))
     for thread in threads:
         for ins in preorder(thread.body):
             for is_write, addr, _ in accesses(ins):
@@ -526,6 +530,11 @@ def check_condition(program: Program) -> None:
     errors = condition_errors(program)
     if errors:
         raise LitmusError(f"{program.name}: " + "; ".join(map(": ".join, errors)))
+
+
+def _init_pointees(init: Dict[str, Value]) -> Iterator[str]:
+    """The locations the ``&loc`` values of ``init`` name."""
+    return (value.loc for value in init.values() if isinstance(value, Pointer))
 
 
 def _instruction_exprs(ins: Instruction) -> List[Expr]:

@@ -165,3 +165,33 @@ def test_the_rule_is_the_linters_rule():
         run_litmus(LinuxKernelModel(), program)
     for _, message in errors:
         assert message in str(raised.value)
+
+
+#: ``y`` is named only as the pointer value ``p`` starts with.
+POINTER_INIT_ONLY = """C ptr-init-only
+{ p = &y; }
+P0(int **p)
+{
+  int *r1;
+  int r2;
+  r1 = READ_ONCE(*p);
+  r2 = READ_ONCE(*r1);
+}
+exists (%s)
+"""
+
+
+@pytest.mark.parametrize("model", ["lkmm", "sc"])
+def test_a_location_only_init_points_to_starts_at_zero(model, oracle):
+    # y is one of the program's locations, with an init write of 0 as in
+    # herd7, so the read through p has a source.  Without it the test
+    # had 0 candidates and was judged Forbid.
+    program = parse_litmus(POINTER_INIT_ONLY % "0:r2=0")
+    assert program.locations() == ["p", "y"]
+    result = run_litmus(load_model(model), program)
+    assert (result.verdict, result.candidates) == ("Allow", 1)
+    # The condition may name y: LIT004 knows it, and y stays 0.
+    named = parse_litmus(POINTER_INIT_ONLY % "y=0")
+    assert condition_errors(named) == []
+    assert not [f for f in lint_program(named) if f.is_error]
+    assert run_litmus(load_model(model), named).verdict == "Allow"

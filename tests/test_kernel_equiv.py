@@ -231,8 +231,8 @@ EQUIV_TESTS = [
 ]
 
 
-#: A read of a location that only a pointer names: it gets no initial
-#: write and no coherence order.
+#: A read of a location that only a pointer in ``init`` names: it still
+#: gets an initial write of 0 and a coherence order.
 POINTER_ONLY_LOCATION = """C pointer-only-location
 { p = &y; }
 P0(int **p)

@@ -5,10 +5,12 @@ import pytest
 from repro.events import FENCE, Pointer, READ, WRITE
 from repro.litmus import dsl
 from repro.litmus.ast import Assume, BinOp, Const, Reg, Thread, UnOp
+from repro.executions import thread_sem
 from repro.executions.thread_sem import (
     SemanticsError,
     enumerate_thread_traces,
     possible_value_sets,
+    thread_segments,
     traces_at_fixpoint,
 )
 from repro.guard import Budget, guard
@@ -298,8 +300,6 @@ class TestTracesAtFixpoint:
     def test_threads_are_enumerated_again_only_when_a_queried_location_grows(
         self, name, monkeypatch
     ):
-        from repro.executions import thread_sem
-
         if name == "RCU-MP@2":
             # Both threads are enumerated twice; a final round that only
             # confirms the sets would enumerate both a third time.
@@ -320,13 +320,13 @@ class TestTracesAtFixpoint:
             )
             expected = [0, 1, 0]
         enumerated = []
-        original = thread_sem.enumerate_thread_traces
+        original = thread_sem.enumerate_thread_segments
 
         def counting(thread, *args, **kwargs):
             enumerated.append(program.threads.index(thread))
             return original(thread, *args, **kwargs)
 
-        monkeypatch.setattr(thread_sem, "enumerate_thread_traces", counting)
+        monkeypatch.setattr(thread_sem, "enumerate_thread_segments", counting)
         values, per_thread = traces_at_fixpoint(program)
         assert enumerated == expected
         monkeypatch.undo()
@@ -351,3 +351,171 @@ class TestBudget:
                 traces_at_fixpoint(program)
         assert stopped.value.interruption.reason == "states"
         assert stopped.value.interruption.candidates == 0
+
+
+def _segmented(*body):
+    """The segment cases' program: ``body``, a writer of every location
+    it reads, and ``body`` again (threads have their own registers)."""
+    return dsl.program(
+        "segments",
+        dsl.thread(*body),
+        dsl.thread(
+            dsl.write_once("x", 1),
+            dsl.write_once("y", 1),
+            dsl.write_once("w", 1),
+        ),
+        dsl.thread(*body),
+        init={"p": dsl.ptr("v")},
+        condition=dsl.exists_regs((0, "r1", 1), (2, "r1", 1)),
+    )
+
+
+def segment_case(name):
+    """A program whose first and last threads run the named shape: the
+    cut each tests, with the segment count :func:`thread_segments` must
+    give it."""
+    r = dsl.reg
+    mark = dsl.if_then(dsl.eq("r0", 1), [dsl.write_once("z", 1)])
+    if name == "live-register":
+        # r0 is read after the join and written before it: no cut.
+        body = [
+            dsl.read_once("r0", "x"), mark,
+            dsl.read_once("r1", "y"), dsl.write_once("v", r("r0")),
+        ]
+        return _segmented(*body), 1
+    if name == "ctrl-across":
+        # Two cuts; the last segment's events depend by control on x and
+        # y, and by data and address on its own reads.
+        body = [
+            dsl.read_once("r0", "x"), mark,
+            dsl.read_once("r1", "y"),
+            dsl.if_then(dsl.eq("r1", 1), [dsl.write_once("v", 1)]),
+            dsl.read_once("r2", "w"), dsl.read_once("r4", "p"),
+            dsl.write_once(r("r4"), 2), dsl.write_once("u", r("r2")),
+        ]
+        return _segmented(*body), 3
+    if name == "rmw-later":
+        body = [
+            dsl.read_once("r0", "x"), mark,
+            dsl.xchg("r1", "y", 2),
+            dsl.cmpxchg("r2", "w", 1, dsl.add("r1", 1)),
+        ]
+        return _segmented(*body), 2
+    if name == "assume-later":
+        # The later segment keeps only y = 1; with ``empty`` no path.
+        body = [
+            dsl.read_once("r0", "x"), mark,
+            dsl.read_once("r1", "y"), Assume(dsl.eq("r1", 1)),
+        ]
+        return _segmented(*body), 2
+    if name == "assume-empty":
+        body = [
+            dsl.read_once("r0", "x"), mark,
+            dsl.read_once("r1", "y"), Assume(dsl.eq("r1", 7)),
+            dsl.write_once("v", 1),
+        ]
+        return _segmented(*body), 2
+    if name == "overwrite":
+        # r0 is written again before the later segment reads it: a cut,
+        # and r0 ends with the later value in its earlier place.
+        body = [
+            dsl.read_once("r0", "x"), mark, dsl.assign("r1", 1),
+            dsl.read_once("r0", "y"), dsl.write_once("v", r("r0")),
+            dsl.assign("r3", r("r0")),
+        ]
+        program = _segmented(*body)
+        return (
+            dsl.program(
+                "overwrite", *program.threads,
+                condition=dsl.exists_regs((0, "r0", 1), (2, "r0", 0)),
+            ),
+            2,
+        )
+    bound = int(name.split("@")[1])
+    return inline_rcu(library.get("RCU-MP"), loop_bound=bound), 2
+
+
+SEGMENT_CASES = [
+    "live-register", "ctrl-across", "rmw-later", "assume-later",
+    "assume-empty", "overwrite", "RCU-MP@1", "RCU-MP@2", "RCU-MP@3",
+]
+
+
+def whole_bodies(monkeypatch):
+    """Enumerate every thread as one segment, as before segmentation."""
+    monkeypatch.setattr(thread_sem, "thread_segments", lambda body: [tuple(body)])
+
+
+class TestSegments:
+    """A thread's traces are the joins of its segment paths, and equal
+    the whole-body walk's: events, dependencies, RMW pairs, final
+    registers in order, and the final control dependencies."""
+
+    @staticmethod
+    def _fingerprint(per_thread):
+        return [
+            [
+                (t.events, t.rmw_pairs, list(t.final_regs.items()), t.ctrl)
+                for t in traces
+            ]
+            for traces in per_thread
+        ]
+
+    @pytest.mark.parametrize("name", SEGMENT_CASES)
+    def test_the_cut(self, name):
+        program, count = segment_case(name)
+        cut = thread_segments(program.threads[-1].body)
+        assert len(cut) == count
+        assert [i for segment in cut for i in segment] == list(
+            program.threads[-1].body
+        )
+        straight = program.threads[0 if name.startswith("RCU") else 1].body
+        assert thread_segments(straight) == [straight]
+
+    @pytest.mark.parametrize("name", SEGMENT_CASES)
+    def test_fixpoint_equals_the_whole_trace_walk(self, name, monkeypatch):
+        program, _ = segment_case(name)
+        values, per_thread = traces_at_fixpoint(program)
+        with monkeypatch.context() as patched:
+            whole_bodies(patched)
+            whole_values, whole = traces_at_fixpoint(program)
+        assert values == whole_values
+        assert self._fingerprint(per_thread) == self._fingerprint(whole)
+        for thread, traces in zip(program.threads, per_thread):
+            assert self._fingerprint([traces]) == self._fingerprint(
+                [enumerate_thread_traces(thread, values)]
+            )
+        if name == "assume-empty":
+            assert per_thread[0] == per_thread[2] == []
+            assert values["v"] == {0}  # a write on no trace is not recorded
+        else:
+            assert all(per_thread)
+
+    def test_ctrl_crosses_the_cut(self):
+        program, _ = segment_case("ctrl-across")
+        values = possible_value_sets(program)
+        for trace in traces_at_fixpoint(program)[1][0]:
+            reads = [i for i, e in enumerate(trace.events) if e.kind == READ]
+            x, y, w, p = reads
+            v, u = trace.events[-2:]
+            assert (v.loc, v.addr_deps, v.ctrl_deps) == ("v", {p}, {x, y})
+            assert (u.loc, u.data_deps, u.ctrl_deps) == ("u", {w}, {x, y})
+            assert trace.ctrl == frozenset({x, y})
+        assert values["u"] == {0, 1}
+
+    def test_rmw_pairs_move_past_the_earlier_segment(self):
+        program, _ = segment_case("rmw-later")
+        for trace in traces_at_fixpoint(program)[1][0]:
+            kinds = [(e.kind, e.loc) for e in trace.events]
+            start = kinds.index((READ, "y"))
+            assert trace.rmw_pairs[0] == (start, start + 1)
+            for r, w in trace.rmw_pairs:
+                assert trace.events[r].kind == READ and trace.events[w].kind == WRITE
+                assert trace.events[w].data_deps >= {r}
+
+    def test_later_value_of_a_register_wins_in_its_earlier_place(self):
+        program, _ = segment_case("overwrite")
+        for trace in traces_at_fixpoint(program)[1][0]:
+            y = next(e for e in trace.events if e.loc == "y")
+            assert list(trace.final_regs) == ["r0", "r1", "r3"]
+            assert trace.final_regs["r0"] == trace.final_regs["r3"] == y.value
